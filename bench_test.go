@@ -734,22 +734,6 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 			})
 		}
 	}
-	// Sharded engine scaling on phased partitions: shards1 is the
-	// single-shard ablation (serial engine by construction); the wider
-	// cases prefetch per-node physics on shard workers inside conservative
-	// lookahead windows. Reports and event logs are byte-identical across
-	// all of these — only jobs/s moves, and only on multi-core hosts (the
-	// protocol adds no simulated work, so single-core runs stay flat).
-	for _, nodes := range []int{64, 512, 4096} {
-		for _, shards := range []int{1, 2, 4, 8} {
-			nodes, shards := nodes, shards
-			b.Run(fmt.Sprintf("phased/shards%d/%dnodes", shards, nodes), func(b *testing.B) {
-				spec := mkSpec(nodes, false)
-				spec.Shards = shards
-				runSpec(b, spec)
-			})
-		}
-	}
 	// Chaos cases: the same phased campaign with the fault subsystem armed
 	// — crash/reboot cycles, thermal runaway injections, a network window,
 	// stragglers, requeue + checkpoint — pricing the fault timeline, the

@@ -1,6 +1,6 @@
 // Command mcfleet runs a federated multi-cluster fleet: a JSON fleet
 // spec declares heterogeneous clusters (node count, power budget,
-// ambient temperature, engine shards) and tenant campaign streams, the
+// ambient temperature) and tenant campaign streams, the
 // two-level meta-scheduler routes each arriving campaign to the cluster
 // with the best predicted power/thermal headroom and shallowest queue,
 // and each cluster executes its routed queue on a worker-pool goroutine

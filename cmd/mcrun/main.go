@@ -7,13 +7,11 @@
 //	                  fig2|fig3|fig4|fig5|fig6|
 //	                  hpl-efficiency|stream-efficiency|qe-lax|infiniband|
 //	                  decomposition|campaign|chaos|all
-//	      [-seed N] [-workload hpl|stream.ddr|stream.l2|qe|idle] [-shards N]
+//	      [-seed N] [-workload hpl|stream.ddr|stream.l2|qe|idle]
 //	      [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // The campaign experiment runs the demo batch campaign end to end and
-// prints its report; -shards selects the engine's parallel
-// event-preparation width for it (0 = GOMAXPROCS, output is byte-identical
-// at any width). The chaos experiment runs the same job mix under the
+// prints its report. The chaos experiment runs the same job mix under the
 // standard fault storm — crash/reboot cycles, thermal runaway to the
 // 107 degC trip, brownout budget steps, network degradation, a straggler —
 // with requeue and checkpoint/restart on, and prints the availability
@@ -26,7 +24,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 
 	"montecimone/internal/campaign"
 	"montecimone/internal/core"
@@ -39,7 +36,6 @@ func main() {
 	experiment := flag.String("experiment", "all", "experiment id (see -help)")
 	seed := flag.Int64("seed", 1, "deterministic noise seed")
 	workload := flag.String("workload", "hpl", "workload for fig3 traces")
-	shards := flag.Int("shards", 1, "engine shard count for the campaign experiment (0 = GOMAXPROCS)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -48,14 +44,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "mcrun:", err)
 		os.Exit(1)
 	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "mcrun: -shards must be >= 0, got %d\n", *shards)
-		os.Exit(1)
-	}
-	if *shards == 0 {
-		*shards = runtime.GOMAXPROCS(0)
-	}
-	err = run(os.Stdout, *experiment, *seed, *workload, *shards)
+	err = run(os.Stdout, *experiment, *seed, *workload)
 	if perr := stopProf(); err == nil {
 		err = perr
 	}
@@ -66,7 +55,7 @@ func main() {
 }
 
 // run dispatches one experiment (or all of them) to the writer.
-func run(w io.Writer, experiment string, seed int64, workload string, shards int) error {
+func run(w io.Writer, experiment string, seed int64, workload string) error {
 	runners := map[string]func(io.Writer, int64) error{
 		"table1":            runTableI,
 		"table2":            runTableII,
@@ -87,15 +76,11 @@ func run(w io.Writer, experiment string, seed int64, workload string, shards int
 		"dtm":               runDTM,
 		"anomaly":           runAnomaly,
 		"accelerator":       runAccelerator,
+		"campaign":          runCampaign,
+		"chaos":             runChaos,
 	}
 	if experiment == "fig3" {
 		return runFig3(w, seed, workload)
-	}
-	if experiment == "campaign" {
-		return runCampaign(w, seed, shards)
-	}
-	if experiment == "chaos" {
-		return runChaos(w, seed, shards)
 	}
 	if experiment == "all" {
 		order := []string{
@@ -122,47 +107,30 @@ func run(w io.Writer, experiment string, seed int64, workload string, shards int
 	return fn(w, seed)
 }
 
-// runCampaign executes the demo batch campaign on a (possibly sharded)
-// engine and prints its report. Deliberately NOT part of "all": the "all"
-// output is the paper-artifact regeneration that CI diffs byte-for-byte,
-// and this experiment exists to exercise the sharded engine path.
-func runCampaign(w io.Writer, seed int64, shards int) error {
+// runCampaign executes the demo batch campaign and prints its report.
+// Deliberately NOT part of "all": the "all" output is the paper-artifact
+// regeneration that CI diffs byte-for-byte.
+func runCampaign(w io.Writer, seed int64) error {
 	spec := campaign.DefaultSpec(8, "easy", true, 0)
 	spec.Seed = seed
-	spec.Shards = shards
 	res, err := campaign.Run(spec)
 	if err != nil {
 		return err
 	}
-	printWindowStats(res)
 	return res.WriteReport(w)
-}
-
-// printWindowStats reports the sharded engine's exposed parallelism on
-// stderr (stdout stays byte-diffable across shard counts). Serial runs
-// form no windows and print nothing.
-func printWindowStats(res *campaign.Result) {
-	if res.EngineWindows == 0 {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "mcrun: engine windows: %d, windowed events: %d, prepared keys: %d, committed-parallel: %d (%.1f%%)\n",
-		res.EngineWindows, res.WindowedEvents, res.PreparedKeys, res.CommittedEvents,
-		100*res.CommittedParallelFraction())
 }
 
 // runChaos executes the standard chaos campaign — the demo job mix with
 // every fault class armed, requeueing and checkpointing on — and prints
 // the availability report. Like campaign, deliberately NOT part of "all":
 // the "all" output is the byte-diffed paper-artifact regeneration.
-func runChaos(w io.Writer, seed int64, shards int) error {
+func runChaos(w io.Writer, seed int64) error {
 	spec := campaign.ChaosSpec(8, "easy", 40)
 	spec.Seed = seed
-	spec.Shards = shards
 	res, err := campaign.Run(spec)
 	if err != nil {
 		return err
 	}
-	printWindowStats(res)
 	return res.WriteReport(w)
 }
 

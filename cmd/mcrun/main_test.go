@@ -25,7 +25,7 @@ func TestRunFastExperiments(t *testing.T) {
 	for _, tt := range tests {
 		t.Run(tt.experiment, func(t *testing.T) {
 			var sb strings.Builder
-			if err := run(&sb, tt.experiment, 1, "hpl", 1); err != nil {
+			if err := run(&sb, tt.experiment, 1, "hpl"); err != nil {
 				t.Fatal(err)
 			}
 			if !strings.Contains(sb.String(), tt.wantSubstr) {
@@ -37,60 +37,45 @@ func TestRunFastExperiments(t *testing.T) {
 
 func TestRunFig3Workloads(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "fig3", 1, "stream.ddr", 1); err != nil {
+	if err := run(&sb, "fig3", 1, "stream.ddr"); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), "stream.ddr") {
 		t.Errorf("output = %s", sb.String())
 	}
-	if err := run(&sb, "fig3", 1, "not-a-workload", 1); err == nil {
+	if err := run(&sb, "fig3", 1, "not-a-workload"); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
 
-// The campaign experiment must print the demo campaign report and be
-// byte-identical at any shard count.
-func TestRunCampaignExperimentSharded(t *testing.T) {
-	render := func(shards int) string {
-		var sb strings.Builder
-		if err := run(&sb, "campaign", 1, "hpl", shards); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
+// The campaign experiment must print the demo campaign report.
+func TestRunCampaignExperiment(t *testing.T) {
+	var sb strings.Builder
+	if err := run(&sb, "campaign", 1, "hpl"); err != nil {
+		t.Fatal(err)
 	}
-	serial := render(1)
-	if !strings.Contains(serial, "campaign \"mcsched-demo\"") {
-		t.Errorf("missing campaign report:\n%s", serial)
-	}
-	if got := render(4); got != serial {
-		t.Errorf("campaign output diverges at 4 shards:\n--- serial\n%s\n--- sharded\n%s", serial, got)
+	if !strings.Contains(sb.String(), "campaign \"mcsched-demo\"") {
+		t.Errorf("missing campaign report:\n%s", sb.String())
 	}
 }
 
 // The chaos experiment must render the availability report (fault stats,
-// availability/goodput line) and stay byte-identical at any shard count.
-func TestRunChaosExperimentSharded(t *testing.T) {
-	render := func(shards int) string {
-		var sb strings.Builder
-		if err := run(&sb, "chaos", 1, "hpl", shards); err != nil {
-			t.Fatal(err)
-		}
-		return sb.String()
+// availability/goodput line).
+func TestRunChaosExperiment(t *testing.T) {
+	var sb strings.Builder
+	if err := run(&sb, "chaos", 1, "hpl"); err != nil {
+		t.Fatal(err)
 	}
-	serial := render(1)
 	for _, want := range []string{"campaign \"chaos-standard\"", "faults:", "availability"} {
-		if !strings.Contains(serial, want) {
-			t.Errorf("chaos report missing %q:\n%s", want, serial)
+		if !strings.Contains(sb.String(), want) {
+			t.Errorf("chaos report missing %q:\n%s", want, sb.String())
 		}
-	}
-	if got := render(4); got != serial {
-		t.Errorf("chaos output diverges at 4 shards:\n--- serial\n%s\n--- sharded\n%s", serial, got)
 	}
 }
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, "table99", 1, "hpl", 1); err == nil {
+	if err := run(&sb, "table99", 1, "hpl"); err == nil {
 		t.Error("unknown experiment accepted")
 	}
 }

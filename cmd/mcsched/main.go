@@ -11,7 +11,7 @@
 // Usage:
 //
 //	mcsched [-nodes N] [-mitigated] [-policy fifo|easy|sjf|bestfit|powercap]
-//	        [-budget-w W] [-campaign spec.json] [-events] [-no-faults] [-shards N]
+//	        [-budget-w W] [-campaign spec.json] [-events] [-no-faults]
 //	        [-cpuprofile cpu.prof] [-memprofile mem.prof]
 //
 // -cpuprofile and -memprofile write standard pprof profiles covering the
@@ -24,12 +24,6 @@
 // availability, goodput, retry and MTTR columns. -no-faults strips the
 // block — the ablation that reproduces the fault-free report byte for
 // byte.
-//
-// -shards selects the engine's parallel event-preparation width (0 means
-// one shard per available CPU); any value produces byte-identical output,
-// sharding only changes wall-clock time. The effective count is reported
-// in the run header (on stderr for -campaign runs, keeping the report
-// diffable across shard counts).
 //
 // Node counts beyond the paper's eight-slot enclosure run with synthetic
 // slots (thermal environments reuse the physical slots cyclically).
@@ -45,7 +39,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"strings"
 
 	"montecimone/internal/campaign"
@@ -62,7 +55,6 @@ func main() {
 	campaignPath := flag.String("campaign", "", "run this JSON campaign spec instead of the demo campaign")
 	events := flag.Bool("events", false, "print the campaign event log after the report (with -campaign)")
 	noFaults := flag.Bool("no-faults", false, "strip the spec's fault block (chaos ablation, with -campaign)")
-	shards := flag.Int("shards", 1, "engine shard count for parallel event preparation (0 = GOMAXPROCS)")
 	backfill := flag.Bool("backfill", true, "deprecated: -backfill=false is an alias for -policy fifo")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -71,13 +63,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcsched:", err)
 		os.Exit(1)
-	}
-	if *shards < 0 {
-		fmt.Fprintf(os.Stderr, "mcsched: -shards must be >= 0, got %d\n", *shards)
-		os.Exit(1)
-	}
-	if *shards == 0 {
-		*shards = runtime.GOMAXPROCS(0)
 	}
 	if !*backfill {
 		if *policy != "easy" {
@@ -89,9 +74,9 @@ func main() {
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
 	if *campaignPath != "" {
-		err = runSpecFile(os.Stdout, *campaignPath, set, *nodes, *mitigated, *policy, *budgetW, *shards, *events, *noFaults)
+		err = runSpecFile(os.Stdout, *campaignPath, set, *nodes, *mitigated, *policy, *budgetW, *events, *noFaults)
 	} else {
-		err = run(os.Stdout, *nodes, *mitigated, *policy, *budgetW, *shards)
+		err = run(os.Stdout, *nodes, *mitigated, *policy, *budgetW)
 	}
 	if perr := stopProf(); err == nil {
 		err = perr
@@ -104,7 +89,7 @@ func main() {
 
 // runSpecFile loads a campaign spec, applies explicit flag overrides and
 // runs it end to end, printing the report (and optionally the event log).
-func runSpecFile(w io.Writer, path string, set map[string]bool, nodes int, mitigated bool, policy string, budgetW float64, shards int, events, noFaults bool) error {
+func runSpecFile(w io.Writer, path string, set map[string]bool, nodes int, mitigated bool, policy string, budgetW float64, events, noFaults bool) error {
 	spec, err := campaign.Load(path)
 	if err != nil {
 		return err
@@ -126,25 +111,9 @@ func runSpecFile(w io.Writer, path string, set map[string]bool, nodes int, mitig
 	if set["budget-w"] {
 		spec.PowerBudgetW = budgetW
 	}
-	if set["shards"] {
-		spec.Shards = shards
-	}
-	// Shard count goes to stderr: the report on stdout stays byte-diffable
-	// across shard counts (CI diffs serial vs sharded runs of the smoke
-	// spec).
-	fmt.Fprintf(os.Stderr, "mcsched: engine shards: %d\n", effectiveShards(spec.Shards))
 	res, err := campaign.Run(spec)
 	if err != nil {
 		return err
-	}
-	// Window statistics go to stderr too: the committed-parallel fraction is
-	// the share of the event stream that executed on shard workers — the
-	// parallelism the engine exposed, visible even where wall-clock scaling
-	// is not (single-core hosts).
-	if res.EngineWindows > 0 {
-		fmt.Fprintf(os.Stderr, "mcsched: engine windows: %d, windowed events: %d, prepared keys: %d, committed-parallel: %d (%.1f%%)\n",
-			res.EngineWindows, res.WindowedEvents, res.PreparedKeys, res.CommittedEvents,
-			100*res.CommittedParallelFraction())
 	}
 	if err := res.WriteReport(w); err != nil {
 		return err
@@ -156,20 +125,10 @@ func runSpecFile(w io.Writer, path string, set map[string]bool, nodes int, mitig
 	return nil
 }
 
-// effectiveShards maps a spec/flag shard setting to the worker count the
-// engine will actually run (0 and 1 are the serial engine).
-func effectiveShards(n int) int {
-	if n < 1 {
-		return 1
-	}
-	return n
-}
-
 // run executes the demo campaign — the default spec on the campaign
 // engine — with the command's traditional squeue/sinfo checkpoints.
-func run(w io.Writer, nodes int, mitigated bool, policy string, budgetW float64, shards int) error {
+func run(w io.Writer, nodes int, mitigated bool, policy string, budgetW float64) error {
 	spec := campaign.DefaultSpec(nodes, policy, mitigated, budgetW)
-	spec.Shards = shards
 	r, err := campaign.NewRunner(spec)
 	if err != nil {
 		return err
@@ -182,7 +141,6 @@ func run(w io.Writer, nodes int, mitigated bool, policy string, budgetW float64,
 		fmt.Fprintln(w, "enclosure: original 1U lid-on build")
 	}
 	fmt.Fprintf(w, "scheduler policy: %s\n", s.Scheduler.PolicyName())
-	fmt.Fprintf(w, "engine shards: %d\n", effectiveShards(shards))
 	if s.Plane != nil {
 		fmt.Fprintf(w, "power plane: budget %.1f W\n", s.Plane.BudgetW())
 	}

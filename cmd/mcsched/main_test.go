@@ -1,14 +1,16 @@
 package main
 
 import (
-	"fmt"
+	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
 
 func TestCampaignOriginalEnclosure(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, 8, false, "easy", 0, 1); err != nil {
+	if err := run(&sb, 8, false, "easy", 0); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -29,7 +31,7 @@ func TestCampaignOriginalEnclosure(t *testing.T) {
 
 func TestCampaignMitigated(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, 8, true, "easy", 0, 1); err != nil {
+	if err := run(&sb, 8, true, "easy", 0); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -46,7 +48,7 @@ func TestCampaignAlternatePolicies(t *testing.T) {
 		policy := policy
 		t.Run(policy, func(t *testing.T) {
 			var sb strings.Builder
-			if err := run(&sb, 8, true, policy, 0, 1); err != nil {
+			if err := run(&sb, 8, true, policy, 0); err != nil {
 				t.Fatal(err)
 			}
 			out := sb.String()
@@ -67,32 +69,34 @@ func TestCampaignAlternatePolicies(t *testing.T) {
 	}
 }
 
-// The demo campaign's stdout must be byte-identical at any shard count
-// (minus the header line reporting the count itself), and the header must
-// report the effective width.
+// A spec that still asks for shards must load (the field is deprecated,
+// not rejected) and print exactly the report and event log of the same
+// spec without it.
 func TestCampaignShardedMatchesSerial(t *testing.T) {
-	render := func(shards int) string {
+	const smoke = "../../internal/campaign/testdata/smoke.json"
+	data, err := os.ReadFile(smoke)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharded := filepath.Join(t.TempDir(), "smoke-shards.json")
+	if err := os.WriteFile(sharded, bytes.Replace(data, []byte("{"), []byte(`{"shards": 4,`), 1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	render := func(path string) string {
 		var sb strings.Builder
-		if err := run(&sb, 8, true, "easy", 0, shards); err != nil {
+		if err := runSpecFile(&sb, path, nil, 8, false, "easy", 0, true, false); err != nil {
 			t.Fatal(err)
 		}
-		out := sb.String()
-		if !strings.Contains(out, fmt.Sprintf("engine shards: %d\n", effectiveShards(shards))) {
-			t.Errorf("missing shard header line for shards=%d:\n%s", shards, out)
-		}
-		return strings.Replace(out, fmt.Sprintf("engine shards: %d\n", effectiveShards(shards)), "", 1)
+		return sb.String()
 	}
-	serial := render(1)
-	for _, shards := range []int{2, 4} {
-		if got := render(shards); got != serial {
-			t.Errorf("demo output diverges at shards=%d:\n--- serial\n%s\n--- sharded\n%s", shards, serial, got)
-		}
+	if serial, got := render(smoke), render(sharded); got != serial {
+		t.Errorf("output diverges with shards set:\n--- without\n%s\n--- shards 4\n%s", serial, got)
 	}
 }
 
 func TestUnknownPolicyRejected(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, 8, false, "lottery", 0, 1); err == nil {
+	if err := run(&sb, 8, false, "lottery", 0); err == nil {
 		t.Error("unknown policy accepted")
 	}
 }
@@ -102,7 +106,7 @@ func TestUnknownPolicyRejected(t *testing.T) {
 func TestCampaignSpecRun(t *testing.T) {
 	var sb strings.Builder
 	err := runSpecFile(&sb, "../../internal/campaign/testdata/smoke.json",
-		map[string]bool{"policy": true}, 8, false, "bestfit", 0, 1, true, false)
+		map[string]bool{"policy": true}, 8, false, "bestfit", 0, true, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,7 +121,7 @@ func TestCampaignSpecRun(t *testing.T) {
 // A missing or malformed spec must fail loudly.
 func TestCampaignSpecErrors(t *testing.T) {
 	var sb strings.Builder
-	if err := runSpecFile(&sb, "no-such-spec.json", nil, 8, false, "easy", 0, 1, false, false); err == nil {
+	if err := runSpecFile(&sb, "no-such-spec.json", nil, 8, false, "easy", 0, false, false); err == nil {
 		t.Error("missing spec accepted")
 	}
 }
@@ -128,7 +132,7 @@ func TestCampaignSpecErrors(t *testing.T) {
 func TestCampaignNoFaultsAblation(t *testing.T) {
 	var sb strings.Builder
 	err := runSpecFile(&sb, "../../internal/campaign/testdata/chaos.json",
-		nil, 8, false, "easy", 0, 1, true, true)
+		nil, 8, false, "easy", 0, true, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -58,7 +58,7 @@ func spec() fleet.Spec {
 		Clusters: []fleet.ClusterSpec{
 			{ID: "bologna", Nodes: 8, PowerBudgetW: 50, Mitigated: true},
 			{ID: "testbed", Nodes: 4, AmbientC: 34},
-			{ID: "sister", Nodes: 8, AmbientC: 16, Shards: 2},
+			{ID: "sister", Nodes: 8, AmbientC: 16},
 		},
 		Tenants: []fleet.TenantSpec{
 			{Name: "cfd", Campaigns: []fleet.Submission{

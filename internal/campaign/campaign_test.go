@@ -49,6 +49,10 @@ func TestSpecValidation(t *testing.T) {
 			"mix":[{"workload":"idle","weight":1}]}`, "no runtime estimate"},
 		{"trace job without timing", `{"name":"x","nodes":4,"horizon_s":10,
 			"jobs":[{"name":"j","workload":"qe","nodes":1}]}`, "needs duration_s or time_limit_s"},
+		{"negative power budget", `{"name":"x","nodes":4,"horizon_s":10,"power_budget_w":-5,"policy":"powercap",
+			"jobs":[{"name":"j","workload":"qe","nodes":1,"duration_s":5}]}`, "power_budget_w must be >= 0"},
+		{"negative shards", `{"name":"x","nodes":4,"horizon_s":10,"shards":-1,
+			"jobs":[{"name":"j","workload":"qe","nodes":1,"duration_s":5}]}`, "shards must be >= 0"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

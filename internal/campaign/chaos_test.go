@@ -31,17 +31,10 @@ func tripChainSpec(seed int64) Spec {
 // TestChaosTripChain drives thermal runaway end to end at campaign scale:
 // airflow fault -> 107 degC halt -> NodeDown -> NODE_FAIL -> requeue ->
 // repair -> NodeUp -> checkpointed restart -> completion, for several
-// seeds, each byte-identical at -shards 0/1/4.
+// seeds.
 func TestChaosTripChain(t *testing.T) {
 	for _, seed := range []int64{11, 23} {
 		spec := tripChainSpec(seed)
-		rep0, log0 := renderAt(t, spec, 0)
-		for _, shards := range []int{1, 4} {
-			rep, log := renderAt(t, spec, shards)
-			if rep != rep0 || log != log0 {
-				t.Fatalf("seed %d: chaos campaign diverges at shards=%d", seed, shards)
-			}
-		}
 		res, err := Run(spec)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -94,14 +87,14 @@ func TestChaosTripChain(t *testing.T) {
 }
 
 // TestChaosSmokeSpecShardInvariant runs the CI chaos smoke spec (all five
-// fault classes) and requires byte-identical reports and event logs at
-// -shards 0/1/4 — the determinism gate the workflow re-checks with cmp.
+// fault classes), checks every fault class shows up, and requires
+// byte-identical reports and event logs at shards 0 and 4.
 func TestChaosSmokeSpecShardInvariant(t *testing.T) {
 	spec, err := Load("testdata/chaos.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep0, log0 := renderAt(t, spec, 0)
+	rep0, log0 := assertShardsIgnored(t, spec)
 	for _, s := range []string{"fault  crash", "fault  airflow", "fault  trip", "fault  budget",
 		"fault  net", "fault  straggler", "requeue"} {
 		if !strings.Contains(log0, s) {
@@ -113,12 +106,6 @@ func TestChaosSmokeSpecShardInvariant(t *testing.T) {
 			t.Errorf("chaos smoke report missing %q", s)
 		}
 	}
-	for _, shards := range []int{1, 4} {
-		rep, log := renderAt(t, spec, shards)
-		if rep != rep0 || log != log0 {
-			t.Fatalf("chaos smoke diverges at shards=%d", shards)
-		}
-	}
 }
 
 // TestFaultsOffIsAblation pins the no-faults path: a spec without the
@@ -127,7 +114,7 @@ func TestChaosSmokeSpecShardInvariant(t *testing.T) {
 // byte-stable (CI additionally byte-diffs the real pre-PR output).
 func TestFaultsOffIsAblation(t *testing.T) {
 	spec := mixedSpec("easy", 11)
-	rep, log := renderAt(t, spec, 0)
+	rep, log, _ := render(t, spec)
 	for _, s := range []string{"end states:", "faults:", "availability", "Retries", "fault  ", "requeue"} {
 		if strings.Contains(rep, s) || strings.Contains(log, s) {
 			t.Errorf("faults-off campaign rendered fault artifact %q", s)

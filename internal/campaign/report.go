@@ -52,24 +52,13 @@ type Result struct {
 	// Fault holds the fault controller's accounting for chaos campaigns.
 	Fault *fault.Stats
 
-	// Engine window statistics (sharded runs; all zero on the serial
-	// engine). Not rendered in the report — commands print them to stderr
-	// so stdout stays byte-diffable across shard counts.
-	EngineWindows   uint64 // lookahead windows formed
-	WindowedEvents  uint64 // events committed through windows
-	PreparedKeys    uint64 // node states prefetched on shard workers
-	CommittedEvents uint64 // event callbacks executed entirely on workers
-}
-
-// CommittedParallelFraction returns the share of windowed events whose
-// callbacks executed entirely on shard workers — the engine's exposed
-// parallelism, measurable even on a single-core host where wall-clock
-// scaling is invisible.
-func (r *Result) CommittedParallelFraction() float64 {
-	if r.WindowedEvents == 0 {
-		return 0
-	}
-	return float64(r.CommittedEvents) / float64(r.WindowedEvents)
+	// Deprecated: the engine is serial and forms no lookahead windows;
+	// EngineWindows always reads 0.
+	EngineWindows uint64
+	// Deprecated: always reads 0 (see EngineWindows).
+	WindowedEvents uint64
+	// Deprecated: always reads 0 (see EngineWindows).
+	CommittedEvents uint64
 }
 
 // aggregate derives the summary numbers from the job rows.

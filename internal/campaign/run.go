@@ -72,7 +72,6 @@ func NewRunner(spec Spec) (*Runner, error) {
 		SyntheticSlots: spec.Nodes > cluster.DefaultNodes,
 		PowerBudgetW:   spec.PowerBudgetW,
 		HPMPatch:       spec.Monitor,
-		Shards:         spec.Shards,
 		Org:            spec.Org,
 		ClusterTag:     spec.ClusterTag,
 		AmbientC:       spec.AmbientC,
@@ -258,7 +257,6 @@ func (r *Runner) Result() *Result {
 		st := r.ctrl.Stats(r.sys.Engine.Now())
 		res.Fault = &st
 	}
-	res.EngineWindows, res.WindowedEvents, res.PreparedKeys, res.CommittedEvents = r.sys.Engine.WindowStats()
 	res.aggregate()
 	return res
 }

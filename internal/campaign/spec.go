@@ -103,9 +103,8 @@ type Spec struct {
 	// FixedActivity disables phase interleaving (jobs hold their steady
 	// Table VI profile) — the campaign benchmark's ablation.
 	FixedActivity bool `json:"fixed_activity,omitempty"`
-	// Shards sets the engine's parallel-preparation shard count. 0 and 1
-	// run the serial engine; any count produces byte-identical reports and
-	// event logs (sharding is a wall-clock knob, not a model knob).
+	// Deprecated: Shards has no effect; the engine is serial. It is still
+	// parsed and validated (>= 0) so existing specs keep loading.
 	Shards int `json:"shards,omitempty"`
 	// Org and ClusterTag scope the campaign's telemetry samples — the
 	// fleet runner stamps each routed campaign with its cluster's
@@ -180,6 +179,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.AmbientC < 0 {
 		return fmt.Errorf("campaign: spec %q: ambient_c must be >= 0, got %v", s.Name, s.AmbientC)
+	}
+	if s.PowerBudgetW < 0 {
+		return fmt.Errorf("campaign: spec %q: power_budget_w must be >= 0, got %v", s.Name, s.PowerBudgetW)
 	}
 	if s.Policy != "" {
 		if _, err := sched.PolicyByName(s.Policy); err != nil {

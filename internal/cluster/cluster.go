@@ -75,7 +75,7 @@ type Cluster struct {
 	engine  *sim.Engine
 	machine *soc.Machine
 	nodes   []*node.Node
-	index   map[string]int // hostname -> 0-based node index (= shard key)
+	index   map[string]int // hostname -> 0-based node index
 	fabric  *netsim.Fabric
 
 	nfs    *storage.NFS
@@ -140,8 +140,8 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 	if period == 0 {
 		period = 0.1
 	}
-	if period < 0 {
-		return nil, fmt.Errorf("cluster: negative step period %v", period)
+	if !(period > 0) { // also rejects NaN
+		return nil, fmt.Errorf("cluster: step period must be positive, got %v", period)
 	}
 	fabric, err := netsim.NewFabric(n, link)
 	if err != nil {
@@ -158,14 +158,6 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 		stepPeriod: period,
 		lockStep:   cfg.LockStep,
 		ambientC:   enc.AmbientC,
-	}
-	// The integration step is the cluster's conservative lookahead floor:
-	// after any input change a node's next transition deadline lies at
-	// least one step out, so windows no wider than a step can never see a
-	// mid-window watchdog land inside themselves. (Boot completions are
-	// R1+R2 out — far beyond this bound — and already covered by it.)
-	if err := engine.DeclareLookahead("cluster.step", period); err != nil {
-		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	for id := 1; id <= n; id++ {
 		nd, err := node.New(node.Config{
@@ -200,13 +192,7 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 		if err := nd.SetBaseStep(period); err != nil {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
-		// The node clock routes through the engine's key-aware time: during
-		// a window's parallel phase a demand-driven sync triggered on a shard
-		// worker (a local phase transition observing its node) must see the
-		// worker's event instant, not the serial loop's stale clock. Outside
-		// parallel phases KeyNow IS the engine clock.
-		key := nd.ID() - 1
-		nd.SetClock(func() float64 { return engine.KeyNow(key) })
+		nd.SetClock(engine.Now)
 	}
 	if !c.lockStep {
 		c.watches = make([]sim.Handle, n)
@@ -255,27 +241,16 @@ func (c *Cluster) replanWatch(i int) {
 		return
 	}
 	nd := c.nodes[i]
-	// Route through the key's scheduling port: a replan triggered by an
-	// input change on a shard worker (a local phase transition mutating its
-	// node) buffers the cancel+schedule into the worker's effect buffer for
-	// the merge-ordered commit; on the serial loop the port is the engine
-	// itself and this is the plain immediate path. Element i of c.watches is
-	// only ever touched by node i's events, so worker writes are disjoint.
-	port := c.engine.KeyPort(i)
-	port.Cancel(c.watches[i])
+	c.watches[i].Cancel()
 	c.watches[i] = sim.Handle{}
 	at := nd.NextDeadline()
 	if math.IsInf(at, 1) {
 		return
 	}
-	if now := port.Now(); at < now {
+	if now := c.engine.Now(); at < now {
 		at = now
 	}
-	// Watchdogs are deliberately plain (barrier) events: they exist to
-	// integrate a node ACROSS a state transition, whose callbacks (halt ->
-	// scheduler node-down, boot -> boot notification) are cross-shard edges
-	// that must run on the serial loop with the window closed behind them.
-	ev, err := port.ScheduleAt(at, c.watchNames[i], c.watchFns[i])
+	ev, err := c.engine.ScheduleAt(at, c.watchNames[i], c.watchFns[i])
 	if err != nil {
 		// Unreachable: at is clamped to now and finite.
 		panic(fmt.Sprintf("cluster: watch %s: %v", c.watchNames[i], err))
@@ -325,42 +300,6 @@ func (c *Cluster) NodeByHostname(host string) (*node.Node, error) {
 		return c.nodes[i], nil
 	}
 	return nil, fmt.Errorf("cluster: unknown host %q", host)
-}
-
-// NodeKeys maps hostnames to their shard keys (0-based node indexes).
-// Unknown hosts are skipped: an event keyed for fewer nodes than it
-// touches merely loses prefetch parallelism, never correctness. The
-// workload executor uses this to mark phase-transition events shard-affine.
-func (c *Cluster) NodeKeys(hosts []string) []int {
-	keys := make([]int, 0, len(hosts))
-	for _, h := range hosts {
-		if i, ok := c.index[h]; ok {
-			keys = append(keys, i)
-		}
-	}
-	return keys
-}
-
-// PrepareNode is the engine's shard-state prefetcher: it integrates node
-// key exactly to virtual time at, when safe. Runs on shard worker
-// goroutines — distinct keys touch distinct node state, and the node
-// re-checks transition safety, so this never fires a transition callback
-// off the serial loop.
-func (c *Cluster) PrepareNode(key int, at float64) {
-	if key < 0 || key >= len(c.nodes) {
-		return
-	}
-	c.nodes[key].PrepareSync(at)
-}
-
-// NodePrepareSafe is the engine's window-termination probe: whether node
-// key can be prepared at instant at without reaching a state transition.
-// Unknown keys are vacuously safe (there is no node state to guard).
-func (c *Cluster) NodePrepareSafe(key int, at float64) bool {
-	if key < 0 || key >= len(c.nodes) {
-		return true
-	}
-	return c.nodes[key].PrepareSafe(at)
 }
 
 // Hostnames lists the compute-node hostnames in node order.

@@ -61,12 +61,6 @@ type Options struct {
 	// distributing per-node caps, and — when Policy is "powercap" — the
 	// power-aware scheduling loop consulting it before placements.
 	PowerBudgetW float64
-	// Shards sets the engine's shard count for parallel event preparation
-	// (conservative-lookahead windows with per-node physics prefetched on
-	// shard workers). 1 or 0 keeps the serial engine; results are
-	// byte-identical at every shard count — sharding changes wall-clock
-	// only, never virtual-time behaviour.
-	Shards int
 	// Org and Cluster scope every telemetry sample the system publishes
 	// (plugins and the power plane). Empty keeps the ExaMon defaults —
 	// byte-identical to the pre-fleet stack. Fleet workers set Cluster to
@@ -178,21 +172,6 @@ func NewSystem(opts Options) (*System, error) {
 		RNG:       sim.NewRNG(opts.Seed),
 		Plane:     plane,
 		monitor:   !opts.NoMonitor,
-	}
-	if opts.Shards > 1 {
-		// The cluster owns all per-node physics, so it supplies both halves
-		// of the engine's shard protocol: the prefetch (PrepareNode syncs a
-		// node to an instant) and the safety probe (NodePrepareSafe rejects
-		// instants that could cross a state transition).
-		engine.SetShards(opts.Shards)
-		engine.SetPreparer(cl.PrepareNode, cl.NodePrepareSafe)
-		// Node keys are 0..Size()-1; declaring the domain switches the
-		// key->shard map to contiguous blocks, so a job allocated on
-		// neighbouring nodes (the scheduler's first-fit placement) keys all
-		// its phase transitions to ONE shard and they execute on that
-		// shard's worker instead of demoting as cross-shard. Pure wall-clock
-		// tuning: results are byte-identical under any mapping.
-		engine.SetKeySpan(cl.Size())
 	}
 	// Thermal halts surface as SLURM node failures.
 	cl.OnNodeHalt(func(host string) {

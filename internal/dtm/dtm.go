@@ -82,16 +82,8 @@ func (g *Governor) Start(engine *sim.Engine) error {
 	if g.ticker != nil {
 		return fmt.Errorf("dtm: governor already running on %s", g.node.Hostname())
 	}
-	// The control interval reads and actuates only this governor's node
-	// (DVFS actuation included — the watchdog replan it triggers routes
-	// through the node key's scheduling port), so the tick is LOCAL on the
-	// node's shard key (ID-1 — IDs are assigned 1..N in hostname order): a
-	// sharded engine runs the whole control step on the node's shard
-	// worker. The governor's running statistics are node-private too; the
-	// power plane reads them only from serial barrier ticks.
-	tk, err := sim.NewLocalTicker(engine, engine.Now()+g.cfg.Period, g.cfg.Period,
-		"dtm."+g.node.Hostname(), []int{g.node.ID() - 1},
-		func(_ *sim.Proc, now float64) { g.control(now) })
+	tk, err := sim.NewTicker(engine, engine.Now()+g.cfg.Period, g.cfg.Period,
+		"dtm."+g.node.Hostname(), g.control)
 	if err != nil {
 		return fmt.Errorf("dtm: %w", err)
 	}

@@ -29,10 +29,9 @@ type PMUPub struct {
 	org     string
 	cluster string
 
-	ticker  *sim.Ticker
-	batch   []Sample     // per-tick scratch, reused across samples
-	events  []perf.Event // counters this node exposes, fixed at Start
-	publish func(*sim.Engine)
+	ticker *sim.Ticker
+	batch  []Sample     // per-tick scratch, reused across samples
+	events []perf.Event // counters this node exposes, fixed at Start
 }
 
 // NewPMUPub builds the plugin for one node.
@@ -60,16 +59,8 @@ func (p *PMUPub) Start(engine *sim.Engine) error {
 	if p.node.PMU().HPMEnabled() {
 		p.events = append(p.events, perf.ProgrammableEvents...)
 	}
-	// Local tick: the sample integrates only this plugin's own node and
-	// builds its batch in plugin-owned scratch, so a sharded engine runs
-	// the whole callback on the node's shard worker; the broker publish is
-	// deferred to the tick's commit position, keeping dispatch and storage
-	// ingest in exact serial order. Node IDs are assigned 1..N in hostname
-	// order, so ID-1 is the cluster's shard key for the node. The publish
-	// closure is built once — a deferred tick allocates nothing.
-	p.publish = func(*sim.Engine) { _ = p.broker.PublishBatch(p.batch) }
-	tk, err := sim.NewLocalTicker(engine, engine.Now()+PMUPubPeriod, PMUPubPeriod,
-		"examon.pmu_pub."+p.node.Hostname(), []int{p.node.ID() - 1}, p.sample)
+	tk, err := sim.NewTicker(engine, engine.Now()+PMUPubPeriod, PMUPubPeriod,
+		"examon.pmu_pub."+p.node.Hostname(), p.sample)
 	if err != nil {
 		return fmt.Errorf("examon: %w", err)
 	}
@@ -85,7 +76,7 @@ func (p *PMUPub) Stop() {
 	}
 }
 
-func (p *PMUPub) sample(proc *sim.Proc, now float64) {
+func (p *PMUPub) sample(now float64) {
 	// Bring the node model exactly to the sampling instant so counter
 	// reads are independent of tick-interleaving with the cluster's
 	// integration. Under lock-step this is a sub-period catch-up; under
@@ -114,12 +105,9 @@ func (p *PMUPub) sample(proc *sim.Proc, now float64) {
 			})
 		}
 	}
-	// Publish at the tick's commit position (immediately on the serial
-	// loop). Errors cannot occur for well-formed tags; the plugin drops the
-	// batch otherwise, like a QoS0 publisher. The scratch batch is safe to
-	// hand over: ticks of one plugin are at least a period apart, so the
-	// deferred publish always runs before the next tick rebuilds it.
-	proc.Defer(p.publish)
+	// Errors cannot occur for well-formed tags; the plugin drops the batch
+	// otherwise, like a QoS0 publisher.
+	_ = p.broker.PublishBatch(p.batch)
 }
 
 // StatsPub is the per-node plugin collecting operating-system statistics
@@ -130,9 +118,8 @@ type StatsPub struct {
 	org     string
 	cluster string
 
-	ticker  *sim.Ticker
-	batch   []Sample // per-tick scratch, reused across samples
-	publish func(*sim.Engine)
+	ticker *sim.Ticker
+	batch  []Sample // per-tick scratch, reused across samples
 }
 
 // NewStatsPub builds the plugin for one node.
@@ -154,10 +141,8 @@ func (s *StatsPub) Start(engine *sim.Engine) error {
 	if s.ticker != nil {
 		return fmt.Errorf("examon: stats_pub already started on %s", s.node.Hostname())
 	}
-	// Local tick keyed by this node; see PMUPub.Start.
-	s.publish = func(*sim.Engine) { _ = s.broker.PublishBatch(s.batch) }
-	tk, err := sim.NewLocalTicker(engine, engine.Now()+StatsPubPeriod, StatsPubPeriod,
-		"examon.stats_pub."+s.node.Hostname(), []int{s.node.ID() - 1}, s.sample)
+	tk, err := sim.NewTicker(engine, engine.Now()+StatsPubPeriod, StatsPubPeriod,
+		"examon.stats_pub."+s.node.Hostname(), s.sample)
 	if err != nil {
 		return fmt.Errorf("examon: %w", err)
 	}
@@ -188,7 +173,7 @@ var StatsMetrics = []string{
 	"temperature.mb_temp", "temperature.cpu_temp", "temperature.nvme_temp",
 }
 
-func (s *StatsPub) sample(proc *sim.Proc, now float64) {
+func (s *StatsPub) sample(now float64) {
 	s.node.SyncTo(now) // sync to the sampling instant (see PMUPub.sample)
 	if s.node.State() != node.StateRunning {
 		return
@@ -221,7 +206,7 @@ func (s *StatsPub) sample(proc *sim.Proc, now float64) {
 			T: now, V: values[i],
 		})
 	}
-	proc.Defer(s.publish) // commit-ordered publish; see PMUPub.sample
+	_ = s.broker.PublishBatch(s.batch) // see PMUPub.sample
 }
 
 // PowerPub is the per-node plugin publishing the nine shunt-monitored rail
@@ -235,9 +220,8 @@ type PowerPub struct {
 	org     string
 	cluster string
 
-	ticker  *sim.Ticker
-	batch   []Sample // per-tick scratch, reused across samples
-	publish func(*sim.Engine)
+	ticker *sim.Ticker
+	batch  []Sample // per-tick scratch, reused across samples
 }
 
 // PowerTotalMetric is the power_pub metric carrying the nine-rail board
@@ -274,10 +258,8 @@ func (p *PowerPub) Start(engine *sim.Engine) error {
 	if p.ticker != nil {
 		return fmt.Errorf("examon: power_pub already started on %s", p.node.Hostname())
 	}
-	// Local tick keyed by this node; see PMUPub.Start.
-	p.publish = func(*sim.Engine) { _ = p.broker.PublishBatch(p.batch) }
-	tk, err := sim.NewLocalTicker(engine, engine.Now()+PowerPubPeriod, PowerPubPeriod,
-		"examon.power_pub."+p.node.Hostname(), []int{p.node.ID() - 1}, p.sample)
+	tk, err := sim.NewTicker(engine, engine.Now()+PowerPubPeriod, PowerPubPeriod,
+		"examon.power_pub."+p.node.Hostname(), p.sample)
 	if err != nil {
 		return fmt.Errorf("examon: %w", err)
 	}
@@ -293,7 +275,7 @@ func (p *PowerPub) Stop() {
 	}
 }
 
-func (p *PowerPub) sample(proc *sim.Proc, now float64) {
+func (p *PowerPub) sample(now float64) {
 	p.node.SyncTo(now) // sync to the sampling instant (see PMUPub.sample)
 	p.batch = p.batch[:0]
 	hostname := p.node.Hostname()
@@ -312,5 +294,5 @@ func (p *PowerPub) sample(proc *sim.Proc, now float64) {
 			Plugin: "power_pub", Core: -1, Metric: PowerTotalMetric},
 		T: now, V: total,
 	})
-	proc.Defer(p.publish) // commit-ordered publish; see PMUPub.sample
+	_ = p.broker.PublishBatch(p.batch) // see PMUPub.sample
 }

@@ -48,7 +48,7 @@ type Event struct {
 // Plan is a spec expanded against a concrete machine and seed: the sorted
 // event timeline plus the static straggler assignment. Expansion happens
 // once, before the engine runs, so the plan — and hence the simulation —
-// is identical at any shard count.
+// is identical on every run.
 type Plan struct {
 	Events []Event
 	// Stragglers maps 0-based node index to runtime slowdown factor.

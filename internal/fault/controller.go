@@ -99,10 +99,8 @@ func NewController(cfg Config) (*Controller, error) {
 	return c, nil
 }
 
-// Arm schedules the compiled timeline. Single-node injections are
-// prepared barriers keyed by their node (their callbacks re-plan the
-// node's watchdog and touch scheduler state); cluster-wide injections are
-// plain barriers. Arm must run at campaign t=0, after boot.
+// Arm schedules the compiled timeline. Arm must run at campaign t=0,
+// after boot.
 func (c *Controller) Arm() error {
 	// Stragglers are a static assignment, logged up front in node order.
 	nodes := make([]int, 0, len(c.plan.Stragglers))
@@ -120,10 +118,10 @@ func (c *Controller) Arm() error {
 		var err error
 		switch ev.Kind {
 		case KindCrash:
-			_, err = c.cfg.Engine.ScheduleAtPrepared(at, "fault.crash", []int{ev.Node},
+			_, err = c.cfg.Engine.ScheduleAt(at, "fault.crash",
 				func(*sim.Engine) { c.crash(ev.Node) })
 		case KindThermalInject:
-			_, err = c.cfg.Engine.ScheduleAtPrepared(at, "fault.thermal", []int{ev.Node},
+			_, err = c.cfg.Engine.ScheduleAt(at, "fault.thermal",
 				func(*sim.Engine) { c.injectThermal(ev.Node) })
 		case KindPowerStep:
 			_, err = c.cfg.Engine.ScheduleAt(at, "fault.budget",
@@ -213,7 +211,7 @@ func (c *Controller) crash(n int) {
 	if err := c.cfg.Sched.NodeDown(host); err != nil {
 		panic(fmt.Sprintf("fault: node down %s: %v", host, err))
 	}
-	_, err := c.cfg.Engine.ScheduleAfterPrepared(reboot, "fault.reboot", []int{n}, func(e *sim.Engine) {
+	_, err := c.cfg.Engine.ScheduleAfter(reboot, "fault.reboot", func(e *sim.Engine) {
 		if nd.State() == node.StateOff {
 			if perr := nd.PowerOn(e.Now()); perr != nil {
 				panic(fmt.Sprintf("fault: reboot %s: %v", host, perr))
@@ -258,8 +256,7 @@ func (c *Controller) nodeHalted(host string) {
 	if err != nil {
 		panic(fmt.Sprintf("fault: halt of unknown host %s", host))
 	}
-	keys := c.cfg.Cluster.NodeKeys([]string{host})
-	_, err = c.cfg.Engine.ScheduleAfterPrepared(repair, "fault.repair", keys, func(e *sim.Engine) {
+	_, err = c.cfg.Engine.ScheduleAfter(repair, "fault.repair", func(e *sim.Engine) {
 		if nd.State() != node.StateHalted {
 			return
 		}

@@ -10,14 +10,8 @@
 //
 // Determinism rules. Every random draw happens at Compile time from named
 // sim.RNG streams (one per fault class), never while the engine runs, so
-// the same spec + seed expands into the same timeline at any shard count.
-// Injected events are scheduled as prepared barriers (single-node faults
-// keyed by their node index, cluster-wide faults unkeyed): their callbacks
-// touch scheduler and power-plane state and re-plan node watchdogs —
-// cross-shard edges that must close the lookahead window behind them, per
-// the engine's affine contract. Recovery delays are validated to at least
-// one second, far above the cluster's 0.1 s integration-step lookahead, so
-// events scheduled from inside a window always land beyond it.
+// the same spec + seed expands into the same timeline on every run, and
+// the engine fires the injections in (time, sequence) order.
 package fault
 
 import (
@@ -41,9 +35,8 @@ const (
 	DefaultMaxRequeues = 3
 )
 
-// minRecoveryS is the validation floor for recovery delays: one second
-// keeps every dynamically scheduled repair far beyond the engine's
-// lookahead window (the cluster declares a 0.1 s integration step).
+// minRecoveryS is the validation floor for recovery delays: a reboot or
+// repair faster than one second is not physical.
 const minRecoveryS = 1.0
 
 // Crash describes random whole-node crash/reboot cycles: each node fails

@@ -25,7 +25,7 @@ const (
 // Assignment is one routing decision: which cluster a tenant campaign
 // landed on, the score that won, and the predictive bookkeeping behind
 // it. The embedded Campaign spec is runner-ready — the meta-scheduler has
-// filled its machine half (nodes, policy, budget, shards, ambient,
+// filled its machine half (nodes, policy, budget, ambient,
 // backend, telemetry tags, seed) from the chosen cluster.
 type Assignment struct {
 	// Seq is the global arrival sequence number (routing order).
@@ -309,7 +309,6 @@ func route(s Spec, rng *sim.RNG) ([]Assignment, error) {
 			routed.Backend = c.Backend
 		}
 		routed.PowerBudgetW = c.PowerBudgetW
-		routed.Shards = c.Shards
 		routed.Mitigated = routed.Mitigated || c.Mitigated
 		routed.AmbientC = c.AmbientC
 		routed.Org = org

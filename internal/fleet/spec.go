@@ -1,6 +1,6 @@
 // Package fleet is the federated multi-cluster runner: a fleet spec
 // declares N heterogeneous Monte Cimone-style clusters (node count, power
-// budget, ambient temperature, shard count) and a stream of tenant
+// budget, ambient temperature) and a stream of tenant
 // campaigns, and a two-level scheduler routes each arriving campaign to
 // the cluster with the best predicted power/thermal headroom and the
 // shallowest queue — mirroring the wao-scheduler minimizepower scoring at
@@ -15,9 +15,8 @@
 // runs its own sim.Engine + sched + powerplane + examon stack on a worker
 // goroutine. A fixed seed therefore renders a byte-identical fleet report
 // and per-cluster event logs at any worker count — fleet throughput
-// scales with workers because clusters are embarrassingly parallel, the
-// scale-out axis the intra-cluster sharded engine cannot reach past its
-// serial-commit protocol.
+// scales with workers because clusters are embarrassingly parallel, while
+// each cluster's own event loop is serial.
 package fleet
 
 import (
@@ -45,8 +44,6 @@ type ClusterSpec struct {
 	// paper's 25 °C). Hotter sites boot closer to the 107 °C trip and
 	// score lower thermal headroom.
 	AmbientC float64 `json:"ambient_c,omitempty"`
-	// Shards is the cluster engine's parallel-preparation width.
-	Shards int `json:"shards,omitempty"`
 	// Policy is the cluster scheduler's policy (default easy).
 	Policy string `json:"policy,omitempty"`
 	// Mitigated applies the airflow mitigation before campaigns run.
@@ -59,7 +56,7 @@ type ClusterSpec struct {
 // campaign spec (the fleet schema embeds the campaign schema — any
 // campaign spec body is a valid submission body) plus its fleet-level
 // arrival time. The router fills the machine half of the embedded spec
-// (nodes, policy, budget, shards, ambient, telemetry tags) from the
+// (nodes, policy, budget, ambient, telemetry tags) from the
 // cluster it selects.
 type Submission struct {
 	// ArriveS is the fleet-level arrival instant in virtual seconds.
@@ -165,9 +162,6 @@ func (s *Spec) Validate() error {
 		}
 		if c.PowerBudgetW < 0 {
 			return fmt.Errorf("fleet: spec %q: cluster %s: negative power budget", s.Name, c.ID)
-		}
-		if c.Shards < 0 {
-			return fmt.Errorf("fleet: spec %q: cluster %s: shards must be >= 0", s.Name, c.ID)
 		}
 		if c.Policy != "" {
 			if _, err := sched.PolicyByName(c.Policy); err != nil {

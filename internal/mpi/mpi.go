@@ -14,16 +14,11 @@
 // distributed solvers at small problem sizes) or only a byte count (used by
 // the performance-model runs at the paper's N=40704 scale).
 //
-// Sharded engine: MPI collectives are cross-shard interactions, but they
-// resolve entirely inside a workload's execution — the layer schedules no
-// engine events of its own, and its timing law depends only on rank
-// program order and the fabric model, never on node physics. A collective
-// therefore never terminates a lookahead window; its effect reaches the
-// engine only through the workload events (phase transitions, job ends)
-// that consume its timings, and those events declare their own shard keys.
-// The fabric's 45 µs link latency is deliberately NOT declared as an
-// engine lookahead bound for the same reason: it constrains rank clocks,
-// not the event horizon.
+// MPI collectives resolve entirely inside a workload's execution: the
+// layer schedules no engine events of its own, and its timing law depends
+// only on rank program order and the fabric model, never on node physics.
+// Its effect reaches the engine only through the workload events (phase
+// transitions, job ends) that consume its timings.
 package mpi
 
 import (

@@ -697,39 +697,6 @@ func (n *Node) advanceCounters(dt float64) {
 	n.procsNewTotal += dt * 2
 }
 
-// PrepareSafe reports whether the node may be integrated to target off the
-// serial event loop (by a shard worker prefetching state for an upcoming
-// event). Safe means no state transition — boot completion at the boot
-// deadline, thermal trip no earlier than the hot-band watchdog deadline —
-// can fire at or before target plus one base step; transitions must fire
-// on the serial loop where their callbacks (scheduler node-down, watchdog
-// replans) may touch cross-shard state. The one-step margin absorbs the
-// partial-step fuzz of observation-instant syncs.
-func (n *Node) PrepareSafe(target float64) bool {
-	if n.syncing {
-		return false
-	}
-	if target <= n.now {
-		return true // already integrated past target; SyncTo is a no-op
-	}
-	return n.NextDeadline() > target+n.base
-}
-
-// PrepareSync integrates the node to exactly target iff PrepareSafe allows
-// it, reporting whether it did. The target must be the instant of the
-// node's next touching event, so the event's own lazy sync degenerates to
-// a no-op and the node's integration-instant sequence stays identical to a
-// serial run — the invariant the sharded engine's byte-for-byte
-// determinism rests on. Safe to call concurrently for DISTINCT nodes; all
-// state it touches is per-node.
-func (n *Node) PrepareSync(target float64) bool {
-	if !n.PrepareSafe(target) {
-		return false
-	}
-	n.SyncTo(target)
-	return true
-}
-
 // NextDeadline returns the latest virtual time by which the node must be
 // re-synced so state transitions (boot completion, thermal trip) are
 // integrated when they happen, or +Inf when the node can idle

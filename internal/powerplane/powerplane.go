@@ -163,12 +163,6 @@ func (g *Governor) Start() error {
 			return fmt.Errorf("powerplane: %w", err)
 		}
 	}
-	// The budget control loop is a cross-shard exchange: it measures every
-	// node's draw and redistributes per-node caps, so its tick is a plain
-	// barrier event (terminates any lookahead window it lands in). Its
-	// period is also a declared lookahead bound — between ticks the plane
-	// cannot move caps, which the sharded engine may exploit.
-	g.engine.DeclareLookahead("powerplane.tick", g.cfg.Period)
 	tk, err := sim.NewTicker(g.engine, g.engine.Now()+g.cfg.Period, g.cfg.Period,
 		"powerplane.control", g.control)
 	if err != nil {

@@ -538,19 +538,7 @@ func (s *Scheduler) start(job *Job, hosts []string) {
 		runFor = job.Spec.TimeLimit
 		final = StateTimeout
 	}
-	// The job-end event is a cross-shard barrier (it releases nodes, fires
-	// user callbacks and kicks the scheduling cycle) — but its allocation
-	// is fixed here, so the nodes it will integrate are known in advance:
-	// schedule it prepared, keyed by the allocation's node indexes (the
-	// hostname list the scheduler was built over is the cluster's node
-	// order, so queue positions are shard keys). The scheduling cycle
-	// itself stays an unkeyed barrier: its allocation decisions are made
-	// only as it executes.
-	keys := make([]int, 0, len(hosts))
-	for _, h := range hosts {
-		keys = append(keys, s.nodes[h].idx)
-	}
-	ev, err := s.engine.ScheduleAfterPrepared(runFor, fmt.Sprintf("sched.end(job %d)", job.ID), keys, func(*sim.Engine) {
+	ev, err := s.engine.ScheduleAfter(runFor, fmt.Sprintf("sched.end(job %d)", job.ID), func(*sim.Engine) {
 		s.endJob(job, final)
 	})
 	if err != nil {

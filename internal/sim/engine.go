@@ -33,23 +33,14 @@ type Event struct {
 	at     float64
 	seq    uint64
 	fn     func(*Engine)
-	lfn    func(*Proc) // local callback (Schedule*Local); nil for plain/affine
 	name   string
 	period float64 // > 0 for recurring events (ScheduleEvery)
 
-	// keys lists the shard keys (node indexes) whose model state the
-	// callback integrates, and affine marks the event as touching ONLY that
-	// keyed state. The sharded run loop prefetches keyed state in parallel
-	// ahead of the serial commit; see shard.go for the contract.
-	keys   []int
-	affine bool
-
 	cancelled bool
 	eng       *Engine
-	queue     *eventQueue // owning queue while pending, nil once popped
-	index     int         // heap index, -1 once popped or cancelled
-	gen       uint64      // bumped on recycle; handles bind to one generation
-	free      bool        // sitting on the engine free list (reuse guard)
+	index     int    // heap index while queued, -1 otherwise
+	gen       uint64 // bumped on recycle; handles bind to one generation
+	free      bool   // sitting on the engine free list (reuse guard)
 }
 
 // At returns the virtual time (seconds) the event is scheduled for.
@@ -61,16 +52,16 @@ func (e *Event) Name() string { return e.name }
 // cancel prevents a pending event from firing and removes it from the
 // engine's queue immediately, so long runs that cancel many events (ticker
 // stops, rescheduled watchdogs) do not accumulate dead heap entries. An
-// event removed from the queue is recycled on the spot; an event that is
-// currently executing or buffered in a lookahead window is only marked —
-// the run loop recycles it when it reaches it.
+// event removed from the queue is recycled on the spot; the currently
+// executing event is only marked — fire recycles it when its callback
+// returns.
 func (e *Event) cancel() {
 	if e.cancelled {
 		return
 	}
 	e.cancelled = true
-	if e.queue != nil && e.index >= 0 {
-		e.queue.Remove(e.index)
+	if e.index >= 0 {
+		e.eng.queue.Remove(e.index)
 		e.eng.release(e)
 	}
 }
@@ -132,42 +123,6 @@ type Engine struct {
 
 	executed uint64
 
-	// Sharded-execution configuration (see shard.go). The engine runs the
-	// classic serial loop unless shards > 1 AND a preparer pair is set.
-	shards    int
-	prepare   func(key int, at float64)
-	prepSafe  func(key int, at float64) bool
-	lookahead map[string]float64
-	span      float64 // min declared lookahead; +Inf with no declarations
-
-	// Window state, live only inside a sharded run (and, after a Stop
-	// mid-window, drained back into the queue before returning).
-	win    []*Event
-	winPos int
-	plan   []prep
-	seen   map[int]bool
-	shard  [][]prep
-
-	// Per-shard committed execution state (see shard.go and local.go).
-	keySpan       int       // SetKeySpan: block key->shard mapping domain
-	procs         []*Proc   // one effect buffer per shard, live during runs
-	direct        *Proc     // serial-context Proc for local callbacks
-	inPar         bool      // a parallel phase is executing (workers live)
-	winMeta       []winMeta // aligned with win: execution mode + op ranges
-	lq            [][]int   // per-shard local run queues (indexes into win)
-	active        []int     // shards with work this window (scratch)
-	poison        map[int]bool
-	poisoned      []int
-	winEnd        float64 // current window's end instant
-	winTailUnsafe bool    // window terminated by an unsafe-keyed affine event
-	winParMax     float64 // max instant executed on a worker this window
-
-	// Sharded-run statistics (see WindowStats).
-	windows   uint64
-	windowed  uint64
-	prepared  uint64
-	committed uint64
-
 	// freeList recycles fired and cancelled Events (see Event). Bounded by
 	// the peak number of simultaneously live events, not by event churn.
 	freeList []*Event
@@ -187,7 +142,7 @@ func (e *Engine) alloc() *Event {
 
 // release recycles a completed (fired or cancelled-and-dequeued) Event:
 // bumps its generation so outstanding Handles go stale, clears the fields
-// that pin caller memory (callback closure, key slice) and parks it on the
+// that pin caller memory (the callback closure) and parks it on the
 // free list. Exactly one release per event lifetime; the free flag guards
 // the invariant.
 func (e *Engine) release(ev *Event) {
@@ -197,22 +152,15 @@ func (e *Engine) release(ev *Event) {
 	ev.free = true
 	ev.gen++
 	ev.fn = nil
-	ev.lfn = nil
 	ev.name = ""
-	ev.keys = nil
 	ev.period = 0
 	ev.cancelled = false
-	ev.queue = nil
 	ev.index = -1
 	e.freeList = append(e.freeList, ev)
 }
 
 // NewEngine returns an engine with the clock at t=0 and an empty queue.
-func NewEngine() *Engine {
-	e := &Engine{span: math.Inf(1)}
-	e.direct = &Proc{eng: e, direct: true}
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
 // Now returns the current virtual time in seconds.
 func (e *Engine) Now() float64 { return e.now }
@@ -221,25 +169,16 @@ func (e *Engine) Now() float64 { return e.now }
 // and determinism check.
 func (e *Engine) Executed() uint64 { return e.executed }
 
-// Pending returns the number of live (non-cancelled) events currently
-// queued. Cancelled events are removed from the queue eagerly, and a
-// stopped sharded run drains its window buffer back into the queue minus
-// any tombstones, so the count never includes dead events.
-func (e *Engine) Pending() int {
-	n := e.queue.Len()
-	for _, ev := range e.win[e.winPos:] {
-		if !ev.cancelled {
-			n++
-		}
-	}
-	return n
-}
+// Pending returns the number of live events currently queued. Cancelled
+// events are removed from the queue eagerly, so the count never includes
+// dead events.
+func (e *Engine) Pending() int { return e.queue.Len() }
 
 // ScheduleAt registers fn to run at absolute virtual time at (seconds).
 // Scheduling in the past is an error; scheduling at the current instant is
 // allowed and runs after already-queued events for that instant.
 func (e *Engine) ScheduleAt(at float64, name string, fn func(*Engine)) (Handle, error) {
-	return e.schedule(at, 0, name, nil, false, fn, nil)
+	return e.schedule(at, 0, name, fn)
 }
 
 // ScheduleAfter registers fn to run delay seconds after the current time.
@@ -247,43 +186,7 @@ func (e *Engine) ScheduleAfter(delay float64, name string, fn func(*Engine)) (Ha
 	if delay < 0 {
 		return Handle{}, fmt.Errorf("sim: schedule %q: negative delay %v", name, delay)
 	}
-	return e.schedule(e.now+delay, 0, name, nil, false, fn, nil)
-}
-
-// ScheduleAtAffine registers a shard-affine event: the callback touches
-// only the model state owned by the given shard keys (it may still read
-// the engine and schedule or publish — that part always runs serially).
-// Affine events do not terminate a lookahead window; their keyed state may
-// be prepared concurrently. The engine keeps the keys slice; callers must
-// not mutate it afterwards. See shard.go for the full contract.
-func (e *Engine) ScheduleAtAffine(at float64, name string, keys []int, fn func(*Engine)) (Handle, error) {
-	return e.schedule(at, 0, name, keys, true, fn, nil)
-}
-
-// ScheduleAfterAffine is ScheduleAtAffine relative to the current time.
-func (e *Engine) ScheduleAfterAffine(delay float64, name string, keys []int, fn func(*Engine)) (Handle, error) {
-	if delay < 0 {
-		return Handle{}, fmt.Errorf("sim: schedule %q: negative delay %v", name, delay)
-	}
-	return e.schedule(e.now+delay, 0, name, keys, true, fn, nil)
-}
-
-// ScheduleAtPrepared registers a prepared barrier: a cross-shard event
-// (it may touch anything and therefore terminates the lookahead window)
-// whose keyed model state is nevertheless known in advance and safe to
-// prepare concurrently — e.g. a job-end event whose allocation was fixed
-// at start time. The engine keeps the keys slice; callers must not mutate
-// it afterwards.
-func (e *Engine) ScheduleAtPrepared(at float64, name string, keys []int, fn func(*Engine)) (Handle, error) {
-	return e.schedule(at, 0, name, keys, false, fn, nil)
-}
-
-// ScheduleAfterPrepared is ScheduleAtPrepared relative to the current time.
-func (e *Engine) ScheduleAfterPrepared(delay float64, name string, keys []int, fn func(*Engine)) (Handle, error) {
-	if delay < 0 {
-		return Handle{}, fmt.Errorf("sim: schedule %q: negative delay %v", name, delay)
-	}
-	return e.schedule(e.now+delay, 0, name, keys, false, fn, nil)
+	return e.schedule(e.now+delay, 0, name, fn)
 }
 
 // ScheduleEvery registers fn to run at absolute virtual time start and then
@@ -297,16 +200,7 @@ func (e *Engine) ScheduleEvery(start, period float64, name string, fn func(*Engi
 	if err := checkPeriod(name, period); err != nil {
 		return Handle{}, err
 	}
-	return e.schedule(start, period, name, nil, false, fn, nil)
-}
-
-// ScheduleEveryAffine is ScheduleEvery for a shard-affine callback (see
-// ScheduleAtAffine for the affinity contract).
-func (e *Engine) ScheduleEveryAffine(start, period float64, name string, keys []int, fn func(*Engine)) (Handle, error) {
-	if err := checkPeriod(name, period); err != nil {
-		return Handle{}, err
-	}
-	return e.schedule(start, period, name, keys, true, fn, nil)
+	return e.schedule(start, period, name, fn)
 }
 
 func checkPeriod(name string, period float64) error {
@@ -316,7 +210,7 @@ func checkPeriod(name string, period float64) error {
 	return nil
 }
 
-func (e *Engine) schedule(at, period float64, name string, keys []int, affine bool, fn func(*Engine), lfn func(*Proc)) (Handle, error) {
+func (e *Engine) schedule(at, period float64, name string, fn func(*Engine)) (Handle, error) {
 	if math.IsNaN(at) || math.IsInf(at, 0) {
 		return Handle{}, fmt.Errorf("sim: schedule %q: invalid time %v", name, at)
 	}
@@ -324,10 +218,7 @@ func (e *Engine) schedule(at, period float64, name string, keys []int, affine bo
 		return Handle{}, fmt.Errorf("sim: schedule %q: time %.9f is before now %.9f", name, at, e.now)
 	}
 	ev := e.alloc()
-	ev.at, ev.seq, ev.fn, ev.name = at, e.seq, fn, name
-	ev.lfn = lfn
-	ev.keys, ev.affine, ev.period = keys, affine, period
-	ev.queue = &e.queue
+	ev.at, ev.seq, ev.fn, ev.name, ev.period = at, e.seq, fn, name, period
 	e.seq++
 	e.queue.Push(ev)
 	return Handle{ev: ev, gen: ev.gen}, nil
@@ -335,93 +226,6 @@ func (e *Engine) schedule(at, period float64, name string, keys []int, affine bo
 
 // Stop halts the run loop after the currently executing event returns.
 func (e *Engine) Stop() { e.stopped = true }
-
-// SetShards sets the worker count of the sharded run loop. Values below 2
-// keep the serial loop (shard 1 is the single-shard ablation and is the
-// serial engine by construction). Parallel execution also requires a
-// preparer (SetPreparer).
-func (e *Engine) SetShards(n int) {
-	if n < 1 {
-		n = 1
-	}
-	e.shards = n
-}
-
-// Shards returns the configured shard count (minimum 1).
-func (e *Engine) Shards() int {
-	if e.shards < 1 {
-		return 1
-	}
-	return e.shards
-}
-
-// SetPreparer installs the shard-state prefetcher pair. prepare(key, at)
-// integrates the keyed model state exactly to virtual time at; it is called
-// from shard worker goroutines and must touch only key-owned state. safe
-// reports whether preparing the key to that time cannot fire a state
-// transition (a key near a transition makes its event window-terminal and
-// is integrated serially instead). Both must be non-nil for the sharded
-// loop to activate.
-func (e *Engine) SetPreparer(prepare func(key int, at float64), safe func(key int, at float64) bool) {
-	e.prepare = prepare
-	e.prepSafe = safe
-}
-
-// DeclareLookahead records a conservative lookahead lower bound: the
-// subsystem named name guarantees that no state revision it owns can
-// require attention sooner than dt seconds after any instant. The sharded
-// loop caps each window's time span at the minimum declared bound, which
-// guarantees that events scheduled DURING a window (watchdog replans,
-// phase transitions, ticker reschedules) always land beyond it — windows
-// therefore execute exactly the event set they prepared. Declaring a bound
-// can only shrink windows; correctness never depends on which bounds are
-// declared, only throughput does.
-func (e *Engine) DeclareLookahead(name string, dt float64) error {
-	if math.IsNaN(dt) || dt <= 0 {
-		return fmt.Errorf("sim: lookahead %q: bound must be positive, got %v", name, dt)
-	}
-	if e.lookahead == nil {
-		e.lookahead = make(map[string]float64)
-	}
-	e.lookahead[name] = dt
-	e.span = math.Inf(1)
-	for _, d := range e.lookahead {
-		if d < e.span {
-			e.span = d
-		}
-	}
-	return nil
-}
-
-// Lookahead returns the effective window span bound (+Inf when nothing is
-// declared; windows then end only at barriers).
-func (e *Engine) Lookahead() float64 { return e.span }
-
-// WindowStats reports the sharded loop's cumulative window count, events
-// committed through windows, shard-prepared keys, and events whose
-// callbacks executed entirely on shard workers. prepared/windows is the
-// mean per-window parallel width — the work available to shard workers
-// regardless of how many CPUs the host actually has — and
-// committed/events is the committed-parallel fraction: the share of the
-// event stream that left the serial loop altogether.
-func (e *Engine) WindowStats() (windows, events, prepared, committed uint64) {
-	return e.windows, e.windowed, e.prepared, e.committed
-}
-
-// parallel reports whether runs use the sharded windowed loop.
-func (e *Engine) parallel() bool {
-	return e.shards > 1 && e.prepare != nil && e.prepSafe != nil
-}
-
-// sweepTombstones pops cancelled events off the queue head so Pending
-// reports live events only after a run exits (cancellation inside the
-// window buffer marks events without removing them; this is the terminal
-// drain mirroring the eager in-queue removal).
-func (e *Engine) sweepTombstones() {
-	for e.queue.Len() > 0 && e.queue.Peek().cancelled {
-		e.release(e.queue.Pop())
-	}
-}
 
 // fire executes one popped event at its instant, then either recycles it
 // or — for a live recurring event — reschedules it in place: advance at by
@@ -431,19 +235,11 @@ func (e *Engine) sweepTombstones() {
 func (e *Engine) fire(ev *Event) {
 	e.now = ev.at
 	e.executed++
-	if ev.lfn != nil {
-		// Local event on the serial loop (serial engine, or a demoted local
-		// on the sharded one): the direct Proc applies effects immediately,
-		// making the local API byte-identical to the plain one here.
-		ev.lfn(e.direct)
-	} else {
-		ev.fn(e)
-	}
+	ev.fn(e)
 	if ev.period > 0 && !ev.cancelled {
 		ev.at += ev.period
 		ev.seq = e.seq
 		e.seq++
-		ev.queue = &e.queue
 		e.queue.Push(ev)
 		return
 	}
@@ -453,45 +249,30 @@ func (e *Engine) fire(ev *Event) {
 // Step executes the single next pending event, advancing the clock to its
 // timestamp. It reports whether an event was executed.
 func (e *Engine) Step() bool {
-	for e.queue.Len() > 0 {
-		ev := e.queue.Pop()
-		if ev.cancelled {
-			e.release(ev) // cancelled mid-pop by a concurrent callback; skip
-			continue
-		}
-		e.fire(ev)
-		return true
+	if e.queue.Len() == 0 {
+		return false
 	}
-	return false
+	e.fire(e.queue.Pop())
+	return true
 }
 
 // RunUntil executes events in order until the queue is exhausted or the next
 // event lies strictly beyond horizon; the clock is then advanced to horizon.
 // It returns ErrStopped if Stop was called during execution.
 func (e *Engine) RunUntil(horizon float64) error {
+	if math.IsNaN(horizon) {
+		return fmt.Errorf("sim: horizon is NaN")
+	}
 	if horizon < e.now {
 		return fmt.Errorf("sim: horizon %.9f is before now %.9f", horizon, e.now)
 	}
-	if e.parallel() {
-		return e.runSharded(horizon, true)
-	}
 	e.stopped = false
-	for e.queue.Len() > 0 {
-		next := e.queue.Peek()
-		if next.cancelled {
-			e.release(e.queue.Pop())
-			continue
-		}
-		if next.at > horizon {
-			break
-		}
+	for e.queue.Len() > 0 && e.queue.Peek().at <= horizon {
 		e.Step()
 		if e.stopped {
-			e.sweepTombstones()
 			return ErrStopped
 		}
 	}
-	e.sweepTombstones()
 	e.now = horizon
 	return nil
 }
@@ -499,13 +280,9 @@ func (e *Engine) RunUntil(horizon float64) error {
 // Run executes all pending events (including ones scheduled while running)
 // until the queue drains. It returns ErrStopped if Stop was called.
 func (e *Engine) Run() error {
-	if e.parallel() {
-		return e.runSharded(math.Inf(1), false)
-	}
 	e.stopped = false
 	for e.Step() {
 		if e.stopped {
-			e.sweepTombstones()
 			return ErrStopped
 		}
 	}

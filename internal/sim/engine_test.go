@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -399,5 +401,157 @@ func TestCancelHeapOrderPreserved(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("executed %v, want %v", got, want)
 		}
+	}
+}
+
+// TestRunUntilRejectsNaNHorizon: a NaN horizon passes every ordered
+// comparison, so without an explicit check RunUntil would run every
+// pending event and leave the clock at NaN.
+func TestRunUntilRejectsNaNHorizon(t *testing.T) {
+	e := NewEngine()
+	if _, err := e.ScheduleAt(1, "ev", func(*Engine) { t.Error("event ran under a NaN horizon") }); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunUntil(math.NaN()); err == nil {
+		t.Fatal("RunUntil(NaN) accepted")
+	}
+	if e.Now() != 0 || e.Pending() != 1 {
+		t.Errorf("after RunUntil(NaN): now = %v, pending = %d, want 0 and 1", e.Now(), e.Pending())
+	}
+}
+
+// TestStopResume stops a run mid-way, checks Pending reports the live
+// events only, resumes, and requires the final trace to match an
+// uninterrupted run.
+func TestStopResume(t *testing.T) {
+	run := func(stopAt string) []string {
+		e := NewEngine()
+		var trace []string
+		for i := 0; i < 6; i++ {
+			name := fmt.Sprintf("ev%d", i)
+			if _, err := e.ScheduleAt(float64(i)*0.01, name, func(en *Engine) {
+				trace = append(trace, fmt.Sprintf("%s@%.3f", name, en.Now()))
+				if name == stopAt {
+					en.Stop()
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if stopAt != "" {
+			if err := e.Run(); err != ErrStopped {
+				t.Fatalf("Run = %v, want ErrStopped", err)
+			}
+			if got := e.Pending(); got != 3 {
+				t.Errorf("Pending after stop = %d, want 3 (ev3..ev5 live)", got)
+			}
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		return trace
+	}
+	want := run("")
+	got := run("ev2")
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("stop/resume trace diverged\nuninterrupted: %v\ngot:           %v", want, got)
+	}
+}
+
+// TestStoppedRunDrainsTombstones: a callback cancels later events and
+// stops the engine; Pending must then count live events only. The serial
+// loop is the one-shard case, so the subtest keeps the "shards1" name.
+func TestStoppedRunDrainsTombstones(t *testing.T) {
+	t.Run("shards1", testStoppedRunDrainsTombstones)
+}
+
+func testStoppedRunDrainsTombstones(t *testing.T) {
+	e := NewEngine()
+	var doomed []Handle
+	for i := 0; i < 4; i++ {
+		ev, err := e.ScheduleAt(1+float64(i)*0.01, fmt.Sprintf("doomed%d", i), func(*Engine) {})
+		if err != nil {
+			t.Fatal(err)
+		}
+		doomed = append(doomed, ev)
+	}
+	survivor, err := e.ScheduleAt(5, "survivor", func(*Engine) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ScheduleAt(1, "killer", func(en *Engine) {
+		for _, ev := range doomed {
+			ev.Cancel()
+		}
+		en.Stop()
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != ErrStopped {
+		t.Fatalf("Run = %v, want ErrStopped", err)
+	}
+	if got := e.Pending(); got != 1 {
+		t.Errorf("Pending after stop = %d, want 1 (only %q)", got, survivor.Name())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Pending(); got != 0 {
+		t.Errorf("Pending after drain = %d, want 0", got)
+	}
+}
+
+// TestRunUntilDrainsTombstonesAtHorizon: cancelling an event beyond the
+// horizon from inside a run leaves no tombstone behind after exit.
+func TestRunUntilDrainsTombstonesAtHorizon(t *testing.T) {
+	e := NewEngine()
+	late, err := e.ScheduleAt(10, "late", func(*Engine) {})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ScheduleAt(1, "canceller", func(*Engine) { late.Cancel() }); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunUntil(5); err != nil {
+		t.Fatal(err)
+	}
+	if got := e.Pending(); got != 0 {
+		t.Errorf("Pending = %d, want 0", got)
+	}
+}
+
+// TestRNGDeriveIndependence is the RNG-stream audit regression: a derived
+// factory's streams are fully determined by (master seed, name) —
+// independent of sibling derivations, of the order factories are derived,
+// and of draws taken elsewhere.
+func TestRNGDeriveIndependence(t *testing.T) {
+	draw := func(r *RNG) float64 { return r.Stream("noise").Float64() }
+
+	a := NewRNG(99)
+	want := draw(a.Derive("c3"))
+
+	// Different derivation order, extra siblings, interleaved parent draws.
+	b := NewRNG(99)
+	_ = draw(b.Derive("c7"))
+	_ = b.Stream("other").Float64()
+	_ = draw(b.Derive("c0"))
+	if got := draw(b.Derive("c3")); got != want {
+		t.Errorf("c3 stream = %v, want %v (must not depend on siblings or draws)", got, want)
+	}
+
+	// Distinct names see distinct streams.
+	if draw(NewRNG(99).Derive("c4")) == want {
+		t.Error("c3 and c4 drew identical values; streams must differ")
+	}
+
+	// Parent streams are unperturbed by derivation.
+	p1 := NewRNG(42)
+	v1 := p1.Stream("jitter").Float64()
+	p2 := NewRNG(42)
+	_ = p2.Derive("c1")
+	_ = p2.Derive("c2")
+	v2 := p2.Stream("jitter").Float64()
+	if v1 != v2 {
+		t.Errorf("parent stream perturbed by Derive: %v vs %v", v1, v2)
 	}
 }

@@ -34,7 +34,6 @@ func (q *eventQueue) Pop() *Event {
 		q.down(0)
 	}
 	top.index = -1
-	top.queue = nil
 	q.shrink()
 	return top
 }
@@ -59,7 +58,6 @@ func (q *eventQueue) Remove(i int) {
 		q.up(i)
 	}
 	ev.index = -1
-	ev.queue = nil
 	q.shrink()
 }
 

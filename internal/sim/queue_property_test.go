@@ -37,17 +37,14 @@ func (h *refHeap) Pop() any {
 	return it
 }
 
-// checkHeapInvariants verifies the structural contract Remove and the
-// sharded run loop rely on: every queued event's index field names its slot,
+// checkHeapInvariants verifies the structural contract Remove and
+// Event.cancel rely on: every queued event's index field names its slot,
 // and every parent orders at-or-before its children.
 func checkHeapInvariants(t *testing.T, q *eventQueue) {
 	t.Helper()
 	for i, ev := range q.items {
 		if ev.index != i {
 			t.Fatalf("event %d has index %d", i, ev.index)
-		}
-		if ev.queue != q {
-			t.Fatalf("event %d does not point at its owning queue", i)
 		}
 		if i > 0 && q.less(i, (i-1)/2) {
 			t.Fatalf("heap order violated at %d: (%v,%d) above (%v,%d)",
@@ -82,7 +79,6 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 			ev = &Event{}
 		}
 		ev.at, ev.seq = at, seq
-		ev.queue = q
 		q.Push(ev)
 		live[nextID] = ev
 		heap.Push(ref, &refItem{at: at, seq: seq, id: nextID})
@@ -100,7 +96,7 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 		if got != live[want.id] {
 			t.Fatalf("pop returned a different struct than was pushed for id %d", want.id)
 		}
-		if got.index != -1 || got.queue != nil {
+		if got.index != -1 {
 			t.Fatalf("popped event still claims queue membership (index %d)", got.index)
 		}
 		delete(live, want.id)
@@ -117,7 +113,7 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 		id := ids[rng.Intn(len(ids))]
 		ev := live[id]
 		q.Remove(ev.index)
-		if ev.index != -1 || ev.queue != nil {
+		if ev.index != -1 {
 			t.Fatalf("removed event still claims queue membership (index %d)", ev.index)
 		}
 		for i, it := range *ref {
@@ -157,7 +153,7 @@ func TestQueueShrinksAfterBurst(t *testing.T) {
 	q := &eventQueue{}
 	const burst = 4096
 	for i := 0; i < burst; i++ {
-		q.Push(&Event{at: float64(i % 97), seq: uint64(i), queue: q})
+		q.Push(&Event{at: float64(i % 97), seq: uint64(i)})
 	}
 	peak := cap(q.items)
 	if peak < burst {

@@ -3,7 +3,6 @@ package sim
 import (
 	"hash/fnv"
 	"math/rand"
-	"strconv"
 )
 
 // RNG is a named collection of deterministic random streams. Each subsystem
@@ -45,24 +44,11 @@ func (r *RNG) Normal(stream string, mean, stddev float64) float64 {
 // fully determined by (parent seed, name): independent of how many other
 // factories are derived, of the order they are derived in, and of any
 // draws taken from the parent or from sibling factories. This is the
-// namespacing primitive behind shard workers (ForShard) and the fleet
-// runner's per-cluster factories ("fleet.cluster.<id>") — adding or
-// removing one consumer never perturbs another consumer's timeline.
+// namespacing primitive behind the fleet runner's per-cluster factories
+// ("fleet.cluster.<id>") — adding or removing one consumer never perturbs
+// another consumer's timeline.
 func (r *RNG) Derive(name string) *RNG {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(name))
 	return NewRNG(r.master ^ int64(h.Sum64()))
-}
-
-// ForShard derives the stream factory for one shard of a sharded run. The
-// child's master seed mixes the shard index into this factory's master
-// seed by name ("sim.shard.<i>"), so shard streams are fully determined by
-// the campaign seed and the shard index alone: independent of the total
-// shard count, of the order shards ask for their factories, and of any
-// draws taken from other shards or from the parent. Consumers that draw
-// noise on shard workers must draw from their shard's factory; serial
-// consumers keep drawing from the parent and see identical values at any
-// shard count.
-func (r *RNG) ForShard(shard int) *RNG {
-	return r.Derive("sim.shard." + strconv.Itoa(shard))
 }

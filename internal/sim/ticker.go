@@ -17,45 +17,7 @@ type Ticker struct {
 // NewTicker schedules fn every period seconds starting at start (absolute
 // virtual time). The callback receives the tick's virtual time.
 func NewTicker(engine *Engine, start, period float64, name string, fn func(now float64)) (*Ticker, error) {
-	return newTicker(engine, start, period, name, nil, fn)
-}
-
-// NewAffineTicker is NewTicker for a callback that integrates only the
-// model state owned by the given shard keys (a per-node telemetry sampler,
-// keyed by its node). Affine ticks do not terminate lookahead windows and
-// their keyed state is prepared concurrently; the publish side of the
-// callback still runs serially like every callback. The engine keeps the
-// keys slice; callers must not mutate it.
-func NewAffineTicker(engine *Engine, start, period float64, name string, keys []int, fn func(now float64)) (*Ticker, error) {
-	return newTicker(engine, start, period, name, keys, fn)
-}
-
-// NewLocalTicker is NewAffineTicker for a callback whose entire effect —
-// state integration AND publishing — stays within the shard owning the
-// given keys (per-node examon samplers, dtm governor steps). Local ticks
-// execute fully on shard workers during a window's parallel phase; the
-// callback receives the executing Proc so it can buffer serial-domain
-// effects (broker publishes, log lines) with Proc.Defer, which replay at
-// the tick's exact serial position. Under a serial engine (shards<=1) the
-// Proc is the engine's direct context and behaviour is identical to
-// NewAffineTicker.
-func NewLocalTicker(engine *Engine, start, period float64, name string, keys []int, fn func(p *Proc, now float64)) (*Ticker, error) {
-	h, err := engine.ScheduleEveryLocal(start, period, name, keys, func(p *Proc) { fn(p, p.Now()) })
-	if err != nil {
-		return nil, err
-	}
-	return &Ticker{h: h}, nil
-}
-
-func newTicker(engine *Engine, start, period float64, name string, keys []int, fn func(now float64)) (*Ticker, error) {
-	tick := func(e *Engine) { fn(e.Now()) }
-	var h Handle
-	var err error
-	if keys != nil {
-		h, err = engine.ScheduleEveryAffine(start, period, name, keys, tick)
-	} else {
-		h, err = engine.ScheduleEvery(start, period, name, tick)
-	}
+	h, err := engine.ScheduleEvery(start, period, name, func(e *Engine) { fn(e.Now()) })
 	if err != nil {
 		return nil, err
 	}

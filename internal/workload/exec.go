@@ -18,17 +18,6 @@ type NodeOps interface {
 	ClearWorkloadOn(hosts []string)
 }
 
-// NodeKeyer is optionally implemented by a NodeOps to map hostnames to
-// engine shard keys (the cluster facade implements it). When available,
-// phase transitions are scheduled as affine events keyed by the
-// allocation, so a sharded engine can prepare the hosts' physics
-// concurrently instead of terminating its lookahead window. Without it
-// (test recorders), transitions stay plain barrier events — slower under
-// sharding, never less correct.
-type NodeKeyer interface {
-	NodeKeys(hosts []string) []int
-}
-
 // ExecOptions tunes a phased execution.
 type ExecOptions struct {
 	// FixedActivity disables phase interleaving: the job runs at the
@@ -53,7 +42,6 @@ type Execution struct {
 	hosts  []string
 	opts   ExecOptions
 
-	keys    []int // shard keys for the allocation; nil when ops can't map
 	phase   int
 	next    sim.Handle
 	stopped bool
@@ -64,16 +52,7 @@ type Execution struct {
 	// closure (phase cycles are the second-densest event source after
 	// telemetry ticks).
 	transName string
-	transFn   func(*sim.Engine) // keyless path: plain barrier transitions
-	localFn   func(*sim.Proc)   // keyed path: shard-local transitions
-}
-
-// localScheduler is the slice of the engine API a transition needs to
-// schedule its successor: the Engine itself at Start time, the executing
-// Proc from within a local transition callback (so the reschedule joins
-// the shard's effect buffer instead of touching the serial queue).
-type localScheduler interface {
-	ScheduleAfterLocal(delay float64, name string, keys []int, fn func(*sim.Proc)) (sim.Handle, error)
+	transFn   func(*sim.Engine)
 }
 
 // Start installs the model's first phase on the hosts and schedules the
@@ -87,24 +66,6 @@ func Start(engine *sim.Engine, ops NodeOps, m *Model, hosts []string, opts ExecO
 		return nil, fmt.Errorf("workload: Start needs an engine, node ops and a model")
 	}
 	ex := &Execution{engine: engine, ops: ops, model: m, hosts: append([]string(nil), hosts...), opts: opts}
-	if keyer, ok := ops.(NodeKeyer); ok {
-		ex.keys = keyer.NodeKeys(ex.hosts)
-	}
-	if len(m.Phases) > 1 && !opts.FixedActivity {
-		// Declare the model's phase cadence as a cross-shard edge: the
-		// shortest phase bounds how soon this execution can next mutate
-		// shared node state. Phase durations (tens of seconds) are far
-		// above the cluster's integration step, so this never binds the
-		// window span in practice — it is the declaration that matters
-		// for anyone auditing the engine's lookahead inputs.
-		min := m.Phases[0].Seconds
-		for _, p := range m.Phases[1:] {
-			if p.Seconds < min {
-				min = p.Seconds
-			}
-		}
-		engine.DeclareLookahead("workload."+m.Name, min)
-	}
 	if opts.FixedActivity || len(m.Phases) <= 1 {
 		act, label := m.Steady, m.Name
 		if !opts.FixedActivity && len(m.Phases) == 1 {
@@ -116,50 +77,30 @@ func Start(engine *sim.Engine, ops NodeOps, m *Model, hosts []string, opts ExecO
 		return ex, nil
 	}
 	ex.transName = "workload.phase(" + m.Name + ")"
-	if ex.keys != nil {
-		ex.localFn = func(p *sim.Proc) {
-			ex.next = sim.Handle{}
-			_ = ex.install(p, (ex.phase+1)%len(ex.model.Phases), false)
-		}
-	} else {
-		ex.transFn = func(*sim.Engine) {
-			ex.next = sim.Handle{}
-			_ = ex.install(engine, (ex.phase+1)%len(ex.model.Phases), false)
-		}
+	ex.transFn = func(*sim.Engine) {
+		ex.next = sim.Handle{}
+		_ = ex.install((ex.phase+1)%len(ex.model.Phases), false)
 	}
-	if err := ex.install(engine, 0, true); err != nil {
+	if err := ex.install(0, true); err != nil {
 		return nil, err
 	}
 	return ex, nil
 }
 
-// install applies phase i and schedules the next transition through sched
-// (the engine at Start, the executing Proc inside a transition). The first
+// install applies phase i and schedules the next transition. The first
 // installation propagates errors; later ones best-effort them away.
-func (ex *Execution) install(sched localScheduler, i int, first bool) error {
+func (ex *Execution) install(i int, first bool) error {
 	ex.phase = i
 	p := ex.model.Phases[i]
 	err := ex.ops.RunWorkloadOn(ex.hosts, ex.model.Name+"/"+p.Name, p.Activity, ex.model.MemBytes)
 	if first && err != nil {
 		return err
 	}
-	// A phase transition only re-drives the nodes of its own allocation, so
-	// with shard keys in hand it is LOCAL: its callback mutates only the
-	// allocation's node state and reschedules itself, which a sharded engine
-	// executes entirely on the owning shard's worker when the allocation
-	// maps to one shard (the partitioner demotes multi-shard allocations to
-	// the serial loop — slower, never less correct).
 	dur := p.Seconds
 	if ex.opts.SlowFactor > 1 {
 		dur *= ex.opts.SlowFactor
 	}
-	var ev sim.Handle
-	var serr error
-	if ex.keys != nil {
-		ev, serr = sched.ScheduleAfterLocal(dur, ex.transName, ex.keys, ex.localFn)
-	} else {
-		ev, serr = ex.engine.ScheduleAfter(dur, ex.transName, ex.transFn)
-	}
+	ev, serr := ex.engine.ScheduleAfter(dur, ex.transName, ex.transFn)
 	if serr != nil {
 		// Unreachable: phase durations are validated positive.
 		panic(fmt.Sprintf("workload: schedule phase: %v", serr))
