@@ -580,8 +580,9 @@ func BenchmarkExtension_MPIPingPong(b *testing.B) {
 // broker as a Sprintf-rendered topic/payload pair that the storage side
 // re-parses (kept as the ablation baseline). 64 synthetic nodes, 4 cores,
 // 2 counters each: one benchmark iteration ingests one cluster-wide tick
-// (512 samples). The typed batch + sharded-store case must beat the string
-// + parse baseline by >= 5x.
+// (512 samples). The typed batch case must beat the string + parse
+// baseline by >= 5x. "parallel8" publishes from 8 goroutines into one
+// store, the concurrent-ingest shape of fleet federation.
 func BenchmarkTelemetryIngest(b *testing.B) {
 	const (
 		nodes = 64
@@ -679,9 +680,7 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 
 	b.Run("string/mem/64nodes", func(b *testing.B) { runString(b, examon.NewMemStore()) })
 	b.Run("typed/mem/64nodes", func(b *testing.B) { runTyped(b, examon.NewMemStore(), 1) })
-	b.Run("typed/sharded/64nodes", func(b *testing.B) { runTyped(b, examon.NewShardedStore(0), 1) })
-	b.Run("typed/sharded/parallel8/64nodes", func(b *testing.B) { runTyped(b, examon.NewShardedStore(0), 8) })
-	b.Run("typed/ring/64nodes", func(b *testing.B) { runTyped(b, examon.NewRingStore(0), 1) })
+	b.Run("typed/mem/parallel8/64nodes", func(b *testing.B) { runTyped(b, examon.NewMemStore(), 8) })
 }
 
 // BenchmarkCampaignThroughput drives generated mixed-workload campaigns
@@ -928,13 +927,13 @@ func BenchmarkPhysicsStep(b *testing.B) {
 // (aggregated and raw) plus periodic whole-cluster heatmap rebuilds, at
 // 64 and 512 synthetic nodes with the deployment's realistic series
 // density (8 PMU counters x 8 harts + 32 stats_pub metrics + cpu_temp =
-// 97 series per node, ~50k series at 512 nodes). The engine is the mcmon
-// default ("mem"). "indexed" runs the default read path — inverted tag
-// index, snapshot fan-out across cores, ingest-time rollup tiers —
-// "linear" runs the examon.WithLinearScan ablation (the seed's full
-// series walk per query, raw-only aggregation), mirroring the
-// scheduler's easy-rescan ablation. Acceptance floor: the indexed
-// selective path serves >= 10x the linear queries/s at 512 nodes.
+// 97 series per node, ~50k series at 512 nodes). "indexed" runs the
+// default read path — inverted tag index, snapshot fan-out across cores,
+// ingest-time rollup tiers — "linear" runs the reference store
+// (examon.WithLinearScan plus WithRollup(-1): every series walked per
+// query, raw-only aggregation), mirroring the scheduler's easy-rescan
+// ablation. Acceptance floor: the indexed selective path serves >= 10x
+// the linear queries/s at 512 nodes.
 func BenchmarkQueryServe(b *testing.B) {
 	const (
 		cores       = 8

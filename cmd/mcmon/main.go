@@ -1,22 +1,17 @@
 // Command mcmon runs the ExaMon monitoring stack against the simulated
 // cluster: it boots the machine with pmu_pub and stats_pub sampling, runs a
 // workload for a stretch of virtual time, then either prints a monitoring
-// summary (default) or serves the collected time-series database through
-// the RESTful HTTP API.
+// summary (default) or serves the collected time-series database (the
+// in-memory ExaMon store) through the RESTful HTTP API.
 //
 // Usage:
 //
-//	mcmon [-nodes N] [-workload hpl] [-duration 120] [-backend mem]
-//	      [-budget-w W] [-serve :8080] [-linear-scan] [-rollup-step 60]
+//	mcmon [-nodes N] [-workload hpl] [-duration 120] [-budget-w W]
+//	      [-serve :8080]
 //
 // -budget-w enables the cluster power plane for the monitored run: per-node
 // power_pub telemetry feeds the budget governor, whose state is printed
 // after the run and served at /api/v2/powerplane alongside the query API.
-//
-// -linear-scan reinstates the storage engine's full linear series walk on
-// every read (the read-path benchmark ablation: no inverted tag index, no
-// snapshot fan-out, no rollup serving), and -rollup-step tunes the
-// ingest-time rollup bucket width in seconds (0 disables the tiers).
 //
 // When serving, the listener also exposes the standard net/http/pprof
 // endpoints under /debug/pprof/, so the long-lived monitor can be profiled
@@ -43,31 +38,17 @@ func main() {
 	workloadName := flag.String("workload", "hpl",
 		"workload model to monitor ("+strings.Join(workload.Names(), ", ")+")")
 	duration := flag.Float64("duration", 120, "virtual seconds to monitor")
-	backend := flag.String("backend", "mem",
-		"ExaMon storage engine ("+strings.Join(examon.StorageBackends(), ", ")+")")
 	budgetW := flag.Float64("budget-w", 0, "cluster power budget in watts (0 disables the power plane)")
 	serve := flag.String("serve", "", "serve the REST API on this address after the run (e.g. :8080)")
-	linearScan := flag.Bool("linear-scan", false,
-		"disable the read-path index/rollup/fan-out layers (benchmark ablation)")
-	rollupStep := flag.Float64("rollup-step", examon.DefaultRollupStep,
-		"ingest-time rollup bucket width in seconds (0 disables the rollup tiers)")
 	flag.Parse()
-	if err := run(os.Stdout, *nodes, *workloadName, *duration, *backend, *serve, *budgetW, *linearScan, *rollupStep); err != nil {
+	if err := run(os.Stdout, *nodes, *workloadName, *duration, *serve, *budgetW); err != nil {
 		fmt.Fprintln(os.Stderr, "mcmon:", err)
 		os.Exit(1)
 	}
 }
 
-func run(w io.Writer, nodes int, workloadName string, duration float64, backend, serve string, budgetW float64, linearScan bool, rollupStep float64) error {
-	if backend == "" {
-		backend = "mem" // examon.NewStorage's default, named for the summary line
-	}
-	rollup := rollupStep
-	if rollup <= 0 {
-		rollup = -1 // core.Options: negative disables, zero keeps the default
-	}
-	s, err := core.NewSystem(core.Options{Nodes: nodes, HPMPatch: true, Backend: backend,
-		PowerBudgetW: budgetW, LinearScan: linearScan, RollupStepS: rollup})
+func run(w io.Writer, nodes int, workloadName string, duration float64, serve string, budgetW float64) error {
+	s, err := core.NewSystem(core.Options{Nodes: nodes, HPMPatch: true, PowerBudgetW: budgetW})
 	if err != nil {
 		return err
 	}
@@ -92,12 +73,7 @@ func run(w io.Writer, nodes int, workloadName string, duration float64, backend,
 	end := s.Engine.Now()
 
 	fmt.Fprintf(w, "monitored %d nodes for %.0f virtual seconds under %q\n", nodes, duration, model.Name)
-	readPath := "indexed reads"
-	if linearScan {
-		readPath = "linear-scan reads"
-	}
-	fmt.Fprintf(w, "broker messages: %d; stored series: %d (backend %s, %s)\n",
-		s.Broker.Published(), s.DB.SeriesCount(), backend, readPath)
+	fmt.Fprintf(w, "broker messages: %d; stored series: %d\n", s.Broker.Published(), s.DB.SeriesCount())
 
 	// Per-node instruction-rate summary from the pmu_pub data.
 	hm, err := examon.BuildHeatmap(s.DB, hosts, examon.HeatmapOptions{

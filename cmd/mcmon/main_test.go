@@ -7,7 +7,7 @@ import (
 
 func TestMonitoringRun(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, 2, "hpl", 30, "mem", "", 0, false, 0); err != nil {
+	if err := run(&sb, 2, "hpl", 30, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -18,35 +18,16 @@ func TestMonitoringRun(t *testing.T) {
 	}
 }
 
-func TestMonitoringBackends(t *testing.T) {
-	for _, backend := range []string{"ring", "sharded"} {
-		var sb strings.Builder
-		if err := run(&sb, 2, "hpl", 20, backend, "", 0, false, 60); err != nil {
-			t.Fatalf("backend %s: %v", backend, err)
-		}
-		if !strings.Contains(sb.String(), "backend "+backend) {
-			t.Errorf("backend %s not reported in:\n%s", backend, sb.String())
-		}
-	}
-}
-
-func TestMonitoringUnknownBackend(t *testing.T) {
-	var sb strings.Builder
-	if err := run(&sb, 1, "idle", 5, "etcd", "", 0, false, 0); err == nil {
-		t.Error("unknown backend accepted")
-	}
-}
-
 func TestMonitoringUnknownWorkload(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, 1, "doom", 10, "mem", "", 0, false, 0); err == nil {
+	if err := run(&sb, 1, "doom", 10, "", 0); err == nil {
 		t.Error("unknown workload accepted")
 	}
 }
 
 func TestMonitoringIdle(t *testing.T) {
 	var sb strings.Builder
-	if err := run(&sb, 1, "idle", 20, "mem", "", 0, true, 0); err != nil {
+	if err := run(&sb, 1, "idle", 20, "", 0); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `under "idle"`) {

@@ -33,6 +33,8 @@ func TestSpecValidation(t *testing.T) {
 		want string // substring of the expected error
 	}{
 		{"unknown field", `{"name":"x","nodes":4,"horizon_s":10,"jobs":[],"rate":3}`, "rate"},
+		{"storage backend", `{"name":"x","nodes":4,"horizon_s":10,"backend":"ring",
+			"jobs":[{"name":"j","workload":"qe","nodes":1,"duration_s":5}]}`, "backend"},
 		{"no jobs", `{"name":"x","nodes":4,"horizon_s":10}`, "needs explicit jobs"},
 		{"unknown workload", `{"name":"x","nodes":4,"horizon_s":10,
 			"arrival":{"process":"poisson","rate_per_hour":10,"jobs":2},

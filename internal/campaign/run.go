@@ -67,7 +67,6 @@ func NewRunner(spec Spec) (*Runner, error) {
 		Nodes:          spec.Nodes,
 		Seed:           spec.Seed,
 		Policy:         spec.Policy,
-		Backend:        spec.Backend,
 		NoMonitor:      !spec.Monitor,
 		SyntheticSlots: spec.Nodes > cluster.DefaultNodes,
 		PowerBudgetW:   spec.PowerBudgetW,

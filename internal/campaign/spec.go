@@ -91,8 +91,6 @@ type Spec struct {
 	HorizonS float64 `json:"horizon_s"`
 	// Policy is the scheduler policy (sched.PolicyNames; default easy).
 	Policy string `json:"policy,omitempty"`
-	// Backend selects the ExaMon storage engine (default mem).
-	Backend string `json:"backend,omitempty"`
 	// Monitor starts the pmu_pub/stats_pub sampling plugins.
 	Monitor bool `json:"monitor,omitempty"`
 	// Mitigated applies the paper's airflow fix before submitting (lid

@@ -37,18 +37,6 @@ type Options struct {
 	// Policy selects the scheduler policy by name (sched.PolicyNames;
 	// default "easy", the production configuration).
 	Policy string
-	// Backend selects the ExaMon storage engine by name
-	// (examon.StorageBackends: "mem", "ring", "sharded"; default "mem").
-	Backend string
-	// LinearScan reinstates the storage engine's full linear series walk
-	// for every read — no inverted-index candidate selection, no snapshot
-	// fan-out, no rollup serving (the read-path benchmark ablation; see
-	// examon.WithLinearScan).
-	LinearScan bool
-	// RollupStepS overrides the engine's ingest-time rollup bucket width
-	// in seconds: 0 keeps examon.DefaultRollupStep, a negative value
-	// disables the rollup tiers (examon.WithRollup).
-	RollupStepS float64
 	// SyntheticSlots permits Nodes beyond the physical eight-slot
 	// enclosure; extra nodes reuse slot thermal environments cyclically.
 	SyntheticSlots bool
@@ -120,21 +108,7 @@ func NewSystem(opts Options) (*System, error) {
 		}
 	}
 	broker := examon.NewBroker()
-	var storeOpts []examon.StoreOption
-	if opts.LinearScan {
-		storeOpts = append(storeOpts, examon.WithLinearScan(true))
-	}
-	if opts.RollupStepS != 0 {
-		storeOpts = append(storeOpts, examon.WithRollup(opts.RollupStepS))
-	}
-	store, err := examon.NewStorage(opts.Backend, storeOpts...)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	db, err := examon.NewTSDBOn(store)
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
+	db := examon.NewTSDB()
 	if _, err := db.Attach(broker); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

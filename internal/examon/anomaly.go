@@ -135,73 +135,18 @@ func (d Detector) scanView(tags Tags, pts PointsView) ([]Anomaly, error) {
 }
 
 // ScanAll runs the detector over every series matching the filter, reading
-// the points in place through the storage engine's scan layer. A time-
-// bounded filter restricts which samples the detector sees (windows are
-// computed within the selected range, as before). On engines with
-// lock-free snapshots (mem, sharded) the per-series detector runs fan out
-// across cores; per-series findings are merged back in scan order before
-// the final time sort, so the output is identical to the sequential walk.
+// the points in place from a snapshot of the store. A time-bounded filter
+// restricts which samples the detector sees (windows are computed within
+// the selected range, as before). The per-series detector runs fan out
+// across cores, each chunk with its own scratch buffer; per-series
+// findings land in per-series slots and are concatenated in scan order
+// before the final time sort, so the output does not depend on the
+// fan-out.
 func (d Detector) ScanAll(st Storage, f Filter) ([]Anomaly, error) {
 	if st == nil {
 		return nil, fmt.Errorf("examon: nil storage")
 	}
-	if u, ok := st.(storageUnwrapper); ok {
-		st = u.Storage()
-	}
-	if sn, ok := st.(snapshotter); ok {
-		if snaps, ok := sn.snapshotSeries(f, false); ok {
-			return d.scanSnapshots(snaps, f)
-		}
-	}
-	var (
-		out     []Anomaly
-		scanErr error
-		scratch []Point // reused when a time range forces a filtered copy
-	)
-	st.Scan(f, func(tags Tags, pts PointsView) bool {
-		var err error
-		out, scratch, err = d.scanFiltered(out, scratch, tags, pts, f)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		return true
-	})
-	if scanErr != nil {
-		return nil, scanErr
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
-	return out, nil
-}
-
-// scanFiltered runs the detector over one series view, applying the
-// filter's time range through a reused scratch copy when needed.
-func (d Detector) scanFiltered(out []Anomaly, scratch []Point, tags Tags, pts PointsView, f Filter) ([]Anomaly, []Point, error) {
-	view := pts
-	if f.From != 0 || f.To != 0 {
-		// Append-grown on purpose: the scratch is reused across series,
-		// so growth amortizes to the largest in-range count — sizing it
-		// from the full series length would pin full-history capacity for
-		// narrow windows.
-		scratch = scratch[:0]
-		cur := pts.Cursor(f.From, f.To)
-		for p, ok := cur.Next(); ok; p, ok = cur.Next() {
-			scratch = append(scratch, p)
-		}
-		view = ViewOf(scratch)
-	}
-	found, err := d.scanView(tags, view)
-	if err != nil {
-		return out, scratch, err
-	}
-	return append(out, found...), scratch, nil
-}
-
-// scanSnapshots is the concurrent ScanAll: each chunk of the snapshot
-// runs the detector with its own scratch buffer, results land in
-// per-series slots, and the slots are concatenated in scan order — the
-// same sequence the sequential walk feeds the final sort.
-func (d Detector) scanSnapshots(snaps []seriesSnap, f Filter) ([]Anomaly, error) {
+	snaps := st.snapshot(f, false)
 	res := make([][]Anomaly, len(snaps))
 	var (
 		errMu    sync.Mutex
@@ -211,7 +156,7 @@ func (d Detector) scanSnapshots(snaps []seriesSnap, f Filter) ([]Anomaly, error)
 		var scratch []Point
 		for i := start; i < end; i++ {
 			var err error
-			res[i], scratch, err = d.scanFiltered(nil, scratch, snaps[i].tags, snaps[i].pts, f)
+			res[i], scratch, err = d.scanFiltered(scratch, snaps[i].tags, snaps[i].pts, f)
 			if err != nil {
 				errMu.Lock()
 				if firstErr == nil {
@@ -231,6 +176,26 @@ func (d Detector) scanSnapshots(snaps []seriesSnap, f Filter) ([]Anomaly, error)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out, nil
+}
+
+// scanFiltered runs the detector over one series view, applying the
+// filter's time range through a reused scratch copy when needed.
+func (d Detector) scanFiltered(scratch []Point, tags Tags, pts PointsView, f Filter) ([]Anomaly, []Point, error) {
+	view := pts
+	if f.From != 0 || f.To != 0 {
+		// Append-grown on purpose: the scratch is reused across series,
+		// so growth amortizes to the largest in-range count — sizing it
+		// from the full series length would pin full-history capacity for
+		// narrow windows.
+		scratch = scratch[:0]
+		cur := pts.Cursor(f.From, f.To)
+		for p, ok := cur.Next(); ok; p, ok = cur.Next() {
+			scratch = append(scratch, p)
+		}
+		view = ViewOf(scratch)
+	}
+	found, err := d.scanView(tags, view)
+	return found, scratch, err
 }
 
 // baseline computes mean and population stddev over view indices [lo, hi).

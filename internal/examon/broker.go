@@ -1,9 +1,10 @@
 // Package examon reimplements the ExaMon operational-data-analytics stack
 // (Bartolini et al.) that the paper ports to Monte Cimone: an MQTT-style
 // broker for the transport layer, the pmu_pub and stats_pub sampling
-// plugins installed on the compute nodes, a time-series storage backend on
-// the master node, a RESTful query API over HTTP, and the dashboard
-// aggregations behind the paper's Fig. 5 heatmaps and Fig. 6 thermal view.
+// plugins installed on the compute nodes, one in-memory time-series store
+// (MemStore) on the master node, a RESTful query API over HTTP, and the
+// dashboard aggregations behind the paper's Fig. 5 heatmaps and Fig. 6
+// thermal view.
 package examon
 
 import (

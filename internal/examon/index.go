@@ -1,21 +1,22 @@
 package examon
 
-// The inverted tag index: every storage engine maintains posting lists
-// per filterable tag dimension (Node, Plugin, Metric, Core), updated when
-// a series is created, so a selective Scan intersects postings and visits
-// only candidate series instead of walking every stored series. Postings
-// hold positions into the engine's creation-order slice and are appended
-// at series creation, so each list is already sorted in scan order — the
-// index lookup picks the smallest applicable list and verifies the
-// remaining dimensions with Filter.matches (cheap compared to walking the
-// full series set). The linear walk is kept behind WithLinearScan as the
-// benchmarked ablation, mirroring sched.WithLinearScan.
+// The inverted tag index: MemStore maintains posting lists per filterable
+// tag dimension (Org, Cluster, Node, Plugin, Metric, Core), updated when
+// a series is created, so a selective read visits only candidate series
+// instead of walking every stored series. Postings hold positions into
+// the store's creation-order slice and are appended at series creation,
+// so each list is already sorted in scan order — the index lookup picks
+// the smallest applicable list and verifies the remaining dimensions with
+// Filter.matches (cheap compared to walking the full series set). The
+// linear walk is kept behind WithLinearScan as the reference the
+// read-path tests and BenchmarkQueryServe compare against, mirroring
+// sched.WithLinearScan.
 
-// tagIndex is the per-engine (per-shard for ShardedStore) inverted index.
-// It is guarded by the owning engine's lock. The scoping dimensions (Org,
-// Cluster) are indexed under a series' first-seen tags — the same tags
-// Filter.matches verifies against — so federated stores holding several
-// clusters' series answer per-cluster selections without a full walk.
+// tagIndex is MemStore's inverted index, guarded by the store's lock.
+// The scoping dimensions (Org, Cluster) are indexed under a series'
+// first-seen tags — the same tags Filter.matches verifies against — so
+// federated stores holding several clusters' series answer per-cluster
+// selections without a full walk.
 type tagIndex struct {
 	byOrg     map[string][]int32
 	byCluster map[string][]int32

@@ -8,18 +8,18 @@ import (
 )
 
 // The v2 query layer: server-side aggregation with step-based
-// downsampling, computed directly over the storage engine's buffers via
-// Scan/Cursor so a query never copies whole series. The dashboard heatmaps
-// (BuildHeatmap) and the anomaly detector's ScanAll run on this layer, and
-// the REST server exposes it as /api/v2/query.
+// downsampling, computed directly over the store's buffers through
+// snapshot views and Cursor so a query never copies whole series. The
+// dashboard heatmaps (BuildHeatmap) and the anomaly detector's ScanAll
+// run on this layer, and the REST server exposes it as /api/v2/query.
 //
-// Three read-path fast layers sit under QueryAgg, each with a fallback:
-// the inverted tag index narrows which series are visited (index.go), the
-// snapshot fan-out aggregates many matched series concurrently with an
-// order-preserving merge (storage.go), and aligned coarse-step queries
-// are answered from the ingest-time rollup tiers without touching raw
-// points (rollup.go). Engines built WithLinearScan bypass all three — the
-// benchmarked ablation.
+// Three read-path layers sit under QueryAgg: the inverted tag index
+// narrows which series are visited (index.go), the snapshot fan-out
+// aggregates many matched series concurrently with an order-preserving
+// merge (storage.go), and aligned coarse-step queries are answered from
+// the ingest-time rollup tiers without touching raw points (rollup.go).
+// The reference store (WithLinearScan, WithRollup(-1)) skips the index
+// and the tiers.
 
 // AggOp selects the per-bucket aggregation of QueryAgg.
 type AggOp string
@@ -103,10 +103,6 @@ func (a *aggAccum) value(op AggOp) float64 {
 // step over a huge time range cannot exhaust memory.
 const maxAggBuckets = 1 << 20
 
-// storageUnwrapper lets wrappers (TSDB) expose their backing engine, so
-// the snapshot fan-out and rollup fast paths survive the indirection.
-type storageUnwrapper interface{ Storage() Storage }
-
 // rollupServed counts series answered from rollup tiers instead of raw
 // points — observability for the read path, pinned by the tests.
 var rollupServed atomic.Uint64
@@ -135,49 +131,24 @@ func QueryAggInto(dst []AggSeries, st Storage, f Filter, opts AggOptions) ([]Agg
 	if math.IsNaN(opts.Step) || math.IsInf(opts.Step, 0) || opts.Step < 0 {
 		return nil, fmt.Errorf("examon: bad step %v", opts.Step)
 	}
+	// A NaN bound passes every comparison below and would turn into a
+	// bogus bucket index.
+	if math.IsNaN(f.From) || math.IsNaN(f.To) {
+		return nil, fmt.Errorf("examon: bad time range [%v,%v)", f.From, f.To)
+	}
 	if opts.Step > 0 && f.To != 0 && (f.To-f.From)/opts.Step > maxAggBuckets {
 		return nil, fmt.Errorf("examon: step %v yields more than %d buckets over [%v,%v)",
 			opts.Step, maxAggBuckets, f.From, f.To)
 	}
-	if u, ok := st.(storageUnwrapper); ok {
-		st = u.Storage()
-	}
-	if sn, ok := st.(snapshotter); ok {
-		withRollups := rollupAligned(f, opts, sn.rollupStep())
-		if snaps, ok := sn.snapshotSeries(f, withRollups); ok {
-			return aggSnapshots(dst, snaps, f, opts)
-		}
-	}
-	// Sequential fallback: aggregate under the engine's Scan (linear-scan
-	// ablation, or an engine without lock-free snapshots).
-	out := dst
-	var aggErr error
-	var buckets []aggAccum // reused across series
-	st.Scan(f, func(tags Tags, pts PointsView) bool {
-		for i := range buckets {
-			buckets[i] = aggAccum{}
-		}
-		buckets, aggErr = aggregateView(buckets, pts, f, opts)
-		if aggErr != nil {
-			return false
-		}
-		out = append(out, AggSeries{Tags: tags, Points: bucketPoints(buckets, f, opts)})
-		return true
-	})
-	if aggErr != nil {
-		return nil, aggErr
-	}
-	if out == nil {
-		out = []AggSeries{}
-	}
-	return out, nil
+	snaps := st.snapshot(f, rollupAligned(f, opts, st.rollupStep()))
+	return aggSnapshots(dst, snaps, f, opts)
 }
 
 // aggSnapshots aggregates a matched-series snapshot, fanning the series
 // out across cores (parallelFor chunks) with the results merged back in
 // scan order. Each series is aggregated wholly within one goroutine, so
-// per-series results are identical to the sequential path; the snapshot's
-// order is preserved by indexed assignment.
+// per-series results do not depend on the fan-out; the snapshot's order
+// is preserved by indexed assignment.
 func aggSnapshots(dst []AggSeries, snaps []seriesSnap, f Filter, opts AggOptions) ([]AggSeries, error) {
 	res := make([]AggSeries, len(snaps))
 	var (

@@ -142,6 +142,12 @@ func TestQueryAggValidation(t *testing.T) {
 	if _, err := QueryAgg(st, Filter{}, AggOptions{Op: AggAvg, Step: math.NaN()}); err == nil {
 		t.Error("NaN step accepted")
 	}
+	st.Insert(confTags(1, -1, "m"), 1, 2)
+	for _, f := range []Filter{{From: math.NaN()}, {To: math.NaN()}} {
+		if _, err := QueryAgg(st, f, AggOptions{Op: AggAvg, Step: 60}); err == nil {
+			t.Errorf("NaN time bound accepted: %+v", f)
+		}
+	}
 }
 
 // TestRateBoundaries pins the documented Rate edge cases: fewer than two
@@ -181,34 +187,28 @@ func TestFilterToZeroBoundary(t *testing.T) {
 
 func TestPointsViewAndCursor(t *testing.T) {
 	pts := []Point{{T: 0, V: 0}, {T: 1, V: 10}, {T: 2, V: 20}, {T: 3, V: 30}}
-	// A wrapped two-segment view behaves like the contiguous slice.
-	views := map[string]PointsView{
-		"contiguous": ViewOf(pts),
-		"wrapped":    {a: pts[:2], b: pts[2:]},
+	v := ViewOf(pts)
+	if v.Len() != 4 {
+		t.Errorf("len = %d", v.Len())
 	}
-	for name, v := range views {
-		if v.Len() != 4 {
-			t.Errorf("%s: len = %d", name, v.Len())
+	for i := range pts {
+		if v.At(i) != pts[i] {
+			t.Errorf("At(%d) = %+v", i, v.At(i))
 		}
-		for i := range pts {
-			if v.At(i) != pts[i] {
-				t.Errorf("%s: At(%d) = %+v", name, i, v.At(i))
-			}
-		}
-		if got := v.Append(nil); !reflect.DeepEqual(got, pts) {
-			t.Errorf("%s: append = %+v", name, got)
-		}
-		cur := v.Cursor(1, 3)
-		var got []Point
-		for p, ok := cur.Next(); ok; p, ok = cur.Next() {
-			got = append(got, p)
-		}
-		if !reflect.DeepEqual(got, pts[1:3]) {
-			t.Errorf("%s: cursor = %+v, want %+v", name, got, pts[1:3])
-		}
+	}
+	if got := v.Append(nil); !reflect.DeepEqual(got, pts) {
+		t.Errorf("append = %+v", got)
+	}
+	cur := v.Cursor(1, 3)
+	var got []Point
+	for p, ok := cur.Next(); ok; p, ok = cur.Next() {
+		got = append(got, p)
+	}
+	if !reflect.DeepEqual(got, pts[1:3]) {
+		t.Errorf("cursor = %+v, want %+v", got, pts[1:3])
 	}
 	// Exhausted cursor stays exhausted.
-	cur := ViewOf(pts).Cursor(100, 0)
+	cur = v.Cursor(100, 0)
 	if _, ok := cur.Next(); ok {
 		t.Error("out-of-range cursor yielded a point")
 	}

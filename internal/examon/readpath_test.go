@@ -5,27 +5,48 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
 )
 
 // Read-path equivalence suite: the indexed/rollup/fan-out layers must be
 // invisible in results. Every check compares a fast store (defaults:
-// inverted index, rollup tiers, snapshot fan-out) against its ablation
-// twin (WithLinearScan, no rollups) fed the identical sample stream.
+// inverted index, rollup tiers, snapshot fan-out) against the reference
+// store (WithLinearScan, no rollups) fed the identical sample stream and
+// read with GOMAXPROCS(1), so the fan-out is checked against an inline
+// walk.
 //
 // Values and timestamps are dyadic rationals (quarters and halves) so
 // every bucket sum is exact regardless of association — that makes the
 // rollup-vs-raw comparison bit-identical, per the tier's documented
 // exactness contract.
 
-// readPathEngines builds the fast/ablation store pairs.
+// readPathEngines builds the fast/reference store pairs: the bare store
+// and the TSDB wrapper, whose delegation must keep every fast layer.
 func readPathEngines() map[string]func(opts ...StoreOption) Storage {
 	return map[string]func(opts ...StoreOption) Storage{
-		"mem":     func(opts ...StoreOption) Storage { return NewMemStore(opts...) },
-		"ring":    func(opts ...StoreOption) Storage { return NewRingStore(1<<16, opts...) },
-		"sharded": func(opts ...StoreOption) Storage { return NewShardedStore(4, opts...) },
+		"mem": func(opts ...StoreOption) Storage { return NewMemStore(opts...) },
+		"tsdb": func(opts ...StoreOption) Storage {
+			db, err := NewTSDBOn(NewMemStore(opts...))
+			if err != nil {
+				panic(err)
+			}
+			return db
+		},
 	}
+}
+
+// reference returns the reference twin of a fast store.
+func reference(mk func(opts ...StoreOption) Storage) Storage {
+	return mk(WithLinearScan(true), WithRollup(-1))
+}
+
+// inline runs fn with GOMAXPROCS(1), so parallelFor walks every series on
+// the calling goroutine.
+func inline(fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	fn()
 }
 
 // fillRandom streams identical pseudo-random telemetry into both stores:
@@ -94,8 +115,7 @@ func TestReadPathEquivalence(t *testing.T) {
 	for name, mk := range readPathEngines() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(7))
-			fast := mk()
-			slow := mk(WithLinearScan(true), WithRollup(-1))
+			fast, slow := mk(), reference(mk)
 			fillRandom(rng, fast, slow)
 
 			if !reflect.DeepEqual(fast.Keys(), slow.Keys()) {
@@ -105,12 +125,17 @@ func TestReadPathEquivalence(t *testing.T) {
 				t.Fatalf("series counts diverge: %d vs %d", fast.SeriesCount(), slow.SeriesCount())
 			}
 			for _, f := range equivalenceFilters() {
-				if got, want := fast.Query(f), slow.Query(f); !reflect.DeepEqual(got, want) {
+				var want []Series
+				var wantScan []Tags
+				inline(func() {
+					want = slow.Query(f)
+					slow.Scan(f, func(tags Tags, _ PointsView) bool { wantScan = append(wantScan, tags); return true })
+				})
+				if got := fast.Query(f); !reflect.DeepEqual(got, want) {
 					t.Errorf("filter %+v: indexed Query diverges from linear scan", f)
 				}
-				var gotScan, wantScan []Tags
+				var gotScan []Tags
 				fast.Scan(f, func(tags Tags, _ PointsView) bool { gotScan = append(gotScan, tags); return true })
-				slow.Scan(f, func(tags Tags, _ PointsView) bool { wantScan = append(wantScan, tags); return true })
 				if !reflect.DeepEqual(gotScan, wantScan) {
 					t.Errorf("filter %+v: indexed Scan order diverges from linear scan", f)
 				}
@@ -120,18 +145,21 @@ func TestReadPathEquivalence(t *testing.T) {
 }
 
 // TestQueryAggEquivalence is the randomized rollup-vs-raw and
-// parallel-vs-sequential check: every operator, aligned and unaligned
-// steps, bounded and unbounded ranges, on every engine. Results must be
-// deeply (bit-)identical.
+// parallel-vs-inline check: every operator, aligned and unaligned steps,
+// bounded and unbounded ranges. Results must be deeply (bit-)identical.
 func TestQueryAggEquivalence(t *testing.T) {
 	steps := []float64{0, 7, 60, 120, 180}
 	ranges := [][2]float64{{0, 0}, {60, 240}, {13, 307}, {60, 0}, {120, 120.5}}
 	for name, mk := range readPathEngines() {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
-			fast := mk()
-			slow := mk(WithLinearScan(true), WithRollup(-1))
+			fast, slow := mk(), reference(mk)
 			fillRandom(rng, fast, slow)
+			type aggCase struct {
+				f    Filter
+				opts AggOptions
+			}
+			var cases []aggCase
 			for _, f := range equivalenceFilters() {
 				for _, op := range []AggOp{AggAvg, AggMin, AggMax, AggSum, AggRate} {
 					for _, step := range steps {
@@ -141,29 +169,37 @@ func TestQueryAggEquivalence(t *testing.T) {
 							if f.From != 0 || f.To != 0 {
 								q.From, q.To = f.From, f.To
 							}
-							got, gerr := QueryAgg(fast, q, AggOptions{Op: op, Step: step})
-							want, werr := QueryAgg(slow, q, AggOptions{Op: op, Step: step})
-							if (gerr == nil) != (werr == nil) {
-								t.Fatalf("%+v %s step=%v: error divergence %v vs %v", q, op, step, gerr, werr)
-							}
-							if !reflect.DeepEqual(got, want) {
-								t.Errorf("%+v %s step=%v: fast path diverges from linear raw", q, op, step)
-							}
+							cases = append(cases, aggCase{q, AggOptions{Op: op, Step: step}})
 						}
 					}
+				}
+			}
+			want := make([][]AggSeries, len(cases))
+			werr := make([]error, len(cases))
+			inline(func() {
+				for i, c := range cases {
+					want[i], werr[i] = QueryAgg(slow, c.f, c.opts)
+				}
+			})
+			for i, c := range cases {
+				got, gerr := QueryAgg(fast, c.f, c.opts)
+				if (gerr == nil) != (werr[i] == nil) {
+					t.Fatalf("%+v %+v: error divergence %v vs %v", c.f, c.opts, gerr, werr[i])
+				}
+				if !reflect.DeepEqual(got, want[i]) {
+					t.Errorf("%+v %+v: fast path diverges from the inline reference", c.f, c.opts)
 				}
 			}
 		})
 	}
 }
 
-// TestRollupActuallyServes pins that aligned coarse-step aggregations on
-// the append-only engines really are answered from the rollup tier, not
-// silently from raw points.
+// TestRollupActuallyServes pins that aligned coarse-step aggregations
+// really are answered from the rollup tier, not silently from raw points.
 func TestRollupActuallyServes(t *testing.T) {
-	for _, name := range []string{"mem", "sharded"} {
+	for name, mk := range readPathEngines() {
 		t.Run(name, func(t *testing.T) {
-			st := readPathEngines()[name]()
+			st := mk()
 			tags := confTags(1, 0, "instret")
 			for i := 0; i < 1000; i++ {
 				st.Insert(tags, float64(i)*0.5, float64(i))
@@ -218,9 +254,9 @@ func TestRollupAlignment(t *testing.T) {
 // is the regression net for the lock-free read path. Results must stay
 // ordered by series creation and aggregation must never error.
 func TestParallelQueryDuringIngest(t *testing.T) {
-	for _, name := range []string{"mem", "sharded"} {
+	for name, mk := range readPathEngines() {
 		t.Run(name, func(t *testing.T) {
-			st := readPathEngines()[name]()
+			st := mk()
 			const writers = 8
 			var wg sync.WaitGroup
 			stop := make(chan struct{})

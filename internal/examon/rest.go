@@ -3,6 +3,7 @@ package examon
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"strconv"
 )
@@ -144,55 +145,12 @@ func appendSeriesOpen(b []byte, tags Tags) []byte {
 }
 
 // writeRawQuery streams a raw range query: one indexed lookup, points
-// rendered straight from the engine's buffers through the time cursor.
+// rendered straight from the store's buffers through the time cursor.
 // Shared by /api/v1/query and unaggregated /api/v2/query (which answer
-// byte-identically). The render happens outside any engine lock: the
-// snapshot engines hand out stable lock-free views, everything else
-// (ring, linear-scan ablation) falls back to copying the matched points
-// out under its lock first — holding a read lock for the whole JSON
-// render would stall ingest on the single-lock engines.
+// byte-identically). The render runs over a lock-free snapshot, so a long
+// JSON render never stalls ingest.
 func (s *RESTServer) writeRawQuery(w http.ResponseWriter, f Filter, limit int) {
-	st := s.st
-	if u, ok := st.(storageUnwrapper); ok {
-		st = u.Storage()
-	}
-	var snaps []seriesSnap
-	haveSnaps := false
-	if sn, ok := st.(snapshotter); ok {
-		snaps, haveSnaps = sn.snapshotSeries(f, false)
-	}
-	if !haveSnaps {
-		// Bounded copy-out under the engine's Scan: the filter is applied
-		// while copying (so the cursor re-run below is a pass-through),
-		// and the copy stops at limit+1 points — the guard must bound the
-		// work on this path too, not just reject after a full copy.
-		copied, exceeded := 0, false
-		st.Scan(f, func(tags Tags, pts PointsView) bool {
-			capHint := pts.Len()
-			if limit > 0 && capHint > limit+1 {
-				capHint = limit + 1
-			}
-			if (f.From != 0 || f.To != 0) && capHint > 1024 {
-				capHint = 1024 // narrow windows must not pin full-series capacity
-			}
-			buf := make([]Point, 0, capHint)
-			cur := pts.Cursor(f.From, f.To)
-			for p, ok := cur.Next(); ok; p, ok = cur.Next() {
-				copied++
-				if limit > 0 && copied > limit {
-					exceeded = true
-					return false
-				}
-				buf = append(buf, p)
-			}
-			snaps = append(snaps, seriesSnap{tags: tags, pts: ViewOf(buf)})
-			return true
-		})
-		if exceeded {
-			http.Error(w, fmt.Sprintf("result exceeds limit=%d points", limit), http.StatusRequestEntityTooLarge)
-			return
-		}
-	}
+	snaps := s.st.snapshot(f, false)
 	bp := jsonBufPool.Get().(*[]byte)
 	b := append((*bp)[:0], `{"series":[`...)
 	release := func() { putJSONBuf(bp, b) }
@@ -350,7 +308,7 @@ func parseTimeParam(s string) (float64, error) {
 		return 0, nil
 	}
 	v, err := strconv.ParseFloat(s, 64)
-	if err != nil {
+	if err != nil || math.IsNaN(v) || math.IsInf(v, 0) {
 		return 0, fmt.Errorf("bad time parameter %q", s)
 	}
 	return v, nil

@@ -83,8 +83,8 @@ func TestQueryV1EmptyResultIsArray(t *testing.T) {
 }
 
 // TestQueryV1V2Equivalence pins the compatibility contract: an
-// unaggregated v2 query answers byte-for-byte like v1, on every storage
-// engine.
+// unaggregated v2 query answers byte-for-byte like v1, on every store
+// configuration.
 func TestQueryV1V2Equivalence(t *testing.T) {
 	for name, mk := range conformanceEngines() {
 		t.Run(name, func(t *testing.T) {
@@ -169,6 +169,15 @@ func TestQueryV2BadParameters(t *testing.T) {
 		"/api/v2/query?agg=median",
 		"/api/v2/query?agg=avg&step=-1",
 		"/api/v2/query?agg=avg&step=x",
+		// Non-finite time bounds: a NaN from used to become a negative
+		// bucket index and panic the aggregation.
+		"/api/v1/query?from=NaN",
+		"/api/v1/query?to=Inf",
+		"/api/v2/query?from=-Inf",
+		"/api/v2/query?to=NaN",
+		"/api/v2/query?agg=avg&step=60&from=NaN",
+		"/api/v2/query?agg=avg&step=7&to=NaN",
+		"/api/v2/query?agg=max&from=-Inf&to=+Inf",
 	} {
 		code, _ := get(t, ts, path)
 		if code != 400 {
@@ -327,12 +336,11 @@ func mustFilter(t *testing.T, rawQuery string) Filter {
 
 // TestQueryLimitGuard pins the optional raw-query limit: under the cap
 // the response is identical to the unlimited one, over it the server
-// refuses with 413 instead of serializing unboundedly — on the snapshot
-// engines and on the bounded copy-out fallback (ring, linear-scan).
+// refuses with 413 instead of serializing unboundedly — with and without
+// the index.
 func TestQueryLimitGuard(t *testing.T) {
 	for name, mk := range map[string]func() Storage{
 		"mem":        func() Storage { return NewMemStore() },
-		"ring":       func() Storage { return NewRingStore(1 << 12) },
 		"mem-linear": func() Storage { return NewMemStore(WithLinearScan(true)) },
 	} {
 		t.Run(name, func(t *testing.T) {

@@ -2,14 +2,13 @@ package examon
 
 import "math"
 
-// Ingest-time rollup tiers: the append-only engines (mem, sharded)
-// maintain per-series pre-aggregated buckets — count/sum/min/max over a
-// coarse step — incrementally on every insert, so a coarse-step QueryAgg
-// (avg/min/max/sum) and BuildHeatmap answer from the rollup tier without
-// touching raw points. Rate queries and steps that do not align with the
-// rollup grid fall through to the raw path. The ring engine does not keep
-// a tier: eviction would have to subtract points back out of the buckets,
-// which min/max cannot support incrementally.
+// Ingest-time rollup tiers: MemStore maintains per-series pre-aggregated
+// buckets — count/sum/min/max over a coarse step — incrementally on every
+// insert, so a coarse-step QueryAgg (avg/min/max/sum) and BuildHeatmap
+// answer from the rollup tier without touching raw points. Rate queries
+// and steps that do not align with the rollup grid fall through to the
+// raw path. The tiers rely on the store never deleting points: min/max
+// buckets cannot subtract an evicted sample back out.
 //
 // Exactness contract: on an aligned query (From, To and Step all exact
 // multiples of the rollup step) the tier yields the same bucket counts

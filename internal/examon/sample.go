@@ -48,34 +48,24 @@ func writeInt(sb *strings.Builder, v int) {
 }
 
 // PointsView is a read-only window over a series' stored points. It exists
-// so storage engines can expose their backing buffers without copying: the
-// append-only stores surface one contiguous slice, the ring store surfaces
-// the two wrapped segments. A view is only valid for the duration of the
-// Storage.Scan visit that produced it (or indefinitely when built from an
-// owned slice).
+// so the store can expose its backing buffers without copying: a view
+// covers the append-only prefix stored when it was taken, which later
+// inserts never modify. Readers must not write through it.
 type PointsView struct {
-	a, b []Point
+	pts []Point
 }
 
 // ViewOf wraps an owned slice as a view.
-func ViewOf(pts []Point) PointsView { return PointsView{a: pts} }
+func ViewOf(pts []Point) PointsView { return PointsView{pts: pts} }
 
 // Len returns the number of points in the view.
-func (v PointsView) Len() int { return len(v.a) + len(v.b) }
+func (v PointsView) Len() int { return len(v.pts) }
 
 // At returns point i in storage (arrival) order.
-func (v PointsView) At(i int) Point {
-	if i < len(v.a) {
-		return v.a[i]
-	}
-	return v.b[i-len(v.a)]
-}
+func (v PointsView) At(i int) Point { return v.pts[i] }
 
 // Append copies the view's points onto dst in order.
-func (v PointsView) Append(dst []Point) []Point {
-	dst = append(dst, v.a...)
-	return append(dst, v.b...)
-}
+func (v PointsView) Append(dst []Point) []Point { return append(dst, v.pts...) }
 
 // Cursor returns an allocation-free iterator over the view restricted to
 // the [from, to) time range; to == 0 means unbounded, mirroring Filter.

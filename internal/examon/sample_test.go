@@ -290,10 +290,7 @@ func TestBrokerPublishUnsubscribeRace(t *testing.T) {
 
 func TestConcurrentSubscribePublish(t *testing.T) {
 	b := NewBroker()
-	db, err := NewTSDBOn(NewShardedStore(4))
-	if err != nil {
-		t.Fatal(err)
-	}
+	db := NewTSDB()
 	if _, err := db.Attach(b); err != nil {
 		t.Fatal(err)
 	}

@@ -1,31 +1,23 @@
 package examon
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 )
 
-// Storage is the pluggable persistence engine behind TSDB. Three engines
-// ship with the stack:
+// Storage is the persistence interface behind TSDB. MemStore is the one
+// engine; TSDB implements Storage by delegating to its engine, so the
+// query layers (QueryAgg, BuildHeatmap, Detector.ScanAll, RESTServer)
+// accept either.
 //
-//   - MemStore ("mem"): the original unbounded append store — lowest
-//     per-insert cost, memory grows with the run.
-//   - RingStore ("ring"): bounded per-series ring buffers — constant
-//     memory, retains the most recent points (count-based retention).
-//   - ShardedStore ("sharded"): node-hashed shards over append storage —
-//     concurrent ingest from many nodes without a global write lock.
+// MemStore maintains an inverted tag index (index.go) so selective reads
+// visit only candidate series, and ingest-time rollup tiers (rollup.go)
+// that answer aligned coarse-step aggregations without touching raw
+// points. WithLinearScan and WithRollup build the reference store the
+// read-path equivalence tests and BenchmarkQueryServe compare against.
 //
-// Every engine maintains an inverted tag index (index.go) so selective
-// scans visit only candidate series, and the append-only engines (mem,
-// sharded) additionally keep ingest-time rollup tiers (rollup.go) that
-// answer aligned coarse-step aggregations without touching raw points.
-// WithLinearScan reinstates the full linear walk as the benchmarked
-// read-path ablation; WithRollup tunes or disables the tiers.
-//
-// Contract shared by all engines (exercised by the conformance suite in
+// Contract (exercised by the conformance suite in
 // storage_conformance_test.go):
 //
 //   - Insert/InsertBatch append points in arrival order. Series identity
@@ -36,13 +28,11 @@ import (
 //   - Query returns deep copies of the matching series, time-filtered per
 //     Filter, ordered by each series' first insertion.
 //   - Scan visits matching series in the same order, passing a PointsView
-//     over the engine's backing buffer with NO time filtering (callers
-//     apply Filter.From/To via PointsView.Cursor; aggregators like rate
-//     need the out-of-range predecessor point). The view is valid only for
-//     the duration of the visit, which may run under the engine's read
-//     lock (mem, ring) or over a lock-free snapshot (sharded): the visit
-//     callback must not call back into the store and must not retain the
-//     view. Returning false stops the scan.
+//     over the stored points with NO time filtering (callers apply
+//     Filter.From/To via PointsView.Cursor; aggregators like rate need
+//     the out-of-range predecessor point). The views are a point-in-time
+//     snapshot taken before the first visit, and no lock is held while
+//     visiting. Returning false stops the scan.
 //   - SeriesCount and Keys report the stored series; Keys is sorted.
 //
 // All methods are safe for concurrent use.
@@ -54,13 +44,22 @@ type Storage interface {
 	// Query returns copies of the matching series, filtered to the time
 	// range, ordered by first insertion.
 	Query(f Filter) []Series
-	// Scan visits each matching series' full point view under the
-	// engine's read lock; see the interface comment for the contract.
+	// Scan visits each matching series' full point view; see the
+	// interface comment for the contract.
 	Scan(f Filter, visit func(tags Tags, pts PointsView) bool)
 	// SeriesCount returns the number of stored series.
 	SeriesCount() int
 	// Keys lists all series keys, sorted.
 	Keys() []string
+
+	// snapshot captures the matching series in creation order as views
+	// that stay valid after the store's lock is released; withRollups
+	// also copies each series' rollup buckets overlapping the filter's
+	// time range. The read layers aggregate and render from it without
+	// holding any lock.
+	snapshot(f Filter, withRollups bool) []seriesSnap
+	// rollupStep is the rollup bucket width in seconds (<= 0: no tiers).
+	rollupStep() float64
 }
 
 // seriesID is the identity a stream is stored under: the dimensions that
@@ -79,141 +78,41 @@ func idOf(t Tags) seriesID {
 	return seriesID{node: t.Node, plugin: t.Plugin, core: t.Core, metric: t.Metric}
 }
 
-// StorageBackends lists the registered engine names accepted by NewStorage.
-func StorageBackends() []string { return []string{"mem", "ring", "sharded"} }
-
-// Default sizing for the named backends.
-const (
-	// DefaultRingCapacity is the per-series point capacity of the "ring"
-	// backend: at pmu_pub's 2 Hz it retains a bit over an hour per series.
-	DefaultRingCapacity = 8192
-	// DefaultShards is the shard count of the "sharded" backend.
-	DefaultShards = 16
-)
-
-// storeConfig carries the tunables shared by every engine.
+// storeConfig carries the store's tunables.
 type storeConfig struct {
 	linear     bool
 	rollupStep float64 // <= 0 disables the rollup tier
 }
 
-func defaultStoreConfig() storeConfig {
-	return storeConfig{rollupStep: DefaultRollupStep}
-}
-
-func (c storeConfig) apply(opts []StoreOption) storeConfig {
-	for _, o := range opts {
-		o(&c)
-	}
-	return c
-}
-
-// StoreOption tunes a storage engine at construction.
+// StoreOption tunes a store at construction.
 type StoreOption func(*storeConfig)
 
-// WithLinearScan reinstates the seed's full linear series walk for every
-// read (no inverted-index candidate selection, no lock-free snapshot
-// fan-out) — the benchmarked read-path ablation, mirroring
-// sched.WithLinearScan.
+// WithLinearScan makes every read walk all series instead of selecting
+// candidates through the inverted tag index. Together with WithRollup(-1)
+// it builds the reference store that the read-path tests and
+// BenchmarkQueryServe compare the default store against.
 func WithLinearScan(linear bool) StoreOption {
 	return func(c *storeConfig) { c.linear = linear }
 }
 
 // WithRollup sets the ingest-time rollup tier's bucket width in seconds;
-// step <= 0 disables the tiers. The default is DefaultRollupStep. The
-// ring engine never keeps tiers (eviction cannot be folded back out of
-// min/max buckets) and ignores this option.
+// step <= 0 disables the tiers, so every aggregation reads raw points.
+// The default is DefaultRollupStep.
 func WithRollup(step float64) StoreOption {
 	return func(c *storeConfig) { c.rollupStep = step }
-}
-
-// NewStorage builds a storage engine by backend name ("" selects "mem").
-func NewStorage(backend string, opts ...StoreOption) (Storage, error) {
-	switch backend {
-	case "", "mem":
-		return NewMemStore(opts...), nil
-	case "ring":
-		return NewRingStore(DefaultRingCapacity, opts...), nil
-	case "sharded":
-		return NewShardedStore(DefaultShards, opts...), nil
-	}
-	return nil, fmt.Errorf("examon: unknown storage backend %q (have %v)", backend, StorageBackends())
-}
-
-// queryStorage implements the copying Query in terms of Scan, shared by
-// every engine. Copies are sized up front from PointsView.Len instead of
-// being grown one append at a time; a series with no in-range points
-// keeps nil Points (seed semantics).
-func queryStorage(st Storage, f Filter) []Series {
-	var out []Series
-	st.Scan(f, func(tags Tags, pts PointsView) bool {
-		cp := Series{Tags: tags}
-		if n := pts.Len(); n > 0 {
-			// Always filter through the cursor — even a zero From excludes
-			// negative timestamps (seed semantics) — with the copy sized
-			// up front from the view length. Time-windowed queries cap the
-			// hint: a narrow window over a long series must not retain a
-			// full-series-sized backing array for a handful of points.
-			capHint := n
-			if (f.From != 0 || f.To != 0) && capHint > 1024 {
-				capHint = 1024
-			}
-			buf := make([]Point, 0, capHint)
-			cur := pts.Cursor(f.From, f.To)
-			for p, ok := cur.Next(); ok; p, ok = cur.Next() {
-				buf = append(buf, p)
-			}
-			if len(buf) > 0 {
-				cp.Points = buf
-			}
-		}
-		out = append(out, cp)
-		return true
-	})
-	return out
-}
-
-// lockedSeriesCount is the shared SeriesCount of the single-lock engines
-// (the sharded store sums its shards with the same O(1) map length).
-func lockedSeriesCount[T any](mu *sync.RWMutex, series map[seriesID]T) int {
-	mu.RLock()
-	defer mu.RUnlock()
-	return len(series)
-}
-
-// keysOfStorage implements Keys in terms of Scan, shared by every engine.
-func keysOfStorage(st Storage) []string {
-	out := make([]string, 0, 16)
-	st.Scan(Filter{}, func(tags Tags, _ PointsView) bool {
-		out = append(out, seriesKey(tags))
-		return true
-	})
-	sort.Strings(out)
-	return out
 }
 
 // --- read fan-out --------------------------------------------------------
 
 // seriesSnap is one matched series captured as a stable view that remains
-// valid after the engine's lock is released: the append-only engines copy
-// the slice header under the read lock (the prefix it describes is
-// immutable), and the rollup tier — which mutates buckets in place — is
-// copied for the query's range.
+// valid after the store's lock is released: the slice header is copied
+// under the read lock (the prefix it describes is immutable), and the
+// rollup tier — which ingest mutates in place — is copied for the query's
+// range.
 type seriesSnap struct {
-	seq  uint64 // creation sequence, for the sharded cross-shard merge
 	tags Tags
 	pts  PointsView
 	roll *rollupSnap // non-nil only when requested and maintained
-}
-
-// snapshotter is implemented by engines whose matched series can be
-// captured as lock-free snapshots and visited concurrently (mem,
-// sharded). The aggregating query layer fans the snapshot out across
-// cores with an order-preserving merge. ok is false when the engine wants
-// the plain sequential Scan instead (linear-scan ablation).
-type snapshotter interface {
-	snapshotSeries(f Filter, withRollups bool) (snaps []seriesSnap, ok bool)
-	rollupStep() float64
 }
 
 // Read fan-out sizing: below minParallelSeries the goroutine handoff
@@ -264,8 +163,10 @@ type memSeries struct {
 	roll *seriesRollup // nil when rollups are disabled
 }
 
-// MemStore is the unbounded in-memory append engine (the seed TSDB's
-// storage, extracted behind the Storage interface).
+// MemStore is the in-memory append store (the seed TSDB's storage,
+// extracted behind the Storage interface). Every write takes the store's
+// lock, so any number of publishers may ingest concurrently; reads copy
+// slice headers under the read lock and then run lock-free.
 type MemStore struct {
 	cfg    storeConfig
 	mu     sync.RWMutex
@@ -276,8 +177,12 @@ type MemStore struct {
 
 // NewMemStore returns an empty append store.
 func NewMemStore(opts ...StoreOption) *MemStore {
+	cfg := storeConfig{rollupStep: DefaultRollupStep}
+	for _, o := range opts {
+		o(&cfg)
+	}
 	return &MemStore{
-		cfg:    defaultStoreConfig().apply(opts),
+		cfg:    cfg,
 		series: make(map[seriesID]*memSeries),
 		index:  newTagIndex(),
 	}
@@ -320,52 +225,50 @@ func (st *MemStore) insertLocked(tags Tags, t, v float64) {
 	}
 }
 
-// lookup consults the inverted index, unless the engine runs in the
-// linear-scan ablation or the filter has no indexed dimension.
-func (st *MemStore) lookup(f Filter) ([]int32, bool) {
-	if st.cfg.linear {
-		return nil, false
+// Query returns copies of the matching series. A series with no in-range
+// points keeps nil Points (seed semantics).
+func (st *MemStore) Query(f Filter) []Series {
+	var out []Series
+	for _, s := range st.snapshot(f, false) {
+		cp := Series{Tags: s.tags}
+		if n := s.pts.Len(); n > 0 {
+			// Always filter through the cursor — even a zero From excludes
+			// negative timestamps (seed semantics) — with the copy sized
+			// up front from the view length. Time-windowed queries cap the
+			// hint: a narrow window over a long series must not retain a
+			// full-series-sized backing array for a handful of points.
+			if (f.From != 0 || f.To != 0) && n > 1024 {
+				n = 1024
+			}
+			buf := make([]Point, 0, n)
+			cur := s.pts.Cursor(f.From, f.To)
+			for p, ok := cur.Next(); ok; p, ok = cur.Next() {
+				buf = append(buf, p)
+			}
+			if len(buf) > 0 {
+				cp.Points = buf
+			}
+		}
+		out = append(out, cp)
 	}
-	return st.index.candidates(f)
+	return out
 }
 
-// Query returns copies of the matching series.
-func (st *MemStore) Query(f Filter) []Series { return queryStorage(st, f) }
-
-// Scan visits matching series under the read lock.
+// Scan visits matching series over a point-in-time snapshot.
 func (st *MemStore) Scan(f Filter, visit func(tags Tags, pts PointsView) bool) {
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	if cand, ok := st.lookup(f); ok {
-		for _, pos := range cand {
-			s := st.order[pos]
-			if !f.matches(s.tags) {
-				continue
-			}
-			if !visit(s.tags, PointsView{a: s.pts}) {
-				return
-			}
-		}
-		return
-	}
-	for _, s := range st.order {
-		if !f.matches(s.tags) {
-			continue
-		}
-		if !visit(s.tags, PointsView{a: s.pts}) {
+	for _, s := range st.snapshot(f, false) {
+		if !visit(s.tags, s.pts) {
 			return
 		}
 	}
 }
 
-// snapshotSeries captures the matching series for the concurrent read
-// fan-out. The store is append-only, so a slice header copied under the
-// read lock describes an immutable prefix and stays valid after the lock
-// is released.
-func (st *MemStore) snapshotSeries(f Filter, withRollups bool) ([]seriesSnap, bool) {
-	if st.cfg.linear {
-		return nil, false
-	}
+// snapshot selects the matching series through the inverted index, or by
+// walking every series in the linear-scan store and for filters with no
+// indexed dimension. The store is append-only, so a slice header copied
+// under the read lock describes an immutable prefix and stays valid after
+// the lock is released.
+func (st *MemStore) snapshot(f Filter, withRollups bool) []seriesSnap {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
 	var snaps []seriesSnap
@@ -373,13 +276,13 @@ func (st *MemStore) snapshotSeries(f Filter, withRollups bool) ([]seriesSnap, bo
 		if !f.matches(s.tags) {
 			return
 		}
-		snap := seriesSnap{tags: s.tags, pts: PointsView{a: s.pts}}
+		snap := seriesSnap{tags: s.tags, pts: ViewOf(s.pts)}
 		if withRollups {
 			snap.roll = s.roll.snapshotRange(f.From, f.To)
 		}
 		snaps = append(snaps, snap)
 	}
-	if cand, ok := st.lookup(f); ok {
+	if cand, ok := st.index.candidates(f); ok && !st.cfg.linear {
 		for _, pos := range cand {
 			add(st.order[pos])
 		}
@@ -388,368 +291,26 @@ func (st *MemStore) snapshotSeries(f Filter, withRollups bool) ([]seriesSnap, bo
 			add(s)
 		}
 	}
-	return snaps, true
+	return snaps
 }
 
 func (st *MemStore) rollupStep() float64 { return st.cfg.rollupStep }
 
 // SeriesCount returns the number of stored series.
-func (st *MemStore) SeriesCount() int { return lockedSeriesCount(&st.mu, st.series) }
-
-// Keys lists all series keys, sorted.
-func (st *MemStore) Keys() []string { return keysOfStorage(st) }
-
-// --- RingStore ----------------------------------------------------------
-
-// ringSeries is one bounded stream: a circular buffer of the most recent
-// capacity points.
-type ringSeries struct {
-	tags Tags
-	buf  []Point
-	next int  // overwrite position once full
-	full bool // len(buf) reached capacity
-}
-
-func (s *ringSeries) view() PointsView {
-	if !s.full {
-		return PointsView{a: s.buf}
-	}
-	return PointsView{a: s.buf[s.next:], b: s.buf[:s.next]}
-}
-
-// RingStore is the bounded retention engine: each series keeps the most
-// recent Capacity points in a ring buffer, so memory stays constant over
-// arbitrarily long runs (count-based retention; at a fixed sampling rate
-// that is equivalent to a time window). Eviction overwrites points in
-// place, so the ring keeps no rollup tier and offers no lock-free
-// snapshots — reads run under the read lock, candidate-selected through
-// the inverted index.
-type RingStore struct {
-	cfg      storeConfig
-	capacity int
-	mu       sync.RWMutex
-	series   map[seriesID]*ringSeries
-	order    []*ringSeries
-	index    *tagIndex
-}
-
-// NewRingStore returns an empty ring store holding up to capacity points
-// per series (capacity <= 0 selects DefaultRingCapacity).
-func NewRingStore(capacity int, opts ...StoreOption) *RingStore {
-	if capacity <= 0 {
-		capacity = DefaultRingCapacity
-	}
-	return &RingStore{
-		cfg:      defaultStoreConfig().apply(opts),
-		capacity: capacity,
-		series:   make(map[seriesID]*ringSeries),
-		index:    newTagIndex(),
-	}
-}
-
-// Capacity returns the per-series point bound.
-func (st *RingStore) Capacity() int { return st.capacity }
-
-// Insert stores one sample, evicting the series' oldest point when full.
-func (st *RingStore) Insert(tags Tags, t, v float64) {
-	st.mu.Lock()
-	st.insertLocked(tags, t, v)
-	st.mu.Unlock()
-}
-
-// InsertBatch stores a batch under a single lock acquisition.
-func (st *RingStore) InsertBatch(batch []Sample) {
-	if len(batch) == 0 {
-		return
-	}
-	st.mu.Lock()
-	for _, s := range batch {
-		st.insertLocked(s.Tags, s.T, s.V)
-	}
-	st.mu.Unlock()
-}
-
-func (st *RingStore) insertLocked(tags Tags, t, v float64) {
-	id := idOf(tags)
-	s, ok := st.series[id]
-	if !ok {
-		s = &ringSeries{tags: tags}
-		st.index.add(len(st.order), tags)
-		st.series[id] = s
-		st.order = append(st.order, s)
-	}
-	p := Point{T: t, V: v}
-	if !s.full {
-		s.buf = append(s.buf, p)
-		if len(s.buf) == st.capacity {
-			s.full = true
-		}
-		return
-	}
-	s.buf[s.next] = p
-	s.next++
-	if s.next == st.capacity {
-		s.next = 0
-	}
-}
-
-// Query returns copies of the matching series (retained window only).
-func (st *RingStore) Query(f Filter) []Series { return queryStorage(st, f) }
-
-// Scan visits matching series under the read lock.
-func (st *RingStore) Scan(f Filter, visit func(tags Tags, pts PointsView) bool) {
+func (st *MemStore) SeriesCount() int {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	if !st.cfg.linear {
-		if cand, ok := st.index.candidates(f); ok {
-			for _, pos := range cand {
-				s := st.order[pos]
-				if !f.matches(s.tags) {
-					continue
-				}
-				if !visit(s.tags, s.view()) {
-					return
-				}
-			}
-			return
-		}
-	}
-	for _, s := range st.order {
-		if !f.matches(s.tags) {
-			continue
-		}
-		if !visit(s.tags, s.view()) {
-			return
-		}
-	}
+	return len(st.series)
 }
-
-// SeriesCount returns the number of stored series.
-func (st *RingStore) SeriesCount() int { return lockedSeriesCount(&st.mu, st.series) }
 
 // Keys lists all series keys, sorted.
-func (st *RingStore) Keys() []string { return keysOfStorage(st) }
-
-// --- ShardedStore -------------------------------------------------------
-
-// shardSeries is one stream plus its global creation sequence number, used
-// to reconstruct a deterministic cross-shard order.
-type shardSeries struct {
-	seq  uint64
-	tags Tags
-	pts  []Point
-	roll *seriesRollup // nil when rollups are disabled
-}
-
-type storeShard struct {
-	mu     sync.RWMutex
-	series map[seriesID]*shardSeries
-	order  []*shardSeries
-	index  *tagIndex
-}
-
-// ShardedStore spreads series across shards keyed by the node tag, so
-// per-node ingest streams (the deployment has one publisher per node)
-// contend only within their shard instead of on a global mutex.
-type ShardedStore struct {
-	cfg    storeConfig
-	seq    atomic.Uint64
-	shards []*storeShard
-}
-
-// NewShardedStore returns an empty store with the given shard count
-// (shards <= 0 selects DefaultShards).
-func NewShardedStore(shards int, opts ...StoreOption) *ShardedStore {
-	if shards <= 0 {
-		shards = DefaultShards
+func (st *MemStore) Keys() []string {
+	st.mu.RLock()
+	out := make([]string, 0, len(st.order))
+	for _, s := range st.order {
+		out = append(out, seriesKey(s.tags))
 	}
-	st := &ShardedStore{cfg: defaultStoreConfig().apply(opts), shards: make([]*storeShard, shards)}
-	for i := range st.shards {
-		st.shards[i] = &storeShard{series: make(map[seriesID]*shardSeries), index: newTagIndex()}
-	}
-	return st
-}
-
-// Shards returns the shard count.
-func (st *ShardedStore) Shards() int { return len(st.shards) }
-
-// shardFor picks the node's shard with an inlined FNV-1a over the node
-// string — hash/fnv would heap-allocate a hasher per insert on the ingest
-// hot path.
-func (st *ShardedStore) shardFor(node string) *storeShard {
-	const (
-		offset32 = 2166136261
-		prime32  = 16777619
-	)
-	h := uint32(offset32)
-	for i := 0; i < len(node); i++ {
-		h ^= uint32(node[i])
-		h *= prime32
-	}
-	return st.shards[h%uint32(len(st.shards))]
-}
-
-// Insert stores one sample in the node's shard.
-func (st *ShardedStore) Insert(tags Tags, t, v float64) {
-	sh := st.shardFor(tags.Node)
-	sh.mu.Lock()
-	st.insertLocked(sh, tags, t, v)
-	sh.mu.Unlock()
-}
-
-// InsertBatch stores a batch. Batches from the plugins are single-node, so
-// the common case takes one shard lock once; mixed-node batches fall back
-// to per-sample locking.
-func (st *ShardedStore) InsertBatch(batch []Sample) {
-	if len(batch) == 0 {
-		return
-	}
-	node := batch[0].Tags.Node
-	for _, s := range batch[1:] {
-		if s.Tags.Node != node {
-			for _, s := range batch {
-				st.Insert(s.Tags, s.T, s.V)
-			}
-			return
-		}
-	}
-	sh := st.shardFor(node)
-	sh.mu.Lock()
-	for _, s := range batch {
-		st.insertLocked(sh, s.Tags, s.T, s.V)
-	}
-	sh.mu.Unlock()
-}
-
-func (st *ShardedStore) insertLocked(sh *storeShard, tags Tags, t, v float64) {
-	id := idOf(tags)
-	s, ok := sh.series[id]
-	if !ok {
-		s = &shardSeries{seq: st.seq.Add(1), tags: tags}
-		if st.cfg.rollupStep > 0 {
-			s.roll = newSeriesRollup(st.cfg.rollupStep)
-		}
-		sh.index.add(len(sh.order), tags)
-		sh.series[id] = s
-		sh.order = append(sh.order, s)
-	}
-	s.pts = append(s.pts, Point{T: t, V: v})
-	if s.roll != nil {
-		s.roll.add(t, v)
-	}
-}
-
-// Query returns copies of the matching series.
-func (st *ShardedStore) Query(f Filter) []Series { return queryStorage(st, f) }
-
-// snapshot collects the matching series across shards as stable lock-free
-// views (shard storage is append-only, so a slice header copied under the
-// read lock is a consistent immutable prefix), ordered by creation
-// sequence so results are deterministic across shards. A node filter
-// touches exactly one shard; otherwise the shards are snapshotted
-// concurrently and merged. Each shard's read lock is held only long
-// enough to copy slice headers (and, when requested, the in-range rollup
-// buckets), never while a visit computes, so long aggregations do not
-// stall ingest.
-func (st *ShardedStore) snapshot(f Filter, withRollups bool) []seriesSnap {
-	collect := func(sh *storeShard) []seriesSnap {
-		var out []seriesSnap
-		add := func(s *shardSeries) {
-			if !f.matches(s.tags) {
-				return
-			}
-			snap := seriesSnap{seq: s.seq, tags: s.tags, pts: PointsView{a: s.pts}}
-			if withRollups {
-				snap.roll = s.roll.snapshotRange(f.From, f.To)
-			}
-			out = append(out, snap)
-		}
-		sh.mu.RLock()
-		if !st.cfg.linear {
-			if cand, ok := sh.index.candidates(f); ok {
-				for _, pos := range cand {
-					add(sh.order[pos])
-				}
-				sh.mu.RUnlock()
-				return out
-			}
-		}
-		for _, s := range sh.order {
-			add(s)
-		}
-		sh.mu.RUnlock()
-		return out
-	}
-	if f.Node != "" {
-		return collect(st.shardFor(f.Node))
-	}
-	parts := make([][]seriesSnap, len(st.shards))
-	if !st.cfg.linear && runtime.GOMAXPROCS(0) > 1 {
-		var wg sync.WaitGroup
-		for i, sh := range st.shards {
-			wg.Add(1)
-			go func(i int, sh *storeShard) {
-				defer wg.Done()
-				parts[i] = collect(sh)
-			}(i, sh)
-		}
-		wg.Wait()
-	} else {
-		for i, sh := range st.shards {
-			parts[i] = collect(sh)
-		}
-	}
-	var matched []seriesSnap
-	for _, p := range parts {
-		matched = append(matched, p...)
-	}
-	sort.Slice(matched, func(i, j int) bool { return matched[i].seq < matched[j].seq })
-	return matched
-}
-
-// Scan visits matching series over a point-in-time snapshot; see snapshot
-// for the locking and ordering guarantees.
-func (st *ShardedStore) Scan(f Filter, visit func(tags Tags, pts PointsView) bool) {
-	for _, s := range st.snapshot(f, false) {
-		if !visit(s.tags, s.pts) {
-			return
-		}
-	}
-}
-
-// snapshotSeries exposes the snapshot to the concurrent read fan-out.
-func (st *ShardedStore) snapshotSeries(f Filter, withRollups bool) ([]seriesSnap, bool) {
-	if st.cfg.linear {
-		return nil, false
-	}
-	return st.snapshot(f, withRollups), true
-}
-
-func (st *ShardedStore) rollupStep() float64 { return st.cfg.rollupStep }
-
-// SeriesCount returns the number of stored series.
-func (st *ShardedStore) SeriesCount() int {
-	n := 0
-	for _, sh := range st.shards {
-		n += lockedSeriesCount(&sh.mu, sh.series)
-	}
-	return n
-}
-
-// Keys lists all series keys, sorted. Unlike the single-lock engines it
-// does not share keysOfStorage: routing through Scan would materialize a
-// full cross-shard snapshot (and seq-sort it) just to list strings, so it
-// walks the shard order slices directly — the final sort makes the
-// cross-shard visit order irrelevant.
-func (st *ShardedStore) Keys() []string {
-	out := make([]string, 0, 16)
-	for _, sh := range st.shards {
-		sh.mu.RLock()
-		for _, s := range sh.order {
-			out = append(out, seriesKey(s.tags))
-		}
-		sh.mu.RUnlock()
-	}
+	st.mu.RUnlock()
 	sort.Strings(out)
 	return out
 }

@@ -9,33 +9,28 @@ import (
 	"testing"
 )
 
-// The shared conformance suite: every Storage engine (and the TSDB
-// wrapper) must satisfy the same insert/query/scan contract. Engines with
-// extra semantics (ring eviction, shard counts) get engine-specific tests
-// below the suite.
+// The shared conformance suite: the store, the TSDB wrapper and the
+// reference-store options must all satisfy the same insert/query/scan
+// contract.
 
-// conformanceEngines returns fresh instances of every engine under a name.
-// The ring store gets a capacity large enough that the shared suite never
-// triggers eviction (eviction semantics are tested separately).
+// conformanceEngines returns a fresh instance of every store configuration
+// under a name.
 func conformanceEngines() map[string]func() Storage {
 	return map[string]func() Storage{
-		"mem":     func() Storage { return NewMemStore() },
-		"ring":    func() Storage { return NewRingStore(1 << 16) },
-		"sharded": func() Storage { return NewShardedStore(4) },
+		"mem": func() Storage { return NewMemStore() },
 		"tsdb": func() Storage {
-			db, err := NewTSDBOn(NewShardedStore(2))
+			db, err := NewTSDBOn(NewMemStore())
 			if err != nil {
 				panic(err)
 			}
 			return db
 		},
-		// The read-path ablations must satisfy the same contract: the
-		// linear variants take the seed's full-walk scan on every read,
-		// the norollup variants keep the index but serve every
-		// aggregation from raw points.
-		"mem-linear":     func() Storage { return NewMemStore(WithLinearScan(true)) },
-		"sharded-linear": func() Storage { return NewShardedStore(4, WithLinearScan(true)) },
-		"mem-norollup":   func() Storage { return NewMemStore(WithRollup(-1)) },
+		// The reference-store options must satisfy the same contract: the
+		// linear variant walks every series on every read, the norollup
+		// variant keeps the index but serves every aggregation from raw
+		// points.
+		"mem-linear":   func() Storage { return NewMemStore(WithLinearScan(true)) },
+		"mem-norollup": func() Storage { return NewMemStore(WithRollup(-1)) },
 	}
 }
 
@@ -119,9 +114,8 @@ func testTimeRange(t *testing.T, st Storage) {
 }
 
 func testInsertionOrder(t *testing.T, st Storage) {
-	// First-insert order must be reproduced by Query and Scan regardless
-	// of engine internals (the sharded store reconstructs it via a global
-	// sequence counter).
+	// First-insert order must be reproduced by Query and Scan, whether
+	// the read goes through the index or walks every series.
 	var want []Tags
 	for i := 9; i >= 0; i-- {
 		tags := confTags(i, -1, "m")
@@ -237,10 +231,9 @@ func testOrgClusterNotIdentity(t *testing.T, st Storage) {
 	}
 }
 
-// testConcurrentIngestQuery hammers every engine with parallel per-node
+// testConcurrentIngestQuery hammers the store with parallel per-node
 // writers and concurrent readers; run under -race this is the regression
-// net for the ingest/query locking (satellite: concurrent coverage for
-// every storage engine).
+// net for the ingest/query locking that fleet federation relies on.
 func testConcurrentIngestQuery(t *testing.T, st Storage) {
 	const (
 		writers = 8
@@ -322,103 +315,12 @@ func testConcurrentIngestQuery(t *testing.T, st Storage) {
 	}
 }
 
-// --- engine-specific behavior -------------------------------------------
-
-func TestRingStoreEviction(t *testing.T) {
-	st := NewRingStore(4)
-	tags := confTags(1, -1, "m")
-	for i := 0; i < 10; i++ {
-		st.Insert(tags, float64(i), float64(i))
-	}
-	got := st.Query(Filter{})
-	if len(got) != 1 {
-		t.Fatalf("series = %d", len(got))
-	}
-	want := []Point{{T: 6, V: 6}, {T: 7, V: 7}, {T: 8, V: 8}, {T: 9, V: 9}}
-	if !reflect.DeepEqual(got[0].Points, want) {
-		t.Errorf("retained points = %+v, want the 4 most recent %+v", got[0].Points, want)
-	}
-	// The wrapped ring must surface points in arrival order through the
-	// two-segment view.
-	st.Scan(Filter{}, func(_ Tags, pts PointsView) bool {
-		if pts.Len() != 4 {
-			t.Errorf("view len = %d", pts.Len())
-		}
-		for i := 0; i < pts.Len(); i++ {
-			if pts.At(i) != want[i] {
-				t.Errorf("view[%d] = %+v, want %+v", i, pts.At(i), want[i])
-			}
-		}
-		return true
-	})
-	if st.Capacity() != 4 {
-		t.Errorf("capacity = %d", st.Capacity())
-	}
-	// Aggregation over the ring sees only the retained window.
-	agg, err := QueryAgg(st, Filter{}, AggOptions{Op: AggMin})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(agg) != 1 || agg[0].Points[0].V != 6 || agg[0].Points[0].N != 4 {
-		t.Errorf("agg over ring = %+v", agg)
-	}
-}
-
-func TestRingStoreDefaultCapacity(t *testing.T) {
-	if got := NewRingStore(0).Capacity(); got != DefaultRingCapacity {
-		t.Errorf("default capacity = %d", got)
-	}
-}
-
-func TestShardedStoreShards(t *testing.T) {
-	if got := NewShardedStore(0).Shards(); got != DefaultShards {
-		t.Errorf("default shards = %d", got)
-	}
-	// Mixed-node batches must land in the right shards.
-	st := NewShardedStore(3)
-	var batch []Sample
-	for n := 0; n < 9; n++ {
-		batch = append(batch, Sample{Tags: confTags(n, -1, "m"), T: 0, V: float64(n)})
-	}
-	st.InsertBatch(batch)
-	if st.SeriesCount() != 9 {
-		t.Errorf("series = %d", st.SeriesCount())
-	}
-	for n := 0; n < 9; n++ {
-		got := st.Query(Filter{Node: fmt.Sprintf("mc%02d", n)})
-		if len(got) != 1 || got[0].Points[0].V != float64(n) {
-			t.Errorf("node %d query = %+v", n, got)
-		}
-	}
-}
-
-func TestNewStorageFactory(t *testing.T) {
-	for _, backend := range StorageBackends() {
-		st, err := NewStorage(backend)
-		if err != nil || st == nil {
-			t.Errorf("backend %q: %v", backend, err)
-		}
-	}
-	if st, err := NewStorage(""); err != nil {
-		t.Errorf("default backend: %v", err)
-	} else if _, ok := st.(*MemStore); !ok {
-		t.Errorf("default backend is %T, want *MemStore", st)
-	}
-	if _, err := NewStorage("postgres"); err == nil {
-		t.Error("unknown backend accepted")
-	}
-}
-
 func TestTSDBOnValidation(t *testing.T) {
 	if _, err := NewTSDBOn(nil); err == nil {
 		t.Error("nil engine accepted")
 	}
-	db, err := NewTSDBOn(NewRingStore(8))
-	if err != nil {
+	if _, err := NewTSDBOn(NewMemStore()); err != nil {
 		t.Fatal(err)
-	}
-	if _, ok := db.Storage().(*RingStore); !ok {
-		t.Errorf("storage = %T", db.Storage())
 	}
 }
 

@@ -29,32 +29,28 @@ func seriesKey(t Tags) string {
 // TSDB is the storage frontend installed on the master node. It subscribes
 // to the broker's data topics and answers range queries (the paper's stack
 // exposes these through Grafana and a REST API). The actual persistence is
-// delegated to a pluggable Storage engine — NewTSDB uses the in-memory
-// append engine, NewTSDBOn accepts any engine — and TSDB itself implements
-// Storage, so the query layers (QueryAgg, BuildHeatmap, Detector.ScanAll,
-// RESTServer) accept either a TSDB or a bare engine. The aggregating
-// layers unwrap the TSDB through Storage(), so the engine's fast read
-// paths (inverted index, snapshot fan-out, rollup tiers) work through the
-// wrapper. Safe for concurrent use.
+// delegated to a MemStore — NewTSDB builds a default one, NewTSDBOn wraps
+// one the caller built — and TSDB itself implements Storage by delegation,
+// so the query layers (QueryAgg, BuildHeatmap, Detector.ScanAll,
+// RESTServer) accept either a TSDB or a bare store and keep the store's
+// fast read paths (inverted index, snapshot fan-out, rollup tiers). Safe
+// for concurrent use.
 type TSDB struct {
 	store Storage
 }
 
-// NewTSDB returns a store backed by the default in-memory append engine.
+// NewTSDB returns a store backed by a default MemStore.
 func NewTSDB() *TSDB {
 	return &TSDB{store: NewMemStore()}
 }
 
-// NewTSDBOn returns a store backed by the given engine.
+// NewTSDBOn returns a store backed by the given one.
 func NewTSDBOn(store Storage) (*TSDB, error) {
 	if store == nil {
 		return nil, fmt.Errorf("examon: tsdb needs a storage engine")
 	}
 	return &TSDB{store: store}, nil
 }
-
-// Storage returns the backing engine.
-func (db *TSDB) Storage() Storage { return db.store }
 
 // Attach subscribes the store to every ExaMon data topic on the broker
 // through the typed sample path: batches published with PublishBatch land
@@ -139,6 +135,12 @@ func (db *TSDB) SeriesCount() int { return db.store.SeriesCount() }
 
 // Keys lists all series keys, sorted.
 func (db *TSDB) Keys() []string { return db.store.Keys() }
+
+func (db *TSDB) snapshot(f Filter, withRollups bool) []seriesSnap {
+	return db.store.snapshot(f, withRollups)
+}
+
+func (db *TSDB) rollupStep() float64 { return db.store.rollupStep() }
 
 // Rate converts a cumulative-counter series into a rate series by
 // differencing successive points (the Fig. 5 instruction/s heatmap is

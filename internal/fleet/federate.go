@@ -32,9 +32,9 @@ func federatedMetrics() []string {
 // samples from every cluster land in one shared ExaMon storage engine,
 // tagged with the fleet org and the source cluster so federated queries
 // can select one cluster's series (the new Filter.Org/Cluster
-// dimensions). The backing engine is the "sharded" store — the only one
-// built for concurrent ingest — because N fleet workers ingest their
-// clusters' results in wall-clock parallel.
+// dimensions). N fleet workers ingest their clusters' results in
+// wall-clock parallel; the MemStore locks every write, so they need no
+// coordination beyond it.
 //
 // Series identity in ExaMon is (Node, Plugin, Core, Metric) with
 // Org/Cluster as scoping tags, so federated series use the cluster ID as
@@ -42,19 +42,15 @@ func federatedMetrics() []string {
 // identity dimensions would otherwise collide.
 type Federation struct {
 	org   string
-	store examon.Storage
+	store *examon.MemStore
 }
 
 // NewFederation builds an empty federation scoped to the org.
-func NewFederation(org string) (*Federation, error) {
+func NewFederation(org string) *Federation {
 	if org == "" {
 		org = DefaultOrg
 	}
-	store, err := examon.NewStorage("sharded")
-	if err != nil {
-		return nil, err
-	}
-	return &Federation{org: org, store: store}, nil
+	return &Federation{org: org, store: examon.NewMemStore()}
 }
 
 // Ingest publishes one routed campaign's summary samples. Safe for

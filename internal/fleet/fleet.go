@@ -53,15 +53,11 @@ func New(spec Spec) (*Fleet, error) {
 	if org == "" {
 		org = DefaultOrg
 	}
-	fed, err := NewFederation(org)
-	if err != nil {
-		return nil, fmt.Errorf("fleet: %w", err)
-	}
 	f := &Fleet{
 		spec:        spec,
 		assignments: assignments,
 		byCluster:   make([][]int, len(spec.Clusters)),
-		fed:         fed,
+		fed:         NewFederation(org),
 	}
 	for i, a := range assignments {
 		f.byCluster[a.ClusterIx] = append(f.byCluster[a.ClusterIx], i)

@@ -25,8 +25,8 @@ const (
 // Assignment is one routing decision: which cluster a tenant campaign
 // landed on, the score that won, and the predictive bookkeeping behind
 // it. The embedded Campaign spec is runner-ready — the meta-scheduler has
-// filled its machine half (nodes, policy, budget, ambient,
-// backend, telemetry tags, seed) from the chosen cluster.
+// filled its machine half (nodes, policy, budget, ambient, telemetry
+// tags, seed) from the chosen cluster.
 type Assignment struct {
 	// Seq is the global arrival sequence number (routing order).
 	Seq int
@@ -304,9 +304,6 @@ func route(s Spec, rng *sim.RNG) ([]Assignment, error) {
 		routed.Nodes = c.Nodes
 		if c.Policy != "" {
 			routed.Policy = c.Policy
-		}
-		if c.Backend != "" {
-			routed.Backend = c.Backend
 		}
 		routed.PowerBudgetW = c.PowerBudgetW
 		routed.Mitigated = routed.Mitigated || c.Mitigated

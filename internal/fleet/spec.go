@@ -48,8 +48,6 @@ type ClusterSpec struct {
 	Policy string `json:"policy,omitempty"`
 	// Mitigated applies the airflow mitigation before campaigns run.
 	Mitigated bool `json:"mitigated,omitempty"`
-	// Backend selects the cluster's ExaMon storage engine.
-	Backend string `json:"backend,omitempty"`
 }
 
 // Submission is one tenant campaign arriving at the fleet front door: a

@@ -34,6 +34,12 @@ func TestParseRejectsUnknownField(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "clusterz") {
 		t.Fatalf("unknown field not rejected: %v", err)
 	}
+	// Clusters have no storage backend to choose.
+	_, err = Parse([]byte(`{"name":"x","seed":1,
+		"clusters":[{"id":"a","nodes":4,"backend":"sharded"}]}`))
+	if err == nil || !strings.Contains(err.Error(), "backend") {
+		t.Fatalf("cluster backend field not rejected: %v", err)
+	}
 }
 
 func TestValidateRejections(t *testing.T) {
