@@ -55,9 +55,9 @@ type Config struct {
 	// LockStep reinstates the seed's fixed-period global integration
 	// ticker, which Euler-steps every node every StepPeriod regardless of
 	// activity. The default is demand-driven co-simulation: each node
-	// integrates lazily when observed or when its inputs change, with a
-	// per-node watchdog event guarding boot completions and thermal
-	// trips. LockStep exists as the benchmark ablation and as the
+	// integrates lazily when observed (an input change to a cool running
+	// node only records the elapsed interval), with a per-node watchdog
+	// event guarding boot completions and thermal trips. LockStep exists as the benchmark ablation and as the
 	// bit-exact reproduction of the seed integration schedule.
 	LockStep bool
 }

@@ -79,6 +79,29 @@ func TestInputCacheTracksEveryInput(t *testing.T) {
 	checkInputCache(t, n, "enclosure")
 	run(1, "scaled hpl")
 
+	// Re-enter input sets the table already held under the old enclosure:
+	// their equilibria must be solved afresh for the new one.
+	n.SetFrequencyScale(1)
+	n.SetNetRates(0, 0)
+	n.SetIORates(0, 0)
+	checkInputCache(t, n, "hpl again after enclosure")
+	n.ClearWorkload()
+	checkInputCache(t, n, "idle again after enclosure")
+	run(1, "idle after enclosure")
+	if err := n.SetWorkload("hpl", power.ActivityHPL, 13e9); err != nil {
+		t.Fatal(err)
+	}
+	checkInputCache(t, n, "set workload after enclosure")
+	// Overflow the table with more distinct input sets than it holds,
+	// then come back to the first one.
+	for i := 0; i <= inputSetCap; i++ {
+		n.SetFrequencyScale(0.5 + 0.01*float64(i))
+		checkInputCache(t, n, "frequency sweep")
+	}
+	n.SetFrequencyScale(0.5)
+	checkInputCache(t, n, "frequency sweep wrapped")
+	run(1, "scaled hpl after sweep")
+
 	n.InjectThermalFault(4.5, 17)
 	checkInputCache(t, n, "thermal fault")
 	for i := 0; n.state != StateHalted; i++ {
@@ -113,7 +136,7 @@ func TestEWMAFactorCache(t *testing.T) {
 	if err := n.SetWorkload("stream", power.ActivityStreamDDR, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	runnable := float64(n.machine.Cores) * n.act.CoreActivity
+	runnable := float64(n.machine.Cores) * n.in.act.CoreActivity
 	if runnable < 1 {
 		runnable = 1
 	}

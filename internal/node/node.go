@@ -104,9 +104,7 @@ type Node struct {
 	poweredAt float64
 	now       float64
 
-	workload  string
-	act       power.Activity
-	freqScale float64 // DVFS scale in (0,1]; 1 = nominal 1.2 GHz
+	in inputs // the current model inputs
 
 	// Demand-driven integration state. clock, when set, supplies the
 	// current virtual time so public reads can lazily integrate up to the
@@ -124,17 +122,21 @@ type Node struct {
 	modelSteps   uint64
 	haltedAt     float64
 
-	// Values derived from the current inputs alone: the SoC and NVMe power
-	// every Euler substep feeds the thermal model, and the thermal
-	// equilibrium for that power (solving the leakage fixed point costs
-	// hundreds of iterations). Inputs change rarely, substeps and
-	// observations happen constantly. One flag guards them all; it is
-	// cleared on any input change and on state transitions. Outside the
-	// boot phases only: boot power depends on time, not just inputs.
-	socW, nvmeW float64
-	ssCache     thermal.Steady
-	ssStable    bool
-	ssValid     bool
+	// sets is the table of distinct input sets the node has run under,
+	// each with its derived power pair and equilibrium; cur indexes the
+	// current inputs' entry, or is -1 until they are looked up (after any
+	// input change or state transition). Inputs change rarely and recur
+	// (workload phases cycle), substeps and observations happen
+	// constantly. Outside the boot phases only: boot power depends on
+	// time, not just inputs.
+	sets []inputSet
+	cur  int
+
+	// record holds the intervals input changes deferred instead of
+	// integrating them (see settle), oldest first; recordHiC bounds the
+	// junction temperature over them.
+	record    []interval
+	recordHiC float64
 
 	// EWMA load-average factors for the last counter interval ewmaDt;
 	// nearly every interval is the base step, so math.Exp runs only when
@@ -145,12 +147,39 @@ type Node struct {
 	// OS statistics state.
 	load1, load5, load15      float64
 	memUsedBytes              float64
-	rxBps, txBps              float64
-	ioReadBps, ioWriteBps     float64
 	rxTotal, txTotal          float64
 	ioReadTotal, ioWriteTotal float64
 	intsTotal, cswTotal       float64
 	procsNewTotal             float64
+}
+
+// inputs is one set of model inputs: everything the setters change that
+// the integrator reads. A recorded interval replays under its own copy.
+type inputs struct {
+	workload              string
+	act                   power.Activity
+	freqScale             float64 // DVFS scale in (0,1]; 1 = nominal 1.2 GHz
+	rxBps, txBps          float64
+	ioReadBps, ioWriteBps float64
+}
+
+// inputSet is one entry of a node's input-set table: the inputs and the
+// values derived from them alone — the SoC and NVMe power every Euler
+// substep feeds the thermal model (a nine-rail sum) and the thermal
+// equilibrium for that power (a leakage fixed-point solve). running keys
+// the rail operating point: an off or halted node draws nothing.
+type inputSet struct {
+	in              inputs
+	socW, nvmeW     float64
+	ss              thermal.Steady
+	running, stable bool
+}
+
+// interval is one recorded stretch of cool running: the inputs of table
+// entry set held until the until instant.
+type interval struct {
+	until float64
+	set   int
 }
 
 // New builds a node in the powered-off state.
@@ -185,7 +214,8 @@ func New(cfg Config) (*Node, error) {
 		tm:           tm,
 		pmu:          pmu,
 		state:        StateOff,
-		freqScale:    1,
+		in:           inputs{freqScale: 1},
+		cur:          -1,
 		base:         0.1,
 		gridNext:     0.1,
 		haltedAt:     -1,
@@ -210,6 +240,12 @@ const (
 	// accumulated tick chains into the neighbouring substep instead of
 	// emitting nanosecond-scale extra Euler steps.
 	syncSnapSec = 1e-7
+	// inputSetCap bounds a node's input-set table: a new set beyond it
+	// replays the record and starts the table afresh.
+	inputSetCap = 16
+	// recordCap bounds a node's record of deferred intervals: reaching it
+	// replays the record, so a node nobody reads holds at most this many.
+	recordCap = 256
 )
 
 // ID returns the 1-based node number.
@@ -222,10 +258,12 @@ func (n *Node) Hostname() string { return n.hostname }
 func (n *Node) Machine() *soc.Machine { return n.machine }
 
 // PMU exposes the performance-counter unit (read by the pmu_pub plugin).
-func (n *Node) PMU() *perf.PMU { return n.pmu }
-
-// Thermal exposes the thermal model (used for enclosure changes).
-func (n *Node) Thermal() *thermal.Model { return n.tm }
+// Deferred intervals are replayed first, so the counters read as if every
+// input change had integrated on the spot.
+func (n *Node) PMU() *perf.PMU {
+	n.replay()
+	return n.pmu
+}
 
 // State returns the life-cycle state at the clock's current instant.
 func (n *Node) State() State {
@@ -234,7 +272,7 @@ func (n *Node) State() State {
 }
 
 // Workload returns the running workload name; empty when idle.
-func (n *Node) Workload() string { return n.workload }
+func (n *Node) Workload() string { return n.in.workload }
 
 // SetClock installs the virtual-time source that makes the node
 // demand-driven: public observations (temperatures, stats, hwmon reads,
@@ -246,9 +284,10 @@ func (n *Node) SetClock(clock func() float64) { n.clock = clock }
 
 // SetBaseStep sets the internal Euler substep used while the node is
 // thermally active (default 0.1 s, the paper runs' integration period).
+// It must be positive and finite.
 func (n *Node) SetBaseStep(h float64) error {
-	if h <= 0 {
-		return fmt.Errorf("node %s: base step must be positive, got %v", n.hostname, h)
+	if !(h > 0) || math.IsInf(h, 1) { // also rejects NaN
+		return fmt.Errorf("node %s: base step must be positive and finite, got %v", n.hostname, h)
 	}
 	n.base = h
 	n.gridNext = n.now + h
@@ -268,7 +307,8 @@ func (n *Node) OnInputChange(fn func()) { n.onInput = fn }
 
 // ModelSteps returns the number of Euler substeps integrated so far — the
 // physics cost metric the demand-driven refactor minimises (closed-form
-// quiescent relaxations are not counted; they replace entire step runs).
+// quiescent relaxations are not counted; they replace entire step runs,
+// and deferred intervals count only once something replays them).
 func (n *Node) ModelSteps() uint64 { return n.modelSteps }
 
 // HaltedAt returns the virtual time the thermal trip halted the node, or
@@ -292,41 +332,141 @@ func (n *Node) observe() {
 	}
 }
 
+// settle accounts for the time up to the clock's instant under the
+// current inputs, before a setter changes them. A running node whose
+// inputs hold it on a stable equilibrium below the hot band — exactly when
+// NextDeadline plans no watchdog — only records the interval (deferTo);
+// anything that needs the integrated state replays the record first.
+// Every other case integrates now, like observe.
+func (n *Node) settle() {
+	if n.clock == nil || n.syncing {
+		return
+	}
+	if now := n.clock(); !n.deferTo(now) {
+		n.SyncTo(now)
+	}
+}
+
+// deferTo appends the interval up to t under the current inputs to the
+// record instead of integrating it, and reports whether it could. Beyond
+// the cool-running rule of settle, the junction must provably stay below
+// the trip: recordHiC bounds the temperature over the record (from the
+// integrated temperature where the record starts), and an interval is
+// admitted only if its equilibrium lies at or above that bound or its
+// leakage feedback still cools there (thermal.Model.CoolsAt). Its
+// trajectory then stays at or below the larger of the two, so no
+// transition can fire while the record replays.
+func (n *Node) deferTo(t float64) bool {
+	if n.state != StateRunning {
+		return false
+	}
+	ss, stable := n.steady()
+	if !stable || ss.CPU >= hotThresholdC {
+		return false
+	}
+	from, hi := n.now, n.tm.Temp(thermal.SensorCPU)
+	if k := len(n.record); k > 0 {
+		from, hi = n.record[k-1].until, n.recordHiC
+	}
+	if t <= from {
+		return true // nothing elapsed since the last sync or record
+	}
+	if socW, _ := n.inputPower(); hi > ss.CPU && !n.tm.CoolsAt(socW, hi) {
+		return false
+	}
+	n.recordHiC = math.Max(hi, ss.CPU)
+	n.record = append(n.record, interval{until: t, set: n.cur})
+	if len(n.record) == recordCap {
+		n.replay()
+	}
+	return true
+}
+
+// replay integrates the recorded intervals, each under its own inputs and
+// through the same syncTo an eager input change would have run, then
+// reinstates the current inputs. Nothing is notified: every recorded
+// interval is cool running, so no transition can fire.
+func (n *Node) replay() {
+	if len(n.record) == 0 {
+		return
+	}
+	in, cur := n.in, n.cur
+	for _, iv := range n.record {
+		n.in, n.cur = n.sets[iv.set].in, iv.set
+		n.syncTo(iv.until)
+		if n.state != StateRunning {
+			// Invariant: deferTo admits only intervals that cannot trip.
+			panic(fmt.Sprintf("node %s: %s while replaying deferred intervals", n.hostname, n.state))
+		}
+	}
+	n.in, n.cur = in, cur
+	n.record = n.record[:0]
+}
+
 // inputsChanged notifies the watchdog planner after a model input changed.
 func (n *Node) inputsChanged() {
-	n.ssValid = false
+	n.cur = -1
 	if n.onInput != nil {
 		n.onInput()
 	}
 }
 
-// refreshInputs recomputes the input-derived cache after ssValid was
-// cleared. Only meaningful outside the boot phases.
-func (n *Node) refreshInputs() {
-	if !n.ssValid {
-		n.socW, n.nvmeW = n.totalMilliwatts()/1000, n.nvmeWatts()
-		n.ssCache, n.ssStable = n.tm.Steady(n.socW, n.nvmeW)
-		n.ssValid = true
+// environmentChanged empties the input-set table after the thermal
+// environment changed (its equilibria were solved for the old one). The
+// caller observed first, so the record no longer refers to it.
+func (n *Node) environmentChanged() {
+	n.sets = n.sets[:0]
+	n.inputsChanged()
+}
+
+// current returns the input-set table entry of the current inputs. Only
+// meaningful outside the boot phases.
+func (n *Node) current() *inputSet {
+	if n.cur < 0 {
+		n.lookupInputs()
 	}
+	return &n.sets[n.cur]
+}
+
+// lookupInputs points cur at the table entry for the current inputs,
+// deriving a new entry on first sight. A full table is replayed out (the
+// record refers to its entries) and started afresh.
+func (n *Node) lookupInputs() {
+	running := n.state == StateRunning
+	for i := range n.sets {
+		if s := &n.sets[i]; s.running == running && s.in == n.in {
+			n.cur = i
+			return
+		}
+	}
+	if len(n.sets) == inputSetCap {
+		n.replay()
+		n.sets = n.sets[:0]
+	}
+	s := inputSet{in: n.in, running: running}
+	s.socW, s.nvmeW = n.totalMilliwatts()/1000, n.nvmeWatts()
+	s.ss, s.stable = n.tm.Steady(s.socW, s.nvmeW)
+	n.cur = len(n.sets)
+	n.sets = append(n.sets, s)
 }
 
 // inputPower returns the SoC and NVMe power in watts for the current
 // inputs: computed afresh while booting (the R2 ramp moves with time),
-// cached until the next input change or state transition otherwise.
+// from the input-set table otherwise.
 func (n *Node) inputPower() (socW, nvmeW float64) {
 	if n.state == StateBooting {
 		return n.totalMilliwatts() / 1000, n.nvmeWatts()
 	}
-	n.refreshInputs()
-	return n.socW, n.nvmeW
+	s := n.current()
+	return s.socW, s.nvmeW
 }
 
-// steady returns the thermal equilibrium for the current inputs, cached
-// until the next input change or state transition. Only meaningful
-// outside the boot phases (power there depends on time, not just inputs).
+// steady returns the thermal equilibrium for the current inputs, from the
+// input-set table. Only meaningful outside the boot phases (power there
+// depends on time, not just inputs).
 func (n *Node) steady() (thermal.Steady, bool) {
-	n.refreshInputs()
-	return n.ssCache, n.ssStable
+	s := n.current()
+	return s.ss, s.stable
 }
 
 // PowerOn presses the power button at virtual time now. Each compute node
@@ -349,9 +489,9 @@ func (n *Node) PowerOn(now float64) error {
 func (n *Node) PowerOff() {
 	n.observe()
 	n.state = StateOff
-	n.workload = ""
-	n.act = power.Activity{}
-	n.rxBps, n.txBps, n.ioReadBps, n.ioWriteBps = 0, 0, 0, 0
+	n.in.workload = ""
+	n.in.act = power.Activity{}
+	n.in.rxBps, n.in.txBps, n.in.ioReadBps, n.in.ioWriteBps = 0, 0, 0, 0
 	n.tm.ClearTrip()
 	n.inputsChanged()
 }
@@ -381,12 +521,12 @@ func (n *Node) phase() power.Phase {
 // SetWorkload installs a workload's activity profile (only meaningful on a
 // running node). memBytes is the workload's resident set.
 func (n *Node) SetWorkload(name string, act power.Activity, memBytes float64) error {
-	n.observe() // integrate the past under the old activity first
+	n.settle() // account for the past under the old activity first
 	if n.state != StateRunning {
 		return fmt.Errorf("node %s: cannot run %q in state %s", n.hostname, name, n.state)
 	}
-	n.workload = name
-	n.act = act
+	n.in.workload = name
+	n.in.act = act
 	n.memUsedBytes = 350e6 + memBytes
 	n.inputsChanged()
 	return nil
@@ -394,9 +534,9 @@ func (n *Node) SetWorkload(name string, act power.Activity, memBytes float64) er
 
 // ClearWorkload returns the node to idle.
 func (n *Node) ClearWorkload() {
-	n.observe()
-	n.workload = ""
-	n.act = power.Activity{}
+	n.settle()
+	n.in.workload = ""
+	n.in.act = power.Activity{}
 	n.memUsedBytes = 350e6
 	n.inputsChanged()
 }
@@ -404,15 +544,15 @@ func (n *Node) ClearWorkload() {
 // SetNetRates sets the NIC receive/transmit rates in bytes/s (driven by the
 // cluster network model).
 func (n *Node) SetNetRates(rxBps, txBps float64) {
-	n.observe()
-	n.rxBps, n.txBps = rxBps, txBps
+	n.settle()
+	n.in.rxBps, n.in.txBps = rxBps, txBps
 	n.inputsChanged()
 }
 
 // SetIORates sets NVMe read/write rates in bytes/s.
 func (n *Node) SetIORates(readBps, writeBps float64) {
-	n.observe()
-	n.ioReadBps, n.ioWriteBps = readBps, writeBps
+	n.settle()
+	n.in.ioReadBps, n.in.ioWriteBps = readBps, writeBps
 	n.inputsChanged()
 }
 
@@ -424,7 +564,7 @@ func (n *Node) SetEnclosure(enc thermal.Enclosure) error {
 	if err := n.tm.SetEnclosure(enc); err != nil {
 		return err
 	}
-	n.inputsChanged()
+	n.environmentChanged()
 	return nil
 }
 
@@ -437,7 +577,7 @@ func (n *Node) SetEnclosure(enc thermal.Enclosure) error {
 func (n *Node) InjectThermalFault(extraRthKW, extraAirRiseC float64) {
 	n.observe()
 	n.tm.InjectAirflowFault(extraRthKW, extraAirRiseC)
-	n.inputsChanged()
+	n.environmentChanged()
 }
 
 // ClearThermalFault removes an injected airflow defect (the repair half of
@@ -445,11 +585,11 @@ func (n *Node) InjectThermalFault(extraRthKW, extraAirRiseC float64) {
 func (n *Node) ClearThermalFault() {
 	n.observe()
 	n.tm.ClearAirflowFault()
-	n.inputsChanged()
+	n.environmentChanged()
 }
 
 // Activity returns the current workload activity profile.
-func (n *Node) Activity() power.Activity { return n.act }
+func (n *Node) Activity() power.Activity { return n.in.act }
 
 // MinFreqScale is the governor's lowest operating point (the U740's OPP
 // table bottoms out around 40 % of nominal).
@@ -467,16 +607,16 @@ func (n *Node) SetFrequencyScale(s float64) {
 	if s > 1 {
 		s = 1
 	}
-	if s == n.freqScale {
+	if s == n.in.freqScale {
 		return
 	}
-	n.observe()
-	n.freqScale = s
+	n.settle()
+	n.in.freqScale = s
 	n.inputsChanged()
 }
 
 // FrequencyScale returns the current DVFS operating point.
-func (n *Node) FrequencyScale() float64 { return n.freqScale }
+func (n *Node) FrequencyScale() float64 { return n.in.freqScale }
 
 // RailMilliwatts returns the instantaneous power of one rail, including
 // the boot ramp from the R2 floor towards the OS idle floor during the
@@ -491,9 +631,9 @@ func (n *Node) RailMilliwatts(r power.Rail) float64 {
 func (n *Node) railMilliwatts(r power.Rail) float64 {
 	phase := n.phase()
 	if phase == power.PhaseRun {
-		return n.pm.RailMilliwattsScaled(r, phase, n.act, n.freqScale)
+		return n.pm.RailMilliwattsScaled(r, phase, n.in.act, n.in.freqScale)
 	}
-	base := n.pm.RailMilliwatts(r, phase, n.act)
+	base := n.pm.RailMilliwatts(r, phase, n.in.act)
 	if phase != power.PhaseR2 {
 		return base
 	}
@@ -532,7 +672,7 @@ func (n *Node) nvmeWatts() float64 {
 	if n.state == StateOff || n.state == StateHalted {
 		return 0
 	}
-	util := (n.ioReadBps + n.ioWriteBps) / 2.0e9 // ~2 GB/s device
+	util := (n.in.ioReadBps + n.in.ioWriteBps) / 2.0e9 // ~2 GB/s device
 	if util > 1 {
 		util = 1
 	}
@@ -544,11 +684,13 @@ func (n *Node) nvmeWatts() float64 {
 // performance counters and OS statistics, and halts the node on a thermal
 // trip. Step is the lock-step primitive (the global ticker calls it every
 // period); demand-driven callers use SyncTo, which sub-steps adaptively.
+// Deferred intervals are replayed first.
 func (n *Node) Step(now float64) {
 	if n.syncing {
 		return
 	}
 	n.syncing = true
+	n.replay()
 	n.step(now)
 	n.syncing = false
 }
@@ -558,14 +700,22 @@ func (n *Node) Step(now float64) {
 // relaxing, or anywhere near the trip temperature), one closed-form
 // relaxation for the whole remaining interval once every sensor sits on
 // its stable equilibrium. Counters and OS statistics advance exactly in
-// either regime (they are linear or exponential in dt). Reads through a
-// demand-driven node call this automatically via the installed clock.
+// either regime (they are linear or exponential in dt). Deferred
+// intervals are replayed first. Reads through a demand-driven node call
+// this automatically via the installed clock.
 func (n *Node) SyncTo(target float64) {
-	if n.syncing || target <= n.now {
+	if n.syncing {
 		return
 	}
 	n.syncing = true
 	defer func() { n.syncing = false }()
+	n.replay()
+	n.syncTo(target)
+}
+
+// syncTo is SyncTo under the current inputs alone (no replay, no
+// reentrancy guard).
+func (n *Node) syncTo(target float64) {
 	for {
 		rem := target - n.now
 		if rem <= syncSnapSec {
@@ -624,7 +774,7 @@ func (n *Node) step(now float64) {
 	// watchdog.
 	if n.state == StateBooting && now-n.poweredAt >= R1Duration+R2Duration-syncSnapSec {
 		n.state = StateRunning
-		n.ssValid = false // power moves from the boot ramp to the OS floor
+		n.cur = -1 // power moves from the boot ramp to the OS floor
 		if n.onTransition != nil {
 			n.onTransition(TransitionBootComplete, now)
 		}
@@ -637,9 +787,9 @@ func (n *Node) step(now float64) {
 		// Thermal hazard: the node stops executing (paper, Fig. 6).
 		n.state = StateHalted
 		n.haltedAt = now
-		n.workload = ""
-		n.act = power.Activity{}
-		n.ssValid = false // power collapsed with the halt
+		n.in.workload = ""
+		n.in.act = power.Activity{}
+		n.cur = -1 // power collapsed with the halt
 		if n.onTransition != nil {
 			n.onTransition(TransitionHalt, now)
 		}
@@ -668,15 +818,15 @@ func (n *Node) relax(dt float64, ss thermal.Steady) {
 func (n *Node) advanceCounters(dt float64) {
 	// Performance counters.
 	n.pmu.Advance(dt, perf.Load{
-		CoreActivity:        n.act.CoreActivity,
-		DDRReadBytesPerSec:  n.act.DDRReadGBs * 1e9,
-		DDRWriteBytesPerSec: n.act.DDRWriteGBs * 1e9,
-		ClockScale:          n.freqScale,
+		CoreActivity:        n.in.act.CoreActivity,
+		DDRReadBytesPerSec:  n.in.act.DDRReadGBs * 1e9,
+		DDRWriteBytesPerSec: n.in.act.DDRWriteGBs * 1e9,
+		ClockScale:          n.in.freqScale,
 	})
 
 	// OS statistics.
-	runnable := float64(n.machine.Cores) * n.act.CoreActivity
-	if n.workload != "" && runnable < 1 {
+	runnable := float64(n.machine.Cores) * n.in.act.CoreActivity
+	if n.in.workload != "" && runnable < 1 {
 		runnable = 1 // at least the benchmark process
 	}
 	if dt != n.ewmaDt {
@@ -686,14 +836,14 @@ func (n *Node) advanceCounters(dt float64) {
 	n.load1 += (runnable - n.load1) * n.alpha1
 	n.load5 += (runnable - n.load5) * n.alpha5
 	n.load15 += (runnable - n.load15) * n.alpha15
-	n.rxTotal += n.rxBps * dt
-	n.txTotal += n.txBps * dt
-	n.ioReadTotal += n.ioReadBps * dt
-	n.ioWriteTotal += n.ioWriteBps * dt
+	n.rxTotal += n.in.rxBps * dt
+	n.txTotal += n.in.txBps * dt
+	n.ioReadTotal += n.in.ioReadBps * dt
+	n.ioWriteTotal += n.in.ioWriteBps * dt
 	// Interrupts: timer ticks (250 Hz/core) plus NIC interrupts; context
 	// switches track interrupts plus scheduler activity.
-	n.intsTotal += dt * (250*float64(n.machine.Cores) + n.rxBps/8e3)
-	n.cswTotal += dt * (400 + 2000*n.act.CoreActivity)
+	n.intsTotal += dt * (250*float64(n.machine.Cores) + n.in.rxBps/8e3)
+	n.cswTotal += dt * (400 + 2000*n.in.act.CoreActivity)
 	n.procsNewTotal += dt * 2
 }
 
@@ -712,6 +862,7 @@ func (n *Node) NextDeadline() float64 {
 		if stable && ss.CPU < hotThresholdC {
 			return math.Inf(1) // can never trip under current inputs
 		}
+		n.replay() // the crossing bound starts from the integrated state
 		socW, _ := n.inputPower()
 		// The trajectory can reach hazardous temperatures: refine to the
 		// base step inside the hot band so the trip latches on the same
@@ -753,10 +904,10 @@ type Stats struct {
 // Stats returns the current OS statistics snapshot.
 func (n *Node) Stats() Stats {
 	n.observe()
-	usr := 100 * n.act.CoreActivity
+	usr := 100 * n.in.act.CoreActivity
 	sys := 1.5
 	wai := 0.0
-	if n.ioReadBps+n.ioWriteBps > 0 {
+	if n.in.ioReadBps+n.in.ioWriteBps > 0 {
 		wai = 2.0
 	}
 	idl := 100 - usr - sys - wai

@@ -285,3 +285,51 @@ func TestDynamicsConvergeProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSteadyStateCPUVerdicts: the solve reports an equilibrium only when it
+// found one. The two runaway cases crawl towards the trip point for more
+// than 500 fixed-point iterations; a solve that stopped there used to
+// report its unconverged iterate as a stable equilibrium.
+func TestSteadyStateCPUVerdicts(t *testing.T) {
+	for _, c := range []struct {
+		name                     string
+		slot                     int
+		enc                      Enclosure
+		faultRth, faultAir, socW float64
+		stable                   bool
+	}{
+		{"slot 1, 28 degC, fault (7,0), 2.42 W runs away", 1, Enclosure{AmbientC: 28, LidOn: true}, 7, 0, 2.42, false},
+		{"slot 2, 25 degC, fault (1,5), 5.87 W runs away", 2, Enclosure{AmbientC: 25, LidOn: true}, 1, 5, 5.87, false},
+		{"slot 0, 28 degC, fault (7,0), 2.42 W settles", 0, Enclosure{AmbientC: 28, LidOn: true}, 7, 0, 2.42, true},
+		{"slot 1, 25 degC, fault (1,5), 5.87 W settles", 1, Enclosure{AmbientC: 25, LidOn: true}, 1, 5, 5.87, true},
+		{"slot 2, 23 degC, fault (4.5,17), 0.86 W settles slowly", 2, Enclosure{AmbientC: 23, LidOn: true}, 4.5, 17, 0.86, true},
+		{"slot 6, HPL, no fault runs away", 6, DefaultEnclosure(), 0, 0, hplSoCWatts, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := NewModel(c.enc, c.slot)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m.InjectAirflowFault(c.faultRth, c.faultAir)
+			got, stable := m.SteadyStateCPU(c.socW)
+			if stable != c.stable {
+				t.Fatalf("SteadyStateCPU = (%v, %v), want stable=%v", got, stable, c.stable)
+			}
+			if !stable {
+				if got != TripTempC {
+					t.Errorf("runaway verdict returned %v degC, want the trip temperature", got)
+				}
+			} else if fixed := m.enc.AmbientC + m.airRiseC() + m.rthKW()*effectivePower(c.socW, got); math.Abs(fixed-got) > 1e-6 {
+				t.Errorf("equilibrium %v degC is not a fixed point (maps to %v)", got, fixed)
+			}
+			// The dynamics agree with the verdict: from the cold start they
+			// trip exactly when the solve found no equilibrium.
+			for i := 0; i < 200000 && !m.Tripped(); i++ {
+				m.Step(1, c.socW, 0)
+			}
+			if m.Tripped() == c.stable {
+				t.Errorf("dynamics tripped=%v at %.3f degC, verdict stable=%v", m.Tripped(), m.Temp(SensorCPU), c.stable)
+			}
+		})
+	}
+}
