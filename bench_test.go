@@ -340,13 +340,13 @@ func BenchmarkAblation_HPLBlockSize(b *testing.B) {
 // BenchmarkAblation_Backfill compares campaign makespan with and without
 // EASY backfill on the production scheduler.
 func BenchmarkAblation_Backfill(b *testing.B) {
-	runCampaign := func(backfill bool) float64 {
+	runCampaign := func(pol sched.Policy) float64 {
 		engine := sim.NewEngine()
 		hosts := make([]string, 8)
 		for i := range hosts {
 			hosts[i] = string(rune('a' + i))
 		}
-		s, err := sched.New(engine, "p", hosts, sched.WithBackfill(backfill))
+		s, err := sched.New(engine, "p", hosts, sched.WithPolicy(pol))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -369,8 +369,8 @@ func BenchmarkAblation_Backfill(b *testing.B) {
 	}
 	var ratio float64
 	for i := 0; i < b.N; i++ {
-		with := runCampaign(true)
-		without := runCampaign(false)
+		with := runCampaign(sched.EASY())
+		without := runCampaign(sched.FIFO())
 		ratio = without / with
 		if i == 0 {
 			b.Logf("makespan: backfill %.0f s, FIFO-only %.0f s", with, without)
@@ -574,15 +574,12 @@ func BenchmarkExtension_MPIPingPong(b *testing.B) {
 	b.ReportMetric(latUs, "oneway-us")
 }
 
-// BenchmarkTelemetryIngest measures the v2 typed telemetry path — one
+// BenchmarkTelemetryIngest measures the telemetry ingest path — one
 // PublishBatch per node per tick flowing straight into storage as Sample
-// values — against the seed's string path, where every counter crosses the
-// broker as a Sprintf-rendered topic/payload pair that the storage side
-// re-parses (kept as the ablation baseline). 64 synthetic nodes, 4 cores,
-// 2 counters each: one benchmark iteration ingests one cluster-wide tick
-// (512 samples). The typed batch case must beat the string + parse
-// baseline by >= 5x. "parallel8" publishes from 8 goroutines into one
-// store, the concurrent-ingest shape of fleet federation.
+// values. 64 synthetic nodes, 4 cores, 2 counters each: one benchmark
+// iteration ingests one cluster-wide tick (512 samples). "parallel8"
+// publishes from 8 goroutines into one store, the concurrent-ingest shape
+// of fleet federation.
 func BenchmarkTelemetryIngest(b *testing.B) {
 	const (
 		nodes = 64
@@ -614,26 +611,6 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 		}
 	}
 
-	runString := func(b *testing.B, st examon.Storage) {
-		broker := attach(b, st)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			now := float64(i)
-			for _, host := range hosts {
-				for core := 0; core < cores; core++ {
-					for _, m := range metrics {
-						topic := examon.PMUTopic("unibo", "syn", host, core, m)
-						if err := broker.Publish(topic, examon.FormatPayload(float64(i), now)); err != nil {
-							b.Fatal(err)
-						}
-					}
-				}
-			}
-		}
-		b.StopTimer()
-		check(b, st)
-		b.ReportMetric(float64(perTick*b.N)/b.Elapsed().Seconds(), "samples/s")
-	}
 	runTyped := func(b *testing.B, st examon.Storage, workers int) {
 		broker := attach(b, st)
 		publishHosts := func(myHosts []string, n int) {
@@ -678,7 +655,6 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 		b.ReportMetric(float64(perTick*b.N)/b.Elapsed().Seconds(), "samples/s")
 	}
 
-	b.Run("string/mem/64nodes", func(b *testing.B) { runString(b, examon.NewMemStore()) })
 	b.Run("typed/mem/64nodes", func(b *testing.B) { runTyped(b, examon.NewMemStore(), 1) })
 	b.Run("typed/mem/parallel8/64nodes", func(b *testing.B) { runTyped(b, examon.NewMemStore(), 8) })
 }

@@ -22,6 +22,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	_ "net/http/pprof" // live profiling endpoints on the -serve listener
 	"os"
@@ -48,6 +49,12 @@ func main() {
 }
 
 func run(w io.Writer, nodes int, workloadName string, duration float64, serve string, budgetW float64) error {
+	if !(duration > 0) || math.IsInf(duration, 1) {
+		return fmt.Errorf("-duration must be positive and finite, got %v", duration)
+	}
+	if !(budgetW >= 0) || math.IsInf(budgetW, 1) {
+		return fmt.Errorf("-budget-w must be finite and >= 0, got %v", budgetW)
+	}
 	s, err := core.NewSystem(core.Options{Nodes: nodes, HPMPatch: true, PowerBudgetW: budgetW})
 	if err != nil {
 		return err
@@ -72,7 +79,7 @@ func run(w io.Writer, nodes int, workloadName string, duration float64, serve st
 	}
 	end := s.Engine.Now()
 
-	fmt.Fprintf(w, "monitored %d nodes for %.0f virtual seconds under %q\n", nodes, duration, model.Name)
+	fmt.Fprintf(w, "monitored %d nodes for %.0f virtual seconds under %q\n", s.Cluster.Size(), duration, model.Name)
 	fmt.Fprintf(w, "broker messages: %d; stored series: %d\n", s.Broker.Published(), s.DB.SeriesCount())
 
 	// Per-node instruction-rate summary from the pmu_pub data.

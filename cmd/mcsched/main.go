@@ -55,7 +55,6 @@ func main() {
 	campaignPath := flag.String("campaign", "", "run this JSON campaign spec instead of the demo campaign")
 	events := flag.Bool("events", false, "print the campaign event log after the report (with -campaign)")
 	noFaults := flag.Bool("no-faults", false, "strip the spec's fault block (chaos ablation, with -campaign)")
-	backfill := flag.Bool("backfill", true, "deprecated: -backfill=false is an alias for -policy fifo")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
@@ -63,13 +62,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "mcsched:", err)
 		os.Exit(1)
-	}
-	if !*backfill {
-		if *policy != "easy" {
-			fmt.Fprintf(os.Stderr, "mcsched: -backfill=false conflicts with -policy %s (use -policy alone)\n", *policy)
-			os.Exit(1)
-		}
-		*policy = "fifo"
 	}
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"strings"
@@ -98,6 +99,23 @@ func TestUnknownPolicyRejected(t *testing.T) {
 	var sb strings.Builder
 	if err := run(&sb, 8, false, "lottery", 0); err == nil {
 		t.Error("unknown policy accepted")
+	}
+}
+
+// A NaN or infinite -budget-w must be rejected, on the demo campaign and
+// as a -campaign override, instead of running with no plane or a +Inf W
+// one.
+func TestNonFiniteBudgetRejected(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		var sb strings.Builder
+		if err := run(&sb, 8, false, "easy", w); err == nil {
+			t.Errorf("demo campaign accepted -budget-w %v", w)
+		}
+		err := runSpecFile(&sb, "../../internal/campaign/testdata/smoke.json",
+			map[string]bool{"budget-w": true}, 8, false, "easy", w, false, false)
+		if err == nil {
+			t.Errorf("-campaign accepted -budget-w %v", w)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package campaign
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"testing"
@@ -66,6 +67,22 @@ func TestSpecValidation(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, tc.want)
 			}
 		})
+	}
+}
+
+// A NaN or infinite budget cannot come from JSON, but a CLI flag can set
+// one; it must fail validation instead of silently running without a
+// usable power plane.
+func TestSpecValidationNonFiniteBudget(t *testing.T) {
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		s := mixedSpec("powercap", 1)
+		s.PowerBudgetW = w
+		err := s.Validate()
+		if err == nil {
+			t.Errorf("power_budget_w %v accepted", w)
+		} else if !strings.Contains(err.Error(), "power_budget_w must be finite") {
+			t.Errorf("error %q does not mention the finite budget", err)
+		}
 	}
 }
 

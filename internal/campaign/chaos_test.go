@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -119,5 +120,18 @@ func TestFaultsOffIsAblation(t *testing.T) {
 		if strings.Contains(rep, s) || strings.Contains(log, s) {
 			t.Errorf("faults-off campaign rendered fault artifact %q", s)
 		}
+	}
+}
+
+// examples/chaosstudy.json is the standard chaos campaign as a spec file:
+// mcsched -campaign with -policy fifo|easy|powercap reproduces the
+// EXPERIMENTS.md chaos table, so the file must stay equal to ChaosSpec.
+func TestChaosStudySpecFileMatchesChaosSpec(t *testing.T) {
+	got, err := Load("../../examples/chaosstudy.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := ChaosSpec(8, "easy", 40); !reflect.DeepEqual(got, want) {
+		t.Errorf("examples/chaosstudy.json = %+v\nwant ChaosSpec(8, \"easy\", 40) = %+v", got, want)
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 
 	"montecimone/internal/fault"
@@ -180,6 +181,9 @@ func (s *Spec) Validate() error {
 	}
 	if s.PowerBudgetW < 0 {
 		return fmt.Errorf("campaign: spec %q: power_budget_w must be >= 0, got %v", s.Name, s.PowerBudgetW)
+	}
+	if math.IsNaN(s.PowerBudgetW) || math.IsInf(s.PowerBudgetW, 0) {
+		return fmt.Errorf("campaign: spec %q: power_budget_w must be finite, got %v", s.Name, s.PowerBudgetW)
 	}
 	if s.Policy != "" {
 		if _, err := sched.PolicyByName(s.Policy); err != nil {
@@ -385,9 +389,10 @@ func DefaultSpec(nodes int, policy string, mitigated bool, budgetW float64) Spec
 // cycles, thermal runaway injections that drive the 107 degC trip, a
 // mid-run network degradation window, one straggler node and, when a
 // power budget enables the plane, two brownout budget steps. Requeueing
-// and phase-boundary checkpointing are on. mcrun -experiment chaos, the
-// chaosstudy example and the EXPERIMENTS.md availability table all run
-// this spec, so policy comparisons share one fault timeline per seed.
+// and phase-boundary checkpointing are on. mcrun -experiment chaos and
+// examples/chaosstudy.json (the spec file behind the EXPERIMENTS.md
+// availability table) run this spec, so policy comparisons share one
+// fault timeline per seed.
 func ChaosSpec(nodes int, policy string, budgetW float64) Spec {
 	s := DefaultSpec(nodes, policy, true, budgetW)
 	s.Name = "chaos-standard"

@@ -222,7 +222,7 @@ func Login(s *Server, host, username, password string) (*Session, error) {
 }
 
 // DefaultDirectory builds the cluster's stock directory: the hpc group
-// with the benchmark and operations accounts used across the examples.
+// with the benchmark ("bench") and operations ("ops") accounts.
 func DefaultDirectory() (*Server, error) {
 	s, err := NewServer("dc=montecimone,dc=unibo,dc=it")
 	if err != nil {

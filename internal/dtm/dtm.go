@@ -110,9 +110,6 @@ func (g *Governor) SetPowerCapW(w float64) {
 	g.powerCapW = w
 }
 
-// PowerCapW returns the active node power cap (0 = uncapped).
-func (g *Governor) PowerCapW() float64 { return g.powerCapW }
-
 // Scale returns the node's current DVFS operating point — the governor's
 // actuator position, exported as power-plane telemetry.
 func (g *Governor) Scale() float64 { return g.node.FrequencyScale() }

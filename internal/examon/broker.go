@@ -14,37 +14,25 @@ import (
 	"sync/atomic"
 )
 
-// Broker is an MQTT-flavoured topic-based publish/subscribe hub.
-// Dispatch is synchronous and deterministic: Publish and PublishSample
-// deliver in subscription order, while PublishBatch services typed
-// (sample/batch) subscribers in subscription order first and then string
-// subscribers in subscription order, so each sample's Table II string
-// rendering happens once regardless of how many string subscribers are
-// attached. Safe for concurrent use.
-//
-// The broker has two publication paths. The typed path — PublishSample and
-// PublishBatch — carries Sample values end to end and is the fast path the
-// sampling plugins use (one batch per node per tick). The string Publish is
-// a thin compatibility shim: data-schema topics are lifted into a Sample so
-// typed subscribers see them too, while string subscribers always receive
-// the raw topic/payload pair.
+// Broker is an MQTT-flavoured topic-based publish/subscribe hub for
+// samples: publishers hand it batches (PublishBatch) and subscribers
+// register a batch callback for a topic pattern (Subscribe). Patterns are
+// matched against each sample's tag set directly, so no Table II topic
+// string is rendered on the way. Dispatch is synchronous and deterministic:
+// subscribers run in subscription order. Safe for concurrent use.
 type Broker struct {
 	mu        sync.Mutex
 	subs      []*Subscription // copy-on-write: never mutated in place
 	published atomic.Uint64
 }
 
-// Subscription is a registered topic-pattern callback. Exactly one of the
-// string, sample or batch callbacks is set, depending on which Subscribe
-// variant created it.
+// Subscription is a registered topic pattern and its batch callback.
 type Subscription struct {
 	pattern []string
-	fn      func(topic, payload string)
-	sfn     func(Sample)
-	bfn     func([]Sample)
+	fn      func([]Sample)
 	// active is read during lock-free dispatch and written by
 	// Unsubscribe, so it must be atomic (a plain bool here is a data
-	// race between Publish and Unsubscribe).
+	// race between PublishBatch and Unsubscribe).
 	active atomic.Bool
 }
 
@@ -53,47 +41,22 @@ func NewBroker() *Broker {
 	return &Broker{}
 }
 
-// Subscribe registers a string callback for an MQTT-style pattern ('+'
-// matches one level, '#' matches any suffix and must be last). String
-// subscribers receive every published message, typed or not; samples
-// published through the typed path are rendered to the Table II encoding
-// on demand for them.
-func (b *Broker) Subscribe(pattern string, fn func(topic, payload string)) (*Subscription, error) {
+// Subscribe registers a batch callback for an MQTT-style pattern ('+'
+// matches one level, '#' matches any suffix and must be last), matched
+// against the Table II topic levels of each published sample. A batch
+// whose samples all match is delivered as the publisher's slice itself
+// (storage turns this into a single batched insert), a partially matching
+// batch as its matching samples in order, and a batch with no match not
+// at all. The callback must not retain the slice.
+func (b *Broker) Subscribe(pattern string, fn func([]Sample)) (*Subscription, error) {
 	if fn == nil {
 		return nil, fmt.Errorf("examon: nil subscription callback")
 	}
-	return b.subscribe(pattern, fn, nil, nil)
-}
-
-// SubscribeSamples registers a typed callback. Typed subscribers receive
-// every Sample published through PublishSample/PublishBatch plus any string
-// publish whose topic parses as a Table II data topic; non-data string
-// traffic is invisible to them.
-func (b *Broker) SubscribeSamples(pattern string, fn func(Sample)) (*Subscription, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("examon: nil subscription callback")
-	}
-	return b.subscribe(pattern, nil, fn, nil)
-}
-
-// SubscribeSampleBatches registers a typed batch callback: a PublishBatch
-// whose samples all match the pattern is delivered as one slice (storage
-// backends turn this into a single batched insert), a partially-matching
-// batch is delivered as the filtered sub-batch, and single samples arrive
-// as length-1 batches. The callback must not retain the slice.
-func (b *Broker) SubscribeSampleBatches(pattern string, fn func([]Sample)) (*Subscription, error) {
-	if fn == nil {
-		return nil, fmt.Errorf("examon: nil subscription callback")
-	}
-	return b.subscribe(pattern, nil, nil, fn)
-}
-
-func (b *Broker) subscribe(pattern string, fn func(topic, payload string), sfn func(Sample), bfn func([]Sample)) (*Subscription, error) {
 	levels, err := validatePattern(pattern)
 	if err != nil {
 		return nil, err
 	}
-	sub := &Subscription{pattern: levels, fn: fn, sfn: sfn, bfn: bfn}
+	sub := &Subscription{pattern: levels, fn: fn}
 	sub.active.Store(true)
 	b.mu.Lock()
 	// Full slice expression forces append to copy, so concurrent readers
@@ -129,73 +92,12 @@ func (b *Broker) snapshot() []*Subscription {
 	return subs
 }
 
-// Publish delivers a payload to every matching subscription. It is the
-// compatibility shim over the typed path: when topic/payload parse as a
-// Table II data message the broker lifts them into a Sample for typed
-// subscribers, so legacy publishers interoperate with the v2 stack.
-func (b *Broker) Publish(topic, payload string) error {
-	if err := validateTopic(topic); err != nil {
-		return err
-	}
-	b.published.Add(1)
-	levels := strings.Split(topic, "/")
-	var (
-		sample Sample
-		parsed bool
-		failed bool
-	)
-	for _, sub := range b.snapshot() {
-		if !sub.active.Load() || !matchLevels(sub.pattern, levels) {
-			continue
-		}
-		if sub.fn != nil {
-			sub.fn(topic, payload)
-			continue
-		}
-		if !parsed && !failed {
-			tags, err := ParseTopic(topic)
-			if err == nil {
-				var v, ts float64
-				if v, ts, err = ParsePayload(payload); err == nil {
-					sample = Sample{Tags: tags, T: ts, V: v}
-					parsed = true
-				}
-			}
-			failed = err != nil
-		}
-		if !parsed {
-			continue
-		}
-		if sub.sfn != nil {
-			sub.sfn(sample)
-		} else {
-			one := [1]Sample{sample}
-			sub.bfn(one[:])
-		}
-	}
-	return nil
-}
-
-// PublishSample delivers one typed sample. Typed subscribers receive it
-// without any string rendering; string subscribers get the Table II
-// topic/payload encoding, rendered at most once.
-func (b *Broker) PublishSample(s Sample) error {
-	if err := validateSampleTags(&s.Tags); err != nil {
-		return err
-	}
-	b.published.Add(1)
-	b.dispatchSample(s, b.snapshot())
-	return nil
-}
-
-// PublishBatch delivers a batch of typed samples with a single
-// subscription snapshot — the per-tick fast path for the sampling plugins,
-// which emit one batch per node instead of one string publish per counter
-// per core. A batch subscriber matching the whole batch receives the slice
-// itself (no copies, no per-sample locking downstream). Empty Org/Cluster
-// tags are normalized to the deployment defaults in place; an invalid
-// sample anywhere rejects the whole batch before any normalization or
-// dispatch. The batch slice may be reused by the caller after return.
+// PublishBatch delivers a batch of samples with a single subscription
+// snapshot — the sampling plugins publish one batch per node per tick.
+// Empty Org/Cluster tags are normalized to the deployment defaults in
+// place; an invalid sample anywhere rejects the whole batch before any
+// normalization or dispatch. The batch slice may be reused by the caller
+// after return.
 func (b *Broker) PublishBatch(batch []Sample) error {
 	// Validate without mutating first, so a rejected batch hands the
 	// caller's slice back untouched.
@@ -211,106 +113,35 @@ func (b *Broker) PublishBatch(batch []Sample) error {
 		return nil
 	}
 	b.published.Add(uint64(len(batch)))
-	subs := b.snapshot()
-	haveString := false
-	for _, sub := range subs {
+	for _, sub := range b.snapshot() {
 		if !sub.active.Load() {
 			continue
+		}
+		matches := 0
+		for i := range batch {
+			if matchTagLevels(sub.pattern, batch[i].Tags) {
+				matches++
+			}
 		}
 		switch {
-		case sub.fn != nil:
-			haveString = true // handled below, once per sample
-		case sub.bfn != nil:
-			matches := 0
+		case matches == len(batch):
+			sub.fn(batch)
+		case matches > 0:
+			filtered := make([]Sample, 0, matches)
 			for i := range batch {
 				if matchTagLevels(sub.pattern, batch[i].Tags) {
-					matches++
+					filtered = append(filtered, batch[i])
 				}
 			}
-			switch {
-			case matches == len(batch):
-				sub.bfn(batch)
-			case matches > 0:
-				filtered := make([]Sample, 0, matches)
-				for i := range batch {
-					if matchTagLevels(sub.pattern, batch[i].Tags) {
-						filtered = append(filtered, batch[i])
-					}
-				}
-				sub.bfn(filtered)
-			}
-		default:
-			for i := range batch {
-				if matchTagLevels(sub.pattern, batch[i].Tags) {
-					sub.sfn(batch[i])
-				}
-			}
-		}
-	}
-	if haveString {
-		// Legacy string subscribers: render each sample's Table II
-		// encoding once and fan it out, so the per-sample rendering cost
-		// does not grow with the subscriber count.
-		for i := range batch {
-			s := batch[i]
-			topic := s.Tags.Topic()
-			levels := strings.Split(topic, "/")
-			payload := FormatPayload(s.V, s.T)
-			for _, sub := range subs {
-				if sub.fn != nil && sub.active.Load() && matchLevels(sub.pattern, levels) {
-					sub.fn(topic, payload)
-				}
-			}
+			sub.fn(filtered)
 		}
 	}
 	return nil
 }
 
-func (b *Broker) dispatchSample(s Sample, subs []*Subscription) {
-	var (
-		topic   string
-		levels  []string
-		payload string
-	)
-	for _, sub := range subs {
-		if !sub.active.Load() {
-			continue
-		}
-		if sub.sfn != nil || sub.bfn != nil {
-			if matchTagLevels(sub.pattern, s.Tags) {
-				if sub.sfn != nil {
-					sub.sfn(s)
-				} else {
-					one := [1]Sample{s}
-					sub.bfn(one[:])
-				}
-			}
-			continue
-		}
-		// Legacy string subscriber: render the Table II encoding once.
-		if topic == "" {
-			topic = s.Tags.Topic()
-			levels = strings.Split(topic, "/")
-			payload = FormatPayload(s.V, s.T)
-		}
-		if matchLevels(sub.pattern, levels) {
-			sub.fn(topic, payload)
-		}
-	}
-}
-
-// Published returns the number of messages accepted so far (each sample of
-// a batch counts as one message).
+// Published returns the number of samples accepted so far.
 func (b *Broker) Published() uint64 {
 	return b.published.Load()
-}
-
-func validateSampleTags(t *Tags) error {
-	if err := checkSampleTags(t); err != nil {
-		return err
-	}
-	defaultSampleTags(t)
-	return nil
 }
 
 // defaultSampleTags fills empty Org/Cluster with the deployment defaults.

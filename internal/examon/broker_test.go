@@ -9,23 +9,27 @@ import (
 func TestPublishSubscribe(t *testing.T) {
 	b := NewBroker()
 	var got []string
-	sub, err := b.Subscribe("org/unibo/#", func(topic, payload string) {
-		got = append(got, topic+"="+payload)
+	sub, err := b.Subscribe("org/unibo/#", func(batch []Sample) {
+		for _, s := range batch {
+			got = append(got, s.Tags.Topic())
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Publish("org/unibo/cluster/montecimone/x", "1;2"); err != nil {
+	unibo := Sample{Tags: Tags{Org: "unibo", Node: "n", Plugin: "p", Core: -1, Metric: "x"}, T: 2, V: 1}
+	other := Sample{Tags: Tags{Org: "other", Node: "n", Plugin: "p", Core: -1, Metric: "y"}, T: 4, V: 3}
+	if err := b.PublishBatch([]Sample{unibo}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Publish("org/other/cluster/x/y", "3;4"); err != nil {
+	if err := b.PublishBatch([]Sample{other}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || !strings.HasPrefix(got[0], "org/unibo/") {
 		t.Errorf("got = %v", got)
 	}
 	b.Unsubscribe(sub)
-	if err := b.Publish("org/unibo/z", "5;6"); err != nil {
+	if err := b.PublishBatch([]Sample{unibo}); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 {
@@ -38,13 +42,13 @@ func TestPublishSubscribe(t *testing.T) {
 
 func TestSubscribeValidation(t *testing.T) {
 	b := NewBroker()
-	if _, err := b.Subscribe("", func(string, string) {}); err == nil {
+	if _, err := b.Subscribe("", func([]Sample) {}); err == nil {
 		t.Error("empty pattern accepted")
 	}
-	if _, err := b.Subscribe("a/#/b", func(string, string) {}); err == nil {
+	if _, err := b.Subscribe("a/#/b", func([]Sample) {}); err == nil {
 		t.Error("non-final # accepted")
 	}
-	if _, err := b.Subscribe("a/b+c", func(string, string) {}); err == nil {
+	if _, err := b.Subscribe("a/b+c", func([]Sample) {}); err == nil {
 		t.Error("embedded wildcard accepted")
 	}
 	if _, err := b.Subscribe("a/+", nil); err == nil {
@@ -54,11 +58,23 @@ func TestSubscribeValidation(t *testing.T) {
 
 func TestPublishValidation(t *testing.T) {
 	b := NewBroker()
-	if err := b.Publish("", "x"); err == nil {
-		t.Error("empty topic accepted")
+	for _, s := range []Sample{
+		{Tags: Tags{Plugin: "p", Metric: "m"}},                            // no node
+		{Tags: Tags{Node: "n", Metric: "m"}},                              // no plugin
+		{Tags: Tags{Node: "n", Plugin: "p"}},                              // no metric
+		{Tags: Tags{Node: "n", Plugin: "p", Metric: "m+x"}},               // wildcard
+		{Tags: Tags{Node: "n#", Plugin: "p", Metric: "m"}},                // wildcard
+		{Tags: Tags{Org: "o+", Node: "n", Plugin: "p", Metric: "m"}},      // wildcard
+		{Tags: Tags{Cluster: "c#c", Node: "n", Plugin: "p", Metric: "m"}}, // wildcard
+		{Tags: Tags{Node: "n", Plugin: "pub/sub", Metric: "m"}},           // slash outside metric
+	} {
+		if err := b.PublishBatch([]Sample{s}); err == nil {
+			t.Errorf("sample %+v accepted", s)
+		}
 	}
-	if err := b.Publish("a/+/b", "x"); err == nil {
-		t.Error("wildcard topic accepted")
+	// Nested metrics keep their slashes.
+	if err := b.PublishBatch([]Sample{{Tags: Tags{Node: "n", Plugin: "p", Metric: "a/b"}}}); err != nil {
+		t.Errorf("nested metric rejected: %v", err)
 	}
 }
 
@@ -121,62 +137,5 @@ func TestTableIITopicFormats(t *testing.T) {
 	want = "org/unibo/cluster/montecimone/node/mc03/plugin/dstat_pub/chnl/data/load_avg.1m"
 	if stats != want {
 		t.Errorf("stats topic = %q, want %q", stats, want)
-	}
-}
-
-func TestPayloadRoundTrip(t *testing.T) {
-	p := FormatPayload(3075.5, 12.25)
-	if p != "3075.5;12.25" {
-		t.Errorf("payload = %q", p)
-	}
-	v, ts, err := ParsePayload(p)
-	if err != nil || v != 3075.5 || ts != 12.25 {
-		t.Errorf("parse = %v, %v, %v", v, ts, err)
-	}
-	for _, bad := range []string{"", "1", "x;2", "1;y"} {
-		if _, _, err := ParsePayload(bad); err == nil {
-			t.Errorf("payload %q accepted", bad)
-		}
-	}
-}
-
-func TestParseTopic(t *testing.T) {
-	tags, err := ParseTopic("org/unibo/cluster/montecimone/node/mc05/plugin/pmu_pub/chnl/data/core/3/cycle")
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := Tags{Org: "unibo", Cluster: "montecimone", Node: "mc05", Plugin: "pmu_pub", Core: 3, Metric: "cycle"}
-	if tags != want {
-		t.Errorf("tags = %+v, want %+v", tags, want)
-	}
-	tags, err = ParseTopic("org/unibo/cluster/montecimone/node/mc05/plugin/dstat_pub/chnl/data/temperature.cpu_temp")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tags.Core != -1 || tags.Metric != "temperature.cpu_temp" {
-		t.Errorf("tags = %+v", tags)
-	}
-	for _, bad := range []string{
-		"x/y",
-		"org/u/cluster/c/node/n/plugin/p/chnl/data",
-		"org/u/cluster/c/node/n/plugin/p/other/data/m",
-		"org/u/cluster/c/node/n/plugin/p/chnl/data/core/notanint/m",
-	} {
-		if _, err := ParseTopic(bad); err == nil {
-			t.Errorf("topic %q accepted", bad)
-		}
-	}
-}
-
-func TestPayloadQuickRoundTripProperty(t *testing.T) {
-	prop := func(v float64, ts float64) bool {
-		got, gotTS, err := ParsePayload(FormatPayload(v, ts))
-		if err != nil {
-			return false
-		}
-		return (got == v || (got != got && v != v)) && (gotTS == ts || (gotTS != gotTS && ts != ts))
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

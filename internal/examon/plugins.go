@@ -87,9 +87,8 @@ func (p *PMUPub) sample(now float64) {
 		return
 	}
 	pmu := p.node.PMU()
-	// Typed fast path: one batch per node per tick instead of one string
-	// publish per counter per core — nothing is rendered to the Table II
-	// encoding unless a legacy string subscriber is attached.
+	// One batch per node per tick, never rendered to the Table II string
+	// encoding.
 	p.batch = p.batch[:0]
 	hostname := p.node.Hostname()
 	for core := 0; core < pmu.Harts(); core++ {

@@ -3,12 +3,10 @@ package examon
 import "strings"
 
 // Sample is one typed telemetry measurement: the identifying tag set plus
-// the (timestamp, value) pair. It is the unit of the v2 telemetry API —
-// plugins hand Samples to the broker, the broker hands them to typed
-// subscribers, and storage engines persist them — so a measurement crosses
-// the whole stack without ever being rendered to (and re-parsed from) the
-// Table II string encoding. The string topic/payload form remains available
-// through Tags.Topic and FormatPayload for interoperability.
+// the (timestamp, value) pair. It is the unit of the telemetry API —
+// plugins hand batches of Samples to the broker, the broker hands them to
+// its subscribers, and the store persists them — so a measurement crosses
+// the whole stack without being rendered to the Table II string encoding.
 type Sample struct {
 	// Tags identify the stream the sample belongs to.
 	Tags Tags
@@ -17,7 +15,6 @@ type Sample struct {
 }
 
 // Topic renders the Table II data topic this tag set would publish under.
-// It is the inverse of ParseTopic for well-formed tags.
 func (t Tags) Topic() string {
 	var sb strings.Builder
 	sb.Grow(len("org//cluster//node//plugin//chnl/data/core/00/") +

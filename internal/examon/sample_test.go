@@ -2,6 +2,7 @@ package examon
 
 import (
 	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -9,19 +10,30 @@ import (
 )
 
 func TestTagsTopicRoundTrip(t *testing.T) {
-	for _, tags := range []Tags{
-		{Org: "unibo", Cluster: "montecimone", Node: "mc03", Plugin: "pmu_pub", Core: 2, Metric: "instret"},
-		{Org: "unibo", Cluster: "montecimone", Node: "mc03", Plugin: "pmu_pub", Core: 12, Metric: "cycle"},
-		{Org: "o", Cluster: "c", Node: "n", Plugin: "dstat_pub", Core: -1, Metric: "load_avg.1m"},
-		{Org: "o", Cluster: "c", Node: "n", Plugin: "dstat_pub", Core: -1, Metric: "nested/metric/name"},
+	// Each tag set renders its Table II topic, and that topic, used as an
+	// exact pattern, selects the tag set again.
+	for _, tc := range []struct {
+		tags  Tags
+		topic string
+	}{
+		{Tags{Org: "unibo", Cluster: "montecimone", Node: "mc03", Plugin: "pmu_pub", Core: 2, Metric: "instret"},
+			"org/unibo/cluster/montecimone/node/mc03/plugin/pmu_pub/chnl/data/core/2/instret"},
+		{Tags{Org: "unibo", Cluster: "montecimone", Node: "mc03", Plugin: "pmu_pub", Core: 12, Metric: "cycle"},
+			"org/unibo/cluster/montecimone/node/mc03/plugin/pmu_pub/chnl/data/core/12/cycle"},
+		{Tags{Org: "o", Cluster: "c", Node: "n", Plugin: "dstat_pub", Core: -1, Metric: "load_avg.1m"},
+			"org/o/cluster/c/node/n/plugin/dstat_pub/chnl/data/load_avg.1m"},
+		{Tags{Org: "o", Cluster: "c", Node: "n", Plugin: "dstat_pub", Core: -1, Metric: "nested/metric/name"},
+			"org/o/cluster/c/node/n/plugin/dstat_pub/chnl/data/nested/metric/name"},
 	} {
-		got, err := ParseTopic(tags.Topic())
-		if err != nil {
-			t.Errorf("ParseTopic(%q): %v", tags.Topic(), err)
-			continue
+		if got := tc.tags.Topic(); got != tc.topic {
+			t.Errorf("Topic() = %q, want %q", got, tc.topic)
 		}
-		if got != tags {
-			t.Errorf("round trip = %+v, want %+v", got, tags)
+		levels, err := validatePattern(tc.topic)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !matchTagLevels(levels, tc.tags) {
+			t.Errorf("topic %q does not select %+v", tc.topic, tc.tags)
 		}
 	}
 	// Topic must agree with the Table II builders.
@@ -95,39 +107,46 @@ func TestEqInt(t *testing.T) {
 	}
 }
 
-func TestPublishSampleTypedAndStringSubscribers(t *testing.T) {
+// TestPublishBatchDelivery pins the three dispatch cases: a subscriber
+// matching the whole batch receives the publisher's slice itself, one
+// matching part of it receives exactly the matching samples in order, and
+// one matching none is not called.
+func TestPublishBatchDelivery(t *testing.T) {
 	b := NewBroker()
-	var typed []Sample
-	var raw []string
-	if _, err := b.SubscribeSamples("org/unibo/#", func(s Sample) { typed = append(typed, s) }); err != nil {
+	var whole, part [][]Sample
+	none := 0
+	if _, err := b.Subscribe("org/unibo/#", func(batch []Sample) { whole = append(whole, batch) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := b.Subscribe("org/unibo/#", func(topic, payload string) {
-		raw = append(raw, topic+"="+payload)
+	if _, err := b.Subscribe("org/+/cluster/+/node/+/plugin/+/chnl/data/core/+/instret", func(batch []Sample) {
+		part = append(part, append([]Sample(nil), batch...))
 	}); err != nil {
 		t.Fatal(err)
 	}
-	s := Sample{Tags: Tags{Org: "unibo", Cluster: "mc", Node: "mc01", Plugin: "pmu_pub", Core: 1, Metric: "instret"}, T: 2.5, V: 1000}
-	if err := b.PublishSample(s); err != nil {
+	if _, err := b.Subscribe("org/acme/#", func([]Sample) { none++ }); err != nil {
 		t.Fatal(err)
 	}
-	if len(typed) != 1 || typed[0] != s {
-		t.Errorf("typed delivery = %+v", typed)
+	batch := []Sample{
+		{Tags: Tags{Node: "mc01", Plugin: "pmu_pub", Core: 0, Metric: "instret"}, T: 1, V: 10},
+		{Tags: Tags{Node: "mc01", Plugin: "pmu_pub", Core: 0, Metric: "cycle"}, T: 1, V: 11},
+		{Tags: Tags{Node: "mc01", Plugin: "pmu_pub", Core: 1, Metric: "instret"}, T: 1, V: 12},
+		{Tags: Tags{Node: "mc01", Plugin: "dstat_pub", Core: -1, Metric: "load_avg.1m"}, T: 1, V: 13},
 	}
-	wantTopic := "org/unibo/cluster/mc/node/mc01/plugin/pmu_pub/chnl/data/core/1/instret"
-	if len(raw) != 1 || raw[0] != wantTopic+"=1000;2.5" {
-		t.Errorf("string delivery = %v", raw)
-	}
-	if b.Published() != 1 {
-		t.Errorf("published = %d", b.Published())
-	}
-	// Non-matching typed subscriber stays quiet.
-	other := Sample{Tags: Tags{Org: "acme", Cluster: "c", Node: "n", Plugin: "p", Core: -1, Metric: "m"}}
-	if err := b.PublishSample(other); err != nil {
+	if err := b.PublishBatch(batch); err != nil {
 		t.Fatal(err)
 	}
-	if len(typed) != 1 {
-		t.Errorf("typed subscriber got non-matching sample")
+	if len(whole) != 1 || len(whole[0]) != len(batch) || &whole[0][0] != &batch[0] {
+		t.Errorf("full match did not receive the caller's slice: %+v", whole)
+	}
+	want := []Sample{batch[0], batch[2]}
+	if len(part) != 1 || !reflect.DeepEqual(part[0], want) {
+		t.Errorf("partial match = %+v, want %+v", part, want)
+	}
+	if none != 0 {
+		t.Errorf("non-matching subscriber called %d times", none)
+	}
+	if b.Published() != uint64(len(batch)) {
+		t.Errorf("published = %d, want %d", b.Published(), len(batch))
 	}
 }
 
@@ -167,28 +186,10 @@ func TestPublishBatch(t *testing.T) {
 	}
 }
 
+// TestPublishSampleValidation: a bad sample anywhere in a batch rejects
+// the batch before any normalization or dispatch.
 func TestPublishSampleValidation(t *testing.T) {
 	b := NewBroker()
-	for _, s := range []Sample{
-		{Tags: Tags{Plugin: "p", Metric: "m"}},                            // no node
-		{Tags: Tags{Node: "n", Metric: "m"}},                              // no plugin
-		{Tags: Tags{Node: "n", Plugin: "p"}},                              // no metric
-		{Tags: Tags{Node: "n", Plugin: "p", Metric: "m+x"}},               // wildcard
-		{Tags: Tags{Node: "n#", Plugin: "p", Metric: "m"}},                // wildcard
-		{Tags: Tags{Org: "o+", Node: "n", Plugin: "p", Metric: "m"}},      // wildcard
-		{Tags: Tags{Cluster: "c#c", Node: "n", Plugin: "p", Metric: "m"}}, // wildcard
-		{Tags: Tags{Node: "n", Plugin: "pub/sub", Metric: "m"}},           // slash outside metric
-	} {
-		if err := b.PublishSample(s); err == nil {
-			t.Errorf("sample %+v accepted", s)
-		}
-	}
-	// Nested metrics keep their slashes.
-	if err := b.PublishSample(Sample{Tags: Tags{Node: "n", Plugin: "p", Metric: "a/b"}}); err != nil {
-		t.Errorf("nested metric rejected: %v", err)
-	}
-	// A bad sample anywhere in a batch rejects the batch before any
-	// dispatch.
 	db := NewTSDB()
 	if _, err := db.Attach(b); err != nil {
 		t.Fatal(err)
@@ -203,41 +204,11 @@ func TestPublishSampleValidation(t *testing.T) {
 	if db.SeriesCount() != 0 {
 		t.Error("bad batch partially dispatched")
 	}
-}
-
-// TestStringPublishShimFeedsTypedSubscribers pins the compat path: a
-// legacy string publish of a data topic is lifted into a Sample for typed
-// subscribers, and non-data topics stay invisible to them.
-func TestStringPublishShimFeedsTypedSubscribers(t *testing.T) {
-	b := NewBroker()
-	var typed []Sample
-	var raw int
-	if _, err := b.SubscribeSamples("#", func(s Sample) { typed = append(typed, s) }); err != nil {
-		t.Fatal(err)
+	if batch[0].Tags.Org != "" || batch[0].Tags.Cluster != "" {
+		t.Errorf("rejected batch was normalized: %+v", batch[0].Tags)
 	}
-	if _, err := b.Subscribe("#", func(string, string) { raw++ }); err != nil {
-		t.Fatal(err)
-	}
-	topic := PMUTopic("unibo", "mc", "mc01", 0, "cycle")
-	if err := b.Publish(topic, FormatPayload(123, 4.5)); err != nil {
-		t.Fatal(err)
-	}
-	want := Sample{Tags: Tags{Org: "unibo", Cluster: "mc", Node: "mc01", Plugin: "pmu_pub", Core: 0, Metric: "cycle"}, T: 4.5, V: 123}
-	if len(typed) != 1 || typed[0] != want {
-		t.Errorf("shimmed sample = %+v, want %+v", typed, want)
-	}
-	// Non-data topics and unparsable payloads reach only string subs.
-	if err := b.Publish("control/reboot", "now"); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Publish(topic, "not-a-payload"); err != nil {
-		t.Fatal(err)
-	}
-	if len(typed) != 1 {
-		t.Errorf("typed subscriber saw non-data traffic: %+v", typed)
-	}
-	if raw != 3 {
-		t.Errorf("string subscriber saw %d messages, want 3", raw)
+	if b.Published() != 0 {
+		t.Errorf("published = %d", b.Published())
 	}
 }
 
@@ -251,22 +222,24 @@ func TestBrokerPublishUnsubscribeRace(t *testing.T) {
 	subs := make([]*Subscription, 64)
 	for i := range subs {
 		var err error
-		subs[i], err = b.Subscribe("org/#", func(string, string) {
+		subs[i], err = b.Subscribe("org/#", func(batch []Sample) {
 			mu.Lock()
-			seen++
+			seen += len(batch)
 			mu.Unlock()
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 	}
+	publish := func(i int) {
+		_ = b.PublishBatch([]Sample{{Tags: Tags{Node: "n", Plugin: "p", Metric: "m"}, T: float64(i)}})
+	}
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 500; i++ {
-			_ = b.Publish("org/unibo/x", "1;2")
-			_ = b.PublishSample(Sample{Tags: Tags{Node: "n", Plugin: "p", Metric: "m"}, T: float64(i)})
+		for i := 0; i < 1000; i++ {
+			publish(i)
 		}
 	}()
 	go func() {
@@ -280,7 +253,7 @@ func TestBrokerPublishUnsubscribeRace(t *testing.T) {
 	mu.Lock()
 	final := seen
 	mu.Unlock()
-	_ = b.Publish("org/unibo/x", "1;2")
+	publish(1000)
 	mu.Lock()
 	defer mu.Unlock()
 	if seen != final {
@@ -317,7 +290,7 @@ func TestConcurrentSubscribePublish(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 50; i++ {
-			sub, err := b.SubscribeSamples("org/#", func(Sample) {})
+			sub, err := b.Subscribe("org/#", func([]Sample) {})
 			if err != nil {
 				t.Error(err)
 				return
@@ -331,19 +304,6 @@ func TestConcurrentSubscribePublish(t *testing.T) {
 	}
 	if got := b.Published(); got != 800 {
 		t.Errorf("published = %d, want 800", got)
-	}
-}
-
-func TestSubscribeSamplesValidation(t *testing.T) {
-	b := NewBroker()
-	if _, err := b.SubscribeSamples("", func(Sample) {}); err == nil {
-		t.Error("empty pattern accepted")
-	}
-	if _, err := b.SubscribeSamples("a/#/b", func(Sample) {}); err == nil {
-		t.Error("non-final # accepted")
-	}
-	if _, err := b.SubscribeSamples("org/#", nil); err == nil {
-		t.Error("nil callback accepted")
 	}
 }
 

@@ -1,10 +1,6 @@
 package examon
 
-import (
-	"fmt"
-	"strconv"
-	"strings"
-)
+import "fmt"
 
 // Topic and payload formats follow Table II of the paper:
 //
@@ -13,7 +9,9 @@ import (
 //	stats_pub: org/<org>/cluster/<cluster>/node/<hostname>/plugin/dstat_pub/
 //	           chnl/data/<metric_name>
 //
-// with payloads of the form "<value>;<timestamp>".
+// On the deployed MQTT broker each payload is "<value>;<timestamp>"; here a
+// Sample carries the tag set and the (timestamp, value) pair typed, and
+// Tags.Topic renders the topic when a caller needs it.
 
 // Default identifiers for the Monte Cimone deployment.
 const (
@@ -34,29 +32,7 @@ func StatsTopic(org, cluster, hostname, metric string) string {
 		org, cluster, hostname, metric)
 }
 
-// FormatPayload renders the ExaMon "<value>;<timestamp>" payload.
-func FormatPayload(value, timestamp float64) string {
-	return strconv.FormatFloat(value, 'g', -1, 64) + ";" + strconv.FormatFloat(timestamp, 'g', -1, 64)
-}
-
-// ParsePayload parses an ExaMon payload into value and timestamp.
-func ParsePayload(payload string) (value, timestamp float64, err error) {
-	v, ts, ok := strings.Cut(payload, ";")
-	if !ok {
-		return 0, 0, fmt.Errorf("examon: payload %q missing ';'", payload)
-	}
-	value, err = strconv.ParseFloat(v, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("examon: payload value %q: %w", v, err)
-	}
-	timestamp, err = strconv.ParseFloat(ts, 64)
-	if err != nil {
-		return 0, 0, fmt.Errorf("examon: payload timestamp %q: %w", ts, err)
-	}
-	return value, timestamp, nil
-}
-
-// Tags are the identifying dimensions parsed from a data topic.
+// Tags are the identifying dimensions of a data topic.
 type Tags struct {
 	// Org and Cluster scope the deployment.
 	Org     string
@@ -69,35 +45,4 @@ type Tags struct {
 	Core int
 	// Metric is the metric name (may contain '/' if nested).
 	Metric string
-}
-
-// ParseTopic parses a Table II data topic into tags.
-func ParseTopic(topic string) (Tags, error) {
-	parts := strings.Split(topic, "/")
-	// org/X/cluster/Y/node/Z/plugin/P/chnl/data/...
-	if len(parts) < 11 || parts[0] != "org" || parts[2] != "cluster" ||
-		parts[4] != "node" || parts[6] != "plugin" || parts[8] != "chnl" || parts[9] != "data" {
-		return Tags{}, fmt.Errorf("examon: topic %q does not follow the ExaMon data schema", topic)
-	}
-	tags := Tags{
-		Org:     parts[1],
-		Cluster: parts[3],
-		Node:    parts[5],
-		Plugin:  parts[7],
-		Core:    -1,
-	}
-	rest := parts[10:]
-	if len(rest) >= 3 && rest[0] == "core" {
-		core, err := strconv.Atoi(rest[1])
-		if err != nil {
-			return Tags{}, fmt.Errorf("examon: topic %q core id: %w", topic, err)
-		}
-		tags.Core = core
-		rest = rest[2:]
-	}
-	tags.Metric = strings.Join(rest, "/")
-	if tags.Metric == "" {
-		return Tags{}, fmt.Errorf("examon: topic %q missing metric", topic)
-	}
-	return tags, nil
 }

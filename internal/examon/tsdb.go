@@ -52,15 +52,14 @@ func NewTSDBOn(store Storage) (*TSDB, error) {
 	return &TSDB{store: store}, nil
 }
 
-// Attach subscribes the store to every ExaMon data topic on the broker
-// through the typed sample path: batches published with PublishBatch land
-// in storage without any string rendering or parsing, and legacy string
-// publishes arrive through the broker's compatibility shim.
+// Attach subscribes the store to every ExaMon data topic on the broker:
+// each batch published with PublishBatch lands in storage as one batched
+// insert.
 func (db *TSDB) Attach(broker *Broker) (*Subscription, error) {
 	if broker == nil {
 		return nil, fmt.Errorf("examon: tsdb needs a broker")
 	}
-	return broker.SubscribeSampleBatches("org/#", func(batch []Sample) {
+	return broker.Subscribe("org/#", func(batch []Sample) {
 		db.store.InsertBatch(batch)
 	})
 }

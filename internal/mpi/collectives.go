@@ -25,15 +25,6 @@ func OpSum(acc, in []float64) {
 	}
 }
 
-// OpMax keeps element-wise maxima.
-func OpMax(acc, in []float64) {
-	for i := range acc {
-		if in[i] > acc[i] {
-			acc[i] = in[i]
-		}
-	}
-}
-
 // OpMaxAbsLoc treats the payload as (value, index) pairs and keeps the pair
 // with the largest absolute value — the HPL pivot-search reduction. Ties
 // resolve to the lower index, matching partial pivoting determinism.

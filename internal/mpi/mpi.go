@@ -89,9 +89,6 @@ func NewWorld(fabric *netsim.Fabric, placement []int) (*World, error) {
 // Size returns the number of ranks.
 func (w *World) Size() int { return len(w.procs) }
 
-// NodeOf returns the node index hosting a rank.
-func (w *World) NodeOf(rank int) int { return w.placement[rank] }
-
 // Run executes fn once per rank, concurrently, and waits for all ranks.
 // The first error (by rank order) is returned.
 func (w *World) Run(fn func(*Proc) error) error {

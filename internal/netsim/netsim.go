@@ -136,11 +136,6 @@ func (f *Fabric) SetDegradation(latencyMult, bandwidthMult float64) error {
 	return nil
 }
 
-// Degradation returns the current (latencyMult, bandwidthMult) pair.
-func (f *Fabric) Degradation() (latencyMult, bandwidthMult float64) {
-	return f.latMult, f.bwMult
-}
-
 // LatencySec returns the effective inter-node one-way latency including any
 // injected degradation; the MPI layer uses it instead of Link().LatencySec.
 func (f *Fabric) LatencySec() float64 { return f.link.LatencySec * f.latMult }

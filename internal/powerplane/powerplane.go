@@ -103,8 +103,8 @@ func New(engine *sim.Engine, cl *cluster.Cluster, store examon.Storage, broker *
 	if engine == nil || cl == nil || store == nil || broker == nil {
 		return nil, fmt.Errorf("powerplane: engine, cluster, storage and broker are all required")
 	}
-	if cfg.BudgetW <= 0 {
-		return nil, fmt.Errorf("powerplane: budget must be positive, got %v W", cfg.BudgetW)
+	if !(cfg.BudgetW > 0) || math.IsInf(cfg.BudgetW, 1) {
+		return nil, fmt.Errorf("powerplane: budget must be positive and finite, got %v W", cfg.BudgetW)
 	}
 	if cfg.Period == 0 {
 		cfg.Period = 1
@@ -144,9 +144,6 @@ func New(engine *sim.Engine, cl *cluster.Cluster, store examon.Storage, broker *
 	}
 	return g, nil
 }
-
-// NodeGovernor returns the dtm governor owned by the plane for one host.
-func (g *Governor) NodeGovernor(host string) *dtm.Governor { return g.govs[host] }
 
 // OnHeadroomIncrease registers a callback fired from the control loop
 // whenever budget headroom grows — the scheduler hooks its Reschedule

@@ -63,6 +63,11 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(e, c, db, br, Config{}); err == nil {
 		t.Error("zero budget accepted")
 	}
+	for _, w := range []float64{math.NaN(), math.Inf(1)} {
+		if _, err := New(e, c, db, br, Config{BudgetW: w}); err == nil {
+			t.Errorf("budget %v accepted", w)
+		}
+	}
 	if _, err := New(e, c, db, br, Config{BudgetW: 10, Period: -1}); err == nil {
 		t.Error("negative period accepted")
 	}

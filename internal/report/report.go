@@ -1,6 +1,6 @@
 // Package report renders the reproduction's tables and figures as aligned
 // text, in the same row/series shapes the paper prints. It is shared by
-// the mcrun CLI, the examples and the benchmark harness.
+// the command-line tools and the benchmark harness.
 package report
 
 import (

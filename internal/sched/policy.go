@@ -106,16 +106,6 @@ func (o policyOption) apply(s *Scheduler) { s.policy = o.p }
 // WithPolicy selects the scheduling policy (default EASY).
 func WithPolicy(p Policy) Option { return policyOption{p} }
 
-// WithBackfill enables or disables EASY backfill (default on, as in the
-// production SLURM configuration). It is legacy sugar for
-// WithPolicy(EASY()) / WithPolicy(FIFO()).
-func WithBackfill(enabled bool) Option {
-	if enabled {
-		return WithPolicy(EASY())
-	}
-	return WithPolicy(FIFO())
-}
-
 type advisorOption struct{ a PowerAdvisor }
 
 func (o advisorOption) apply(s *Scheduler) { s.advisor = o.a }

@@ -90,7 +90,7 @@ func TestSingleJobLifecycle(t *testing.T) {
 }
 
 func TestFIFOOrdering(t *testing.T) {
-	e, s := newSched(t, 4, WithBackfill(false))
+	e, s := newSched(t, 4, WithPolicy(FIFO()))
 	j1, _ := s.Submit(JobSpec{Name: "a", Nodes: 4, TimeLimit: 100, Duration: 10})
 	j2, _ := s.Submit(JobSpec{Name: "b", Nodes: 4, TimeLimit: 100, Duration: 10})
 	if err := e.Run(); err != nil {
@@ -169,7 +169,7 @@ func (s *Scheduler) mustSubmit(t *testing.T, spec JobSpec) *Job {
 }
 
 func TestBackfillDisabled(t *testing.T) {
-	e, s := newSched(t, 4, WithBackfill(false))
+	e, s := newSched(t, 4, WithPolicy(FIFO()))
 	s.mustSubmit(t, JobSpec{Name: "wide", Nodes: 3, TimeLimit: 100, Duration: 100})
 	s.mustSubmit(t, JobSpec{Name: "huge", Nodes: 4, TimeLimit: 100, Duration: 10})
 	j3 := s.mustSubmit(t, JobSpec{Name: "small", Nodes: 1, TimeLimit: 30, Duration: 20})

@@ -229,9 +229,6 @@ func (m *Model) InjectAirflowFault(extraRthKW, extraAirRiseC float64) {
 // a fault cycle; the node still needs a power cycle to clear the latch).
 func (m *Model) ClearAirflowFault() { m.faultRthKW, m.faultAirRiseC = 0, 0 }
 
-// AirflowFaulted reports whether an airflow fault is currently injected.
-func (m *Model) AirflowFaulted() bool { return m.faultRthKW > 0 || m.faultAirRiseC > 0 }
-
 // airRiseC and rthKW are the effective slot parameters including any
 // injected airflow fault.
 func (m *Model) airRiseC() float64 { return m.env.AirRiseC + m.faultAirRiseC }
