@@ -307,6 +307,28 @@ func TestConcurrentSubscribePublish(t *testing.T) {
 	}
 }
 
+// TestSubscribeSamplesValidation: a rejected Subscribe call on a sample
+// pattern returns no subscription and leaves none registered behind.
+func TestSubscribeSamplesValidation(t *testing.T) {
+	b := NewBroker()
+	for _, c := range []struct {
+		pattern string
+		fn      func([]Sample)
+		what    string
+	}{
+		{"", func([]Sample) {}, "empty pattern"},
+		{"a/#/b", func([]Sample) {}, "non-final #"},
+		{"org/#", nil, "nil callback"},
+	} {
+		if sub, err := b.Subscribe(c.pattern, c.fn); err == nil || sub != nil {
+			t.Errorf("%s accepted: sub=%v err=%v", c.what, sub, err)
+		}
+	}
+	if n := len(b.snapshot()); n != 0 {
+		t.Errorf("rejected subscriptions registered %d subscribers", n)
+	}
+}
+
 // Property: matchTagLevels agrees with the string matcher for random
 // metric shapes and cores.
 func TestMatchTagLevelsQuickProperty(t *testing.T) {
