@@ -592,26 +592,22 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 	}
 	perTick := nodes * cores * len(metrics)
 
-	attach := func(b *testing.B, st examon.Storage) *examon.Broker {
+	attach := func(b *testing.B, st *examon.MemStore) *examon.Broker {
 		b.Helper()
 		broker := examon.NewBroker()
-		db, err := examon.NewTSDBOn(st)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := db.Attach(broker); err != nil {
+		if _, err := st.Attach(broker); err != nil {
 			b.Fatal(err)
 		}
 		return broker
 	}
-	check := func(b *testing.B, st examon.Storage) {
+	check := func(b *testing.B, st *examon.MemStore) {
 		b.Helper()
 		if got := st.SeriesCount(); got != perTick {
 			b.Fatalf("stored %d series, want %d", got, perTick)
 		}
 	}
 
-	runTyped := func(b *testing.B, st examon.Storage, workers int) {
+	runTyped := func(b *testing.B, st *examon.MemStore, workers int) {
 		broker := attach(b, st)
 		publishHosts := func(myHosts []string, n int) {
 			batch := make([]examon.Sample, 0, cores*len(metrics))
@@ -933,7 +929,7 @@ func BenchmarkQueryServe(b *testing.B) {
 		}
 		return hosts
 	}
-	clusterTick := func(st examon.Storage, hosts []string, tick int) {
+	clusterTick := func(st *examon.MemStore, hosts []string, tick int) {
 		now := float64(tick) * 0.5
 		batch := make([]examon.Sample, 0, cores*pmuMetrics+statMetrics+1)
 		for _, host := range hosts {
@@ -962,7 +958,7 @@ func BenchmarkQueryServe(b *testing.B) {
 			st.InsertBatch(batch)
 		}
 	}
-	setup := func(b *testing.B, hosts []string, opts []examon.StoreOption) (examon.Storage, func()) {
+	setup := func(b *testing.B, hosts []string, opts []examon.StoreOption) (*examon.MemStore, func()) {
 		b.Helper()
 		st := examon.NewMemStore(opts...)
 		for tick := 0; tick < ticks; tick++ {

@@ -157,7 +157,7 @@ func TestScale10kShardInvariant(t *testing.T) {
 }
 
 // TestCampaignConcurrentIngestQuery drives a monitor-on campaign while a
-// reader goroutine hammers the TSDB — the race detector (CI runs the
+// reader goroutine hammers the store — the race detector (CI runs the
 // package under -race) checks the simulation's ingest against the storage
 // engine's concurrent read paths.
 func TestCampaignConcurrentIngestQuery(t *testing.T) {

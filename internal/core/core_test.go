@@ -86,11 +86,14 @@ func TestTableII(t *testing.T) {
 	if len(rows) != 2 {
 		t.Fatalf("rows = %d", len(rows))
 	}
-	if !strings.Contains(rows[0].Topic, "pmu_pub/chnl/data/core/") {
-		t.Errorf("pmu topic format = %q", rows[0].Topic)
-	}
-	if !strings.Contains(rows[1].Topic, "dstat_pub/chnl/data/") {
-		t.Errorf("stats topic format = %q", rows[1].Topic)
+	// Table II's exact topic shapes for both plugins.
+	for i, want := range []string{
+		"org/<org>/cluster/<cluster>/node/<hostname>/plugin/pmu_pub/chnl/data/core/<id>/<metric_name>",
+		"org/<org>/cluster/<cluster>/node/<hostname>/plugin/dstat_pub/chnl/data/<metric_name>",
+	} {
+		if rows[i].Topic != want {
+			t.Errorf("row %d topic = %q, want %q", i, rows[i].Topic, want)
+		}
 	}
 	for _, r := range rows {
 		if r.Payload != "<value>;<timestamp>" {

@@ -185,7 +185,7 @@ func TestPaperStoryEndToEnd(t *testing.T) {
 
 	// The monitoring database holds the whole story.
 	if s.DB.SeriesCount() < 8*28 {
-		t.Errorf("TSDB series = %d", s.DB.SeriesCount())
+		t.Errorf("stored series = %d", s.DB.SeriesCount())
 	}
 	// And the IB cards are still waiting for their driver fix.
 	ib, err := InfinibandStatus()

@@ -3,10 +3,10 @@
 // the evaluation section (the experiment index lives in DESIGN.md).
 //
 // A System wires the discrete-event engine, the eight-node cluster, the
-// SLURM-like scheduler, the ExaMon monitoring stack (broker, pmu_pub and
-// stats_pub plugins, TSDB) and the Spack software stack together, with the
-// thermal-halt path connected to the scheduler's node-failure handling
-// exactly as the operators experienced it in Fig. 6.
+// SLURM-like scheduler, the ExaMon monitoring stack (pmu_pub and stats_pub
+// plugins feeding one store through the broker) and the Spack software
+// stack together, with the thermal-halt path connected to the scheduler's
+// node-failure handling exactly as the operators experienced it in Fig. 6.
 package core
 
 import (
@@ -15,6 +15,7 @@ import (
 	"montecimone/internal/cluster"
 	"montecimone/internal/directory"
 	"montecimone/internal/examon"
+	"montecimone/internal/node"
 	"montecimone/internal/powerplane"
 	"montecimone/internal/sched"
 	"montecimone/internal/sim"
@@ -67,9 +68,10 @@ type System struct {
 	Cluster *cluster.Cluster
 	// Scheduler is the SLURM-like batch system on the master node.
 	Scheduler *sched.Scheduler
-	// Broker, DB and the per-node plugins form the ExaMon stack.
+	// Broker, DB and the per-node plugins form the ExaMon stack: the
+	// broker feeds every published sample into DB.
 	Broker *examon.Broker
-	DB     *examon.TSDB
+	DB     *examon.MemStore
 	// Directory is the LDAP user directory served from the master node.
 	Directory *directory.Server
 	// RNG provides named deterministic noise streams.
@@ -78,10 +80,9 @@ type System struct {
 	// Options.PowerBudgetW was set).
 	Plane *powerplane.Governor
 
-	pmuPubs   []*examon.PMUPub
-	statsPubs []*examon.StatsPub
-	powerPubs []*examon.PowerPub
-	monitor   bool
+	// plugins holds pmu_pub and stats_pub per node when monitoring, then
+	// power_pub per node when the power plane is on.
+	plugins []*examon.Plugin
 }
 
 // NewSystem builds an unbooted system.
@@ -108,8 +109,8 @@ func NewSystem(opts Options) (*System, error) {
 		}
 	}
 	broker := examon.NewBroker()
-	db := examon.NewTSDB()
-	if _, err := db.Attach(broker); err != nil {
+	db, err := examon.NewMemStore().Attach(broker)
+	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	var plane *powerplane.Governor
@@ -145,7 +146,6 @@ func NewSystem(opts Options) (*System, error) {
 		Directory: dir,
 		RNG:       sim.NewRNG(opts.Seed),
 		Plane:     plane,
-		monitor:   !opts.NoMonitor,
 	}
 	// Thermal halts surface as SLURM node failures.
 	cl.OnNodeHalt(func(host string) {
@@ -155,24 +155,29 @@ func NewSystem(opts Options) (*System, error) {
 			panic(fmt.Sprintf("core: node down: %v", err))
 		}
 	})
-	for i := 0; i < cl.Size(); i++ {
-		nd := cl.Node(i)
-		pmu, err := examon.NewPMUPub(broker, nd, opts.Org, opts.ClusterTag)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		stats, err := examon.NewStatsPub(broker, nd, opts.Org, opts.ClusterTag)
-		if err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
-		s.pmuPubs = append(s.pmuPubs, pmu)
-		s.statsPubs = append(s.statsPubs, stats)
-		if plane != nil {
-			pp, err := examon.NewPowerPub(broker, nd, opts.Org, opts.ClusterTag)
-			if err != nil {
-				return nil, fmt.Errorf("core: %w", err)
+	// Per-node plugins, built in start order: Boot starts them in turn.
+	addPlugins := func(builders ...func(*examon.Broker, *node.Node, string, string) (*examon.Plugin, error)) error {
+		for i := 0; i < cl.Size(); i++ {
+			for _, build := range builders {
+				p, err := build(broker, cl.Node(i), opts.Org, opts.ClusterTag)
+				if err != nil {
+					return fmt.Errorf("core: %w", err)
+				}
+				s.plugins = append(s.plugins, p)
 			}
-			s.powerPubs = append(s.powerPubs, pp)
+		}
+		return nil
+	}
+	if !opts.NoMonitor {
+		if err := addPlugins(examon.NewPMUPub, examon.NewStatsPub); err != nil {
+			return nil, err
+		}
+	}
+	// The power plane runs even without the OS-level monitoring plugins:
+	// power_pub samples out of band, and the budget loop needs it.
+	if plane != nil {
+		if err := addPlugins(examon.NewPowerPub); err != nil {
+			return nil, err
 		}
 	}
 	return s, nil
@@ -184,20 +189,8 @@ func (s *System) Boot() error {
 	if err := s.Cluster.BootAndSettle(2); err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if s.monitor {
-		for i := range s.pmuPubs {
-			if err := s.pmuPubs[i].Start(s.Engine); err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-			if err := s.statsPubs[i].Start(s.Engine); err != nil {
-				return fmt.Errorf("core: %w", err)
-			}
-		}
-	}
-	// The power plane runs even without the OS-level monitoring plugins:
-	// power_pub samples out of band, and the budget loop needs it.
-	for i := range s.powerPubs {
-		if err := s.powerPubs[i].Start(s.Engine); err != nil {
+	for _, p := range s.plugins {
+		if err := p.Start(s.Engine); err != nil {
 			return fmt.Errorf("core: %w", err)
 		}
 	}
@@ -212,12 +205,8 @@ func (s *System) Boot() error {
 // Close stops all periodic activity (plugins, power plane and cluster
 // stepping).
 func (s *System) Close() {
-	for i := range s.pmuPubs {
-		s.pmuPubs[i].Stop()
-		s.statsPubs[i].Stop()
-	}
-	for i := range s.powerPubs {
-		s.powerPubs[i].Stop()
+	for _, p := range s.plugins {
+		p.Stop()
 	}
 	if s.Plane != nil {
 		s.Plane.Stop()

@@ -142,7 +142,7 @@ func (d Detector) scanView(tags Tags, pts PointsView) ([]Anomaly, error) {
 // findings land in per-series slots and are concatenated in scan order
 // before the final time sort, so the output does not depend on the
 // fan-out.
-func (d Detector) ScanAll(st Storage, f Filter) ([]Anomaly, error) {
+func (d Detector) ScanAll(st *MemStore, f Filter) ([]Anomaly, error) {
 	if st == nil {
 		return nil, fmt.Errorf("examon: nil storage")
 	}

@@ -149,7 +149,7 @@ func TestEachKindFiresOnce(t *testing.T) {
 }
 
 func TestScanAllAcrossNodes(t *testing.T) {
-	db := NewTSDB()
+	db := NewMemStore()
 	for _, nodeName := range []string{"mc01", "mc07"} {
 		for i := 0; i < 120; i++ {
 			v := 50.0

@@ -1,58 +1,77 @@
 package examon
 
 import (
-	"strings"
+	"reflect"
 	"testing"
-	"testing/quick"
 )
 
 func TestPublishSubscribe(t *testing.T) {
 	b := NewBroker()
-	var got []string
-	sub, err := b.Subscribe("org/unibo/#", func(batch []Sample) {
-		for _, s := range batch {
-			got = append(got, s.Tags.Topic())
-		}
-	})
+	x := Sample{Tags: Tags{Org: "unibo", Node: "n", Plugin: "p", Core: -1, Metric: "x"}, T: 2, V: 1}
+	y := Sample{Tags: Tags{Org: "other", Node: "n", Plugin: "p", Core: -1, Metric: "y"}, T: 4, V: 3}
+	// With no store attached, accepted samples are counted and dropped.
+	if err := b.PublishBatch([]Sample{x}); err != nil {
+		t.Fatal(err)
+	}
+	if b.Published() != 1 {
+		t.Errorf("published without a store = %d, want 1", b.Published())
+	}
+	st, err := NewMemStore().Attach(b)
 	if err != nil {
 		t.Fatal(err)
 	}
-	unibo := Sample{Tags: Tags{Org: "unibo", Node: "n", Plugin: "p", Core: -1, Metric: "x"}, T: 2, V: 1}
-	other := Sample{Tags: Tags{Org: "other", Node: "n", Plugin: "p", Core: -1, Metric: "y"}, T: 4, V: 3}
-	if err := b.PublishBatch([]Sample{unibo}); err != nil {
-		t.Fatal(err)
+	for i := 0; i < 3; i++ {
+		x.T, y.T = float64(10+i), float64(20+i)
+		if err := b.PublishBatch([]Sample{x, y}); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := b.PublishBatch([]Sample{other}); err != nil {
-		t.Fatal(err)
+	// Every sample of every accepted batch reaches the store, in order,
+	// whatever its org: the store is the broker's only destination.
+	for _, tc := range []struct {
+		metric string
+		want   []Point
+	}{
+		{"x", []Point{{T: 10, V: 1}, {T: 11, V: 1}, {T: 12, V: 1}}},
+		{"y", []Point{{T: 20, V: 3}, {T: 21, V: 3}, {T: 22, V: 3}}},
+	} {
+		got := st.Query(Filter{Metric: tc.metric})
+		if len(got) != 1 || !reflect.DeepEqual(got[0].Points, tc.want) {
+			t.Errorf("metric %s stored %+v, want points %v", tc.metric, got, tc.want)
+		}
 	}
-	if len(got) != 1 || !strings.HasPrefix(got[0], "org/unibo/") {
-		t.Errorf("got = %v", got)
-	}
-	b.Unsubscribe(sub)
-	if err := b.PublishBatch([]Sample{unibo}); err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 1 {
-		t.Error("unsubscribed callback fired")
-	}
-	if b.Published() != 3 {
-		t.Errorf("published = %d", b.Published())
+	if b.Published() != 7 {
+		t.Errorf("published = %d, want 7", b.Published())
 	}
 }
 
+// TestSubscribeValidation: Attach rejects a nil store, a nil broker, and
+// any store for a broker that already feeds one, the same store included;
+// a rejected Attach returns no store.
 func TestSubscribeValidation(t *testing.T) {
 	b := NewBroker()
-	if _, err := b.Subscribe("", func([]Sample) {}); err == nil {
-		t.Error("empty pattern accepted")
+	st := NewMemStore()
+	got, err := st.Attach(b)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, err := b.Subscribe("a/#/b", func([]Sample) {}); err == nil {
-		t.Error("non-final # accepted")
+	if got != st {
+		t.Errorf("Attach returned %p, want the store %p", got, st)
 	}
-	if _, err := b.Subscribe("a/b+c", func([]Sample) {}); err == nil {
-		t.Error("embedded wildcard accepted")
-	}
-	if _, err := b.Subscribe("a/+", nil); err == nil {
-		t.Error("nil callback accepted")
+	var nilStore *MemStore
+	for _, c := range []struct {
+		st   *MemStore
+		b    *Broker
+		what string
+	}{
+		{nilStore, NewBroker(), "nil store"},
+		{NewMemStore(), nil, "nil broker"},
+		{NewMemStore(), b, "second store"},
+		{st, b, "same store twice"},
+	} {
+		if got, err := c.st.Attach(c.b); err == nil || got != nil {
+			t.Errorf("%s accepted: st=%v err=%v", c.what, got, err)
+		}
 	}
 }
 
@@ -75,67 +94,5 @@ func TestPublishValidation(t *testing.T) {
 	// Nested metrics keep their slashes.
 	if err := b.PublishBatch([]Sample{{Tags: Tags{Node: "n", Plugin: "p", Metric: "a/b"}}}); err != nil {
 		t.Errorf("nested metric rejected: %v", err)
-	}
-}
-
-func TestMatchTopic(t *testing.T) {
-	tests := []struct {
-		pattern, topic string
-		want           bool
-	}{
-		{"a/b/c", "a/b/c", true},
-		{"a/b/c", "a/b", false},
-		{"a/b", "a/b/c", false},
-		{"a/+/c", "a/b/c", true},
-		{"a/+/c", "a/b/d", false},
-		{"a/#", "a/b/c/d", true},
-		{"a/#", "a", true}, // MQTT: '#' also matches the parent level itself
-		{"+/+", "a/b", true},
-		{"#", "anything/at/all", true},
-		{"org/+/cluster/+/node/+/plugin/pmu_pub/#", "org/unibo/cluster/montecimone/node/mc01/plugin/pmu_pub/chnl/data/core/0/instret", true},
-		{"org/+/cluster/+/node/+/plugin/pmu_pub/#", "org/unibo/cluster/montecimone/node/mc01/plugin/dstat_pub/chnl/data/load_avg.1m", false},
-	}
-	for _, tt := range tests {
-		got, err := MatchTopic(tt.pattern, tt.topic)
-		if err != nil {
-			t.Errorf("MatchTopic(%q, %q): %v", tt.pattern, tt.topic, err)
-			continue
-		}
-		if got != tt.want {
-			t.Errorf("MatchTopic(%q, %q) = %v, want %v", tt.pattern, tt.topic, got, tt.want)
-		}
-	}
-}
-
-func TestMatchTopicExactProperty(t *testing.T) {
-	// A topic always matches itself as a pattern (no wildcards).
-	prop := func(parts []uint8) bool {
-		if len(parts) == 0 {
-			return true
-		}
-		levels := make([]string, 0, len(parts))
-		for _, p := range parts {
-			levels = append(levels, string(rune('a'+p%26)))
-		}
-		topic := strings.Join(levels, "/")
-		ok, err := MatchTopic(topic, topic)
-		return err == nil && ok
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestTableIITopicFormats(t *testing.T) {
-	// Table II defines the exact topic shapes for both plugins.
-	pmu := PMUTopic("unibo", "montecimone", "mc03", 2, "instret")
-	want := "org/unibo/cluster/montecimone/node/mc03/plugin/pmu_pub/chnl/data/core/2/instret"
-	if pmu != want {
-		t.Errorf("pmu topic = %q, want %q", pmu, want)
-	}
-	stats := StatsTopic("unibo", "montecimone", "mc03", "load_avg.1m")
-	want = "org/unibo/cluster/montecimone/node/mc03/plugin/dstat_pub/chnl/data/load_avg.1m"
-	if stats != want {
-		t.Errorf("stats topic = %q, want %q", stats, want)
 	}
 }

@@ -31,8 +31,7 @@ func (h *Heatmap) Bins() int {
 // amortize a single multi-node query across all rows. The threshold
 // trades per-query overhead (snapshot + validation per node) against the
 // multi-node query aggregating — and discarding — unrequested nodes'
-// series when the request is a proper subset of a bigger cluster; the
-// Storage interface cannot reveal the cluster's node population, so a
+// series when the request is a proper subset of a bigger cluster; a
 // subset wider than this still pays the discard on a much larger store.
 const heatmapPerNodeQueryMax = 32
 
@@ -60,12 +59,19 @@ type HeatmapOptions struct {
 // Per-row accumulation order matches the old per-node queries (storage
 // order restricted to each node) in both strategies, so cell values are
 // bit-identical.
-func BuildHeatmap(st Storage, nodes []string, opts HeatmapOptions) (*Heatmap, error) {
+func BuildHeatmap(st *MemStore, nodes []string, opts HeatmapOptions) (*Heatmap, error) {
 	if st == nil {
 		return nil, fmt.Errorf("examon: heatmap needs a storage engine")
 	}
 	if len(nodes) == 0 {
 		return nil, fmt.Errorf("examon: heatmap needs nodes")
+	}
+	// NaN fails every comparison below, so check finiteness first: a NaN
+	// or infinite axis would size the grid from a meaningless quotient.
+	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
+	if !finite(opts.From) || !finite(opts.To) || !finite(opts.BinWidth) {
+		return nil, fmt.Errorf("examon: heatmap axis must be finite, got [%v,%v) by %v",
+			opts.From, opts.To, opts.BinWidth)
 	}
 	if opts.BinWidth <= 0 {
 		return nil, fmt.Errorf("examon: bin width must be positive, got %v", opts.BinWidth)
@@ -73,7 +79,12 @@ func BuildHeatmap(st Storage, nodes []string, opts HeatmapOptions) (*Heatmap, er
 	if opts.To <= opts.From {
 		return nil, fmt.Errorf("examon: empty time range [%v,%v)", opts.From, opts.To)
 	}
-	bins := int(math.Ceil((opts.To - opts.From) / opts.BinWidth))
+	span := math.Ceil((opts.To - opts.From) / opts.BinWidth)
+	if span > maxAggBuckets {
+		return nil, fmt.Errorf("examon: bin width %v yields more than %d bins over [%v,%v)",
+			opts.BinWidth, maxAggBuckets, opts.From, opts.To)
+	}
+	bins := int(span)
 	hm := &Heatmap{
 		Nodes:    append([]string(nil), nodes...),
 		BinStart: opts.From,

@@ -19,25 +19,27 @@ const (
 	PowerPubPeriod = 1.0
 )
 
-// PMUPub is the per-node plugin publishing the hardware performance
-// counters exposed by perf_events. In the deployed kernel only INSTRET and
-// CYCLE are available; the programmable HPM counters appear once the
-// authors' U-Boot patch is applied.
-type PMUPub struct {
-	broker  *Broker
-	node    *node.Node
-	org     string
-	cluster string
+// Plugin is one per-node ExaMon sampling plugin: a virtual-time ticker
+// that reads its node and publishes one batch per period through the
+// broker. NewPMUPub, NewStatsPub and NewPowerPub build the three plugins
+// the deployment runs; they differ only in name, period and what a tick
+// reads.
+type Plugin struct {
+	name   string // event-name component: pmu_pub, stats_pub or power_pub
+	period float64
+	broker *Broker
+	node   *node.Node
+	tags   Tags                         // Org, Cluster, Node and Plugin of every sample
+	fill   func(p *Plugin, now float64) // appends one tick's samples with add
 
 	ticker *sim.Ticker
-	batch  []Sample     // per-tick scratch, reused across samples
-	events []perf.Event // counters this node exposes, fixed at Start
+	batch  []Sample // per-tick scratch, reused across samples
 }
 
-// NewPMUPub builds the plugin for one node.
-func NewPMUPub(broker *Broker, nd *node.Node, org, cluster string) (*PMUPub, error) {
+func newPlugin(name, pluginTag string, period float64, fill func(*Plugin, float64),
+	broker *Broker, nd *node.Node, org, cluster string) (*Plugin, error) {
 	if broker == nil || nd == nil {
-		return nil, fmt.Errorf("examon: pmu_pub needs a broker and node")
+		return nil, fmt.Errorf("examon: %s needs a broker and node", name)
 	}
 	if org == "" {
 		org = DefaultOrg
@@ -45,22 +47,41 @@ func NewPMUPub(broker *Broker, nd *node.Node, org, cluster string) (*PMUPub, err
 	if cluster == "" {
 		cluster = DefaultCluster
 	}
-	return &PMUPub{broker: broker, node: nd, org: org, cluster: cluster}, nil
+	return &Plugin{name: name, period: period, broker: broker, node: nd, fill: fill,
+		tags: Tags{Org: org, Cluster: cluster, Node: nd.Hostname(), Plugin: pluginTag}}, nil
+}
+
+// NewPMUPub builds the plugin publishing one node's hardware performance
+// counters as exposed by perf_events. In the deployed kernel only INSTRET
+// and CYCLE are available; the programmable HPM counters appear once the
+// authors' U-Boot patch is applied.
+func NewPMUPub(broker *Broker, nd *node.Node, org, cluster string) (*Plugin, error) {
+	return newPlugin("pmu_pub", "pmu_pub", PMUPubPeriod, fillPMU, broker, nd, org, cluster)
+}
+
+// NewStatsPub builds the plugin collecting one node's operating-system
+// statistics from procfs/sysfs (Table III lists its metric groups).
+func NewStatsPub(broker *Broker, nd *node.Node, org, cluster string) (*Plugin, error) {
+	return newPlugin("stats_pub", "dstat_pub", StatsPubPeriod, fillStats, broker, nd, org, cluster)
+}
+
+// NewPowerPub builds the plugin publishing one node's nine
+// shunt-monitored rail powers and their board total. Unlike pmu_pub and
+// stats_pub it samples out of band (the shunt ADCs sit on the board, not
+// behind the OS), so it publishes in every powered state — the cluster
+// power plane needs boot and halt draw in its budget accounting, not just
+// the OS-up draw.
+func NewPowerPub(broker *Broker, nd *node.Node, org, cluster string) (*Plugin, error) {
+	return newPlugin("power_pub", "power_pub", PowerPubPeriod, fillPower, broker, nd, org, cluster)
 }
 
 // Start begins sampling on the engine. Stop with Stop.
-func (p *PMUPub) Start(engine *sim.Engine) error {
+func (p *Plugin) Start(engine *sim.Engine) error {
 	if p.ticker != nil {
-		return fmt.Errorf("examon: pmu_pub already started on %s", p.node.Hostname())
+		return fmt.Errorf("examon: %s already started on %s", p.name, p.tags.Node)
 	}
-	// The exposed counter set is a boot-time property (the U-Boot HPM
-	// patch), so resolve it once here instead of rebuilding it every tick.
-	p.events = append(p.events[:0], perf.FixedEvents...)
-	if p.node.PMU().HPMEnabled() {
-		p.events = append(p.events, perf.ProgrammableEvents...)
-	}
-	tk, err := sim.NewTicker(engine, engine.Now()+PMUPubPeriod, PMUPubPeriod,
-		"examon.pmu_pub."+p.node.Hostname(), p.sample)
+	tk, err := sim.NewTicker(engine, engine.Now()+p.period, p.period,
+		"examon."+p.name+"."+p.tags.Node, p.sample)
 	if err != nil {
 		return fmt.Errorf("examon: %w", err)
 	}
@@ -69,91 +90,57 @@ func (p *PMUPub) Start(engine *sim.Engine) error {
 }
 
 // Stop halts sampling.
-func (p *PMUPub) Stop() {
+func (p *Plugin) Stop() {
 	if p.ticker != nil {
 		p.ticker.Stop()
 		p.ticker = nil
 	}
 }
 
-func (p *PMUPub) sample(now float64) {
-	// Bring the node model exactly to the sampling instant so counter
-	// reads are independent of tick-interleaving with the cluster's
-	// integration. Under lock-step this is a sub-period catch-up; under
-	// demand-driven integration the sample IS the observation that
-	// advances the node.
+func (p *Plugin) sample(now float64) {
+	// Bring the node model exactly to the sampling instant so reads are
+	// independent of tick-interleaving with the cluster's integration.
+	// Under lock-step this is a sub-period catch-up; under demand-driven
+	// integration the sample IS the observation that advances the node.
 	p.node.SyncTo(now)
+	p.batch = p.batch[:0]
+	p.fill(p, now)
+	// One batch per node per tick, never rendered to the Table II string
+	// encoding; an empty batch publishes nothing. Errors cannot occur for
+	// well-formed tags; the plugin drops the batch otherwise, like a QoS0
+	// publisher.
+	_ = p.broker.PublishBatch(p.batch)
+}
+
+// add appends one sample of this tick to the batch.
+func (p *Plugin) add(core int, metric string, now, v float64) {
+	t := p.tags
+	t.Core, t.Metric = core, metric
+	p.batch = append(p.batch, Sample{Tags: t, T: now, V: v})
+}
+
+// fillPMU reads every exposed counter of every hart while the OS is up.
+func fillPMU(p *Plugin, now float64) {
 	if p.node.State() != node.StateRunning {
 		return
 	}
 	pmu := p.node.PMU()
-	// One batch per node per tick, never rendered to the Table II string
-	// encoding.
-	p.batch = p.batch[:0]
-	hostname := p.node.Hostname()
+	// The exposed counter set is a boot-time property (the U-Boot HPM
+	// patch): the fixed counters, then the programmable ones when patched.
+	events := [2][]perf.Event{perf.FixedEvents}
+	if pmu.HPMEnabled() {
+		events[1] = perf.ProgrammableEvents
+	}
 	for core := 0; core < pmu.Harts(); core++ {
-		for _, ev := range p.events {
-			v, err := pmu.Read(core, ev)
-			if err != nil {
-				continue // disabled counters silently absent, as on the real node
+		for _, group := range events {
+			for _, ev := range group {
+				v, err := pmu.Read(core, ev)
+				if err != nil {
+					continue // disabled counters silently absent, as on the real node
+				}
+				p.add(core, ev.String(), now, float64(v))
 			}
-			p.batch = append(p.batch, Sample{
-				Tags: Tags{Org: p.org, Cluster: p.cluster, Node: hostname,
-					Plugin: "pmu_pub", Core: core, Metric: ev.String()},
-				T: now, V: float64(v),
-			})
 		}
-	}
-	// Errors cannot occur for well-formed tags; the plugin drops the batch
-	// otherwise, like a QoS0 publisher.
-	_ = p.broker.PublishBatch(p.batch)
-}
-
-// StatsPub is the per-node plugin collecting operating-system statistics
-// from procfs/sysfs (Table III lists its metric groups).
-type StatsPub struct {
-	broker  *Broker
-	node    *node.Node
-	org     string
-	cluster string
-
-	ticker *sim.Ticker
-	batch  []Sample // per-tick scratch, reused across samples
-}
-
-// NewStatsPub builds the plugin for one node.
-func NewStatsPub(broker *Broker, nd *node.Node, org, cluster string) (*StatsPub, error) {
-	if broker == nil || nd == nil {
-		return nil, fmt.Errorf("examon: stats_pub needs a broker and node")
-	}
-	if org == "" {
-		org = DefaultOrg
-	}
-	if cluster == "" {
-		cluster = DefaultCluster
-	}
-	return &StatsPub{broker: broker, node: nd, org: org, cluster: cluster}, nil
-}
-
-// Start begins sampling on the engine.
-func (s *StatsPub) Start(engine *sim.Engine) error {
-	if s.ticker != nil {
-		return fmt.Errorf("examon: stats_pub already started on %s", s.node.Hostname())
-	}
-	tk, err := sim.NewTicker(engine, engine.Now()+StatsPubPeriod, StatsPubPeriod,
-		"examon.stats_pub."+s.node.Hostname(), s.sample)
-	if err != nil {
-		return fmt.Errorf("examon: %w", err)
-	}
-	s.ticker = tk
-	return nil
-}
-
-// Stop halts sampling.
-func (s *StatsPub) Stop() {
-	if s.ticker != nil {
-		s.ticker.Stop()
-		s.ticker = nil
 	}
 }
 
@@ -172,12 +159,12 @@ var StatsMetrics = []string{
 	"temperature.mb_temp", "temperature.cpu_temp", "temperature.nvme_temp",
 }
 
-func (s *StatsPub) sample(now float64) {
-	s.node.SyncTo(now) // sync to the sampling instant (see PMUPub.sample)
-	if s.node.State() != node.StateRunning {
+// fillStats reads the Table III statistics while the OS is up.
+func fillStats(p *Plugin, now float64) {
+	if p.node.State() != node.StateRunning {
 		return
 	}
-	st := s.node.Stats()
+	st := p.node.Stats()
 	// values is aligned index-for-index with StatsMetrics (Table III
 	// order); the array literal lives on the stack, so a tick builds the
 	// batch without the string-keyed map the historical implementation
@@ -195,32 +182,9 @@ func (s *StatsPub) sample(now float64) {
 		st.NetRecv, st.NetSend,
 		st.TempMB, st.TempCPU, st.TempNVMe,
 	}
-	// One typed batch per node per tick; see PMUPub.sample.
-	s.batch = s.batch[:0]
-	hostname := s.node.Hostname()
 	for i, metric := range StatsMetrics {
-		s.batch = append(s.batch, Sample{
-			Tags: Tags{Org: s.org, Cluster: s.cluster, Node: hostname,
-				Plugin: "dstat_pub", Core: -1, Metric: metric},
-			T: now, V: values[i],
-		})
+		p.add(-1, metric, now, values[i])
 	}
-	_ = s.broker.PublishBatch(s.batch) // see PMUPub.sample
-}
-
-// PowerPub is the per-node plugin publishing the nine shunt-monitored rail
-// powers and their board total. Unlike pmu_pub and stats_pub it samples
-// out of band (the shunt ADCs sit on the board, not behind the OS), so it
-// publishes in every powered state — the cluster power plane needs boot
-// and halt draw in its budget accounting, not just the OS-up draw.
-type PowerPub struct {
-	broker  *Broker
-	node    *node.Node
-	org     string
-	cluster string
-
-	ticker *sim.Ticker
-	batch  []Sample // per-tick scratch, reused across samples
 }
 
 // PowerTotalMetric is the power_pub metric carrying the nine-rail board
@@ -238,60 +202,13 @@ var powerRailMetrics = func() []string {
 	return names
 }()
 
-// NewPowerPub builds the plugin for one node.
-func NewPowerPub(broker *Broker, nd *node.Node, org, cluster string) (*PowerPub, error) {
-	if broker == nil || nd == nil {
-		return nil, fmt.Errorf("examon: power_pub needs a broker and node")
-	}
-	if org == "" {
-		org = DefaultOrg
-	}
-	if cluster == "" {
-		cluster = DefaultCluster
-	}
-	return &PowerPub{broker: broker, node: nd, org: org, cluster: cluster}, nil
-}
-
-// Start begins sampling on the engine.
-func (p *PowerPub) Start(engine *sim.Engine) error {
-	if p.ticker != nil {
-		return fmt.Errorf("examon: power_pub already started on %s", p.node.Hostname())
-	}
-	tk, err := sim.NewTicker(engine, engine.Now()+PowerPubPeriod, PowerPubPeriod,
-		"examon.power_pub."+p.node.Hostname(), p.sample)
-	if err != nil {
-		return fmt.Errorf("examon: %w", err)
-	}
-	p.ticker = tk
-	return nil
-}
-
-// Stop halts sampling.
-func (p *PowerPub) Stop() {
-	if p.ticker != nil {
-		p.ticker.Stop()
-		p.ticker = nil
-	}
-}
-
-func (p *PowerPub) sample(now float64) {
-	p.node.SyncTo(now) // sync to the sampling instant (see PMUPub.sample)
-	p.batch = p.batch[:0]
-	hostname := p.node.Hostname()
+// fillPower reads the nine rails and their total in every powered state.
+func fillPower(p *Plugin, now float64) {
 	total := 0.0
 	for i, rail := range power.Rails {
 		mw := p.node.RailMilliwatts(rail)
 		total += mw
-		p.batch = append(p.batch, Sample{
-			Tags: Tags{Org: p.org, Cluster: p.cluster, Node: hostname,
-				Plugin: "power_pub", Core: -1, Metric: powerRailMetrics[i]},
-			T: now, V: mw,
-		})
+		p.add(-1, powerRailMetrics[i], now, mw)
 	}
-	p.batch = append(p.batch, Sample{
-		Tags: Tags{Org: p.org, Cluster: p.cluster, Node: hostname,
-			Plugin: "power_pub", Core: -1, Metric: PowerTotalMetric},
-		T: now, V: total,
-	})
-	_ = p.broker.PublishBatch(p.batch) // see PMUPub.sample
+	p.add(-1, PowerTotalMetric, now, total)
 }

@@ -11,7 +11,7 @@ import (
 	"montecimone/internal/thermal"
 )
 
-func newPowerRig(t *testing.T) (*sim.Engine, *node.Node, *TSDB) {
+func newPowerRig(t *testing.T) (*sim.Engine, *node.Node, *MemStore) {
 	t.Helper()
 	e := sim.NewEngine()
 	nd, err := node.New(node.Config{ID: 1, Enclosure: thermal.DefaultEnclosure()})
@@ -19,8 +19,8 @@ func newPowerRig(t *testing.T) (*sim.Engine, *node.Node, *TSDB) {
 		t.Fatal(err)
 	}
 	broker := NewBroker()
-	db := NewTSDB()
-	if _, err := db.Attach(broker); err != nil {
+	db, err := NewMemStore().Attach(broker)
+	if err != nil {
 		t.Fatal(err)
 	}
 	pp, err := NewPowerPub(broker, nd, "", "")
@@ -75,8 +75,7 @@ func TestPowerPubPublishesRailsAndTotal(t *testing.T) {
 }
 
 func TestRESTPowerPlaneEndpoint(t *testing.T) {
-	db := NewTSDB()
-	srv, err := NewRESTServer(db)
+	srv, err := NewRESTServer(NewMemStore())
 	if err != nil {
 		t.Fatal(err)
 	}

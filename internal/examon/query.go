@@ -103,21 +103,17 @@ func (a *aggAccum) value(op AggOp) float64 {
 // step over a huge time range cannot exhaust memory.
 const maxAggBuckets = 1 << 20
 
-// rollupServed counts series answered from rollup tiers instead of raw
-// points — observability for the read path, pinned by the tests.
-var rollupServed atomic.Uint64
-
-// QueryAgg runs an aggregating range query against a storage engine: the
-// filter selects series and the time range, opts select the operator and
-// the downsampling step. Matching series are returned in storage order.
-func QueryAgg(st Storage, f Filter, opts AggOptions) ([]AggSeries, error) {
+// QueryAgg runs an aggregating range query against the store: the filter
+// selects series and the time range, opts select the operator and the
+// downsampling step. Matching series are returned in storage order.
+func QueryAgg(st *MemStore, f Filter, opts AggOptions) ([]AggSeries, error) {
 	return QueryAggInto(nil, st, f, opts)
 }
 
 // QueryAggInto is QueryAgg appending into dst, so periodic callers (the
 // power plane's control loop, dashboard pollers) can reuse one result
 // slice across queries instead of reallocating it every tick.
-func QueryAggInto(dst []AggSeries, st Storage, f Filter, opts AggOptions) ([]AggSeries, error) {
+func QueryAggInto(dst []AggSeries, st *MemStore, f Filter, opts AggOptions) ([]AggSeries, error) {
 	if st == nil {
 		return nil, fmt.Errorf("examon: nil storage")
 	}
@@ -141,15 +137,16 @@ func QueryAggInto(dst []AggSeries, st Storage, f Filter, opts AggOptions) ([]Agg
 			opts.Step, maxAggBuckets, f.From, f.To)
 	}
 	snaps := st.snapshot(f, rollupAligned(f, opts, st.rollupStep()))
-	return aggSnapshots(dst, snaps, f, opts)
+	return aggSnapshots(dst, snaps, f, opts, &st.rollupServed)
 }
 
 // aggSnapshots aggregates a matched-series snapshot, fanning the series
 // out across cores (parallelFor chunks) with the results merged back in
 // scan order. Each series is aggregated wholly within one goroutine, so
 // per-series results do not depend on the fan-out; the snapshot's order
-// is preserved by indexed assignment.
-func aggSnapshots(dst []AggSeries, snaps []seriesSnap, f Filter, opts AggOptions) ([]AggSeries, error) {
+// is preserved by indexed assignment. Each series answered from a rollup
+// tier bumps rollupServed.
+func aggSnapshots(dst []AggSeries, snaps []seriesSnap, f Filter, opts AggOptions, rollupServed *atomic.Uint64) ([]AggSeries, error) {
 	res := make([]AggSeries, len(snaps))
 	var (
 		errMu    sync.Mutex

@@ -22,24 +22,9 @@ import (
 // rollup-vs-raw comparison bit-identical, per the tier's documented
 // exactness contract.
 
-// readPathEngines builds the fast/reference store pairs: the bare store
-// and the TSDB wrapper, whose delegation must keep every fast layer.
-func readPathEngines() map[string]func(opts ...StoreOption) Storage {
-	return map[string]func(opts ...StoreOption) Storage{
-		"mem": func(opts ...StoreOption) Storage { return NewMemStore(opts...) },
-		"tsdb": func(opts ...StoreOption) Storage {
-			db, err := NewTSDBOn(NewMemStore(opts...))
-			if err != nil {
-				panic(err)
-			}
-			return db
-		},
-	}
-}
-
-// reference returns the reference twin of a fast store.
-func reference(mk func(opts ...StoreOption) Storage) Storage {
-	return mk(WithLinearScan(true), WithRollup(-1))
+// reference returns the reference twin of the default store.
+func reference() *MemStore {
+	return NewMemStore(WithLinearScan(true), WithRollup(-1))
 }
 
 // inline runs fn with GOMAXPROCS(1), so parallelFor walks every series on
@@ -53,7 +38,7 @@ func inline(fn func()) {
 // dense 2 Hz series across nodes/plugins/cores/metrics, one out-of-order
 // series, and one sparse series whose bucket span overflows the rollup
 // tier (exercising the per-series raw fallback).
-func fillRandom(rng *rand.Rand, stores ...Storage) {
+func fillRandom(rng *rand.Rand, stores ...*MemStore) {
 	dyadic := func() float64 { return float64(rng.Intn(1<<20)) / 4 }
 	var batch []Sample
 	for n := 0; n < 5; n++ {
@@ -112,36 +97,25 @@ func equivalenceFilters() []Filter {
 }
 
 func TestReadPathEquivalence(t *testing.T) {
-	for name, mk := range readPathEngines() {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(7))
-			fast, slow := mk(), reference(mk)
-			fillRandom(rng, fast, slow)
+	t.Run("mem", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		fast, slow := NewMemStore(), reference()
+		fillRandom(rng, fast, slow)
 
-			if !reflect.DeepEqual(fast.Keys(), slow.Keys()) {
-				t.Fatalf("keys diverge:\n%v\nvs\n%v", fast.Keys(), slow.Keys())
+		if !reflect.DeepEqual(fast.Keys(), slow.Keys()) {
+			t.Fatalf("keys diverge:\n%v\nvs\n%v", fast.Keys(), slow.Keys())
+		}
+		if fast.SeriesCount() != slow.SeriesCount() {
+			t.Fatalf("series counts diverge: %d vs %d", fast.SeriesCount(), slow.SeriesCount())
+		}
+		for _, f := range equivalenceFilters() {
+			var want []Series
+			inline(func() { want = slow.Query(f) })
+			if got := fast.Query(f); !reflect.DeepEqual(got, want) {
+				t.Errorf("filter %+v: indexed Query diverges from linear scan", f)
 			}
-			if fast.SeriesCount() != slow.SeriesCount() {
-				t.Fatalf("series counts diverge: %d vs %d", fast.SeriesCount(), slow.SeriesCount())
-			}
-			for _, f := range equivalenceFilters() {
-				var want []Series
-				var wantScan []Tags
-				inline(func() {
-					want = slow.Query(f)
-					slow.Scan(f, func(tags Tags, _ PointsView) bool { wantScan = append(wantScan, tags); return true })
-				})
-				if got := fast.Query(f); !reflect.DeepEqual(got, want) {
-					t.Errorf("filter %+v: indexed Query diverges from linear scan", f)
-				}
-				var gotScan []Tags
-				fast.Scan(f, func(tags Tags, _ PointsView) bool { gotScan = append(gotScan, tags); return true })
-				if !reflect.DeepEqual(gotScan, wantScan) {
-					t.Errorf("filter %+v: indexed Scan order diverges from linear scan", f)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestQueryAggEquivalence is the randomized rollup-vs-raw and
@@ -150,79 +124,75 @@ func TestReadPathEquivalence(t *testing.T) {
 func TestQueryAggEquivalence(t *testing.T) {
 	steps := []float64{0, 7, 60, 120, 180}
 	ranges := [][2]float64{{0, 0}, {60, 240}, {13, 307}, {60, 0}, {120, 120.5}}
-	for name, mk := range readPathEngines() {
-		t.Run(name, func(t *testing.T) {
-			rng := rand.New(rand.NewSource(11))
-			fast, slow := mk(), reference(mk)
-			fillRandom(rng, fast, slow)
-			type aggCase struct {
-				f    Filter
-				opts AggOptions
-			}
-			var cases []aggCase
-			for _, f := range equivalenceFilters() {
-				for _, op := range []AggOp{AggAvg, AggMin, AggMax, AggSum, AggRate} {
-					for _, step := range steps {
-						for _, tr := range ranges {
-							q := f
-							q.From, q.To = tr[0], tr[1]
-							if f.From != 0 || f.To != 0 {
-								q.From, q.To = f.From, f.To
-							}
-							cases = append(cases, aggCase{q, AggOptions{Op: op, Step: step}})
+	t.Run("mem", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(11))
+		fast, slow := NewMemStore(), reference()
+		fillRandom(rng, fast, slow)
+		type aggCase struct {
+			f    Filter
+			opts AggOptions
+		}
+		var cases []aggCase
+		for _, f := range equivalenceFilters() {
+			for _, op := range []AggOp{AggAvg, AggMin, AggMax, AggSum, AggRate} {
+				for _, step := range steps {
+					for _, tr := range ranges {
+						q := f
+						q.From, q.To = tr[0], tr[1]
+						if f.From != 0 || f.To != 0 {
+							q.From, q.To = f.From, f.To
 						}
+						cases = append(cases, aggCase{q, AggOptions{Op: op, Step: step}})
 					}
 				}
 			}
-			want := make([][]AggSeries, len(cases))
-			werr := make([]error, len(cases))
-			inline(func() {
-				for i, c := range cases {
-					want[i], werr[i] = QueryAgg(slow, c.f, c.opts)
-				}
-			})
+		}
+		want := make([][]AggSeries, len(cases))
+		werr := make([]error, len(cases))
+		inline(func() {
 			for i, c := range cases {
-				got, gerr := QueryAgg(fast, c.f, c.opts)
-				if (gerr == nil) != (werr[i] == nil) {
-					t.Fatalf("%+v %+v: error divergence %v vs %v", c.f, c.opts, gerr, werr[i])
-				}
-				if !reflect.DeepEqual(got, want[i]) {
-					t.Errorf("%+v %+v: fast path diverges from the inline reference", c.f, c.opts)
-				}
+				want[i], werr[i] = QueryAgg(slow, c.f, c.opts)
 			}
 		})
-	}
+		for i, c := range cases {
+			got, gerr := QueryAgg(fast, c.f, c.opts)
+			if (gerr == nil) != (werr[i] == nil) {
+				t.Fatalf("%+v %+v: error divergence %v vs %v", c.f, c.opts, gerr, werr[i])
+			}
+			if !reflect.DeepEqual(got, want[i]) {
+				t.Errorf("%+v %+v: fast path diverges from the inline reference", c.f, c.opts)
+			}
+		}
+	})
 }
 
 // TestRollupActuallyServes pins that aligned coarse-step aggregations
 // really are answered from the rollup tier, not silently from raw points.
 func TestRollupActuallyServes(t *testing.T) {
-	for name, mk := range readPathEngines() {
-		t.Run(name, func(t *testing.T) {
-			st := mk()
-			tags := confTags(1, 0, "instret")
-			for i := 0; i < 1000; i++ {
-				st.Insert(tags, float64(i)*0.5, float64(i))
-			}
-			before := rollupServed.Load()
-			if _, err := QueryAgg(st, Filter{Metric: "instret", From: 0, To: 480},
-				AggOptions{Op: AggAvg, Step: 60}); err != nil {
-				t.Fatal(err)
-			}
-			if rollupServed.Load() == before {
-				t.Error("aligned query did not touch the rollup tier")
-			}
-			// Unaligned step must fall back to raw.
-			before = rollupServed.Load()
-			if _, err := QueryAgg(st, Filter{Metric: "instret", From: 0, To: 480},
-				AggOptions{Op: AggAvg, Step: 7}); err != nil {
-				t.Fatal(err)
-			}
-			if rollupServed.Load() != before {
-				t.Error("unaligned query was served from the rollup tier")
-			}
-		})
-	}
+	t.Run("mem", func(t *testing.T) {
+		st := NewMemStore()
+		tags := confTags(1, 0, "instret")
+		for i := 0; i < 1000; i++ {
+			st.Insert(tags, float64(i)*0.5, float64(i))
+		}
+		before := st.rollupServed.Load()
+		if _, err := QueryAgg(st, Filter{Metric: "instret", From: 0, To: 480},
+			AggOptions{Op: AggAvg, Step: 60}); err != nil {
+			t.Fatal(err)
+		}
+		if st.rollupServed.Load() == before {
+			t.Error("aligned query did not touch the rollup tier")
+		}
+		// Unaligned step must fall back to raw.
+		before = st.rollupServed.Load()
+		if _, err := QueryAgg(st, Filter{Metric: "instret", From: 0, To: 480},
+			AggOptions{Op: AggAvg, Step: 7}); err != nil {
+			t.Fatal(err)
+		}
+		if st.rollupServed.Load() != before {
+			t.Error("unaligned query was served from the rollup tier")
+		}
+	})
 }
 
 func TestRollupAlignment(t *testing.T) {
@@ -254,88 +224,86 @@ func TestRollupAlignment(t *testing.T) {
 // is the regression net for the lock-free read path. Results must stay
 // ordered by series creation and aggregation must never error.
 func TestParallelQueryDuringIngest(t *testing.T) {
-	for name, mk := range readPathEngines() {
-		t.Run(name, func(t *testing.T) {
-			st := mk()
-			const writers = 8
-			var wg sync.WaitGroup
-			stop := make(chan struct{})
-			for w := 0; w < writers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					batch := make([]Sample, 0, 8)
-					for i := 0; i < 400; i++ {
-						batch = batch[:0]
-						for core := 0; core < 4; core++ {
-							batch = append(batch, Sample{
-								Tags: confTags(w, core, "instret"),
-								T:    float64(i) * 0.5, V: float64(i),
-							})
-						}
-						st.InsertBatch(batch)
+	t.Run("mem", func(t *testing.T) {
+		st := NewMemStore()
+		const writers = 8
+		var wg sync.WaitGroup
+		stop := make(chan struct{})
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				batch := make([]Sample, 0, 8)
+				for i := 0; i < 400; i++ {
+					batch = batch[:0]
+					for core := 0; core < 4; core++ {
+						batch = append(batch, Sample{
+							Tags: confTags(w, core, "instret"),
+							T:    float64(i) * 0.5, V: float64(i),
+						})
 					}
-				}(w)
-			}
-			var rwg sync.WaitGroup
-			var readErr error
-			var readMu sync.Mutex
-			for r := 0; r < 4; r++ {
-				rwg.Add(1)
-				go func() {
-					defer rwg.Done()
-					for {
-						select {
-						case <-stop:
+					st.InsertBatch(batch)
+				}
+			}(w)
+		}
+		var rwg sync.WaitGroup
+		var readErr error
+		var readMu sync.Mutex
+		for r := 0; r < 4; r++ {
+			rwg.Add(1)
+			go func() {
+				defer rwg.Done()
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+					}
+					// Aligned (rollup-served) and unaligned (raw
+					// fan-out) aggregations plus a wide raw scan.
+					for _, opts := range []AggOptions{
+						{Op: AggMax, Step: 60},
+						{Op: AggAvg, Step: 7},
+						{Op: AggRate, Step: 30},
+					} {
+						agg, err := QueryAgg(st, Filter{Metric: "instret"}, opts)
+						if err != nil {
+							readMu.Lock()
+							if readErr == nil {
+								readErr = err
+							}
+							readMu.Unlock()
 							return
-						default:
 						}
-						// Aligned (rollup-served) and unaligned (raw
-						// fan-out) aggregations plus a wide raw scan.
-						for _, opts := range []AggOptions{
-							{Op: AggMax, Step: 60},
-							{Op: AggAvg, Step: 7},
-							{Op: AggRate, Step: 30},
-						} {
-							agg, err := QueryAgg(st, Filter{Metric: "instret"}, opts)
-							if err != nil {
+						for i := 1; i < len(agg); i++ {
+							if agg[i].Tags == agg[i-1].Tags {
 								readMu.Lock()
 								if readErr == nil {
-									readErr = err
+									readErr = fmt.Errorf("duplicate series %v in fan-out merge", agg[i].Tags)
 								}
 								readMu.Unlock()
 								return
 							}
-							for i := 1; i < len(agg); i++ {
-								if agg[i].Tags == agg[i-1].Tags {
-									readMu.Lock()
-									if readErr == nil {
-										readErr = fmt.Errorf("duplicate series %v in fan-out merge", agg[i].Tags)
-									}
-									readMu.Unlock()
-									return
-								}
-							}
 						}
 					}
-				}()
-			}
-			wg.Wait()
-			close(stop)
-			rwg.Wait()
-			if readErr != nil {
-				t.Fatal(readErr)
-			}
-			// After ingest quiesces, fan-out and sequential answers agree.
-			got, err := QueryAgg(st, Filter{Metric: "instret"}, AggOptions{Op: AggSum, Step: 60})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != writers*4 {
-				t.Fatalf("aggregated %d series, want %d", len(got), writers*4)
-			}
-		})
-	}
+				}
+			}()
+		}
+		wg.Wait()
+		close(stop)
+		rwg.Wait()
+		if readErr != nil {
+			t.Fatal(readErr)
+		}
+		// After ingest quiesces, fan-out and sequential answers agree.
+		got, err := QueryAgg(st, Filter{Metric: "instret"}, AggOptions{Op: AggSum, Step: 60})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != writers*4 {
+			t.Fatalf("aggregated %d series, want %d", len(got), writers*4)
+		}
+	})
 }
 
 // TestRollupOutOfOrderAndDrop pins the tier's edge cases directly:
@@ -392,7 +360,7 @@ func TestRollupOverflowGuards(t *testing.T) {
 
 	// Extreme timestamps drop the tier; results still equal the raw twin.
 	fast, slow := NewMemStore(), NewMemStore(WithLinearScan(true), WithRollup(-1))
-	for _, s := range []Storage{fast, slow} {
+	for _, s := range []*MemStore{fast, slow} {
 		s.Insert(tags, 0, 1)
 		s.Insert(tags, 1e300, 2)
 		s.Insert(tags, -1e300, 3)

@@ -31,13 +31,12 @@ import (
 // optional limit=N guard: a result with more than N points answers 413
 // instead of serializing unboundedly.
 type RESTServer struct {
-	st  Storage
+	st  *MemStore
 	mux *http.ServeMux
 }
 
-// NewRESTServer builds the HTTP handler over a storage engine (a *TSDB
-// works directly).
-func NewRESTServer(st Storage) (*RESTServer, error) {
+// NewRESTServer builds the HTTP handler over a store.
+func NewRESTServer(st *MemStore) (*RESTServer, error) {
 	if st == nil {
 		return nil, fmt.Errorf("examon: rest server needs a storage engine")
 	}

@@ -9,7 +9,7 @@ import (
 	"testing"
 )
 
-func restFixture(t *testing.T, st Storage) *httptest.Server {
+func restFixture(t *testing.T, st *MemStore) *httptest.Server {
 	t.Helper()
 	for n := 1; n <= 2; n++ {
 		for core := 0; core < 2; core++ {
@@ -199,7 +199,7 @@ func TestQueryV2BadParameters(t *testing.T) {
 // oldRawResponse replicates the pre-streaming handler: response structs
 // filled from Query, rendered through encoding/json. The streaming
 // encoder must reproduce it byte for byte.
-func oldRawResponse(t *testing.T, st Storage, f Filter) string {
+func oldRawResponse(t *testing.T, st *MemStore, f Filter) string {
 	t.Helper()
 	type seriesResponse struct {
 		Node   string       `json:"node"`
@@ -229,7 +229,7 @@ func oldRawResponse(t *testing.T, st Storage, f Filter) string {
 	return string(body) + "\n"
 }
 
-func oldAggResponse(t *testing.T, st Storage, f Filter, op string, step float64) string {
+func oldAggResponse(t *testing.T, st *MemStore, f Filter, op string, step float64) string {
 	t.Helper()
 	type aggSeriesResponse struct {
 		Node   string       `json:"node"`
@@ -339,9 +339,9 @@ func mustFilter(t *testing.T, rawQuery string) Filter {
 // refuses with 413 instead of serializing unboundedly — with and without
 // the index.
 func TestQueryLimitGuard(t *testing.T) {
-	for name, mk := range map[string]func() Storage{
-		"mem":        func() Storage { return NewMemStore() },
-		"mem-linear": func() Storage { return NewMemStore(WithLinearScan(true)) },
+	for name, mk := range map[string]func() *MemStore{
+		"mem":        func() *MemStore { return NewMemStore() },
+		"mem-linear": func() *MemStore { return NewMemStore(WithLinearScan(true)) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			ts := restFixture(t, mk())

@@ -1,47 +1,15 @@
 package examon
 
-import "strings"
-
 // Sample is one typed telemetry measurement: the identifying tag set plus
 // the (timestamp, value) pair. It is the unit of the telemetry API —
-// plugins hand batches of Samples to the broker, the broker hands them to
-// its subscribers, and the store persists them — so a measurement crosses
+// plugins hand batches of Samples to the broker, and the broker hands them
+// to the store, which persists them — so a measurement crosses
 // the whole stack without being rendered to the Table II string encoding.
 type Sample struct {
 	// Tags identify the stream the sample belongs to.
 	Tags Tags
 	// T is the virtual timestamp (seconds); V the value.
 	T, V float64
-}
-
-// Topic renders the Table II data topic this tag set would publish under.
-func (t Tags) Topic() string {
-	var sb strings.Builder
-	sb.Grow(len("org//cluster//node//plugin//chnl/data/core/00/") +
-		len(t.Org) + len(t.Cluster) + len(t.Node) + len(t.Plugin) + len(t.Metric))
-	sb.WriteString("org/")
-	sb.WriteString(t.Org)
-	sb.WriteString("/cluster/")
-	sb.WriteString(t.Cluster)
-	sb.WriteString("/node/")
-	sb.WriteString(t.Node)
-	sb.WriteString("/plugin/")
-	sb.WriteString(t.Plugin)
-	sb.WriteString("/chnl/data")
-	if t.Core >= 0 {
-		sb.WriteString("/core/")
-		writeInt(&sb, t.Core)
-	}
-	sb.WriteByte('/')
-	sb.WriteString(t.Metric)
-	return sb.String()
-}
-
-func writeInt(sb *strings.Builder, v int) {
-	if v >= 10 {
-		writeInt(sb, v/10)
-	}
-	sb.WriteByte(byte('0' + v%10))
 }
 
 // PointsView is a read-only window over a series' stored points. It exists
@@ -60,9 +28,6 @@ func (v PointsView) Len() int { return len(v.pts) }
 
 // At returns point i in storage (arrival) order.
 func (v PointsView) At(i int) Point { return v.pts[i] }
-
-// Append copies the view's points onto dst in order.
-func (v PointsView) Append(dst []Point) []Point { return append(dst, v.pts...) }
 
 // Cursor returns an allocation-free iterator over the view restricted to
 // the [from, to) time range; to == 0 means unbounded, mirroring Filter.

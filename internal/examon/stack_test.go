@@ -12,14 +12,14 @@ import (
 	"montecimone/internal/thermal"
 )
 
-// testRig wires one monitored node to a broker and TSDB on an engine.
+// testRig wires one monitored node to a broker and its store on an engine.
 type testRig struct {
 	engine *sim.Engine
 	node   *node.Node
 	broker *Broker
-	db     *TSDB
-	pmu    *PMUPub
-	stats  *StatsPub
+	db     *MemStore
+	pmu    *Plugin
+	stats  *Plugin
 }
 
 func newRig(t *testing.T, hpmPatch bool) *testRig {
@@ -30,8 +30,8 @@ func newRig(t *testing.T, hpmPatch bool) *testRig {
 		t.Fatal(err)
 	}
 	broker := NewBroker()
-	db := NewTSDB()
-	if _, err := db.Attach(broker); err != nil {
+	db, err := NewMemStore().Attach(broker)
+	if err != nil {
 		t.Fatal(err)
 	}
 	pmu, err := NewPMUPub(broker, nd, "", "")
@@ -221,7 +221,7 @@ func TestPluginStartStop(t *testing.T) {
 }
 
 func TestTSDBQueryTimeRange(t *testing.T) {
-	db := NewTSDB()
+	db := NewMemStore()
 	tags := Tags{Org: "o", Cluster: "c", Node: "mc01", Plugin: "dstat_pub", Core: -1, Metric: "m"}
 	for i := 0; i < 10; i++ {
 		db.Insert(tags, float64(i), float64(i*10))
@@ -312,7 +312,7 @@ func TestRESTAPI(t *testing.T) {
 }
 
 func TestBuildHeatmap(t *testing.T) {
-	db := NewTSDB()
+	db := NewMemStore()
 	// Two nodes, cumulative counters growing at different rates.
 	for _, nodeName := range []string{"mc01", "mc02"} {
 		rate := 100.0
@@ -354,7 +354,7 @@ func TestBuildHeatmap(t *testing.T) {
 }
 
 func TestBuildHeatmapValidation(t *testing.T) {
-	db := NewTSDB()
+	db := NewMemStore()
 	if _, err := BuildHeatmap(nil, []string{"a"}, HeatmapOptions{From: 0, To: 1, BinWidth: 1}); err == nil {
 		t.Error("nil db accepted")
 	}
@@ -366,6 +366,21 @@ func TestBuildHeatmapValidation(t *testing.T) {
 	}
 	if _, err := BuildHeatmap(db, []string{"a"}, HeatmapOptions{From: 1, To: 1, BinWidth: 1}); err == nil {
 		t.Error("empty range accepted")
+	}
+	// Non-finite axes and over-wide grids are rejected before the grid is
+	// allocated (each of these used to panic in makeslice).
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, opts := range []HeatmapOptions{
+		{From: 0, To: 10, BinWidth: nan},
+		{From: nan, To: 10, BinWidth: 1},
+		{From: 0, To: inf, BinWidth: 1},
+		{From: 0, To: nan, BinWidth: 1},
+		{From: -inf, To: 10, BinWidth: 1},
+		{From: 0, To: 1e12, BinWidth: 1e-3},
+	} {
+		if _, err := BuildHeatmap(db, []string{"a"}, opts); err == nil {
+			t.Errorf("heatmap axis %+v accepted", opts)
+		}
 	}
 	// Empty data yields NaN cells, not an error.
 	hm, err := BuildHeatmap(db, []string{"a"}, HeatmapOptions{From: 0, To: 2, BinWidth: 1})

@@ -4,63 +4,8 @@ import (
 	"runtime"
 	"sort"
 	"sync"
+	"sync/atomic"
 )
-
-// Storage is the persistence interface behind TSDB. MemStore is the one
-// engine; TSDB implements Storage by delegating to its engine, so the
-// query layers (QueryAgg, BuildHeatmap, Detector.ScanAll, RESTServer)
-// accept either.
-//
-// MemStore maintains an inverted tag index (index.go) so selective reads
-// visit only candidate series, and ingest-time rollup tiers (rollup.go)
-// that answer aligned coarse-step aggregations without touching raw
-// points. WithLinearScan and WithRollup build the reference store the
-// read-path equivalence tests and BenchmarkQueryServe compare against.
-//
-// Contract (exercised by the conformance suite in
-// storage_conformance_test.go):
-//
-//   - Insert/InsertBatch append points in arrival order. Series identity
-//     is (Node, Plugin, Core, Metric) — the dimensions seriesKey renders
-//     and Filter selects on; samples differing only in Org/Cluster extend
-//     the same series, which keeps its first-seen full tag set (seed
-//     semantics).
-//   - Query returns deep copies of the matching series, time-filtered per
-//     Filter, ordered by each series' first insertion.
-//   - Scan visits matching series in the same order, passing a PointsView
-//     over the stored points with NO time filtering (callers apply
-//     Filter.From/To via PointsView.Cursor; aggregators like rate need
-//     the out-of-range predecessor point). The views are a point-in-time
-//     snapshot taken before the first visit, and no lock is held while
-//     visiting. Returning false stops the scan.
-//   - SeriesCount and Keys report the stored series; Keys is sorted.
-//
-// All methods are safe for concurrent use.
-type Storage interface {
-	// Insert stores one sample.
-	Insert(tags Tags, t, v float64)
-	// InsertBatch stores a batch of samples.
-	InsertBatch(batch []Sample)
-	// Query returns copies of the matching series, filtered to the time
-	// range, ordered by first insertion.
-	Query(f Filter) []Series
-	// Scan visits each matching series' full point view; see the
-	// interface comment for the contract.
-	Scan(f Filter, visit func(tags Tags, pts PointsView) bool)
-	// SeriesCount returns the number of stored series.
-	SeriesCount() int
-	// Keys lists all series keys, sorted.
-	Keys() []string
-
-	// snapshot captures the matching series in creation order as views
-	// that stay valid after the store's lock is released; withRollups
-	// also copies each series' rollup buckets overlapping the filter's
-	// time range. The read layers aggregate and render from it without
-	// holding any lock.
-	snapshot(f Filter, withRollups bool) []seriesSnap
-	// rollupStep is the rollup bucket width in seconds (<= 0: no tiers).
-	rollupStep() float64
-}
 
 // seriesID is the identity a stream is stored under: the dimensions that
 // seriesKey renders and Filter can select on. Org and Cluster are scoping
@@ -163,16 +108,45 @@ type memSeries struct {
 	roll *seriesRollup // nil when rollups are disabled
 }
 
-// MemStore is the in-memory append store (the seed TSDB's storage,
-// extracted behind the Storage interface). Every write takes the store's
-// lock, so any number of publishers may ingest concurrently; reads copy
-// slice headers under the read lock and then run lock-free.
+// MemStore is the in-memory append store on the master node: the broker
+// feeds it (Attach), and every read layer (Query, QueryAgg, BuildHeatmap,
+// Detector.ScanAll, RESTServer) answers from it. It maintains an inverted
+// tag index (index.go) so selective reads visit only candidate series,
+// and ingest-time rollup tiers (rollup.go) that answer aligned
+// coarse-step aggregations without touching raw points. WithLinearScan
+// and WithRollup build the reference store the read-path equivalence
+// tests and BenchmarkQueryServe compare against.
+//
+// Contract (exercised by the conformance suite in
+// storage_conformance_test.go):
+//
+//   - Insert/InsertBatch append points in arrival order. Series identity
+//     is (Node, Plugin, Core, Metric) — the dimensions seriesKey renders
+//     and Filter selects on; samples differing only in Org/Cluster extend
+//     the same series, which keeps its first-seen full tag set (seed
+//     semantics).
+//   - Query returns deep copies of the matching series, time-filtered per
+//     Filter, ordered by each series' first insertion.
+//   - The read layers scan a snapshot of the matching series in the same
+//     order, each a PointsView over the stored points with NO time
+//     filtering (they apply Filter.From/To via PointsView.Cursor;
+//     aggregators like rate need the out-of-range predecessor point). The
+//     snapshot is taken under the read lock, and no lock is held while
+//     it is scanned.
+//   - SeriesCount and Keys report the stored series; Keys is sorted.
+//
+// Every write takes the store's lock, so any number of publishers may
+// ingest concurrently; reads copy slice headers under the read lock and
+// then run lock-free. All methods are safe for concurrent use.
 type MemStore struct {
 	cfg    storeConfig
 	mu     sync.RWMutex
 	series map[seriesID]*memSeries
 	order  []*memSeries
 	index  *tagIndex
+	// rollupServed counts series QueryAgg answered from rollup tiers
+	// instead of raw points.
+	rollupServed atomic.Uint64
 }
 
 // NewMemStore returns an empty append store.
@@ -254,20 +228,13 @@ func (st *MemStore) Query(f Filter) []Series {
 	return out
 }
 
-// Scan visits matching series over a point-in-time snapshot.
-func (st *MemStore) Scan(f Filter, visit func(tags Tags, pts PointsView) bool) {
-	for _, s := range st.snapshot(f, false) {
-		if !visit(s.tags, s.pts) {
-			return
-		}
-	}
-}
-
-// snapshot selects the matching series through the inverted index, or by
-// walking every series in the linear-scan store and for filters with no
-// indexed dimension. The store is append-only, so a slice header copied
-// under the read lock describes an immutable prefix and stays valid after
-// the lock is released.
+// snapshot captures the matching series in creation order as views that
+// stay valid after the lock is released; withRollups also copies each
+// series' rollup buckets overlapping the filter's time range. It selects
+// through the inverted index, or by walking every series in the
+// linear-scan store and for filters with no indexed dimension. The store
+// is append-only, so a slice header copied under the read lock describes
+// an immutable prefix and stays valid after the lock is released.
 func (st *MemStore) snapshot(f Filter, withRollups bool) []seriesSnap {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -294,6 +261,7 @@ func (st *MemStore) snapshot(f Filter, withRollups bool) []seriesSnap {
 	return snaps
 }
 
+// rollupStep is the rollup bucket width in seconds (<= 0: no tiers).
 func (st *MemStore) rollupStep() float64 { return st.cfg.rollupStep }
 
 // SeriesCount returns the number of stored series.

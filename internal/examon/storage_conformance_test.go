@@ -9,28 +9,20 @@ import (
 	"testing"
 )
 
-// The shared conformance suite: the store, the TSDB wrapper and the
-// reference-store options must all satisfy the same insert/query/scan
-// contract.
+// The shared conformance suite: the store and the reference-store options
+// must all satisfy the same insert/query contract.
 
 // conformanceEngines returns a fresh instance of every store configuration
 // under a name.
-func conformanceEngines() map[string]func() Storage {
-	return map[string]func() Storage{
-		"mem": func() Storage { return NewMemStore() },
-		"tsdb": func() Storage {
-			db, err := NewTSDBOn(NewMemStore())
-			if err != nil {
-				panic(err)
-			}
-			return db
-		},
+func conformanceEngines() map[string]func() *MemStore {
+	return map[string]func() *MemStore{
+		"mem": func() *MemStore { return NewMemStore() },
 		// The reference-store options must satisfy the same contract: the
 		// linear variant walks every series on every read, the norollup
 		// variant keeps the index but serves every aggregation from raw
 		// points.
-		"mem-linear":   func() Storage { return NewMemStore(WithLinearScan(true)) },
-		"mem-norollup": func() Storage { return NewMemStore(WithRollup(-1)) },
+		"mem-linear":   func() *MemStore { return NewMemStore(WithLinearScan(true)) },
+		"mem-norollup": func() *MemStore { return NewMemStore(WithRollup(-1)) },
 	}
 }
 
@@ -50,7 +42,6 @@ func TestStorageConformance(t *testing.T) {
 			t.Run("TimeRange", func(t *testing.T) { testTimeRange(t, mk()) })
 			t.Run("InsertionOrder", func(t *testing.T) { testInsertionOrder(t, mk()) })
 			t.Run("BatchEquivalence", func(t *testing.T) { testBatchEquivalence(t, mk(), mk()) })
-			t.Run("ScanMatchesQuery", func(t *testing.T) { testScanMatchesQuery(t, mk()) })
 			t.Run("KeysAndCount", func(t *testing.T) { testKeysAndCount(t, mk()) })
 			t.Run("OrgClusterNotIdentity", func(t *testing.T) { testOrgClusterNotIdentity(t, mk()) })
 			t.Run("ConcurrentIngestQuery", func(t *testing.T) { testConcurrentIngestQuery(t, mk()) })
@@ -58,7 +49,7 @@ func TestStorageConformance(t *testing.T) {
 	}
 }
 
-func testInsertAndFilter(t *testing.T, st Storage) {
+func testInsertAndFilter(t *testing.T, st *MemStore) {
 	for n := 1; n <= 3; n++ {
 		for core := 0; core < 2; core++ {
 			st.Insert(confTags(n, core, "instret"), 1, float64(n*10+core))
@@ -86,7 +77,7 @@ func testInsertAndFilter(t *testing.T, st Storage) {
 	}
 }
 
-func testTimeRange(t *testing.T, st Storage) {
+func testTimeRange(t *testing.T, st *MemStore) {
 	tags := confTags(1, -1, "m")
 	for i := 0; i < 10; i++ {
 		st.Insert(tags, float64(i), float64(i*10))
@@ -113,9 +104,9 @@ func testTimeRange(t *testing.T, st Storage) {
 	}
 }
 
-func testInsertionOrder(t *testing.T, st Storage) {
-	// First-insert order must be reproduced by Query and Scan, whether
-	// the read goes through the index or walks every series.
+func testInsertionOrder(t *testing.T, st *MemStore) {
+	// First-insert order must be reproduced by Query, whether the read
+	// goes through the index or walks every series.
 	var want []Tags
 	for i := 9; i >= 0; i-- {
 		tags := confTags(i, -1, "m")
@@ -132,7 +123,7 @@ func testInsertionOrder(t *testing.T, st Storage) {
 	}
 }
 
-func testBatchEquivalence(t *testing.T, single, batched Storage) {
+func testBatchEquivalence(t *testing.T, single, batched *MemStore) {
 	var batch []Sample
 	for n := 0; n < 4; n++ {
 		for i := 0; i < 5; i++ {
@@ -151,43 +142,7 @@ func testBatchEquivalence(t *testing.T, single, batched Storage) {
 	}
 }
 
-func testScanMatchesQuery(t *testing.T, st Storage) {
-	for n := 0; n < 3; n++ {
-		for i := 0; i < 8; i++ {
-			st.Insert(confTags(n, 0, "instret"), float64(i), float64(i))
-		}
-	}
-	f := Filter{Metric: "instret", From: 2, To: 6}
-	var scanned []Series
-	st.Scan(f, func(tags Tags, pts PointsView) bool {
-		s := Series{Tags: tags}
-		cur := pts.Cursor(f.From, f.To)
-		for p, ok := cur.Next(); ok; p, ok = cur.Next() {
-			s.Points = append(s.Points, p)
-		}
-		scanned = append(scanned, s)
-		return true
-	})
-	if !reflect.DeepEqual(scanned, st.Query(f)) {
-		t.Errorf("scan+cursor diverges from query")
-	}
-	// Scan must pass the FULL view (no time filtering): rate-style
-	// aggregation needs the out-of-range predecessor.
-	st.Scan(Filter{Node: "mc00", From: 2, To: 6}, func(tags Tags, pts PointsView) bool {
-		if pts.Len() != 8 {
-			t.Errorf("scan view has %d points, want the full 8", pts.Len())
-		}
-		return false
-	})
-	// Returning false stops the scan.
-	visits := 0
-	st.Scan(Filter{}, func(Tags, PointsView) bool { visits++; return false })
-	if visits != 1 {
-		t.Errorf("scan visited %d series after stop, want 1", visits)
-	}
-}
-
-func testKeysAndCount(t *testing.T, st Storage) {
+func testKeysAndCount(t *testing.T, st *MemStore) {
 	if st.SeriesCount() != 0 || len(st.Keys()) != 0 {
 		t.Fatalf("fresh store not empty")
 	}
@@ -211,7 +166,7 @@ func testKeysAndCount(t *testing.T, st Storage) {
 // are scoping metadata, so samples differing only there extend one series
 // (which keeps the first-seen tag set) — Keys() must never list the same
 // rendered key twice.
-func testOrgClusterNotIdentity(t *testing.T, st Storage) {
+func testOrgClusterNotIdentity(t *testing.T, st *MemStore) {
 	a := Tags{Org: "orgA", Cluster: "cA", Node: "mc01", Plugin: "dstat_pub", Core: -1, Metric: "m"}
 	b := Tags{Org: "orgB", Cluster: "cB", Node: "mc01", Plugin: "dstat_pub", Core: -1, Metric: "m"}
 	st.Insert(a, 0, 1)
@@ -234,7 +189,7 @@ func testOrgClusterNotIdentity(t *testing.T, st Storage) {
 // testConcurrentIngestQuery hammers the store with parallel per-node
 // writers and concurrent readers; run under -race this is the regression
 // net for the ingest/query locking that fleet federation relies on.
-func testConcurrentIngestQuery(t *testing.T, st Storage) {
+func testConcurrentIngestQuery(t *testing.T, st *MemStore) {
 	const (
 		writers = 8
 		ticks   = 200
@@ -319,8 +274,13 @@ func TestTSDBOnValidation(t *testing.T) {
 	if _, err := NewTSDBOn(nil); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := NewTSDBOn(NewMemStore()); err != nil {
+	st := NewMemStore()
+	got, err := NewTSDBOn(st)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if got != st {
+		t.Errorf("NewTSDBOn returned %p, want its argument %p", got, st)
 	}
 }
 

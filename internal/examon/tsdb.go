@@ -26,49 +26,16 @@ func seriesKey(t Tags) string {
 	return fmt.Sprintf("%s/%s/%s", t.Node, t.Plugin, t.Metric)
 }
 
-// TSDB is the storage frontend installed on the master node. It subscribes
-// to the broker's data topics and answers range queries (the paper's stack
-// exposes these through Grafana and a REST API). The actual persistence is
-// delegated to a MemStore — NewTSDB builds a default one, NewTSDBOn wraps
-// one the caller built — and TSDB itself implements Storage by delegation,
-// so the query layers (QueryAgg, BuildHeatmap, Detector.ScanAll,
-// RESTServer) accept either a TSDB or a bare store and keep the store's
-// fast read paths (inverted index, snapshot fan-out, rollup tiers). Safe
-// for concurrent use.
-type TSDB struct {
-	store Storage
-}
-
-// NewTSDB returns a store backed by a default MemStore.
-func NewTSDB() *TSDB {
-	return &TSDB{store: NewMemStore()}
-}
-
-// NewTSDBOn returns a store backed by the given one.
-func NewTSDBOn(store Storage) (*TSDB, error) {
+// NewTSDBOn returns store, or an error when it is nil.
+//
+// Deprecated: attach the store to its broker with MemStore.Attach and
+// query it directly; NewTSDBOn remains only for existing callers.
+func NewTSDBOn(store *MemStore) (*MemStore, error) {
 	if store == nil {
 		return nil, fmt.Errorf("examon: tsdb needs a storage engine")
 	}
-	return &TSDB{store: store}, nil
+	return store, nil
 }
-
-// Attach subscribes the store to every ExaMon data topic on the broker:
-// each batch published with PublishBatch lands in storage as one batched
-// insert.
-func (db *TSDB) Attach(broker *Broker) (*Subscription, error) {
-	if broker == nil {
-		return nil, fmt.Errorf("examon: tsdb needs a broker")
-	}
-	return broker.Subscribe("org/#", func(batch []Sample) {
-		db.store.InsertBatch(batch)
-	})
-}
-
-// Insert stores one sample.
-func (db *TSDB) Insert(tags Tags, t, v float64) { db.store.Insert(tags, t, v) }
-
-// InsertBatch stores a batch of samples.
-func (db *TSDB) InsertBatch(batch []Sample) { db.store.InsertBatch(batch) }
 
 // Filter selects series for a query; zero fields match everything.
 type Filter struct {
@@ -118,28 +85,6 @@ func (f Filter) matches(t Tags) bool {
 	}
 	return true
 }
-
-// Query returns copies of the matching series, filtered to the time range,
-// ordered by first insertion.
-func (db *TSDB) Query(f Filter) []Series { return db.store.Query(f) }
-
-// Scan visits the matching series without copying; see Storage.Scan for
-// the contract.
-func (db *TSDB) Scan(f Filter, visit func(tags Tags, pts PointsView) bool) {
-	db.store.Scan(f, visit)
-}
-
-// SeriesCount returns the number of stored series.
-func (db *TSDB) SeriesCount() int { return db.store.SeriesCount() }
-
-// Keys lists all series keys, sorted.
-func (db *TSDB) Keys() []string { return db.store.Keys() }
-
-func (db *TSDB) snapshot(f Filter, withRollups bool) []seriesSnap {
-	return db.store.snapshot(f, withRollups)
-}
-
-func (db *TSDB) rollupStep() float64 { return db.store.rollupStep() }
 
 // Rate converts a cumulative-counter series into a rate series by
 // differencing successive points (the Fig. 5 instruction/s heatmap is

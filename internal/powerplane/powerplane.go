@@ -65,7 +65,7 @@ type reservation struct {
 type Governor struct {
 	engine *sim.Engine
 	cl     *cluster.Cluster
-	store  examon.Storage
+	store  *examon.MemStore
 	broker *examon.Broker
 	pm     *power.Model
 	cfg    Config
@@ -95,11 +95,11 @@ type share struct {
 	capped bool
 }
 
-// New builds a governor over the cluster. store is the telemetry database
-// the power_pub samples land in (a *examon.TSDB); broker receives the
+// New builds a governor over the cluster. store is the telemetry store
+// the broker feeds, where the power_pub samples land; broker receives the
 // governor's own state samples. One dtm governor per node is created and
 // owned by the plane.
-func New(engine *sim.Engine, cl *cluster.Cluster, store examon.Storage, broker *examon.Broker, cfg Config) (*Governor, error) {
+func New(engine *sim.Engine, cl *cluster.Cluster, store *examon.MemStore, broker *examon.Broker, cfg Config) (*Governor, error) {
 	if engine == nil || cl == nil || store == nil || broker == nil {
 		return nil, fmt.Errorf("powerplane: engine, cluster, storage and broker are all required")
 	}

@@ -19,8 +19,8 @@ func rig(t *testing.T, cfg Config) (*sim.Engine, *cluster.Cluster, *Governor) {
 		t.Fatal(err)
 	}
 	broker := examon.NewBroker()
-	db := examon.NewTSDB()
-	if _, err := db.Attach(broker); err != nil {
+	db, err := examon.NewMemStore().Attach(broker)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := c.BootAndSettle(1); err != nil {
@@ -55,7 +55,7 @@ func TestNewValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	db := examon.NewTSDB()
+	db := examon.NewMemStore()
 	br := examon.NewBroker()
 	if _, err := New(nil, c, db, br, Config{BudgetW: 10}); err == nil {
 		t.Error("nil engine accepted")
@@ -172,14 +172,14 @@ func TestAdvisorContract(t *testing.T) {
 	}
 }
 
-// TestPlaneTelemetryPublished: the plane's state lands in the TSDB as
+// TestPlaneTelemetryPublished: the plane's state lands in the store as
 // typed samples.
 func TestPlaneTelemetryPublished(t *testing.T) {
 	e, _, g := rig(t, Config{BudgetW: 50})
 	if err := e.RunUntil(e.Now() + 10); err != nil {
 		t.Fatal(err)
 	}
-	db := g.store.(*examon.TSDB)
+	db := g.store
 	for _, metric := range []string{"budget_w", "draw_w", "headroom_w", "throttled_nodes"} {
 		series := db.Query(examon.Filter{Node: cluster.MasterHostname, Plugin: "powerplane", Metric: metric})
 		if len(series) != 1 || len(series[0].Points) == 0 {
