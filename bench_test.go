@@ -346,7 +346,7 @@ func BenchmarkAblation_Backfill(b *testing.B) {
 		for i := range hosts {
 			hosts[i] = string(rune('a' + i))
 		}
-		s, err := sched.New(engine, "p", hosts, sched.WithPolicy(pol))
+		s, err := sched.New(engine, hosts, sched.WithPolicy(pol))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -393,7 +393,7 @@ func BenchmarkScheduler_PolicyThroughput(b *testing.B) {
 		for i := range hosts {
 			hosts[i] = fmt.Sprintf("syn%04d", i+1)
 		}
-		s, err := sched.New(engine, "bench", hosts, opts...)
+		s, err := sched.New(engine, hosts, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -465,7 +465,7 @@ func BenchmarkAblation_CodeModel(b *testing.B) {
 func BenchmarkExtension_DTM(b *testing.B) {
 	var meanScale float64
 	for i := 0; i < b.N; i++ {
-		rep, err := core.DTMStudy(0)
+		rep, err := core.DTMStudy()
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -844,7 +844,7 @@ func BenchmarkAblation_Airflow(b *testing.B) {
 }
 
 // BenchmarkPhysicsStep measures the demand-driven physics refactor
-// against the cluster.WithLockStep ablation: an idle partition observed
+// against the cluster.Config.LockStep reference: an idle partition observed
 // at the telemetry rate (2 Hz per node), integrated over a 600 s window
 // after the thermal transients settle. The model-steps metric is the
 // physics cost; the acceptance floor is a 5x reduction at 512 nodes, and
@@ -868,9 +868,9 @@ func BenchmarkPhysicsStep(b *testing.B) {
 				if err := c.BootAndSettle(1); err != nil {
 					b.Fatal(err)
 				}
-				if _, err := sim.NewTicker(e, e.Now()+0.5, 0.5, "obs", func(now float64) {
+				if _, err := e.ScheduleEvery(e.Now()+0.5, 0.5, "obs", func(e *sim.Engine) {
 					for i := 0; i < c.Size(); i++ {
-						c.Node(i).SyncTo(now)
+						c.Node(i).SyncTo(e.Now())
 					}
 				}); err != nil {
 					b.Fatal(err)

@@ -305,7 +305,7 @@ func runEnergy(w io.Writer, _ int64) error {
 }
 
 func runDTM(w io.Writer, _ int64) error {
-	rep, err := core.DTMStudy(0)
+	rep, err := core.DTMStudy()
 	if err != nil {
 		return err
 	}

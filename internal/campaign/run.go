@@ -51,7 +51,7 @@ type Runner struct {
 	ctrl     *fault.Controller           // nil without a fault block
 
 	// peakQueue is the deepest pending queue seen at any submission
-	// instant (sched.Scheduler.QueueDepth) — the per-cluster backlog
+	// instant (sched.Scheduler.Pending) — the per-cluster backlog
 	// signal fleet reports aggregate.
 	peakQueue int
 }
@@ -200,7 +200,7 @@ func (r *Runner) submit(entry JobEntry, out *JobOutcome) {
 		r.logf("t=%10.1f reject %-18s %v", r.sys.Engine.Now()-r.startT, entry.Name, err)
 		return
 	}
-	if pending, _ := r.sys.Scheduler.QueueDepth(); pending > r.peakQueue {
+	if pending := r.sys.Scheduler.Pending(); pending > r.peakQueue {
 		r.peakQueue = pending
 	}
 	r.logf("t=%10.1f submit %-18s job=%-4d nodes=%d", r.sys.Engine.Now()-r.startT, entry.Name, job.ID, entry.Nodes)

@@ -24,50 +24,35 @@ const DefaultNodes = 8
 // NodesPerBlade is the RV007 dual-board blade capacity.
 const NodesPerBlade = 2
 
-// Config describes a cluster build.
+// Config describes a cluster build. Every cluster is the paper's machine:
+// FU740 nodes (soc.FU740) on 1 Gb Ethernet (netsim.GigabitEthernet),
+// booting in the original lid-on enclosure (thermal.DefaultEnclosure) and
+// integrated on the node.BaseStep grid.
 type Config struct {
 	// Nodes is the compute-node count; defaults to DefaultNodes.
 	Nodes int
-	// Machine is the per-node SoC; defaults to soc.FU740().
-	Machine *soc.Machine
-	// Enclosure is the initial chassis configuration; defaults to the
-	// paper's original lid-on build.
-	Enclosure *thermal.Enclosure
 	// AmbientC overrides the machine-room inlet temperature of the
-	// default enclosure (ignored when Enclosure is set explicitly). 0
-	// keeps the paper's 25 °C room. Fleet clusters use it to model
-	// heterogeneous sites: a hot container farm boots closer to the trip
-	// point than a chilled machine room, which the meta-scheduler's
+	// enclosure. 0 keeps the paper's 25 °C room. Fleet clusters use it to
+	// model heterogeneous sites: a hot container farm boots closer to the
+	// trip point than a chilled machine room, which the meta-scheduler's
 	// thermal-headroom score sees.
 	AmbientC float64
-	// Link is the MPI fabric; defaults to netsim.GigabitEthernet().
-	Link *netsim.Link
 	// HPMPatch applies the U-Boot counter patch on all nodes.
 	HPMPatch bool
-	// StepPeriod is the node-model integration period in seconds
-	// (default 0.1 s).
-	StepPeriod float64
 	// SyntheticSlots lifts the physical thermal.NumSlots ceiling on Nodes
 	// for synthetic scale-out studies (e.g. large scheduler partitions):
 	// nodes beyond the paper's enclosure reuse the slot thermal
 	// environments modulo thermal.NumSlots.
 	SyntheticSlots bool
 	// LockStep reinstates the seed's fixed-period global integration
-	// ticker, which Euler-steps every node every StepPeriod regardless of
-	// activity. The default is demand-driven co-simulation: each node
+	// ticker, which Euler-steps every node every node.BaseStep regardless
+	// of activity. The default is demand-driven co-simulation: each node
 	// integrates lazily when observed (an input change to a cool running
 	// node only records the elapsed interval), with a per-node watchdog
-	// event guarding boot completions and thermal trips. LockStep exists as the benchmark ablation and as the
+	// event guarding boot completions and thermal trips. LockStep exists
+	// as the equivalence reference for the demand-driven mode and as the
 	// bit-exact reproduction of the seed integration schedule.
 	LockStep bool
-}
-
-// WithLockStep returns a copy of cfg with the legacy global-ticker
-// integration enabled (the ablation baseline for the demand-driven
-// physics benchmarks).
-func WithLockStep(cfg Config) Config {
-	cfg.LockStep = true
-	return cfg
 }
 
 // Cluster is the assembled machine.
@@ -82,12 +67,11 @@ type Cluster struct {
 	mounts map[string]*storage.Mount
 	nvmes  map[string]*storage.NVMe
 
-	stepPeriod float64
-	lockStep   bool
-	ambientC   float64 // configured machine-room inlet temperature
-	ticker     *sim.Ticker
-	onHalt     []func(hostname string)
-	onBoot     []func(hostname string)
+	lockStep bool
+	ambientC float64    // configured machine-room inlet temperature
+	tick     sim.Handle // the lock-step ticker's recurring event
+	onHalt   []func(hostname string)
+	onBoot   []func(hostname string)
 
 	// Demand-driven mode: one pending watchdog handle per node (zero when
 	// the node needs none) plus its precomputed event name and callback —
@@ -119,51 +103,32 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 	if n > thermal.NumSlots && !cfg.SyntheticSlots {
 		return nil, fmt.Errorf("cluster: node count %d outside [1,%d] (set SyntheticSlots to scale beyond the enclosure)", n, thermal.NumSlots)
 	}
-	machine := cfg.Machine
-	if machine == nil {
-		machine = soc.FU740()
-	}
 	enc := thermal.DefaultEnclosure()
-	if cfg.Enclosure != nil {
-		enc = *cfg.Enclosure
-	} else if cfg.AmbientC != 0 {
+	if cfg.AmbientC != 0 {
 		if cfg.AmbientC < 0 || cfg.AmbientC >= thermal.TripTempC {
 			return nil, fmt.Errorf("cluster: ambient %v °C outside [0,%v)", cfg.AmbientC, thermal.TripTempC)
 		}
 		enc.AmbientC = cfg.AmbientC
 	}
-	link := netsim.GigabitEthernet()
-	if cfg.Link != nil {
-		link = *cfg.Link
-	}
-	period := cfg.StepPeriod
-	if period == 0 {
-		period = 0.1
-	}
-	if !(period > 0) { // also rejects NaN
-		return nil, fmt.Errorf("cluster: step period must be positive, got %v", period)
-	}
-	fabric, err := netsim.NewFabric(n, link)
+	fabric, err := netsim.NewFabric(n, netsim.GigabitEthernet())
 	if err != nil {
 		return nil, fmt.Errorf("cluster: %w", err)
 	}
 	c := &Cluster{
-		engine:     engine,
-		machine:    machine,
-		index:      make(map[string]int, n),
-		fabric:     fabric,
-		nfs:        storage.NewNFS(),
-		mounts:     make(map[string]*storage.Mount, n),
-		nvmes:      make(map[string]*storage.NVMe, n),
-		stepPeriod: period,
-		lockStep:   cfg.LockStep,
-		ambientC:   enc.AmbientC,
+		engine:   engine,
+		machine:  soc.FU740(),
+		index:    make(map[string]int, n),
+		fabric:   fabric,
+		nfs:      storage.NewNFS(),
+		mounts:   make(map[string]*storage.Mount, n),
+		nvmes:    make(map[string]*storage.NVMe, n),
+		lockStep: cfg.LockStep,
+		ambientC: enc.AmbientC,
 	}
 	for id := 1; id <= n; id++ {
 		nd, err := node.New(node.Config{
 			ID:        id,
-			Slot:      (id - 1) % thermal.NumSlots,
-			Machine:   machine,
+			Machine:   c.machine,
 			Enclosure: enc,
 			HPMPatch:  cfg.HPMPatch,
 		})
@@ -182,16 +147,13 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 	for _, nd := range c.nodes {
 		// Transitions surface in both modes: the lock-step ticker and the
 		// demand-driven syncs both discover them inside node integration.
-		// Both modes also install the engine clock and the integration
-		// period, so observations and input changes are exact at their
-		// own instants rather than quantized to the enclosing tick — the
-		// two modes then walk identical Euler sequences and the LockStep
-		// ablation differs only in integration scheduling cost.
+		// Both modes also install the engine clock, so observations and
+		// input changes are exact at their own instants rather than
+		// quantized to the enclosing tick — the two modes then walk
+		// identical Euler sequences and the LockStep reference differs
+		// only in integration scheduling cost.
 		nd := nd
 		nd.OnTransition(func(kind node.Transition, _ float64) { c.nodeTransition(nd, kind) })
-		if err := nd.SetBaseStep(period); err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
 		nd.SetClock(engine.Now)
 	}
 	if !c.lockStep {
@@ -365,41 +327,31 @@ func (c *Cluster) PowerOnAll() error {
 			}
 		}
 	}
-	if !c.lockStep {
+	if !c.lockStep || c.tick.Scheduled() {
 		return nil
 	}
-	return c.startTicker()
-}
-
-func (c *Cluster) startTicker() error {
-	if c.ticker != nil {
-		return nil
-	}
-	tk, err := sim.NewTicker(c.engine, c.engine.Now()+c.stepPeriod, c.stepPeriod, "cluster.step", c.step)
+	tick, err := c.engine.ScheduleEvery(c.engine.Now()+node.BaseStep, node.BaseStep, "cluster.step", c.step)
 	if err != nil {
 		return fmt.Errorf("cluster: %w", err)
 	}
-	c.ticker = tk
+	c.tick = tick
 	return nil
 }
 
 // Stop halts all periodic integration activity (end of simulation): the
 // global ticker in lock-step mode, the per-node watchdogs otherwise.
 func (c *Cluster) Stop() {
-	if c.ticker != nil {
-		c.ticker.Stop()
-		c.ticker = nil
-	}
+	c.tick.Cancel()
 	for i := range c.watches {
 		c.watches[i].Cancel()
 		c.watches[i] = sim.Handle{}
 	}
 }
 
-func (c *Cluster) step(now float64) {
+func (c *Cluster) step(e *sim.Engine) {
 	// Halts surface through the node transition callbacks.
 	for _, nd := range c.nodes {
-		nd.Step(now)
+		nd.Step(e.Now())
 	}
 }
 
@@ -423,7 +375,7 @@ func (c *Cluster) BootAndSettle(settle float64) error {
 	// the state on the first tick at or after the deadline; demand-driven
 	// runs keep the same horizon so both modes leave Boot at the same
 	// virtual time (telemetry epochs must match across the ablation).
-	if err := c.engine.RunUntil(latest + c.stepPeriod + settle); err != nil {
+	if err := c.engine.RunUntil(latest + node.BaseStep + settle); err != nil {
 		return fmt.Errorf("cluster: boot: %w", err)
 	}
 	for _, nd := range c.nodes {

@@ -28,9 +28,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(e, Config{Nodes: 99}); err == nil {
 		t.Error("oversized cluster accepted")
 	}
-	if _, err := New(e, Config{StepPeriod: -1}); err == nil {
-		t.Error("negative step period accepted")
-	}
 }
 
 func TestDefaultTopology(t *testing.T) {

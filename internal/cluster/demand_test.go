@@ -86,9 +86,9 @@ func TestDemandDrivenStepReduction(t *testing.T) {
 			t.Fatal(err)
 		}
 		// 2 Hz per-node observation, the pmu_pub sampling pattern.
-		if _, err := sim.NewTicker(e, e.Now()+0.5, 0.5, "obs", func(now float64) {
+		if _, err := e.ScheduleEvery(e.Now()+0.5, 0.5, "obs", func(e *sim.Engine) {
 			for i := 0; i < c.Size(); i++ {
-				c.Node(i).SyncTo(now)
+				c.Node(i).SyncTo(e.Now())
 			}
 		}); err != nil {
 			t.Fatal(err)
@@ -116,33 +116,31 @@ func TestDemandDrivenStepReduction(t *testing.T) {
 
 // TestBootCompletionNotification: each node pushes its boot completion at
 // its own deadline, and BootAndSettle derives its wait from those
-// deadlines instead of hard-coded constants — including with a custom
-// integration period in both modes and with zero settle margin.
+// deadlines instead of hard-coded constants — in both modes and with zero
+// settle margin.
 func TestBootCompletionNotification(t *testing.T) {
 	for _, lockStep := range []bool{false, true} {
-		for _, period := range []float64{0.1, 0.7} {
-			e := sim.NewEngine()
-			c, err := New(e, Config{Nodes: 4, StepPeriod: period, LockStep: lockStep})
-			if err != nil {
-				t.Fatal(err)
-			}
-			booted := map[string]float64{}
-			c.OnNodeBoot(func(h string) { booted[h] = e.Now() })
-			if err := c.BootAndSettle(0); err != nil {
-				t.Fatalf("lockStep=%v period=%v: %v", lockStep, period, err)
-			}
-			if len(booted) != 4 {
-				t.Fatalf("lockStep=%v period=%v: %d boot notifications, want 4", lockStep, period, len(booted))
-			}
-			for h, at := range booted {
-				min := node.R1Duration + node.R2Duration - 1e-6
-				if at < min || at > min+period+1e-6 {
-					t.Errorf("lockStep=%v period=%v: %s booted at %v, want within one period of %v",
-						lockStep, period, h, at, min)
-				}
-			}
-			c.Stop()
+		e := sim.NewEngine()
+		c, err := New(e, Config{Nodes: 4, LockStep: lockStep})
+		if err != nil {
+			t.Fatal(err)
 		}
+		booted := map[string]float64{}
+		c.OnNodeBoot(func(h string) { booted[h] = e.Now() })
+		if err := c.BootAndSettle(0); err != nil {
+			t.Fatalf("lockStep=%v: %v", lockStep, err)
+		}
+		if len(booted) != 4 {
+			t.Fatalf("lockStep=%v: %d boot notifications, want 4", lockStep, len(booted))
+		}
+		for h, at := range booted {
+			min := node.R1Duration + node.R2Duration - 1e-6
+			if at < min || at > min+node.BaseStep+1e-6 {
+				t.Errorf("lockStep=%v: %s booted at %v, want within one step of %v",
+					lockStep, h, at, min)
+			}
+		}
+		c.Stop()
 	}
 }
 

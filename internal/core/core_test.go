@@ -165,6 +165,18 @@ func TestTableV(t *testing.T) {
 	}
 }
 
+// TestTableVIRepeatable: every call sums each column to the same bits.
+func TestTableVIRepeatable(t *testing.T) {
+	first := TableVI()
+	for call := 1; call < 200; call++ {
+		for i, col := range TableVI() {
+			if got, want := col.TotalMilliwatts, first[i].TotalMilliwatts; math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("call %d: %s total = %v, first call gave %v", call, col.Workload, got, want)
+			}
+		}
+	}
+}
+
 func TestTableVI(t *testing.T) {
 	cols := TableVI()
 	if len(cols) != 7 {

@@ -176,7 +176,7 @@ type DTMReport struct {
 // DTMStudy runs node 7 (original enclosure) under sustained HPL for an
 // hour with the thermal-capping governor: the future-work dynamic thermal
 // management that would have kept the node in production.
-func DTMStudy(capC float64) (*DTMReport, error) {
+func DTMStudy() (*DTMReport, error) {
 	s, err := NewSystem(Options{Nodes: 8, NoMonitor: true})
 	if err != nil {
 		return nil, err
@@ -189,11 +189,7 @@ func DTMStudy(capC float64) (*DTMReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg := dtm.Config{}
-	if capC != 0 {
-		cfg.CapC = capC
-	}
-	gov, err := dtm.New(nd, cfg)
+	gov, err := dtm.New(nd)
 	if err != nil {
 		return nil, err
 	}

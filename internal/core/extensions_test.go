@@ -30,7 +30,7 @@ func TestThermalAnomalyScanWarnsBeforeTrip(t *testing.T) {
 }
 
 func TestDTMStudyKeepsNode7Alive(t *testing.T) {
-	rep, err := DTMStudy(0)
+	rep, err := DTMStudy()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,25 +85,5 @@ func TestAcceleratorStudy(t *testing.T) {
 	}
 	if rep.NodeWattsWithCard <= rep.HostGFlops/rep.HostGFlopsPerWatt {
 		t.Error("card power unaccounted")
-	}
-}
-
-func TestDTMStudyLowerCapThrottlesHarder(t *testing.T) {
-	warm, err := DTMStudy(95)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cool, err := DTMStudy(80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !cool.Survived {
-		t.Fatal("80 degC cap run tripped")
-	}
-	if cool.MeanScale >= warm.MeanScale {
-		t.Errorf("lower cap should throttle harder: %.3f vs %.3f", cool.MeanScale, warm.MeanScale)
-	}
-	if cool.SteadyTempC >= warm.SteadyTempC {
-		t.Errorf("lower cap should run cooler: %.1f vs %.1f", cool.SteadyTempC, warm.SteadyTempC)
 	}
 }

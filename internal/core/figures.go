@@ -102,11 +102,12 @@ func Fig3(workload string, seed int64) (*PowerTraces, error) {
 	}
 	raw := telemetry.NewSet()
 	start := s.Engine.Now()
-	ticker, err := sim.NewTicker(s.Engine, start, 1/traceSampleHz, "fig3.sample", func(now float64) {
+	tick, err := s.Engine.ScheduleEvery(start, 1/traceSampleHz, "fig3.sample", func(e *sim.Engine) {
+		now := e.Now()
 		for _, rail := range power.Rails {
 			clean := nd.RailMilliwatts(rail)
 			noisy := clean + s.RNG.Normal("fig3."+string(rail), 0, shuntNoiseMilliwatts(clean))
-			// Times are monotone by construction of the ticker.
+			// Times are monotone by construction of the recurring event.
 			if err := raw.Get(string(rail), "mW").Add(now-start, noisy); err != nil {
 				panic(fmt.Sprintf("core: fig3 trace: %v", err))
 			}
@@ -118,7 +119,7 @@ func Fig3(workload string, seed int64) (*PowerTraces, error) {
 	if err := s.Advance(fig3DurationSec); err != nil {
 		return nil, err
 	}
-	ticker.Stop()
+	tick.Cancel()
 
 	out := &PowerTraces{Workload: workload, Traces: telemetry.NewSet()}
 	for _, rail := range power.Rails {
@@ -160,7 +161,8 @@ func Fig4(seed int64) (*BootTrace, error) {
 	}
 	const powerOnAt = 4.0
 	raw := telemetry.NewSet()
-	if _, err := sim.NewTicker(engine, 0, 1/traceSampleHz, "fig4.sample", func(now float64) {
+	if _, err := engine.ScheduleEvery(0, 1/traceSampleHz, "fig4.sample", func(e *sim.Engine) {
+		now := e.Now()
 		nd.Step(now)
 		for _, rail := range power.Rails {
 			clean := nd.RailMilliwatts(rail)
@@ -365,11 +367,11 @@ func fig6(opts Options) (*ThermalReport, error) {
 	})
 
 	// Record cpu_temp per node at 1 Hz.
-	recorder, err := sim.NewTicker(s.Engine, s.Engine.Now(), 1.0, "fig6.temps", func(now float64) {
+	recorder, err := s.Engine.ScheduleEvery(s.Engine.Now(), 1.0, "fig6.temps", func(e *sim.Engine) {
 		for i := 0; i < s.Cluster.Size(); i++ {
 			nd := s.Cluster.Node(i)
-			// Monotone times by ticker construction.
-			if err := report.Temps.Get(nd.Hostname(), "degC").Add(now, nd.Temperature(thermal.SensorCPU)); err != nil {
+			// Monotone times by construction of the recurring event.
+			if err := report.Temps.Get(nd.Hostname(), "degC").Add(e.Now(), nd.Temperature(thermal.SensorCPU)); err != nil {
 				panic(fmt.Sprintf("core: fig6 trace: %v", err))
 			}
 		}
@@ -377,7 +379,7 @@ func fig6(opts Options) (*ThermalReport, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer recorder.Stop()
+	defer recorder.Cancel()
 
 	// First HPL runs with the lid on.
 	hplStart := s.Engine.Now()

@@ -33,8 +33,6 @@ type Options struct {
 	NoMonitor bool
 	// Seed drives all deterministic noise (default 1).
 	Seed int64
-	// StepPeriod overrides the node integration period.
-	StepPeriod float64
 	// Policy selects the scheduler policy by name (sched.PolicyNames;
 	// default "easy", the production configuration).
 	Policy string
@@ -42,8 +40,8 @@ type Options struct {
 	// enclosure; extra nodes reuse slot thermal environments cyclically.
 	SyntheticSlots bool
 	// LockStep reinstates the fixed-period global physics ticker instead
-	// of the default demand-driven co-simulation (the benchmark ablation;
-	// see cluster.Config.LockStep).
+	// of the default demand-driven co-simulation (the equivalence
+	// reference; see cluster.Config.LockStep).
 	LockStep bool
 	// PowerBudgetW, when positive, enables the cluster power plane: one
 	// power_pub plugin and one dtm governor per node, the budget governor
@@ -94,7 +92,6 @@ func NewSystem(opts Options) (*System, error) {
 	cl, err := cluster.New(engine, cluster.Config{
 		Nodes:          opts.Nodes,
 		HPMPatch:       opts.HPMPatch,
-		StepPeriod:     opts.StepPeriod,
 		SyntheticSlots: opts.SyntheticSlots,
 		LockStep:       opts.LockStep,
 		AmbientC:       opts.AmbientC,
@@ -126,7 +123,7 @@ func NewSystem(opts Options) (*System, error) {
 		}
 		schedOpts = append(schedOpts, sched.WithPowerAdvisor(plane))
 	}
-	sc, err := sched.New(engine, "cimone", cl.Hostnames(), schedOpts...)
+	sc, err := sched.New(engine, cl.Hostnames(), schedOpts...)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}

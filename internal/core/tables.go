@@ -187,9 +187,11 @@ func TableVI() []PowerColumn {
 	out := make([]PowerColumn, 0, len(cols))
 	for _, c := range cols {
 		rails := pm.Breakdown(c.phase, c.act)
+		// Table order, as Model.TotalMilliwatts sums: map order would
+		// round differently from call to call.
 		total := 0.0
-		for _, v := range rails {
-			total += v
+		for _, r := range power.Rails {
+			total += rails[r]
 		}
 		percent := make(map[power.Rail]float64, len(rails))
 		for r, v := range rails {

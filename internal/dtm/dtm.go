@@ -7,6 +7,10 @@
 // away to the 107 degC trip under sustained HPL in the original enclosure
 // — instead throttles and holds below the cap, keeping the node in
 // production at reduced throughput until the airflow fix lands.
+//
+// Every governor runs the same controller: it holds the junction below
+// 95 degC, acts once a second, and steps the operating point down by 0.05
+// when hot and back up by 0.01 when comfortably cool.
 package dtm
 
 import (
@@ -17,33 +21,15 @@ import (
 	"montecimone/internal/thermal"
 )
 
-// Config tunes a governor.
-type Config struct {
-	// CapC is the junction temperature ceiling to hold (default 95 degC,
-	// safely below the 107 degC hazard).
-	CapC float64
-	// Period is the control interval in seconds (default 1).
-	Period float64
-	// StepDown and StepUp are the per-interval scale adjustments.
-	StepDown float64
-	StepUp   float64
-}
-
-func (c Config) withDefaults() Config {
-	if c.CapC == 0 {
-		c.CapC = 95
-	}
-	if c.Period == 0 {
-		c.Period = 1
-	}
-	if c.StepDown == 0 {
-		c.StepDown = 0.05
-	}
-	if c.StepUp == 0 {
-		c.StepUp = 0.01
-	}
-	return c
-}
+// The controller: capC is the junction temperature ceiling to hold,
+// safely below the 107 degC hazard; period is the control interval in
+// seconds; stepDown and stepUp are the per-interval scale adjustments.
+const (
+	capC     = 95.0
+	period   = 1.0
+	stepDown = 0.05
+	stepUp   = 0.01
+)
 
 // Governor is a per-node thermal-capping DVFS controller. It optionally
 // also enforces a node power cap (SetPowerCapW), which the cluster power
@@ -51,9 +37,7 @@ func (c Config) withDefaults() Config {
 // both the thermal ceiling and the RAPL-style power ceiling.
 type Governor struct {
 	node *node.Node
-	cfg  Config
-
-	ticker *sim.Ticker
+	tick sim.Handle
 
 	powerCapW float64 // 0 = no power cap
 
@@ -63,40 +47,29 @@ type Governor struct {
 }
 
 // New builds a governor for one node.
-func New(nd *node.Node, cfg Config) (*Governor, error) {
+func New(nd *node.Node) (*Governor, error) {
 	if nd == nil {
 		return nil, fmt.Errorf("dtm: nil node")
 	}
-	cfg = cfg.withDefaults()
-	if cfg.CapC <= 25 || cfg.CapC >= thermal.TripTempC {
-		return nil, fmt.Errorf("dtm: cap %v degC outside (25, %v)", cfg.CapC, thermal.TripTempC)
-	}
-	if cfg.Period <= 0 || cfg.StepDown <= 0 || cfg.StepUp <= 0 {
-		return nil, fmt.Errorf("dtm: period and steps must be positive")
-	}
-	return &Governor{node: nd, cfg: cfg}, nil
+	return &Governor{node: nd}, nil
 }
 
 // Start begins the control loop on the engine.
 func (g *Governor) Start(engine *sim.Engine) error {
-	if g.ticker != nil {
+	if g.tick.Scheduled() {
 		return fmt.Errorf("dtm: governor already running on %s", g.node.Hostname())
 	}
-	tk, err := sim.NewTicker(engine, engine.Now()+g.cfg.Period, g.cfg.Period,
-		"dtm."+g.node.Hostname(), g.control)
+	tick, err := engine.ScheduleEvery(engine.Now()+period, period, "dtm."+g.node.Hostname(), g.control)
 	if err != nil {
 		return fmt.Errorf("dtm: %w", err)
 	}
-	g.ticker = tk
+	g.tick = tick
 	return nil
 }
 
 // Stop halts the control loop and restores the nominal operating point.
 func (g *Governor) Stop() {
-	if g.ticker != nil {
-		g.ticker.Stop()
-		g.ticker = nil
-	}
+	g.tick.Cancel()
 	g.node.SetFrequencyScale(1)
 }
 
@@ -117,7 +90,7 @@ func (g *Governor) Scale() float64 { return g.node.FrequencyScale() }
 // control is one interval of the hysteresis controller: throttle hard
 // when the junction approaches the thermal cap or the draw exceeds the
 // power cap, recover slowly when both leave comfortable headroom.
-func (g *Governor) control(float64) {
+func (g *Governor) control(*sim.Engine) {
 	if g.node.State() != node.StateRunning {
 		return
 	}
@@ -130,17 +103,17 @@ func (g *Governor) control(float64) {
 	}
 	scale := g.node.FrequencyScale()
 	switch {
-	case temp > g.cfg.CapC-2 || overPower:
-		scale -= g.cfg.StepDown
-	case temp < g.cfg.CapC-10 && underPower:
-		scale += g.cfg.StepUp
+	case temp > capC-2 || overPower:
+		scale -= stepDown
+	case temp < capC-10 && underPower:
+		scale += stepUp
 	}
 	g.node.SetFrequencyScale(scale)
 	scale = g.node.FrequencyScale() // after clamping
 	g.scaleSum += scale
 	g.samples++
 	if scale < 1 {
-		g.throttleSec += g.cfg.Period
+		g.throttleSec += period
 	}
 }
 

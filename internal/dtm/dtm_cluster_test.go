@@ -40,7 +40,7 @@ func hazardCluster(t *testing.T, lockStep bool) (*sim.Engine, *cluster.Cluster, 
 func TestGovernorHoldsNode7BelowCapOnCluster(t *testing.T) {
 	e, c, nd := hazardCluster(t, false)
 	defer c.Stop()
-	g, err := New(nd, Config{CapC: 95})
+	g, err := New(nd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestGovernorPowerCapThrottles(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.NewTicker(engine, 0.5, 0.5, "step", func(now float64) { nd.Step(now) }); err != nil {
+	if _, err := engine.ScheduleEvery(0.5, 0.5, "step", func(e *sim.Engine) { nd.Step(e.Now()) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := nd.PowerOn(0); err != nil {
@@ -117,7 +117,7 @@ func TestGovernorPowerCapThrottles(t *testing.T) {
 	if err := nd.SetWorkload("hpl", power.ActivityHPL, 13e9); err != nil {
 		t.Fatal(err)
 	}
-	g, err := New(nd, Config{})
+	g, err := New(nd)
 	if err != nil {
 		t.Fatal(err)
 	}

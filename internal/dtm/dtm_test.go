@@ -18,7 +18,7 @@ func newNode7(t *testing.T) (*sim.Engine, *node.Node) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.NewTicker(engine, 0.5, 0.5, "step", func(now float64) { nd.Step(now) }); err != nil {
+	if _, err := engine.ScheduleEvery(0.5, 0.5, "step", func(e *sim.Engine) { nd.Step(e.Now()) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := nd.PowerOn(0); err != nil {
@@ -35,17 +35,11 @@ func newNode7(t *testing.T) (*sim.Engine, *node.Node) {
 
 func TestNewValidation(t *testing.T) {
 	_, nd := newNode7(t)
-	if _, err := New(nil, Config{}); err == nil {
+	if _, err := New(nil); err == nil {
 		t.Error("nil node accepted")
 	}
-	if _, err := New(nd, Config{CapC: 150}); err == nil {
-		t.Error("cap above trip accepted")
-	}
-	if _, err := New(nd, Config{CapC: 10}); err == nil {
-		t.Error("cap below ambient accepted")
-	}
-	if _, err := New(nd, Config{Period: -1}); err == nil {
-		t.Error("negative period accepted")
+	if _, err := New(nd); err != nil {
+		t.Errorf("node rejected: %v", err)
 	}
 }
 
@@ -62,7 +56,7 @@ func TestWithoutGovernorNode7Trips(t *testing.T) {
 
 func TestGovernorPreventsTrip(t *testing.T) {
 	engine, nd := newNode7(t)
-	g, err := New(nd, Config{CapC: 95})
+	g, err := New(nd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +90,7 @@ func TestGovernorIdleOnCoolNode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sim.NewTicker(engine, 0.5, 0.5, "step", func(now float64) { nd.Step(now) }); err != nil {
+	if _, err := engine.ScheduleEvery(0.5, 0.5, "step", func(e *sim.Engine) { nd.Step(e.Now()) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := nd.PowerOn(0); err != nil {
@@ -108,7 +102,7 @@ func TestGovernorIdleOnCoolNode(t *testing.T) {
 	if err := nd.SetWorkload("hpl", power.ActivityHPL, 13e9); err != nil {
 		t.Fatal(err)
 	}
-	g, err := New(nd, Config{})
+	g, err := New(nd)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +122,7 @@ func TestGovernorIdleOnCoolNode(t *testing.T) {
 
 func TestStopRestoresNominal(t *testing.T) {
 	engine, nd := newNode7(t)
-	g, err := New(nd, Config{CapC: 90})
+	g, err := New(nd)
 	if err != nil {
 		t.Fatal(err)
 	}

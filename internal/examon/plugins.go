@@ -19,7 +19,7 @@ const (
 	PowerPubPeriod = 1.0
 )
 
-// Plugin is one per-node ExaMon sampling plugin: a virtual-time ticker
+// Plugin is one per-node ExaMon sampling plugin: a recurring engine event
 // that reads its node and publishes one batch per period through the
 // broker. NewPMUPub, NewStatsPub and NewPowerPub build the three plugins
 // the deployment runs; they differ only in name, period and what a tick
@@ -32,8 +32,8 @@ type Plugin struct {
 	tags   Tags                         // Org, Cluster, Node and Plugin of every sample
 	fill   func(p *Plugin, now float64) // appends one tick's samples with add
 
-	ticker *sim.Ticker
-	batch  []Sample // per-tick scratch, reused across samples
+	tick  sim.Handle
+	batch []Sample // per-tick scratch, reused across samples
 }
 
 func newPlugin(name, pluginTag string, period float64, fill func(*Plugin, float64),
@@ -77,27 +77,23 @@ func NewPowerPub(broker *Broker, nd *node.Node, org, cluster string) (*Plugin, e
 
 // Start begins sampling on the engine. Stop with Stop.
 func (p *Plugin) Start(engine *sim.Engine) error {
-	if p.ticker != nil {
+	if p.tick.Scheduled() {
 		return fmt.Errorf("examon: %s already started on %s", p.name, p.tags.Node)
 	}
-	tk, err := sim.NewTicker(engine, engine.Now()+p.period, p.period,
+	tick, err := engine.ScheduleEvery(engine.Now()+p.period, p.period,
 		"examon."+p.name+"."+p.tags.Node, p.sample)
 	if err != nil {
 		return fmt.Errorf("examon: %w", err)
 	}
-	p.ticker = tk
+	p.tick = tick
 	return nil
 }
 
 // Stop halts sampling.
-func (p *Plugin) Stop() {
-	if p.ticker != nil {
-		p.ticker.Stop()
-		p.ticker = nil
-	}
-}
+func (p *Plugin) Stop() { p.tick.Cancel() }
 
-func (p *Plugin) sample(now float64) {
+func (p *Plugin) sample(e *sim.Engine) {
+	now := e.Now()
 	// Bring the node model exactly to the sampling instant so reads are
 	// independent of tick-interleaving with the cluster's integration.
 	// Under lock-step this is a sub-period catch-up; under demand-driven

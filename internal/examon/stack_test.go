@@ -43,7 +43,7 @@ func newRig(t *testing.T, hpmPatch bool) *testRig {
 		t.Fatal(err)
 	}
 	// Node stepping ticker.
-	if _, err := sim.NewTicker(engine, 0.1, 0.1, "step", func(now float64) { nd.Step(now) }); err != nil {
+	if _, err := engine.ScheduleEvery(0.1, 0.1, "step", func(e *sim.Engine) { nd.Step(e.Now()) }); err != nil {
 		t.Fatal(err)
 	}
 	return &testRig{engine: engine, node: nd, broker: broker, db: db, pmu: pmu, stats: stats}

@@ -53,8 +53,7 @@ type Controller struct {
 	powerSteps int
 	netWindows int
 	repairs    int
-	downDoneS  float64 // closed-outage node-seconds
-	repairSumS float64 // closed-outage repair times (== downDoneS, kept for MTTR clarity)
+	downDoneS  float64 // closed-outage node-seconds: every repair time
 }
 
 // Stats is the controller's accounting snapshot, campaign-report ready.
@@ -172,13 +171,15 @@ func (c *Controller) Stats(now float64) Stats {
 		Repairs:        c.repairs,
 		DownNodeS:      c.downDoneS,
 	}
-	for _, since := range c.downSince {
-		if now > since {
+	if c.repairs > 0 {
+		st.MTTRS = c.downDoneS / float64(c.repairs)
+	}
+	// Node order: float addition is not associative, and map order would
+	// change the sum from call to call.
+	for i := 0; i < c.cfg.Cluster.Size(); i++ {
+		if since, down := c.downSince[c.cfg.Cluster.Node(i).Hostname()]; down && now > since {
 			st.DownNodeS += now - since
 		}
-	}
-	if c.repairs > 0 {
-		st.MTTRS = c.repairSumS / float64(c.repairs)
 	}
 	return st
 }
@@ -285,7 +286,6 @@ func (c *Controller) nodeBooted(host string) {
 	d := now - since
 	c.repairs++
 	c.downDoneS += d
-	c.repairSumS += d
 	if err := c.cfg.Sched.NodeUp(host); err != nil {
 		panic(fmt.Sprintf("fault: node up %s: %v", host, err))
 	}

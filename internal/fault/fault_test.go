@@ -1,10 +1,12 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"sort"
 	"testing"
 
+	"montecimone/internal/cluster"
 	"montecimone/internal/sim"
 )
 
@@ -127,5 +129,25 @@ func TestRequeueDefaults(t *testing.T) {
 	s.MaxRequeues = 5
 	if on, max := s.Requeue(); !on || max != 5 {
 		t.Errorf("explicit max_requeues = (%v, %d), want (true, 5)", on, max)
+	}
+}
+
+// TestStatsRepeatable: open outages are charged in a fixed order, so every
+// snapshot at the same instant returns the same bits.
+func TestStatsRepeatable(t *testing.T) {
+	cl, err := cluster.New(sim.NewEngine(), cluster.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := &Controller{
+		cfg:       Config{Cluster: cl},
+		downDoneS: 5804.7,
+		downSince: map[string]float64{"mc03": 1828.7, "mc06": 3288.8},
+	}
+	want := c.Stats(5994.7).DownNodeS
+	for call := 1; call < 200; call++ {
+		if got := c.Stats(5994.7).DownNodeS; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("call %d: DownNodeS = %v, first call gave %v", call, got, want)
+		}
 	}
 }

@@ -33,6 +33,11 @@ const (
 	RampDuration = 10.0
 )
 
+// BaseStep is the Euler substep in seconds while a node is thermally
+// active: the integration period of the paper runs, and the period of the
+// cluster's lock-step ticker.
+const BaseStep = 0.1
+
 // State is the node's life-cycle state.
 type State int
 
@@ -76,11 +81,10 @@ func (s State) String() string {
 
 // Config describes one node.
 type Config struct {
-	// ID is the 1-based node number (1..8 on Monte Cimone).
+	// ID is the 1-based node number (1..8 on Monte Cimone). It fixes the
+	// blade slot, and with it the thermal environment: (ID-1) mod
+	// thermal.NumSlots.
 	ID int
-	// Slot is the 0-based blade slot for the thermal environment;
-	// defaults to ID-1.
-	Slot int
 	// Machine is the SoC model; defaults to soc.FU740().
 	Machine *soc.Machine
 	// Enclosure is the chassis configuration shared by the cluster.
@@ -108,13 +112,12 @@ type Node struct {
 
 	// Demand-driven integration state. clock, when set, supplies the
 	// current virtual time so public reads can lazily integrate up to the
-	// observation instant; base is the internal Euler substep and
-	// gridNext the next substep boundary. Observations at arbitrary
-	// instants take partial steps WITHOUT moving the grid — exactly how
-	// a mid-period read interleaves with the lock-step ticker — so both
-	// integration modes walk the same Euler step sequence.
+	// observation instant; gridNext is the next BaseStep boundary.
+	// Observations at arbitrary instants take partial steps WITHOUT moving
+	// the grid — exactly how a mid-period read interleaves with the
+	// lock-step ticker — so both integration modes walk the same Euler
+	// step sequence.
 	clock        func() float64
-	base         float64
 	gridNext     float64
 	syncing      bool
 	onTransition func(kind Transition, at float64)
@@ -194,11 +197,7 @@ func New(cfg Config) (*Node, error) {
 	if err := machine.Validate(); err != nil {
 		return nil, fmt.Errorf("node %d: %w", cfg.ID, err)
 	}
-	slot := cfg.Slot
-	if slot == 0 && cfg.ID-1 < thermal.NumSlots {
-		slot = cfg.ID - 1
-	}
-	tm, err := thermal.NewModel(cfg.Enclosure, slot)
+	tm, err := thermal.NewModel(cfg.Enclosure, (cfg.ID-1)%thermal.NumSlots)
 	if err != nil {
 		return nil, fmt.Errorf("node %d: %w", cfg.ID, err)
 	}
@@ -216,8 +215,7 @@ func New(cfg Config) (*Node, error) {
 		state:        StateOff,
 		in:           inputs{freqScale: 1},
 		cur:          -1,
-		base:         0.1,
-		gridNext:     0.1,
+		gridNext:     BaseStep,
 		haltedAt:     -1,
 		memUsedBytes: 350e6, // resident OS baseline
 	}, nil
@@ -281,18 +279,6 @@ func (n *Node) Workload() string { return n.in.workload }
 // return the state as of the last explicit Step, exactly as the global
 // ticker left it.
 func (n *Node) SetClock(clock func() float64) { n.clock = clock }
-
-// SetBaseStep sets the internal Euler substep used while the node is
-// thermally active (default 0.1 s, the paper runs' integration period).
-// It must be positive and finite.
-func (n *Node) SetBaseStep(h float64) error {
-	if !(h > 0) || math.IsInf(h, 1) { // also rejects NaN
-		return fmt.Errorf("node %s: base step must be positive and finite, got %v", n.hostname, h)
-	}
-	n.base = h
-	n.gridNext = n.now + h
-	return nil
-}
 
 // OnTransition registers the state-change notification callback (boot
 // completion, thermal halt). The callback receives the virtual time the
@@ -479,7 +465,7 @@ func (n *Node) PowerOn(now float64) error {
 	n.state = StateBooting
 	n.poweredAt = now
 	n.now = now
-	n.gridNext = now + n.base
+	n.gridNext = now + BaseStep
 	n.haltedAt = -1
 	n.inputsChanged()
 	return nil
@@ -730,12 +716,12 @@ func (n *Node) syncTo(target float64) {
 			if ss, stable := n.steady(); stable && n.tm.NearSteady(ss, quiescentEpsC) {
 				n.relax(rem, ss)
 				// The trajectory left the Euler grid; re-anchor it here.
-				n.gridNext = n.now + n.base
+				n.gridNext = n.now + BaseStep
 				return
 			}
 		}
 		if n.gridNext <= n.now {
-			n.gridNext = n.now + n.base
+			n.gridNext = n.now + BaseStep
 		}
 		switch {
 		case target < n.gridNext-syncSnapSec:
@@ -748,10 +734,10 @@ func (n *Node) syncTo(target float64) {
 			// floating-point dust: take the grid step there and adopt
 			// the caller's time as the new anchor.
 			n.step(target)
-			n.gridNext = target + n.base
+			n.gridNext = target + BaseStep
 		default:
 			n.step(n.gridNext)
-			n.gridNext += n.base
+			n.gridNext += BaseStep
 		}
 	}
 }
@@ -871,11 +857,11 @@ func (n *Node) NextDeadline() float64 {
 		// margin absorbs Euler's slightly-faster-than-exponential
 		// approach). Deadlines are whole grid periods so watchdog syncs
 		// never split Euler steps.
-		periods := math.Floor(0.9 * n.tm.TimeToReach(socW, hotThresholdC) / n.base)
+		periods := math.Floor(0.9 * n.tm.TimeToReach(socW, hotThresholdC) / BaseStep)
 		if periods < 1 {
 			periods = 1
 		}
-		return n.now + periods*n.base
+		return n.now + periods*BaseStep
 	default:
 		return math.Inf(1)
 	}

@@ -314,21 +314,3 @@ func TestDeferralNeverHidesARunaway(t *testing.T) {
 		t.Errorf("%d intervals recorded across a runaway", len(n.record))
 	}
 }
-
-// TestSetBaseStepRejectsNonFinite: a NaN step would spin SyncTo forever,
-// and an infinite one would integrate any interval in a single step.
-func TestSetBaseStepRejectsNonFinite(t *testing.T) {
-	n := newTestNode(t, 1)
-	for _, h := range []float64{0, -0.1, math.NaN(), math.Inf(1), math.Inf(-1)} {
-		if err := n.SetBaseStep(h); err == nil {
-			t.Errorf("SetBaseStep(%v) accepted", h)
-		}
-	}
-	if err := n.PowerOn(0); err != nil {
-		t.Fatal(err)
-	}
-	n.SyncTo(100) // spun forever after an accepted NaN step
-	if got := n.ModelSteps(); got == 0 || got > 1000 {
-		t.Errorf("SyncTo(100) at the default 0.1 s step ran %d substeps, want 1..1000", got)
-	}
-}

@@ -3,16 +3,16 @@
 // cluster-wide power budget governor layered on top of the per-node DVFS
 // governors of package dtm.
 //
-// The governor measures the total board draw through the ExaMon v2 query
-// layer (power_pub publishes per-node rail totals; the governor runs an
-// aggregating range query over the last control window), splits the
-// budget into per-node caps with RAPL-style proportional sharing under
-// priority weights — nodes drawing below their share donate the surplus
-// to nodes pushing against theirs — and hands each cap to that node's dtm
-// governor, whose DVFS actuator enforces it. Budget, draw, headroom and
-// throttle state are published back into ExaMon as typed samples, and the
-// governor doubles as the scheduler's PowerAdvisor so placement decisions
-// consult predicted job draw before committing nodes.
+// Once a second the governor measures the total board draw through the
+// ExaMon v2 query layer (power_pub publishes per-node rail totals; the
+// governor runs an aggregating range query over the last control window),
+// splits the budget into equal per-node caps, RAPL-style — nodes drawing
+// below their share donate the surplus, in equal parts, to nodes pushing
+// against theirs — and hands each cap to that node's dtm governor, whose
+// DVFS actuator enforces it. Budget, draw, headroom and throttle state are
+// published back into ExaMon as typed samples, and the governor doubles
+// as the scheduler's PowerAdvisor so placement decisions consult predicted
+// job draw before committing nodes.
 package powerplane
 
 import (
@@ -32,17 +32,12 @@ import (
 type Config struct {
 	// BudgetW is the cluster power budget in watts (required).
 	BudgetW float64
-	// Period is the control interval in seconds (default 1).
-	Period float64
-	// Weights are per-host priority weights for cap distribution
-	// (default 1 for every host). Higher weight, larger guaranteed share.
-	Weights map[string]float64
-	// CapC is the per-node thermal ceiling handed to the dtm governors
-	// (default the dtm default, 95 degC).
-	CapC float64
 	// Org and Cluster tag the published telemetry (ExaMon defaults).
 	Org, Cluster string
 }
+
+// period is the control interval in seconds.
+const period = 1.0
 
 // capSlackW is the margin a node keeps above its measured draw when it
 // donates surplus budget, so ordinary load noise does not immediately
@@ -70,8 +65,8 @@ type Governor struct {
 	pm     *power.Model
 	cfg    Config
 
-	govs   map[string]*dtm.Governor
-	ticker *sim.Ticker
+	govs []*dtm.Governor // indexed like cl.Node
+	tick sim.Handle
 
 	drawW        float64
 	lastHeadroom float64
@@ -88,8 +83,8 @@ type Governor struct {
 
 // share is one running node's row in the distribute() water-filling pass.
 type share struct {
+	i      int // node index
 	host   string
-	weight float64
 	draw   float64
 	cap    float64
 	capped bool
@@ -106,22 +101,11 @@ func New(engine *sim.Engine, cl *cluster.Cluster, store *examon.MemStore, broker
 	if !(cfg.BudgetW > 0) || math.IsInf(cfg.BudgetW, 1) {
 		return nil, fmt.Errorf("powerplane: budget must be positive and finite, got %v W", cfg.BudgetW)
 	}
-	if cfg.Period == 0 {
-		cfg.Period = 1
-	}
-	if cfg.Period < 0 {
-		return nil, fmt.Errorf("powerplane: negative period %v", cfg.Period)
-	}
 	if cfg.Org == "" {
 		cfg.Org = examon.DefaultOrg
 	}
 	if cfg.Cluster == "" {
 		cfg.Cluster = examon.DefaultCluster
-	}
-	for host, w := range cfg.Weights {
-		if w <= 0 {
-			return nil, fmt.Errorf("powerplane: weight %v for %s must be positive", w, host)
-		}
 	}
 	g := &Governor{
 		engine:  engine,
@@ -130,17 +114,16 @@ func New(engine *sim.Engine, cl *cluster.Cluster, store *examon.MemStore, broker
 		broker:  broker,
 		pm:      power.NewModel(),
 		cfg:     cfg,
-		govs:    make(map[string]*dtm.Governor, cl.Size()),
+		govs:    make([]*dtm.Governor, cl.Size()),
 		perNode: make(map[string]float64, cl.Size()),
 		caps:    make(map[string]float64, cl.Size()),
 	}
-	for i := 0; i < cl.Size(); i++ {
-		nd := cl.Node(i)
-		gov, err := dtm.New(nd, dtm.Config{CapC: cfg.CapC})
+	for i := range g.govs {
+		gov, err := dtm.New(cl.Node(i))
 		if err != nil {
 			return nil, fmt.Errorf("powerplane: %w", err)
 		}
-		g.govs[nd.Hostname()] = gov
+		g.govs[i] = gov
 	}
 	return g, nil
 }
@@ -150,9 +133,11 @@ func New(engine *sim.Engine, cl *cluster.Cluster, store *examon.MemStore, broker
 // here so power-delayed jobs start as soon as draw falls.
 func (g *Governor) OnHeadroomIncrease(fn func()) { g.onHeadroom = fn }
 
-// Start launches the per-node governors and the budget control loop.
+// Start launches the per-node governors and the budget control loop. The
+// governors start in node order, so at every control instant they act in
+// node order.
 func (g *Governor) Start() error {
-	if g.ticker != nil {
+	if g.tick.Scheduled() {
 		return fmt.Errorf("powerplane: governor already running")
 	}
 	for _, gov := range g.govs {
@@ -160,22 +145,18 @@ func (g *Governor) Start() error {
 			return fmt.Errorf("powerplane: %w", err)
 		}
 	}
-	tk, err := sim.NewTicker(g.engine, g.engine.Now()+g.cfg.Period, g.cfg.Period,
-		"powerplane.control", g.control)
+	tick, err := g.engine.ScheduleEvery(g.engine.Now()+period, period, "powerplane.control", g.control)
 	if err != nil {
 		return fmt.Errorf("powerplane: %w", err)
 	}
-	g.ticker = tk
+	g.tick = tick
 	return nil
 }
 
 // Stop halts the control loop and the per-node governors (restoring the
 // nominal operating points).
 func (g *Governor) Stop() {
-	if g.ticker != nil {
-		g.ticker.Stop()
-		g.ticker = nil
-	}
+	g.tick.Cancel()
 	for _, gov := range g.govs {
 		gov.Stop()
 	}
@@ -185,7 +166,8 @@ func (g *Governor) Stop() {
 // distribute, publish. Reservation pruning happens only here, on the
 // engine goroutine — the read paths (HeadroomWatts, Snapshot) must stay
 // mutation-free because the REST server calls them from HTTP handlers.
-func (g *Governor) control(now float64) {
+func (g *Governor) control(e *sim.Engine) {
+	now := e.Now()
 	live := g.reservations[:0]
 	for _, r := range g.reservations {
 		if r.until > now {
@@ -220,7 +202,7 @@ func (g *Governor) measure(now float64) {
 	series, err := examon.QueryAggInto(g.aggRes[:0], g.store, examon.Filter{
 		Plugin: "power_pub",
 		Metric: examon.PowerTotalMetric,
-		From:   now - 1.5*g.cfg.Period,
+		From:   now - 1.5*period,
 	}, examon.AggOptions{Op: examon.AggAvg})
 	if err == nil {
 		g.aggRes = series
@@ -243,18 +225,16 @@ func (g *Governor) measure(now float64) {
 	g.drawW = total
 }
 
-// distribute splits the budget into per-node caps — weight-proportional
-// shares with two water-filling passes that move surplus from nodes
-// drawing under their share to nodes pressed against theirs — and hands
-// the caps to the dtm governors.
+// distribute splits the budget into per-node caps — equal shares, then a
+// water-filling pass that moves surplus from nodes drawing under their
+// share to nodes pressed against theirs — and hands the caps to the dtm
+// governors.
 func (g *Governor) distribute() {
 	active := g.shares[:0]
-	sumW := 0.0
 	g.throttled = 0
-	for i := 0; i < g.cl.Size(); i++ {
+	for i, gov := range g.govs {
 		nd := g.cl.Node(i)
 		host := nd.Hostname()
-		gov := g.govs[host]
 		if nd.State() != node.StateRunning {
 			gov.SetPowerCapW(0) // nothing to enforce on a node that is down
 			delete(g.caps, host)
@@ -263,46 +243,40 @@ func (g *Governor) distribute() {
 		if gov.Scale() < 1 {
 			g.throttled++
 		}
-		w := 1.0
-		if cw, ok := g.cfg.Weights[host]; ok {
-			w = cw
-		}
-		active = append(active, share{host: host, weight: w, draw: g.perNode[host]})
-		sumW += w
+		active = append(active, share{i: i, host: host, draw: g.perNode[host]})
 	}
 	g.shares = active
 	if len(active) == 0 {
 		return
 	}
-	// Weighted fair shares first; then donate the headroom nodes leave
-	// under their share to the nodes pressed against theirs. A donor's
-	// own cap never drops below its share — caps are limits, not
+	// Equal fair shares first; then donate the headroom nodes leave under
+	// their share, in equal parts, to the nodes pressed against theirs. A
+	// donor's own cap never drops below its share — caps are limits, not
 	// allocations, so a donor ramping back up is throttled no further
 	// than its guarantee while the next control tick re-balances.
-	for i := range active {
-		active[i].cap = g.cfg.BudgetW * active[i].weight / sumW
-	}
-	surplus, needW := 0.0, 0.0
+	fair := g.cfg.BudgetW / float64(len(active))
+	surplus, needed := 0.0, 0
 	for i := range active {
 		s := &active[i]
+		s.cap = fair
 		if s.draw+capSlackW < s.cap {
 			surplus += s.cap - s.draw - capSlackW
 		} else {
 			s.capped = true // pressed against its share
-			needW += s.weight
+			needed++
 		}
 	}
-	if surplus > 0 && needW > 0 {
+	if surplus > 0 && needed > 0 {
+		extra := surplus / float64(needed)
 		for i := range active {
-			s := &active[i]
-			if s.capped {
-				s.cap += surplus * s.weight / needW
+			if active[i].capped {
+				active[i].cap += extra
 			}
 		}
 	}
 	for _, s := range active {
 		g.caps[s.host] = s.cap
-		g.govs[s.host].SetPowerCapW(s.cap)
+		g.govs[s.i].SetPowerCapW(s.cap)
 	}
 }
 
@@ -379,8 +353,8 @@ func (g *Governor) Snapshot() Snapshot {
 		caps[h] = c
 	}
 	scales := make(map[string]float64, len(g.govs))
-	for h, gov := range g.govs {
-		scales[h] = gov.Scale()
+	for i, gov := range g.govs {
+		scales[g.cl.Node(i).Hostname()] = gov.Scale()
 	}
 	return Snapshot{
 		BudgetW:        g.cfg.BudgetW,
@@ -460,7 +434,7 @@ func (g *Governor) NodeTempC(host string) float64 {
 func (g *Governor) NotePlacement(act power.Activity, nodes int) {
 	g.reservations = append(g.reservations, reservation{
 		watts: g.PredictedJobWatts(act, nodes),
-		until: g.engine.Now() + reservationPeriods*g.cfg.Period,
+		until: g.engine.Now() + reservationPeriods*period,
 	})
 }
 

@@ -199,7 +199,7 @@ func TestSubmitDuringOnEnd(t *testing.T) {
 func TestLinearScanMatchesIndexed(t *testing.T) {
 	run := func(opts ...Option) []float64 {
 		e := sim.NewEngine()
-		s, err := New(e, "p", hosts(8), opts...)
+		s, err := New(e, hosts(8), opts...)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -120,7 +120,8 @@ func TestOnRequeueMutatesClone(t *testing.T) {
 // its wall limit, so it ends in TIMEOUT at exactly the limit, and the job
 // reports the applied scale.
 func TestRuntimeScalerStretchesIntoTimeout(t *testing.T) {
-	e, s := newSched(t, 1, WithRuntimeScaler(func(*Job, []string) float64 { return 3 }))
+	e, s := newSched(t, 1)
+	s.SetRuntimeScaler(func(*Job, []string) float64 { return 3 })
 	var scale float64
 	var start, end float64
 	var final JobState
@@ -138,9 +139,8 @@ func TestRuntimeScalerStretchesIntoTimeout(t *testing.T) {
 	}
 }
 
-// TestRuntimeScalerSetterEquivalent pins SetRuntimeScaler (the
-// post-construction install the campaign runner uses) to the option path:
-// a sub-limit stretch lengthens the run without tripping the limit.
+// TestRuntimeScalerSetterEquivalent: a sub-limit stretch installed with
+// SetRuntimeScaler lengthens the run without tripping the limit.
 func TestRuntimeScalerSetterEquivalent(t *testing.T) {
 	e, s := newSched(t, 1)
 	s.SetRuntimeScaler(func(*Job, []string) float64 { return 1.5 })

@@ -116,27 +116,15 @@ func (o advisorOption) apply(s *Scheduler) { s.advisor = o.a }
 // measurements catch up. Policies that are not power-aware ignore it.
 func WithPowerAdvisor(a PowerAdvisor) Option { return advisorOption{a} }
 
-type runtimeScalerOption struct {
-	fn func(job *Job, hosts []string) float64
-}
-
-func (o runtimeScalerOption) apply(s *Scheduler) { s.runtimeScale = o.fn }
-
-// WithRuntimeScaler installs a runtime-stretch hook consulted once per job
-// start with the job and its allocation: the returned factor (> 1
-// stretches, <= 1 is clamped to 1) multiplies the job's modelled execution
-// time before the wall-time limit is applied, so a stretched job can run
-// into TIMEOUT exactly as a straggler-slowed or network-degraded job
-// would. Fault campaigns are the intended caller; without the option the
+// SetRuntimeScaler installs or replaces a runtime-stretch hook consulted
+// once per job start with the job and its allocation: the returned factor
+// (> 1 stretches, <= 1 is clamped to 1) multiplies the job's modelled
+// execution time before the wall-time limit is applied, so a stretched
+// job can run into TIMEOUT exactly as a straggler-slowed or
+// network-degraded job would. Fault campaigns are the caller: the fault
+// controller that supplies the factor only exists once the system — and
+// with it the scheduler — is already assembled. Without a hook the
 // scheduler behaves exactly as before.
-func WithRuntimeScaler(fn func(job *Job, hosts []string) float64) Option {
-	return runtimeScalerOption{fn}
-}
-
-// SetRuntimeScaler installs or replaces the runtime-stretch hook after
-// construction (see WithRuntimeScaler). The campaign runner uses it: the
-// fault controller that supplies the factor only exists once the system —
-// and with it the scheduler — is already assembled.
 func (s *Scheduler) SetRuntimeScaler(fn func(job *Job, hosts []string) float64) { s.runtimeScale = fn }
 
 type linearScanOption bool

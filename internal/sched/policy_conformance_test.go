@@ -41,7 +41,7 @@ func conformanceRun(t *testing.T, policy string) []float64 {
 		t.Fatal(err)
 	}
 	e := sim.NewEngine()
-	s, err := New(e, "conf", hosts(16), WithPolicy(pol))
+	s, err := New(e, hosts(16), WithPolicy(pol))
 	if err != nil {
 		t.Fatal(err)
 	}

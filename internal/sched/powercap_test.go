@@ -37,7 +37,7 @@ func (f *fakeAdvisor) NotePlacement(act power.Activity, nodes int) {
 func TestPowerCapDelaysOverBudgetHead(t *testing.T) {
 	e := sim.NewEngine()
 	adv := &fakeAdvisor{perNodeW: 2, headroomW: 5}
-	s, err := New(e, "p", hosts(8), WithPolicy(PowerCap()), WithPowerAdvisor(adv))
+	s, err := New(e, hosts(8), WithPolicy(PowerCap()), WithPowerAdvisor(adv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestPowerCapDelaysOverBudgetHead(t *testing.T) {
 func TestPowerCapForcedProgress(t *testing.T) {
 	e := sim.NewEngine()
 	adv := &fakeAdvisor{perNodeW: 10, headroomW: 0}
-	s, err := New(e, "p", hosts(4), WithPolicy(PowerCap()), WithPowerAdvisor(adv))
+	s, err := New(e, hosts(4), WithPolicy(PowerCap()), WithPowerAdvisor(adv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,7 +103,7 @@ func TestPowerCapPicksCoolestHosts(t *testing.T) {
 	adv := &fakeAdvisor{perNodeW: 0, headroomW: 100, temps: map[string]float64{
 		"mc01": 70, "mc02": 40, "mc03": 55, "mc04": 35,
 	}}
-	s, err := New(e, "p", hosts(4), WithPolicy(PowerCap()), WithPowerAdvisor(adv))
+	s, err := New(e, hosts(4), WithPolicy(PowerCap()), WithPowerAdvisor(adv))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +124,7 @@ func TestPowerCapPicksCoolestHosts(t *testing.T) {
 // degrades to plain FIFO placement in partition order.
 func TestPowerCapWithoutAdvisorIsFIFO(t *testing.T) {
 	e := sim.NewEngine()
-	s, err := New(e, "p", hosts(4), WithPolicy(PowerCap()))
+	s, err := New(e, hosts(4), WithPolicy(PowerCap()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -151,7 +151,6 @@ type nodeInfo struct {
 // Scheduler is the controller daemon (slurmctld).
 type Scheduler struct {
 	engine      *sim.Engine
-	partition   string
 	policy      Policy
 	advisor     PowerAdvisor
 	linearScan  bool
@@ -165,7 +164,7 @@ type Scheduler struct {
 	jobs     map[int]*Job
 	nextID   int
 
-	// runtimeScale, when installed (WithRuntimeScaler), stretches each
+	// runtimeScale, when installed (SetRuntimeScaler), stretches each
 	// job's modelled execution time at start: fault campaigns return > 1
 	// for allocations touching straggler nodes or degraded-network windows.
 	runtimeScale func(job *Job, hosts []string) float64
@@ -183,7 +182,7 @@ type Scheduler struct {
 
 // New builds a scheduler over the given hostnames. The default policy is
 // EASY backfill, matching the production SLURM configuration.
-func New(engine *sim.Engine, partition string, hostnames []string, opts ...Option) (*Scheduler, error) {
+func New(engine *sim.Engine, hostnames []string, opts ...Option) (*Scheduler, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("sched: nil engine")
 	}
@@ -191,12 +190,11 @@ func New(engine *sim.Engine, partition string, hostnames []string, opts ...Optio
 		return nil, fmt.Errorf("sched: empty partition")
 	}
 	s := &Scheduler{
-		engine:    engine,
-		partition: partition,
-		policy:    EASY(),
-		nodes:     make(map[string]*nodeInfo, len(hostnames)),
-		jobs:      make(map[int]*Job),
-		nextID:    1,
+		engine: engine,
+		policy: EASY(),
+		nodes:  make(map[string]*nodeInfo, len(hostnames)),
+		jobs:   make(map[int]*Job),
+		nextID: 1,
 	}
 	for i, h := range hostnames {
 		if _, dup := s.nodes[h]; dup {
@@ -622,25 +620,11 @@ func (s *Scheduler) Squeue() []JobRow {
 	return append(rows, running...)
 }
 
-// QueueDepth is the scheduler's load probe: how many jobs sit in the
-// pending queue and how many hold nodes right now. It is the queue half
-// of the headroom picture the fleet meta-scheduler scores clusters by
-// (the power half is powerplane.Governor.HeadroomWatts); campaign runners
-// sample it at submission instants so per-cluster backlogs surface in
-// fleet reports without touching scheduler internals.
-func (s *Scheduler) QueueDepth() (pending, running int) {
-	for _, j := range s.queue {
-		if j.state == StatePending {
-			pending++
-		}
-	}
-	for _, j := range s.jobs {
-		if j.state == StateRunning {
-			running++
-		}
-	}
-	return pending, running
-}
+// Pending returns how many jobs sit in the pending queue (the queue holds
+// nothing else). Campaign runners sample it at submission instants so
+// per-cluster backlogs surface in fleet reports without touching
+// scheduler internals.
+func (s *Scheduler) Pending() int { return len(s.queue) }
 
 // Sacct lists all jobs ever submitted, by id.
 func (s *Scheduler) Sacct() []JobRow {
@@ -676,6 +660,3 @@ func (s *Scheduler) Sinfo() []NodeRow {
 	}
 	return rows
 }
-
-// Partition returns the partition name.
-func (s *Scheduler) Partition() string { return s.partition }

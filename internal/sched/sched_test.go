@@ -18,7 +18,7 @@ func hosts(n int) []string {
 func newSched(t *testing.T, n int, opts ...Option) (*sim.Engine, *Scheduler) {
 	t.Helper()
 	e := sim.NewEngine()
-	s, err := New(e, "cimone", hosts(n), opts...)
+	s, err := New(e, hosts(n), opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,13 +27,13 @@ func newSched(t *testing.T, n int, opts ...Option) (*sim.Engine, *Scheduler) {
 
 func TestNewValidation(t *testing.T) {
 	e := sim.NewEngine()
-	if _, err := New(nil, "p", hosts(2)); err == nil {
+	if _, err := New(nil, hosts(2)); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := New(e, "p", nil); err == nil {
+	if _, err := New(e, nil); err == nil {
 		t.Error("empty partition accepted")
 	}
-	if _, err := New(e, "p", []string{"a", "a"}); err == nil {
+	if _, err := New(e, []string{"a", "a"}); err == nil {
 		t.Error("duplicate hostname accepted")
 	}
 }
@@ -326,9 +326,48 @@ func TestSqueueAndSinfoViews(t *testing.T) {
 	if allocated != 4 {
 		t.Errorf("allocated nodes = %d, want 4", allocated)
 	}
-	if s.Partition() != "cimone" {
-		t.Errorf("partition = %q", s.Partition())
+}
+
+// TestPendingMatchesSqueue: Pending counts exactly the PENDING rows squeue
+// shows, through submits, starts, a pending cancel and a NODE_FAIL
+// requeue.
+func TestPendingMatchesSqueue(t *testing.T) {
+	e, s := newSched(t, 4)
+	check := func(at string, want int) {
+		t.Helper()
+		rows := 0
+		for _, r := range s.Squeue() {
+			if r.State == StatePending {
+				rows++
+			}
+		}
+		if got := s.Pending(); got != rows || got != want {
+			t.Errorf("%s: Pending() = %d, squeue shows %d pending, want %d", at, got, rows, want)
+		}
 	}
+	cycle := func() {
+		t.Helper()
+		if err := e.RunUntil(e.Now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	check("empty", 0)
+	wide := s.mustSubmit(t, JobSpec{Name: "wide", Nodes: 3, TimeLimit: 100, Duration: 50, Requeue: true})
+	s.mustSubmit(t, JobSpec{Name: "full", Nodes: 4, TimeLimit: 100, Duration: 50})
+	doomed := s.mustSubmit(t, JobSpec{Name: "doomed", Nodes: 4, TimeLimit: 100, Duration: 50})
+	check("after submits", 3)
+	cycle() // wide starts; full and doomed need all four nodes
+	check("after a start", 2)
+	if err := s.Cancel(doomed.ID); err != nil {
+		t.Fatal(err)
+	}
+	check("after a pending cancel", 1)
+	if err := s.NodeDown(wide.Hosts()[0]); err != nil {
+		t.Fatal(err)
+	}
+	check("after a NODE_FAIL requeue", 2)
+	cycle() // full can never start on three nodes, so the clone backfills
+	check("after the clone starts", 1)
 }
 
 func TestManyJobsDrainDeterministically(t *testing.T) {

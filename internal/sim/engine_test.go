@@ -157,14 +157,14 @@ func TestEventScheduledDuringRun(t *testing.T) {
 func TestTicker(t *testing.T) {
 	e := NewEngine()
 	var ticks []float64
-	tk, err := NewTicker(e, 0.5, 0.25, "tick", func(now float64) { ticks = append(ticks, now) })
+	h, err := e.ScheduleEvery(0.5, 0.25, "tick", func(e *Engine) { ticks = append(ticks, e.Now()) })
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := e.RunUntil(1.5); err != nil {
 		t.Fatal(err)
 	}
-	tk.Stop()
+	h.Cancel()
 	if err := e.RunUntil(3.0); err != nil {
 		t.Fatal(err)
 	}
@@ -179,21 +179,14 @@ func TestTicker(t *testing.T) {
 	}
 }
 
-func TestTickerInvalidPeriod(t *testing.T) {
-	e := NewEngine()
-	if _, err := NewTicker(e, 0, 0, "bad", func(float64) {}); err == nil {
-		t.Fatal("zero period should fail")
-	}
-}
-
 func TestTickerStopFromCallback(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	var tk *Ticker
-	tk, err := NewTicker(e, 0, 1, "self-stop", func(float64) {
+	var h Handle
+	h, err := e.ScheduleEvery(0, 1, "self-stop", func(*Engine) {
 		count++
 		if count == 3 {
-			tk.Stop()
+			h.Cancel()
 		}
 	})
 	if err != nil {
@@ -320,7 +313,7 @@ func TestRNGStreamIsolation(t *testing.T) {
 func TestCancelledEventsCompactEagerly(t *testing.T) {
 	// Regression: Cancel used to leave dead entries in the heap until
 	// their timestamp aged to the front, so long runs with many
-	// Ticker.Stop / Event.Cancel calls grew the queue without bound and
+	// recurring-series stops and Cancel calls grew the queue without bound and
 	// Pending() over-reported.
 	e := NewEngine()
 	var events []Handle
@@ -358,7 +351,7 @@ func TestCancelledEventsCompactEagerly(t *testing.T) {
 	}
 
 	// The reschedule-heavy pattern (cancel + schedule in a loop, as the
-	// cluster watchdogs and ticker stops do) must keep the queue flat.
+	// cluster watchdogs and recurring-series stops do) must keep the queue flat.
 	var watch Handle
 	for i := 0; i < 10000; i++ {
 		watch.Cancel()
