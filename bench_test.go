@@ -575,11 +575,13 @@ func BenchmarkExtension_MPIPingPong(b *testing.B) {
 }
 
 // BenchmarkTelemetryIngest measures the telemetry ingest path — one
-// PublishBatch per node per tick flowing straight into storage as Sample
-// values. 64 synthetic nodes, 4 cores, 2 counters each: one benchmark
-// iteration ingests one cluster-wide tick (512 samples). "parallel8"
-// publishes from 8 goroutines into one store, the concurrent-ingest shape
-// of fleet federation.
+// publish per node per tick flowing straight into storage. The "typed"
+// rows hand tag-keyed Sample batches to PublishBatch; the "handle" rows
+// publish values through series handles registered once, as the
+// sampling plugins do. 64 synthetic nodes, 4 cores, 2 counters each: one
+// benchmark iteration ingests one cluster-wide tick (512 samples).
+// "parallel8" publishes from 8 goroutines into one store, the
+// concurrent-ingest shape of fleet federation.
 func BenchmarkTelemetryIngest(b *testing.B) {
 	const (
 		nodes = 64
@@ -607,24 +609,14 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 		}
 	}
 
-	runTyped := func(b *testing.B, st *examon.MemStore, workers int) {
-		broker := attach(b, st)
-		publishHosts := func(myHosts []string, n int) {
-			batch := make([]examon.Sample, 0, cores*len(metrics))
+	// run publishes b.N ticks from workers goroutines, each owning an
+	// equal share of the hosts; publish sends host h's tick.
+	run := func(b *testing.B, st *examon.MemStore, workers int,
+		publish func(h int, now, v float64) error) {
+		publishHosts := func(lo, hi, n int) {
 			for i := 0; i < n; i++ {
-				now := float64(i)
-				for _, host := range myHosts {
-					batch = batch[:0]
-					for core := 0; core < cores; core++ {
-						for _, m := range metrics {
-							batch = append(batch, examon.Sample{
-								Tags: examon.Tags{Org: "unibo", Cluster: "syn", Node: host,
-									Plugin: "pmu_pub", Core: core, Metric: m},
-								T: now, V: float64(i),
-							})
-						}
-					}
-					if err := broker.PublishBatch(batch); err != nil {
+				for h := lo; h < hi; h++ {
+					if err := publish(h, float64(i), float64(i)); err != nil {
 						b.Error(err)
 						return
 					}
@@ -633,16 +625,16 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 		}
 		b.ResetTimer()
 		if workers <= 1 {
-			publishHosts(hosts, b.N)
+			publishHosts(0, nodes, b.N)
 		} else {
 			var wg sync.WaitGroup
 			per := nodes / workers
 			for w := 0; w < workers; w++ {
 				wg.Add(1)
-				go func(myHosts []string) {
+				go func(lo int) {
 					defer wg.Done()
-					publishHosts(myHosts, b.N)
-				}(hosts[w*per : (w+1)*per])
+					publishHosts(lo, lo+per, b.N)
+				}(w * per)
 			}
 			wg.Wait()
 		}
@@ -651,8 +643,55 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 		b.ReportMetric(float64(perTick*b.N)/b.Elapsed().Seconds(), "samples/s")
 	}
 
+	tags := func(h, core int, metric string) examon.Tags {
+		return examon.Tags{Org: "unibo", Cluster: "syn", Node: hosts[h], Plugin: "pmu_pub", Core: core, Metric: metric}
+	}
+	runTyped := func(b *testing.B, st *examon.MemStore, workers int) {
+		broker := attach(b, st)
+		// One batch per host, so concurrent publishers never share one.
+		batches := make([][]examon.Sample, nodes)
+		for h := range batches {
+			batches[h] = make([]examon.Sample, 0, cores*len(metrics))
+		}
+		run(b, st, workers, func(h int, now, v float64) error {
+			batch := batches[h][:0]
+			for core := 0; core < cores; core++ {
+				for _, m := range metrics {
+					batch = append(batch, examon.Sample{Tags: tags(h, core, m), T: now, V: v})
+				}
+			}
+			return broker.PublishBatch(batch)
+		})
+	}
+	runHandle := func(b *testing.B, st *examon.MemStore, workers int) {
+		broker := attach(b, st)
+		handles := make([][]*examon.SeriesHandle, nodes)
+		values := make([][]float64, nodes)
+		for h := range hosts {
+			for core := 0; core < cores; core++ {
+				for _, m := range metrics {
+					hd, err := broker.Register(tags(h, core, m))
+					if err != nil {
+						b.Fatal(err)
+					}
+					handles[h] = append(handles[h], hd)
+				}
+			}
+			values[h] = make([]float64, cores*len(metrics))
+		}
+		run(b, st, workers, func(h int, now, v float64) error {
+			vs := values[h]
+			for k := range vs {
+				vs[k] = v
+			}
+			return broker.Publish(now, handles[h], vs)
+		})
+	}
+
 	b.Run("typed/mem/64nodes", func(b *testing.B) { runTyped(b, examon.NewMemStore(), 1) })
 	b.Run("typed/mem/parallel8/64nodes", func(b *testing.B) { runTyped(b, examon.NewMemStore(), 8) })
+	b.Run("handle/mem/64nodes", func(b *testing.B) { runHandle(b, examon.NewMemStore(), 1) })
+	b.Run("handle/mem/parallel8/64nodes", func(b *testing.B) { runHandle(b, examon.NewMemStore(), 8) })
 }
 
 // BenchmarkCampaignThroughput drives generated mixed-workload campaigns

@@ -86,6 +86,33 @@ func TestSpecValidationNonFiniteBudget(t *testing.T) {
 	}
 }
 
+// Org and cluster are stamped into every telemetry sample as one topic
+// level each, so a reserved character in either must fail validation and
+// name the field, instead of the broker silently dropping every sample.
+func TestSpecValidationScopeTags(t *testing.T) {
+	for _, field := range []string{"org", "cluster"} {
+		for _, c := range []string{"/", "+", "#"} {
+			s := mixedSpec("easy", 1)
+			if field == "org" {
+				s.Org = "uni" + c + "bo"
+			} else {
+				s.ClusterTag = "a" + c + "b"
+			}
+			err := s.Validate()
+			if err == nil {
+				t.Errorf("%s with %q accepted", field, c)
+			} else if !strings.Contains(err.Error(), field+":") {
+				t.Errorf("error %q does not name the %s field", err, field)
+			}
+		}
+	}
+	s := mixedSpec("easy", 1)
+	s.Org, s.ClusterTag = "unibo", "ab"
+	if err := s.Validate(); err != nil {
+		t.Errorf("plain scope tags rejected: %v", err)
+	}
+}
+
 // The unknown-workload error must list the registry so a spec typo is
 // self-explaining.
 func TestUnknownWorkloadListsRegistry(t *testing.T) {

@@ -16,6 +16,7 @@ import (
 	"math"
 	"os"
 
+	"montecimone/internal/examon"
 	"montecimone/internal/fault"
 	"montecimone/internal/sched"
 	"montecimone/internal/workload"
@@ -184,6 +185,13 @@ func (s *Spec) Validate() error {
 	}
 	if math.IsNaN(s.PowerBudgetW) || math.IsInf(s.PowerBudgetW, 0) {
 		return fmt.Errorf("campaign: spec %q: power_budget_w must be finite, got %v", s.Name, s.PowerBudgetW)
+	}
+	// The scope tags land in every telemetry sample, where each must be
+	// one topic level; the broker would reject every batch otherwise.
+	for _, tag := range []struct{ field, value string }{{"org", s.Org}, {"cluster", s.ClusterTag}} {
+		if err := examon.CheckTagLevel(tag.value); err != nil {
+			return fmt.Errorf("campaign: spec %q: %s: %w", s.Name, tag.field, err)
+		}
 	}
 	if s.Policy != "" {
 		if _, err := sched.PolicyByName(s.Policy); err != nil {

@@ -22,33 +22,47 @@ const (
 // Plugin is one per-node ExaMon sampling plugin: a recurring engine event
 // that reads its node and publishes one batch per period through the
 // broker. NewPMUPub, NewStatsPub and NewPowerPub build the three plugins
-// the deployment runs; they differ only in name, period and what a tick
-// reads.
+// the deployment runs; they differ only in name, period, the series they
+// register and what a tick reads.
 type Plugin struct {
 	name   string // event-name component: pmu_pub, stats_pub or power_pub
 	period float64
 	broker *Broker
 	node   *node.Node
-	tags   Tags                         // Org, Cluster, Node and Plugin of every sample
-	fill   func(p *Plugin, now float64) // appends one tick's samples with add
+	// series holds a handle per stream the plugin can publish, registered
+	// at construction in the order fill walks them.
+	series []*SeriesHandle
+	fill   func(p *Plugin) // appends one tick's samples with add
 
-	tick  sim.Handle
-	batch []Sample // per-tick scratch, reused across samples
+	tick sim.Handle
+	// Per-tick scratch, reused across ticks: the handles and values of
+	// the samples fill added.
+	hs []*SeriesHandle
+	vs []float64
 }
 
-func newPlugin(name, pluginTag string, period float64, fill func(*Plugin, float64),
-	broker *Broker, nd *node.Node, org, cluster string) (*Plugin, error) {
+// pluginSeries names one stream of a plugin: the hart (-1 for node-level
+// metrics) and the metric.
+type pluginSeries struct {
+	core   int
+	metric string
+}
+
+func newPlugin(name, pluginTag string, period float64, fill func(*Plugin),
+	broker *Broker, nd *node.Node, org, cluster string, series func(*node.Node) []pluginSeries) (*Plugin, error) {
 	if broker == nil || nd == nil {
 		return nil, fmt.Errorf("examon: %s needs a broker and node", name)
 	}
-	if org == "" {
-		org = DefaultOrg
+	p := &Plugin{name: name, period: period, broker: broker, node: nd, fill: fill}
+	for _, ps := range series(nd) {
+		h, err := broker.Register(Tags{Org: org, Cluster: cluster, Node: nd.Hostname(),
+			Plugin: pluginTag, Core: ps.core, Metric: ps.metric})
+		if err != nil {
+			return nil, fmt.Errorf("examon: %s on %s: %w", name, nd.Hostname(), err)
+		}
+		p.series = append(p.series, h)
 	}
-	if cluster == "" {
-		cluster = DefaultCluster
-	}
-	return &Plugin{name: name, period: period, broker: broker, node: nd, fill: fill,
-		tags: Tags{Org: org, Cluster: cluster, Node: nd.Hostname(), Plugin: pluginTag}}, nil
+	return p, nil
 }
 
 // NewPMUPub builds the plugin publishing one node's hardware performance
@@ -56,13 +70,14 @@ func newPlugin(name, pluginTag string, period float64, fill func(*Plugin, float6
 // and CYCLE are available; the programmable HPM counters appear once the
 // authors' U-Boot patch is applied.
 func NewPMUPub(broker *Broker, nd *node.Node, org, cluster string) (*Plugin, error) {
-	return newPlugin("pmu_pub", "pmu_pub", PMUPubPeriod, fillPMU, broker, nd, org, cluster)
+	return newPlugin("pmu_pub", "pmu_pub", PMUPubPeriod, fillPMU, broker, nd, org, cluster, pmuSeries)
 }
 
 // NewStatsPub builds the plugin collecting one node's operating-system
 // statistics from procfs/sysfs (Table III lists its metric groups).
 func NewStatsPub(broker *Broker, nd *node.Node, org, cluster string) (*Plugin, error) {
-	return newPlugin("stats_pub", "dstat_pub", StatsPubPeriod, fillStats, broker, nd, org, cluster)
+	return newPlugin("stats_pub", "dstat_pub", StatsPubPeriod, fillStats, broker, nd, org, cluster,
+		nodeSeries(StatsMetrics))
 }
 
 // NewPowerPub builds the plugin publishing one node's nine
@@ -72,16 +87,29 @@ func NewStatsPub(broker *Broker, nd *node.Node, org, cluster string) (*Plugin, e
 // power plane needs boot and halt draw in its budget accounting, not just
 // the OS-up draw.
 func NewPowerPub(broker *Broker, nd *node.Node, org, cluster string) (*Plugin, error) {
-	return newPlugin("power_pub", "power_pub", PowerPubPeriod, fillPower, broker, nd, org, cluster)
+	return newPlugin("power_pub", "power_pub", PowerPubPeriod, fillPower, broker, nd, org, cluster,
+		nodeSeries(powerMetrics))
+}
+
+// nodeSeries lists a plugin's node-level (core -1) streams, one per
+// metric in order.
+func nodeSeries(metrics []string) func(*node.Node) []pluginSeries {
+	return func(*node.Node) []pluginSeries {
+		out := make([]pluginSeries, len(metrics))
+		for i, m := range metrics {
+			out[i] = pluginSeries{core: -1, metric: m}
+		}
+		return out
+	}
 }
 
 // Start begins sampling on the engine. Stop with Stop.
 func (p *Plugin) Start(engine *sim.Engine) error {
 	if p.tick.Scheduled() {
-		return fmt.Errorf("examon: %s already started on %s", p.name, p.tags.Node)
+		return fmt.Errorf("examon: %s already started on %s", p.name, p.node.Hostname())
 	}
 	tick, err := engine.ScheduleEvery(engine.Now()+p.period, p.period,
-		"examon."+p.name+"."+p.tags.Node, p.sample)
+		"examon."+p.name+"."+p.node.Hostname(), p.sample)
 	if err != nil {
 		return fmt.Errorf("examon: %w", err)
 	}
@@ -99,42 +127,62 @@ func (p *Plugin) sample(e *sim.Engine) {
 	// Under lock-step this is a sub-period catch-up; under demand-driven
 	// integration the sample IS the observation that advances the node.
 	p.node.SyncTo(now)
-	p.batch = p.batch[:0]
-	p.fill(p, now)
+	p.hs, p.vs = p.hs[:0], p.vs[:0]
+	p.fill(p)
 	// One batch per node per tick, never rendered to the Table II string
-	// encoding; an empty batch publishes nothing. Errors cannot occur for
-	// well-formed tags; the plugin drops the batch otherwise, like a QoS0
-	// publisher.
-	_ = p.broker.PublishBatch(p.batch)
+	// encoding; an empty batch publishes nothing. The handles were
+	// validated at construction and belong to p.broker, so Publish cannot
+	// fail here.
+	_ = p.broker.Publish(now, p.hs, p.vs)
 }
 
-// add appends one sample of this tick to the batch.
-func (p *Plugin) add(core int, metric string, now, v float64) {
-	t := p.tags
-	t.Core, t.Metric = core, metric
-	p.batch = append(p.batch, Sample{Tags: t, T: now, V: v})
+// add appends one sample of this tick: value v for series[i].
+func (p *Plugin) add(i int, v float64) {
+	p.hs = append(p.hs, p.series[i])
+	p.vs = append(p.vs, v)
 }
 
-// fillPMU reads every exposed counter of every hart while the OS is up.
-func fillPMU(p *Plugin, now float64) {
-	if p.node.State() != node.StateRunning {
-		return
-	}
-	pmu := p.node.PMU()
-	// The exposed counter set is a boot-time property (the U-Boot HPM
-	// patch): the fixed counters, then the programmable ones when patched.
+// pmuEvents lists the counters pmu_pub reads on each hart: the fixed
+// counters, then the programmable ones when the boot patch exposes them
+// (a boot-time property of the PMU).
+func pmuEvents(pmu *perf.PMU) [2][]perf.Event {
 	events := [2][]perf.Event{perf.FixedEvents}
 	if pmu.HPMEnabled() {
 		events[1] = perf.ProgrammableEvents
 	}
+	return events
+}
+
+// pmuSeries lists pmu_pub's streams hart by hart, in pmuEvents order.
+func pmuSeries(nd *node.Node) []pluginSeries {
+	pmu := nd.PMU()
+	var out []pluginSeries
+	for core := 0; core < pmu.Harts(); core++ {
+		for _, group := range pmuEvents(pmu) {
+			for _, ev := range group {
+				out = append(out, pluginSeries{core: core, metric: ev.String()})
+			}
+		}
+	}
+	return out
+}
+
+// fillPMU reads every exposed counter of every hart while the OS is up.
+func fillPMU(p *Plugin) {
+	if p.node.State() != node.StateRunning {
+		return
+	}
+	pmu := p.node.PMU()
+	events := pmuEvents(pmu)
+	i := 0 // index into p.series, which pmuSeries laid out in this order
 	for core := 0; core < pmu.Harts(); core++ {
 		for _, group := range events {
 			for _, ev := range group {
 				v, err := pmu.Read(core, ev)
-				if err != nil {
-					continue // disabled counters silently absent, as on the real node
+				if err == nil { // disabled counters silently absent, as on the real node
+					p.add(i, float64(v))
 				}
-				p.add(core, ev.String(), now, float64(v))
+				i++
 			}
 		}
 	}
@@ -156,7 +204,7 @@ var StatsMetrics = []string{
 }
 
 // fillStats reads the Table III statistics while the OS is up.
-func fillStats(p *Plugin, now float64) {
+func fillStats(p *Plugin) {
 	if p.node.State() != node.StateRunning {
 		return
 	}
@@ -178,8 +226,8 @@ func fillStats(p *Plugin, now float64) {
 		st.NetRecv, st.NetSend,
 		st.TempMB, st.TempCPU, st.TempNVMe,
 	}
-	for i, metric := range StatsMetrics {
-		p.add(-1, metric, now, values[i])
+	for i, v := range values {
+		p.add(i, v)
 	}
 }
 
@@ -187,24 +235,23 @@ func fillStats(p *Plugin, now float64) {
 // total in milliwatts; the per-rail metrics are "power.<rail>".
 const PowerTotalMetric = "power.total"
 
-// powerRailMetrics precomputes the per-rail metric names in power.Rails
-// order, so the 1 Hz per-node sampler doesn't concatenate nine strings
-// per tick.
-var powerRailMetrics = func() []string {
-	names := make([]string, len(power.Rails))
-	for i, rail := range power.Rails {
-		names[i] = "power." + string(rail)
+// powerMetrics lists power_pub's metrics: "power.<rail>" in power.Rails
+// order, then the board total.
+var powerMetrics = func() []string {
+	names := make([]string, 0, len(power.Rails)+1)
+	for _, rail := range power.Rails {
+		names = append(names, "power."+string(rail))
 	}
-	return names
+	return append(names, PowerTotalMetric)
 }()
 
 // fillPower reads the nine rails and their total in every powered state.
-func fillPower(p *Plugin, now float64) {
+func fillPower(p *Plugin) {
 	total := 0.0
 	for i, rail := range power.Rails {
 		mw := p.node.RailMilliwatts(rail)
 		total += mw
-		p.add(-1, powerRailMetrics[i], now, mw)
+		p.add(i, mw)
 	}
-	p.add(-1, PowerTotalMetric, now, total)
+	p.add(len(power.Rails), total)
 }

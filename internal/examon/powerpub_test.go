@@ -40,6 +40,25 @@ func TestPowerPubValidation(t *testing.T) {
 	}
 }
 
+// TestPluginRegistrationErrors: a scope tag the broker cannot publish
+// fails the plugin constructor, before any tick runs.
+func TestPluginRegistrationErrors(t *testing.T) {
+	nd, err := node.New(node.Config{ID: 1, Enclosure: thermal.DefaultEnclosure()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, build := range map[string]func(*Broker, *node.Node, string, string) (*Plugin, error){
+		"pmu_pub": NewPMUPub, "stats_pub": NewStatsPub, "power_pub": NewPowerPub,
+	} {
+		if p, err := build(NewBroker(), nd, "unibo", "a/b"); err == nil || p != nil {
+			t.Errorf("%s with cluster a/b: plugin %v, err %v", name, p, err)
+		}
+		if p, err := build(NewBroker(), nd, "uni#bo", ""); err == nil || p != nil {
+			t.Errorf("%s with org uni#bo: plugin %v, err %v", name, p, err)
+		}
+	}
+}
+
 func TestPowerPubPublishesRailsAndTotal(t *testing.T) {
 	e, nd, db := newPowerRig(t)
 	if err := nd.PowerOn(0); err != nil {

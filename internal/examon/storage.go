@@ -1,6 +1,7 @@
 package examon
 
 import (
+	"math"
 	"runtime"
 	"sort"
 	"sync"
@@ -106,6 +107,21 @@ type memSeries struct {
 	tags Tags
 	pts  []Point
 	roll *seriesRollup // nil when rollups are disabled
+	// sorted records that the timestamps have never decreased and hold no
+	// NaN, so a view of the series may seek by binary search. Once an
+	// insert breaks the order it stays false.
+	sorted bool
+}
+
+// append stores one point, keeping the order flag and the rollup tier.
+func (s *memSeries) append(t, v float64) {
+	if s.sorted && (math.IsNaN(t) || (len(s.pts) > 0 && t < s.pts[len(s.pts)-1].T)) {
+		s.sorted = false
+	}
+	s.pts = append(s.pts, Point{T: t, V: v})
+	if s.roll != nil {
+		s.roll.add(t, v)
+	}
 }
 
 // MemStore is the in-memory append store on the master node: the broker
@@ -120,7 +136,8 @@ type memSeries struct {
 // Contract (exercised by the conformance suite in
 // storage_conformance_test.go):
 //
-//   - Insert/InsertBatch append points in arrival order. Series identity
+//   - Insert, InsertBatch and handle publishes (Broker.Publish) append
+//     points in arrival order through one insert path. Series identity
 //     is (Node, Plugin, Core, Metric) — the dimensions seriesKey renders
 //     and Filter selects on; samples differing only in Org/Cluster extend
 //     the same series, which keeps its first-seen full tag set (seed
@@ -132,7 +149,8 @@ type memSeries struct {
 //     filtering (they apply Filter.From/To via PointsView.Cursor;
 //     aggregators like rate need the out-of-range predecessor point). The
 //     snapshot is taken under the read lock, and no lock is held while
-//     it is scanned.
+//     it is scanned. A view of a series whose timestamps have so far
+//     never decreased and hold no NaN lets Cursor seek.
 //   - SeriesCount and Keys report the stored series; Keys is sorted.
 //
 // Every write takes the store's lock, so any number of publishers may
@@ -165,7 +183,7 @@ func NewMemStore(opts ...StoreOption) *MemStore {
 // Insert stores one sample.
 func (st *MemStore) Insert(tags Tags, t, v float64) {
 	st.mu.Lock()
-	st.insertLocked(tags, t, v)
+	st.seriesLocked(tags).append(t, v)
 	st.mu.Unlock()
 }
 
@@ -175,17 +193,34 @@ func (st *MemStore) InsertBatch(batch []Sample) {
 		return
 	}
 	st.mu.Lock()
-	for _, s := range batch {
-		st.insertLocked(s.Tags, s.T, s.V)
+	for i := range batch {
+		st.seriesLocked(batch[i].Tags).append(batch[i].T, batch[i].V)
 	}
 	st.mu.Unlock()
 }
 
-func (st *MemStore) insertLocked(tags Tags, t, v float64) {
+// insertHandles stores one value per handle, all at time t, under a single
+// lock acquisition. A handle resolves its series here on its first insert
+// and keeps it: the broker feeds one store for good, so the series never
+// changes, and the store's lock guards the handle's field.
+func (st *MemStore) insertHandles(t float64, hs []*SeriesHandle, vs []float64) {
+	st.mu.Lock()
+	for i, h := range hs {
+		if h.series == nil {
+			h.series = st.seriesLocked(h.tags)
+		}
+		h.series.append(t, vs[i])
+	}
+	st.mu.Unlock()
+}
+
+// seriesLocked returns the series stored under tags' identity, creating
+// and indexing it on first sight. The caller holds the write lock.
+func (st *MemStore) seriesLocked(tags Tags) *memSeries {
 	id := idOf(tags)
 	s, ok := st.series[id]
 	if !ok {
-		s = &memSeries{tags: tags}
+		s = &memSeries{tags: tags, sorted: true}
 		if st.cfg.rollupStep > 0 {
 			s.roll = newSeriesRollup(st.cfg.rollupStep)
 		}
@@ -193,10 +228,7 @@ func (st *MemStore) insertLocked(tags Tags, t, v float64) {
 		st.series[id] = s
 		st.order = append(st.order, s)
 	}
-	s.pts = append(s.pts, Point{T: t, V: v})
-	if s.roll != nil {
-		s.roll.add(t, v)
-	}
+	return s
 }
 
 // Query returns copies of the matching series. A series with no in-range
@@ -243,7 +275,7 @@ func (st *MemStore) snapshot(f Filter, withRollups bool) []seriesSnap {
 		if !f.matches(s.tags) {
 			return
 		}
-		snap := seriesSnap{tags: s.tags, pts: ViewOf(s.pts)}
+		snap := seriesSnap{tags: s.tags, pts: PointsView{pts: s.pts, sorted: s.sorted}}
 		if withRollups {
 			snap.roll = s.roll.snapshotRange(f.From, f.To)
 		}

@@ -76,6 +76,18 @@ func TestValidateRejections(t *testing.T) {
 	}
 }
 
+// A cluster id becomes the cluster tag of every sample its campaigns
+// publish, so an id with a reserved topic character must make New fail
+// with an error naming that cluster.
+func TestNewRejectsReservedClusterID(t *testing.T) {
+	s := loadSmoke(t)
+	s.Clusters[0].ID = "bo/logna"
+	_, err := New(s)
+	if err == nil || !strings.Contains(err.Error(), "bo/logna") {
+		t.Fatalf("err = %v, want a rejection naming cluster bo/logna", err)
+	}
+}
+
 // A campaign whose widest job exceeds every cluster must be rejected at
 // spec validation, before any routing runs.
 func TestValidateInfeasibleWidth(t *testing.T) {

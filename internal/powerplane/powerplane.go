@@ -74,7 +74,14 @@ type Governor struct {
 	reservations []reservation
 	onHeadroom   func()
 
-	batch   []examon.Sample
+	// State-sample handles: budget, draw, headroom and throttled-node
+	// count on the master node, then one cap per node, indexed like
+	// cl.Node. hs and vs are the per-tick publish scratch.
+	stateSeries [4]*examon.SeriesHandle
+	capSeries   []*examon.SeriesHandle
+	hs          []*examon.SeriesHandle
+	vs          []float64
+
 	perNode map[string]float64 // scratch: measured draw per host, watts
 	caps    map[string]float64 // last distributed caps, watts
 	aggRes  []examon.AggSeries // scratch: reused measurement query result
@@ -92,8 +99,9 @@ type share struct {
 
 // New builds a governor over the cluster. store is the telemetry store
 // the broker feeds, where the power_pub samples land; broker receives the
-// governor's own state samples. One dtm governor per node is created and
-// owned by the plane.
+// governor's own state samples, whose series handles New registers, so
+// scope tags the broker cannot publish fail here. One dtm governor per
+// node is created and owned by the plane.
 func New(engine *sim.Engine, cl *cluster.Cluster, store *examon.MemStore, broker *examon.Broker, cfg Config) (*Governor, error) {
 	if engine == nil || cl == nil || store == nil || broker == nil {
 		return nil, fmt.Errorf("powerplane: engine, cluster, storage and broker are all required")
@@ -124,6 +132,28 @@ func New(engine *sim.Engine, cl *cluster.Cluster, store *examon.MemStore, broker
 			return nil, fmt.Errorf("powerplane: %w", err)
 		}
 		g.govs[i] = gov
+	}
+	register := func(host, metric string) (*examon.SeriesHandle, error) {
+		h, err := broker.Register(examon.Tags{Org: cfg.Org, Cluster: cfg.Cluster,
+			Node: host, Plugin: "powerplane", Core: -1, Metric: metric})
+		if err != nil {
+			return nil, fmt.Errorf("powerplane: %w", err)
+		}
+		return h, nil
+	}
+	for i, metric := range []string{"budget_w", "draw_w", "headroom_w", "throttled_nodes"} {
+		h, err := register(cluster.MasterHostname, metric)
+		if err != nil {
+			return nil, err
+		}
+		g.stateSeries[i] = h
+	}
+	for i := 0; i < cl.Size(); i++ {
+		h, err := register(cl.Node(i).Hostname(), "cap_w")
+		if err != nil {
+			return nil, err
+		}
+		g.capSeries = append(g.capSeries, h)
 	}
 	return g, nil
 }
@@ -284,32 +314,21 @@ func (g *Governor) distribute() {
 // budget/draw/headroom/throttle samples tagged to the master node, plus
 // one cap sample per compute node.
 func (g *Governor) publish(now float64) {
-	g.batch = g.batch[:0]
-	clusterTags := func(metric string) examon.Tags {
-		return examon.Tags{Org: g.cfg.Org, Cluster: g.cfg.Cluster,
-			Node: cluster.MasterHostname, Plugin: "powerplane", Core: -1, Metric: metric}
-	}
-	g.batch = append(g.batch,
-		examon.Sample{Tags: clusterTags("budget_w"), T: now, V: g.cfg.BudgetW},
-		examon.Sample{Tags: clusterTags("draw_w"), T: now, V: g.drawW},
-		examon.Sample{Tags: clusterTags("headroom_w"), T: now, V: g.cfg.BudgetW - g.drawW},
-		examon.Sample{Tags: clusterTags("throttled_nodes"), T: now, V: float64(g.throttled)},
-	)
+	g.hs = append(g.hs[:0], g.stateSeries[:]...)
+	g.vs = append(g.vs[:0], g.cfg.BudgetW, g.drawW, g.cfg.BudgetW-g.drawW, float64(g.throttled))
 	// Node order, not map order: telemetry ingest order must be
 	// deterministic for the byte-identical regeneration guarantee.
 	for i := 0; i < g.cl.Size(); i++ {
-		host := g.cl.Node(i).Hostname()
-		cap, ok := g.caps[host]
+		cap, ok := g.caps[g.cl.Node(i).Hostname()]
 		if !ok {
 			continue
 		}
-		g.batch = append(g.batch, examon.Sample{
-			Tags: examon.Tags{Org: g.cfg.Org, Cluster: g.cfg.Cluster,
-				Node: host, Plugin: "powerplane", Core: -1, Metric: "cap_w"},
-			T: now, V: cap,
-		})
+		g.hs = append(g.hs, g.capSeries[i])
+		g.vs = append(g.vs, cap)
 	}
-	_ = g.broker.PublishBatch(g.batch)
+	// Every handle was registered with g.broker in New, so Publish cannot
+	// fail here.
+	_ = g.broker.Publish(now, g.hs, g.vs)
 }
 
 // BudgetW returns the configured budget.

@@ -69,6 +69,11 @@ func TestNewValidation(t *testing.T) {
 			t.Errorf("budget %v accepted", w)
 		}
 	}
+	// The state samples' tags are registered up front, so a scope tag the
+	// broker cannot publish fails here rather than inside the control loop.
+	if _, err := New(e, c, db, br, Config{BudgetW: 10, Cluster: "a+b"}); err == nil {
+		t.Error("cluster tag a+b accepted")
+	}
 }
 
 // TestCapsEnforceBudget: with every node under HPL and a budget below the
