@@ -1,5 +1,5 @@
 // Command mcspack drives the Spack-like package manager for the
-// linux-sifive-u74mc target: install specs, list what is installed,
+// linux-sifive-u74mc target: install specs and list what they installed,
 // inspect the dependency DAG and the generated environment modules.
 //
 // Usage:
@@ -7,9 +7,11 @@
 //	mcspack install <spec>...   # e.g. mcspack install hpl@2.3 stream
 //	mcspack stack               # install and print the Table I user stack
 //	mcspack spec <spec>         # show the concretised DAG
-//	mcspack find                # list installed packages
-//	mcspack modules             # list environment modules
+//	mcspack modules             # list the user stack's environment modules
 //	mcspack load <module>       # print the env changes of module load
+//
+// Each run starts from an empty installer: modules and load install the
+// user stack first.
 //
 // Flags: [-target u74mc] [-compiler gcc@10.3.0]
 package main
@@ -38,7 +40,7 @@ func main() {
 
 func run(w io.Writer, target, compilerSpec string, args []string) error {
 	if len(args) == 0 {
-		return fmt.Errorf("missing subcommand (install, stack, spec, find, modules, load)")
+		return fmt.Errorf("missing subcommand (install, stack, spec, modules, load)")
 	}
 	name, version, ok := strings.Cut(compilerSpec, "@")
 	if !ok || name == "" || version == "" {
@@ -99,9 +101,10 @@ func run(w io.Writer, target, compilerSpec string, args []string) error {
 			fmt.Fprintf(w, "%s\n", node)
 		}
 		return nil
-	case "find":
-		return printFind(w, installer)
 	case "modules":
+		if _, err := installer.InstallUserStack(); err != nil {
+			return err
+		}
 		for _, m := range installer.Modules().Avail() {
 			fmt.Fprintln(w, m)
 		}
@@ -110,8 +113,7 @@ func run(w io.Writer, target, compilerSpec string, args []string) error {
 		if len(args) != 2 {
 			return fmt.Errorf("load needs exactly one module name")
 		}
-		// Loading only makes sense against an installed stack; install
-		// the user stack first so the demo is self-contained.
+		// Loading only makes sense against an installed stack.
 		if _, err := installer.InstallUserStack(); err != nil {
 			return err
 		}

@@ -52,15 +52,31 @@ func TestModulesAndLoad(t *testing.T) {
 	}
 }
 
+// modules lists the user stack it installs, like load, instead of an
+// empty installer's nothing.
+func TestModulesListsUserStack(t *testing.T) {
+	var sb strings.Builder
+	if err := run(&sb, "u74mc", "gcc@10.3.0", []string{"modules"}); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(sb.String()), "\n")
+	if len(lines) != 19 {
+		t.Errorf("modules listed %d lines, want the 19 stack modules:\n%s", len(lines), sb.String())
+	}
+	if !strings.Contains(sb.String(), "hpl/") {
+		t.Errorf("modules output lacks an hpl/ module:\n%s", sb.String())
+	}
+}
+
 func TestBadArguments(t *testing.T) {
 	var sb strings.Builder
 	if err := run(&sb, "u74mc", "gcc@10.3.0", nil); err == nil {
 		t.Error("missing subcommand accepted")
 	}
-	if err := run(&sb, "u74mc", "notaversion", []string{"find"}); err == nil {
+	if err := run(&sb, "u74mc", "notaversion", []string{"stack"}); err == nil {
 		t.Error("bad compiler accepted")
 	}
-	if err := run(&sb, "i486", "gcc@10.3.0", []string{"find"}); err == nil {
+	if err := run(&sb, "i486", "gcc@10.3.0", []string{"stack"}); err == nil {
 		t.Error("unknown target accepted")
 	}
 	if err := run(&sb, "u74mc", "gcc@10.3.0", []string{"frobnicate"}); err == nil {

@@ -1,15 +1,14 @@
 // Package archspec reimplements the microarchitecture detection and
 // labelling library the paper relies on (Culpo et al., archspec 0.1.3):
-// a database of microarchitecture labels with compatibility chains and
-// per-compiler optimisation flags. The paper notes that explicit support
-// for the linux-sifive-u74mc target triple was already present upstream
-// and worked without modification; this package encodes that target along
-// with the comparison machines'.
+// a database of microarchitecture labels with per-compiler optimisation
+// flags. The paper notes that explicit support for the linux-sifive-u74mc
+// target triple was already present upstream and worked without
+// modification; this package encodes that target along with the
+// comparison machines'.
 package archspec
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -23,11 +22,6 @@ type Microarch struct {
 	// Family is the ISA family label ("riscv64", "ppc64le", "aarch64",
 	// "x86_64").
 	Family string
-	// Parents lists the labels this microarchitecture is backward
-	// compatible with, nearest first.
-	Parents []string
-	// Features lists ISA feature strings.
-	Features []string
 	// compilerFlags maps compiler name to minimum-version/flag pairs.
 	compilerFlags map[string][]versionedFlags
 }
@@ -44,15 +38,12 @@ func buildDB() map[string]*Microarch {
 	entries := []*Microarch{
 		{
 			Name: "riscv64", Vendor: "generic", Family: "riscv64",
-			Features: []string{"rv64i", "m", "a", "f", "d", "c"},
 			compilerFlags: map[string][]versionedFlags{
 				"gcc": {{minMajor: 7, flags: "-march=rv64gc"}},
 			},
 		},
 		{
 			Name: "u74mc", Vendor: "sifive", Family: "riscv64",
-			Parents:  []string{"riscv64"},
-			Features: []string{"rv64i", "m", "a", "f", "d", "c", "zba", "zbb"},
 			compilerFlags: map[string][]versionedFlags{
 				// GCC 10.3 (the deployed toolchain) can tune for the
 				// 7-series pipeline but cannot emit Zba/Zbb; minimal
@@ -71,15 +62,12 @@ func buildDB() map[string]*Microarch {
 		},
 		{
 			Name: "power9le", Vendor: "ibm", Family: "ppc64le",
-			Parents:  []string{"power8le", "ppc64le"},
-			Features: []string{"vsx", "altivec", "htm"},
 			compilerFlags: map[string][]versionedFlags{
 				"gcc": {{minMajor: 7, flags: "-mcpu=power9 -mtune=power9"}},
 			},
 		},
 		{
 			Name: "power8le", Vendor: "ibm", Family: "ppc64le",
-			Parents: []string{"ppc64le"},
 			compilerFlags: map[string][]versionedFlags{
 				"gcc": {{minMajor: 6, flags: "-mcpu=power8 -mtune=power8"}},
 			},
@@ -92,15 +80,12 @@ func buildDB() map[string]*Microarch {
 		},
 		{
 			Name: "armv8.1a", Vendor: "generic", Family: "aarch64",
-			Parents: []string{"aarch64"},
 			compilerFlags: map[string][]versionedFlags{
 				"gcc": {{minMajor: 6, flags: "-march=armv8.1-a"}},
 			},
 		},
 		{
 			Name: "thunderx2", Vendor: "cavium", Family: "aarch64",
-			Parents:  []string{"armv8.1a", "aarch64"},
-			Features: []string{"fp", "asimd", "atomics", "cpuid"},
 			compilerFlags: map[string][]versionedFlags{
 				"gcc": {{minMajor: 7, flags: "-mcpu=thunderx2t99"}},
 			},
@@ -113,16 +98,12 @@ func buildDB() map[string]*Microarch {
 		},
 		{
 			Name: "skylake", Vendor: "intel", Family: "x86_64",
-			Parents:  []string{"x86_64"},
-			Features: []string{"avx2", "avx512f"},
 			compilerFlags: map[string][]versionedFlags{
 				"gcc": {{minMajor: 6, flags: "-march=skylake -mtune=skylake"}},
 			},
 		},
 		{
 			Name: "zen2", Vendor: "amd", Family: "x86_64",
-			Parents:  []string{"x86_64"},
-			Features: []string{"avx2"},
 			compilerFlags: map[string][]versionedFlags{
 				"gcc": {{minMajor: 9, flags: "-march=znver2 -mtune=znver2"}},
 			},
@@ -135,16 +116,6 @@ func buildDB() map[string]*Microarch {
 	return m
 }
 
-// Names returns all database labels, sorted.
-func Names() []string {
-	out := make([]string, 0, len(db))
-	for name := range db {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Lookup returns the microarchitecture entry for a label.
 func Lookup(name string) (*Microarch, error) {
 	m, ok := db[name]
@@ -152,33 +123,6 @@ func Lookup(name string) (*Microarch, error) {
 		return nil, fmt.Errorf("archspec: unknown microarchitecture %q", name)
 	}
 	return m, nil
-}
-
-// CompatibleWith reports whether code compiled for target runs on m (m is
-// target itself or a descendant).
-func (m *Microarch) CompatibleWith(target string) bool {
-	if m.Name == target {
-		return true
-	}
-	for _, p := range m.Parents {
-		if p == target {
-			return true
-		}
-		if pm, ok := db[p]; ok && pm.CompatibleWith(target) {
-			return true
-		}
-	}
-	return false
-}
-
-// HasFeature reports whether the microarchitecture advertises a feature.
-func (m *Microarch) HasFeature(f string) bool {
-	for _, have := range m.Features {
-		if have == f {
-			return true
-		}
-	}
-	return false
 }
 
 // Triple returns the Spack-style target triple for a platform/os pair,

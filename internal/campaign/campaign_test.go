@@ -50,6 +50,9 @@ func TestSpecValidation(t *testing.T) {
 		{"idle without duration", `{"name":"x","nodes":4,"horizon_s":10,
 			"arrival":{"process":"poisson","rate_per_hour":10,"jobs":2},
 			"mix":[{"workload":"idle","weight":1}]}`, "no runtime estimate"},
+		{"mix weights overflow", `{"name":"x","nodes":8,"horizon_s":10,
+			"arrival":{"process":"poisson","rate_per_hour":10,"jobs":6},
+			"mix":[{"workload":"hpl","weight":1e308},{"workload":"qe","weight":1e308}]}`, `spec "x": mix weights sum to +Inf`},
 		{"trace job without timing", `{"name":"x","nodes":4,"horizon_s":10,
 			"jobs":[{"name":"j","workload":"qe","nodes":1}]}`, "needs duration_s or time_limit_s"},
 		{"negative power budget", `{"name":"x","nodes":4,"horizon_s":10,"power_budget_w":-5,"policy":"powercap",

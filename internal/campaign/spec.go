@@ -227,6 +227,7 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("campaign: spec %q: an arrival process needs a workload mix", s.Name)
 		}
 	}
+	totalWeight := 0.0
 	for i, m := range s.Mix {
 		model, err := workload.Lookup(m.Workload)
 		if err != nil {
@@ -247,6 +248,12 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf("campaign: spec %q mix[%d] (%s): model has no runtime estimate, set duration_s",
 				s.Name, i, m.Workload)
 		}
+		totalWeight += m.Weight
+	}
+	// GenerateJobs scales its pick by the total and Demand divides by it,
+	// so a sum that overflows (or a NaN weight) would skew every pick.
+	if math.IsInf(totalWeight, 0) || math.IsNaN(totalWeight) {
+		return fmt.Errorf("campaign: spec %q: mix weights sum to %v, want a finite total", s.Name, totalWeight)
 	}
 	for i, j := range s.Jobs {
 		if _, err := workload.Lookup(j.Workload); err != nil {

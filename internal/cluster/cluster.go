@@ -1,8 +1,8 @@
 // Package cluster assembles the Monte Cimone machine: eight compute nodes
 // in four E4 RV007 blades (two HiFive Unmatched boards per 1U case, one
-// 250 W PSU each so every node powers on individually), a login node and a
-// master node running the job scheduler, the NFS export and the system
-// management software, all connected through the 1 Gb Ethernet fabric.
+// 250 W PSU each so every node powers on individually) and a master node
+// running the job scheduler and the system management software, all
+// connected through the 1 Gb Ethernet fabric.
 package cluster
 
 import (
@@ -14,15 +14,11 @@ import (
 	"montecimone/internal/power"
 	"montecimone/internal/sim"
 	"montecimone/internal/soc"
-	"montecimone/internal/storage"
 	"montecimone/internal/thermal"
 )
 
 // DefaultNodes is the paper's compute-node count.
 const DefaultNodes = 8
-
-// NodesPerBlade is the RV007 dual-board blade capacity.
-const NodesPerBlade = 2
 
 // Config describes a cluster build. Every cluster is the paper's machine:
 // FU740 nodes (soc.FU740) on 1 Gb Ethernet (netsim.GigabitEthernet),
@@ -63,10 +59,6 @@ type Cluster struct {
 	index   map[string]int // hostname -> 0-based node index
 	fabric  *netsim.Fabric
 
-	nfs    *storage.NFS
-	mounts map[string]*storage.Mount
-	nvmes  map[string]*storage.NVMe
-
 	lockStep bool
 	ambientC float64    // configured machine-room inlet temperature
 	tick     sim.Handle // the lock-step ticker's recurring event
@@ -82,11 +74,9 @@ type Cluster struct {
 	watchFns   []func(*sim.Engine)
 }
 
-// LoginHostname and MasterHostname name the service nodes.
-const (
-	LoginHostname  = "mclogin"
-	MasterHostname = "mcmaster"
-)
+// MasterHostname names the master node; the power plane publishes its
+// cluster-wide samples under it.
+const MasterHostname = "mcmaster"
 
 // New assembles a cluster on the given engine.
 func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
@@ -119,9 +109,6 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 		machine:  soc.FU740(),
 		index:    make(map[string]int, n),
 		fabric:   fabric,
-		nfs:      storage.NewNFS(),
-		mounts:   make(map[string]*storage.Mount, n),
-		nvmes:    make(map[string]*storage.NVMe, n),
 		lockStep: cfg.LockStep,
 		ambientC: enc.AmbientC,
 	}
@@ -137,12 +124,6 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 		}
 		c.nodes = append(c.nodes, nd)
 		c.index[nd.Hostname()] = id - 1
-		mount, err := c.nfs.Mount(nd.Hostname())
-		if err != nil {
-			return nil, fmt.Errorf("cluster: %w", err)
-		}
-		c.mounts[nd.Hostname()] = mount
-		c.nvmes[nd.Hostname()] = storage.NewNVMe()
 	}
 	for _, nd := range c.nodes {
 		// Transitions surface in both modes: the lock-step ticker and the
@@ -229,27 +210,6 @@ func (c *Cluster) Machine() *soc.Machine { return c.machine }
 // Fabric returns the MPI interconnect.
 func (c *Cluster) Fabric() *netsim.Fabric { return c.fabric }
 
-// NFS returns the master node's file-system export.
-func (c *Cluster) NFS() *storage.NFS { return c.nfs }
-
-// NFSMount returns a compute node's NFS mount.
-func (c *Cluster) NFSMount(hostname string) (*storage.Mount, error) {
-	m, ok := c.mounts[hostname]
-	if !ok {
-		return nil, fmt.Errorf("cluster: no NFS mount for %q", hostname)
-	}
-	return m, nil
-}
-
-// NVMe returns a compute node's local SSD.
-func (c *Cluster) NVMe(hostname string) (*storage.NVMe, error) {
-	d, ok := c.nvmes[hostname]
-	if !ok {
-		return nil, fmt.Errorf("cluster: no NVMe for %q", hostname)
-	}
-	return d, nil
-}
-
 // Size returns the compute-node count.
 func (c *Cluster) Size() int { return len(c.nodes) }
 
@@ -271,24 +231,6 @@ func (c *Cluster) Hostnames() []string {
 		out[i] = nd.Hostname()
 	}
 	return out
-}
-
-// Blades returns the blade composition: blade i holds the node indexes of
-// its two boards (the last blade may hold one on odd-sized clusters).
-func (c *Cluster) Blades() [][]int {
-	var blades [][]int
-	for i := 0; i < len(c.nodes); i += NodesPerBlade {
-		end := i + NodesPerBlade
-		if end > len(c.nodes) {
-			end = len(c.nodes)
-		}
-		blade := make([]int, 0, NodesPerBlade)
-		for j := i; j < end; j++ {
-			blade = append(blade, j)
-		}
-		blades = append(blades, blade)
-	}
-	return blades
 }
 
 // OnNodeHalt registers a callback fired once per thermal halt (wired to
@@ -432,23 +374,4 @@ func (c *Cluster) ApplyAirflowMitigation() error {
 		}
 	}
 	return nil
-}
-
-// Placement builds an MPI rank placement using ranksPerNode tasks per node
-// over the first nodes compute nodes (the paper runs 1 MPI task per
-// physical core, i.e. 4 per node).
-func (c *Cluster) Placement(nodes, ranksPerNode int) ([]int, error) {
-	if nodes < 1 || nodes > len(c.nodes) {
-		return nil, fmt.Errorf("cluster: placement over %d nodes, have %d", nodes, len(c.nodes))
-	}
-	if ranksPerNode < 1 {
-		return nil, fmt.Errorf("cluster: ranks per node must be positive, got %d", ranksPerNode)
-	}
-	placement := make([]int, 0, nodes*ranksPerNode)
-	for nd := 0; nd < nodes; nd++ {
-		for r := 0; r < ranksPerNode; r++ {
-			placement = append(placement, nd)
-		}
-	}
-	return placement, nil
 }

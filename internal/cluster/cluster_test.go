@@ -39,18 +39,6 @@ func TestDefaultTopology(t *testing.T) {
 	if hosts[0] != "mc01" || hosts[7] != "mc08" {
 		t.Errorf("hostnames = %v", hosts)
 	}
-	blades := c.Blades()
-	if len(blades) != 4 {
-		t.Fatalf("blades = %d, want 4", len(blades))
-	}
-	for i, blade := range blades {
-		if len(blade) != 2 {
-			t.Errorf("blade %d holds %d nodes, want 2", i, len(blade))
-		}
-	}
-	if c.NFS().Clients() != 8 {
-		t.Errorf("NFS clients = %d, want 8", c.NFS().Clients())
-	}
 	if c.Fabric().Nodes() != 8 {
 		t.Errorf("fabric nodes = %d", c.Fabric().Nodes())
 	}
@@ -64,18 +52,6 @@ func TestLookups(t *testing.T) {
 	}
 	if _, err := c.NodeByHostname("zz99"); err == nil {
 		t.Error("unknown host accepted")
-	}
-	if _, err := c.NFSMount("mc03"); err != nil {
-		t.Errorf("NFSMount: %v", err)
-	}
-	if _, err := c.NFSMount("zz"); err == nil {
-		t.Error("unknown mount accepted")
-	}
-	if _, err := c.NVMe("mc03"); err != nil {
-		t.Errorf("NVMe: %v", err)
-	}
-	if _, err := c.NVMe("zz"); err == nil {
-		t.Error("unknown NVMe accepted")
 	}
 }
 
@@ -202,32 +178,6 @@ func TestAirflowMitigationRecoversNode7(t *testing.T) {
 	}
 }
 
-func TestPlacement(t *testing.T) {
-	_, c := newCluster(t, Config{})
-	p, err := c.Placement(2, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []int{0, 0, 0, 0, 1, 1, 1, 1}
-	if len(p) != len(want) {
-		t.Fatalf("placement = %v", p)
-	}
-	for i := range want {
-		if p[i] != want[i] {
-			t.Fatalf("placement = %v, want %v", p, want)
-		}
-	}
-	if _, err := c.Placement(0, 4); err == nil {
-		t.Error("zero nodes accepted")
-	}
-	if _, err := c.Placement(9, 4); err == nil {
-		t.Error("too many nodes accepted")
-	}
-	if _, err := c.Placement(2, 0); err == nil {
-		t.Error("zero ranks per node accepted")
-	}
-}
-
 func TestStopTicker(t *testing.T) {
 	e, c := newCluster(t, Config{})
 	if err := c.BootAndSettle(1); err != nil {
@@ -250,9 +200,11 @@ func TestSmallCluster(t *testing.T) {
 	if c.Size() != 3 {
 		t.Fatalf("size = %d", c.Size())
 	}
-	blades := c.Blades()
-	if len(blades) != 2 || len(blades[1]) != 1 {
-		t.Errorf("blades = %v", blades)
+	if hosts := c.Hostnames(); hosts[2] != "mc03" {
+		t.Errorf("hostnames = %v", hosts)
+	}
+	if c.Fabric().Nodes() != 3 {
+		t.Errorf("fabric nodes = %d, want 3", c.Fabric().Nodes())
 	}
 }
 

@@ -47,24 +47,6 @@ func TestSystemNoMonitor(t *testing.T) {
 	}
 }
 
-func TestLoginFlow(t *testing.T) {
-	s, err := NewSystem(Options{Nodes: 1, NoMonitor: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	sess, err := s.Login("bench", "hpl-2.3-runs")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sess.Host != "mclogin" || sess.User.Home != "/home/bench" {
-		t.Errorf("session = %+v", sess)
-	}
-	if _, err := s.Login("bench", "wrong-password"); err == nil {
-		t.Error("bad credentials accepted")
-	}
-}
-
 func TestTableI(t *testing.T) {
 	rows, err := TableI()
 	if err != nil {

@@ -6,9 +6,9 @@ import (
 
 	"montecimone/internal/examon"
 	"montecimone/internal/hpl"
-	"montecimone/internal/mpi"
 	"montecimone/internal/power"
 	"montecimone/internal/sched"
+	"montecimone/internal/spack"
 	"montecimone/internal/stream"
 	"montecimone/internal/thermal"
 )
@@ -28,13 +28,10 @@ func TestPaperStoryEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// A user logs in through LDAP before doing anything.
-	if _, err := s.Login("bench", "hpl-2.3-runs"); err != nil {
-		t.Fatalf("login: %v", err)
-	}
-
-	// --- Section IV: deploy the software stack with Spack.
-	installer, err := s.NewInstaller()
+	// --- Section IV: deploy the software stack with Spack, targeting the
+	// cluster's microarchitecture with the deployed GCC 10.3.0.
+	installer, err := spack.NewInstaller(spack.BuiltinRepo(), s.Cluster.Machine().Microarch,
+		spack.Compiler{Name: "gcc", Version: "10.3.0"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,39 +46,7 @@ func TestPaperStoryEndToEnd(t *testing.T) {
 		t.Fatalf("stack = %d packages", len(stack))
 	}
 
-	// --- Section V-A: validate the distributed solver numerics on the
-	// simulated fabric, then model the benchmarks.
-	world, err := mpi.NewWorld(s.Cluster.Fabric(), mustPlacement(t, s, 4, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var lu *hpl.Matrix
-	var piv []int
-	err = world.Run(func(p *mpi.Proc) error {
-		out, pv, err := hpl.DistFactor(p, 96, 16, 5)
-		if err != nil {
-			return err
-		}
-		if p.Rank() == 0 {
-			lu, piv = out, pv
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, b, err := hpl.RandomSystem(96, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, err := hpl.Solve(lu, piv, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res, err := hpl.Residual(a, x, b); err != nil || res > 16 {
-		t.Fatalf("distributed residual = %v (%v)", res, err)
-	}
-
+	// --- Section V-A: model the benchmarks.
 	single, err := hpl.Simulate(hpl.Config{N: PaperN, NB: PaperNB, Nodes: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -195,14 +160,4 @@ func TestPaperStoryEndToEnd(t *testing.T) {
 	if ib.RDMAWorking {
 		t.Error("RDMA should not work on the paper's stack")
 	}
-}
-
-// mustPlacement builds a rank placement over the system's fabric.
-func mustPlacement(t *testing.T, s *System, ranks, perNode int) []int {
-	t.Helper()
-	placement, err := s.Cluster.Placement(ranks/perNode, perNode)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return placement
 }

@@ -4,22 +4,21 @@
 //
 // A System wires the discrete-event engine, the eight-node cluster, the
 // SLURM-like scheduler, the ExaMon monitoring stack (pmu_pub and stats_pub
-// plugins feeding one store through the broker) and the Spack software
-// stack together, with the thermal-halt path connected to the scheduler's
-// node-failure handling exactly as the operators experienced it in Fig. 6.
+// plugins feeding one store through the broker) and, when budgeted, the
+// power plane together, with the thermal-halt path connected to the
+// scheduler's node-failure handling exactly as the operators experienced
+// it in Fig. 6. The Spack software stack is built on its own (TableI).
 package core
 
 import (
 	"fmt"
 
 	"montecimone/internal/cluster"
-	"montecimone/internal/directory"
 	"montecimone/internal/examon"
 	"montecimone/internal/node"
 	"montecimone/internal/powerplane"
 	"montecimone/internal/sched"
 	"montecimone/internal/sim"
-	"montecimone/internal/spack"
 )
 
 // Options configures a System build.
@@ -70,8 +69,6 @@ type System struct {
 	// broker feeds every published sample into DB.
 	Broker *examon.Broker
 	DB     *examon.MemStore
-	// Directory is the LDAP user directory served from the master node.
-	Directory *directory.Server
 	// RNG provides named deterministic noise streams.
 	RNG *sim.RNG
 	// Plane is the cluster power-budget governor (nil unless
@@ -130,17 +127,12 @@ func NewSystem(opts Options) (*System, error) {
 	if plane != nil {
 		plane.OnHeadroomIncrease(sc.Reschedule)
 	}
-	dir, err := directory.DefaultDirectory()
-	if err != nil {
-		return nil, fmt.Errorf("core: %w", err)
-	}
 	s := &System{
 		Engine:    engine,
 		Cluster:   cl,
 		Scheduler: sc,
 		Broker:    broker,
 		DB:        db,
-		Directory: dir,
 		RNG:       sim.NewRNG(opts.Seed),
 		Plane:     plane,
 	}
@@ -214,18 +206,4 @@ func (s *System) Close() {
 // Advance runs the engine for dt more virtual seconds.
 func (s *System) Advance(dt float64) error {
 	return s.Engine.RunUntil(s.Engine.Now() + dt)
-}
-
-// Login authenticates a user against the LDAP directory and opens a
-// session on the login node — the path every cluster user takes before
-// submitting jobs.
-func (s *System) Login(username, password string) (*directory.Session, error) {
-	return directory.Login(s.Directory, cluster.LoginHostname, username, password)
-}
-
-// NewInstaller returns the Spack installer targeting the cluster's
-// microarchitecture with the deployed GCC 10.3.0 toolchain.
-func (s *System) NewInstaller() (*spack.Installer, error) {
-	return spack.NewInstaller(spack.BuiltinRepo(), s.Cluster.Machine().Microarch,
-		spack.Compiler{Name: "gcc", Version: "10.3.0"})
 }

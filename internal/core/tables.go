@@ -9,7 +9,6 @@ import (
 	"montecimone/internal/sim"
 	"montecimone/internal/spack"
 	"montecimone/internal/stream"
-	"montecimone/internal/thermal"
 	"montecimone/internal/workload"
 )
 
@@ -255,12 +254,3 @@ func workloadActivity(name string) (power.Activity, float64, error) {
 	}
 	return m.Steady, m.MemBytes, nil
 }
-
-// ThermalEnvironments exposes the enclosure states used by the Fig. 6
-// experiment.
-var (
-	// EnclosureOriginal is the lid-on build that trips node 7.
-	EnclosureOriginal = thermal.DefaultEnclosure()
-	// EnclosureMitigated is the lid-off, spaced configuration.
-	EnclosureMitigated = thermal.Enclosure{AmbientC: 25, LidOn: false}
-)

@@ -1,3 +1,9 @@
+// Package hpl models the High-Performance Linpack benchmark (Petitet et
+// al., HPL 2.3) that the paper uses as its headline workload. Simulate
+// walks the blocked LU iteration structure of a 2-D block-cyclic run and
+// charges compute and communication time from the calibrated node and
+// fabric models; it regenerates the paper's single-node 1.86 GFLOP/s /
+// 46.5 % result and the Fig. 2 strong-scaling series at N=40704, NB=192.
 package hpl
 
 import (
@@ -45,6 +51,13 @@ type Result struct {
 	// ComputeSeconds and CommSeconds split the critical path.
 	ComputeSeconds float64
 	CommSeconds    float64
+}
+
+// FactorFlops returns the floating-point operations HPL credits a run
+// with: 2/3 n^3 + 2 n^2.
+func FactorFlops(n int) float64 {
+	fn := float64(n)
+	return 2.0/3.0*fn*fn*fn + 2*fn*fn
 }
 
 // DefaultGrid returns the near-square process grid with P <= Q used when

@@ -17,6 +17,15 @@ func paperConfig(nodes int) Config {
 // fig2GFlops holds the average attained throughput labels of Fig. 2.
 var fig2GFlops = []float64{1.86, 3.50, 5.13, 6.63, 7.86, 9.54, 10.81, 12.65}
 
+func TestFactorFlops(t *testing.T) {
+	// N=40704: 2/3 N^3 + 2 N^2 = 4.496e13.
+	got := FactorFlops(40704)
+	want := 2.0/3.0*math.Pow(40704, 3) + 2*math.Pow(40704, 2)
+	if got != want {
+		t.Errorf("flops = %v, want %v", got, want)
+	}
+}
+
 func TestDefaultGrid(t *testing.T) {
 	tests := []struct{ ranks, p, q int }{
 		{4, 2, 2}, {8, 2, 4}, {12, 3, 4}, {16, 4, 4},

@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"math"
 	"testing"
 
 	"montecimone/internal/netsim"
@@ -44,24 +43,31 @@ func TestSendRecvPayloadAndClock(t *testing.T) {
 	err := w.Run(func(p *Proc) error {
 		switch p.Rank() {
 		case 0:
-			p.Compute(1.0)
-			return p.Send(4, 7, []float64{3.14, 2.71}, -1)
+			// A 1 MB message first puts rank 0's clock ahead of rank 4's.
+			if err := p.Send(4, 6, 1e6); err != nil {
+				return err
+			}
+			return p.Send(4, 7, 16)
 		case 4:
+			first, err := p.Recv(0, 6)
+			if err != nil {
+				return err
+			}
 			msg, err := p.Recv(0, 7)
 			if err != nil {
 				return err
 			}
-			if len(msg.Data) != 2 || msg.Data[0] != 3.14 {
-				t.Errorf("payload = %v", msg.Data)
+			if msg.Src != 0 || msg.Tag != 7 || msg.Bytes != 16 {
+				t.Errorf("envelope = %+v, want src 0, tag 7, 16 bytes", msg)
 			}
-			if msg.Bytes != 16 {
-				t.Errorf("bytes = %v, want 16", msg.Bytes)
+			// Arrival after the sender's first transfer plus the second.
+			if p.Now() <= first.arrival {
+				t.Errorf("receiver clock %v, want after the first arrival %v", p.Now(), first.arrival)
 			}
-			// Arrival after sender's 1 s compute plus transfer.
-			if p.Now() < 1.0 {
-				t.Errorf("receiver clock %v, want >= 1.0", p.Now())
+			if p.Now() != msg.arrival {
+				t.Errorf("receiver clock %v, want the arrival %v", p.Now(), msg.arrival)
 			}
-			if p.Now() > 1.001 {
+			if p.Now() > first.arrival+0.001 {
 				t.Errorf("receiver clock %v suspiciously late", p.Now())
 			}
 			return nil
@@ -79,11 +85,14 @@ func TestSendValidation(t *testing.T) {
 		if p.Rank() != 0 {
 			return nil
 		}
-		if err := p.Send(0, 1, nil, 8); err == nil {
+		if err := p.Send(0, 1, 8); err == nil {
 			t.Error("self-send accepted")
 		}
-		if err := p.Send(99, 1, nil, 8); err == nil {
+		if err := p.Send(99, 1, 8); err == nil {
 			t.Error("invalid dst accepted")
+		}
+		if err := p.Send(1, 1, -1); err == nil {
+			t.Error("negative size accepted")
 		}
 		if _, err := p.Recv(0, 1); err == nil {
 			t.Error("self-recv accepted")
@@ -100,13 +109,13 @@ func TestBytesOnlyMessages(t *testing.T) {
 	err := w.Run(func(p *Proc) error {
 		switch p.Rank() {
 		case 1:
-			return p.Send(5, 9, nil, 1e6)
+			return p.Send(5, 9, 1e6)
 		case 5:
 			msg, err := p.Recv(1, 9)
 			if err != nil {
 				return err
 			}
-			if msg.Data != nil || msg.Bytes != 1e6 {
+			if msg.Bytes != 1e6 {
 				t.Errorf("modelled message = %+v", msg)
 			}
 			// 1 MB over GbE shared by 4 ranks: ~34 ms.
@@ -128,7 +137,7 @@ func TestMessageOrderingPerPair(t *testing.T) {
 		switch p.Rank() {
 		case 0:
 			for i := 0; i < 10; i++ {
-				if err := p.Send(4, 3, []float64{float64(i)}, -1); err != nil {
+				if err := p.Send(4, 3, float64(8*i)); err != nil {
 					return err
 				}
 			}
@@ -139,8 +148,8 @@ func TestMessageOrderingPerPair(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if msg.Data[0] != float64(i) {
-					t.Errorf("message %d carries %v", i, msg.Data[0])
+				if msg.Bytes != float64(8*i) {
+					t.Errorf("message %d carries %v bytes", i, msg.Bytes)
 				}
 				if msg.arrival <= prevArrival {
 					t.Error("arrivals not strictly increasing")
@@ -159,17 +168,16 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() []float64 {
 		w := newWorld(t, 16)
 		err := w.Run(func(p *Proc) error {
-			// Ring exchange with staggered compute.
-			p.Compute(float64(p.Rank()) * 0.001)
+			// Ring exchange with staggered message sizes.
 			next := (p.Rank() + 1) % p.Size()
 			prev := (p.Rank() - 1 + p.Size()) % p.Size()
-			if err := p.Send(next, 1, []float64{float64(p.Rank())}, -1); err != nil {
+			if err := p.Send(next, 1, float64(p.Rank())*1e4); err != nil {
 				return err
 			}
 			if _, err := p.Recv(prev, 1); err != nil {
 				return err
 			}
-			return p.Barrier()
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -188,196 +196,15 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-func TestBcastDeliversToAll(t *testing.T) {
-	for _, size := range []int{1, 2, 3, 5, 8, 16, 32} {
-		w := newWorld(t, size)
-		err := w.Run(func(p *Proc) error {
-			var payload []float64
-			if p.Rank() == 2%size {
-				payload = []float64{42, 43, 44}
-			}
-			got, err := p.Bcast(2%size, payload, -1)
-			if err != nil {
-				return err
-			}
-			if len(got) != 3 || got[0] != 42 || got[2] != 44 {
-				t.Errorf("size %d rank %d: bcast got %v", size, p.Rank(), got)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-	}
-}
-
-func TestBcastRootValidation(t *testing.T) {
-	w := newWorld(t, 4)
-	err := w.Run(func(p *Proc) error {
-		if _, err := p.Bcast(9, nil, 8); err == nil {
-			t.Error("invalid root accepted")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAllreduceSum(t *testing.T) {
-	for _, size := range []int{1, 2, 4, 7, 12, 32} {
-		w := newWorld(t, size)
-		err := w.Run(func(p *Proc) error {
-			got, err := p.Allreduce(OpSum, []float64{float64(p.Rank()), 1}, -1)
-			if err != nil {
-				return err
-			}
-			wantSum := float64(size*(size-1)) / 2
-			if got[0] != wantSum || got[1] != float64(size) {
-				t.Errorf("size %d rank %d: allreduce = %v", size, p.Rank(), got)
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("size %d: %v", size, err)
-		}
-	}
-}
-
-func TestAllreduceMaxAbsLoc(t *testing.T) {
-	w := newWorld(t, 8)
-	err := w.Run(func(p *Proc) error {
-		// Rank 5 holds the largest magnitude (negative) value.
-		val := float64(p.Rank())
-		if p.Rank() == 5 {
-			val = -100
-		}
-		got, err := p.Allreduce(OpMaxAbsLoc, []float64{val, float64(p.Rank())}, -1)
-		if err != nil {
-			return err
-		}
-		if got[0] != -100 || got[1] != 5 {
-			t.Errorf("rank %d: maxabsloc = %v", p.Rank(), got)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOpMaxAbsLocTieBreaksLowIndex(t *testing.T) {
-	acc := []float64{-3, 7}
-	OpMaxAbsLoc(acc, []float64{3, 2})
-	if acc[0] != 3 || acc[1] != 2 {
-		t.Errorf("tie break: %v, want value 3 at index 2", acc)
-	}
-}
-
-func TestBarrierSynchronises(t *testing.T) {
-	w := newWorld(t, 8)
-	err := w.Run(func(p *Proc) error {
-		p.Compute(float64(p.Rank()) * 0.01) // staggered arrival
-		if err := p.Barrier(); err != nil {
-			return err
-		}
-		// After the barrier every clock is at least the slowest rank's
-		// pre-barrier time.
-		if p.Now() < 0.07 {
-			t.Errorf("rank %d clock %v below barrier release", p.Rank(), p.Now())
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGather(t *testing.T) {
-	w := newWorld(t, 8)
-	err := w.Run(func(p *Proc) error {
-		parts, err := p.Gather(3, []float64{float64(p.Rank() * 10)}, -1)
-		if err != nil {
-			return err
-		}
-		if p.Rank() != 3 {
-			if parts != nil {
-				t.Errorf("rank %d: non-root got %v", p.Rank(), parts)
-			}
-			return nil
-		}
-		for r, part := range parts {
-			if len(part) != 1 || part[0] != float64(r*10) {
-				t.Errorf("gathered[%d] = %v", r, part)
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestComputeAndCommAccounting(t *testing.T) {
-	w := newWorld(t, 8)
-	err := w.Run(func(p *Proc) error {
-		p.Compute(0.5)
-		if p.Rank() == 0 {
-			if err := p.Send(4, 1, nil, 50e6); err != nil {
-				return err
-			}
-		}
-		if p.Rank() == 4 {
-			if _, err := p.Recv(0, 1); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	p0 := w.Proc(0)
-	if math.Abs(p0.ComputeTime()-0.5) > 1e-12 {
-		t.Errorf("rank 0 compute time = %v", p0.ComputeTime())
-	}
-	if p0.CommTime() <= 0 {
-		t.Error("rank 0 comm time not accounted")
-	}
-	ivs := p0.Intervals()
-	if len(ivs) < 2 || ivs[0].Kind != IntervalCompute || ivs[1].Kind != IntervalComm {
-		t.Errorf("intervals = %+v", ivs)
-	}
-	if w.MaxClock() <= 0.5 {
-		t.Errorf("makespan = %v, want > 0.5", w.MaxClock())
-	}
-}
-
 func TestRunPropagatesErrors(t *testing.T) {
 	w := newWorld(t, 4)
 	err := w.Run(func(p *Proc) error {
 		if p.Rank() == 2 {
-			return p.Send(2, 0, nil, 8) // self-send error
+			return p.Send(2, 0, 8) // self-send error
 		}
 		return nil
 	})
 	if err == nil {
 		t.Fatal("rank error not propagated")
-	}
-}
-
-func TestIntervalMerging(t *testing.T) {
-	w := newWorld(t, 4)
-	err := w.Run(func(p *Proc) error {
-		for i := 0; i < 100; i++ {
-			p.Compute(0.001)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := len(w.Proc(0).Intervals()); got != 1 {
-		t.Errorf("adjacent compute intervals not merged: %d intervals", got)
 	}
 }

@@ -31,7 +31,7 @@ func PingPong(p *Proc, bytes float64, iterations int) (PingPongResult, error) {
 	case 0:
 		start := p.Now()
 		for i := 0; i < iterations; i++ {
-			if err := p.Send(1, tag, nil, bytes); err != nil {
+			if err := p.Send(1, tag, bytes); err != nil {
 				return PingPongResult{}, err
 			}
 			if _, err := p.Recv(1, tag); err != nil {
@@ -50,7 +50,7 @@ func PingPong(p *Proc, bytes float64, iterations int) (PingPongResult, error) {
 			if _, err := p.Recv(0, tag); err != nil {
 				return PingPongResult{}, err
 			}
-			if err := p.Send(0, tag, nil, bytes); err != nil {
+			if err := p.Send(0, tag, bytes); err != nil {
 				return PingPongResult{}, err
 			}
 		}

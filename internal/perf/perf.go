@@ -175,19 +175,3 @@ func knownEvent(ev Event) bool {
 	}
 	return ev.Fixed()
 }
-
-// IPC returns instructions per cycle on a hart since the PMU was created.
-func (p *PMU) IPC(hart int) (float64, error) {
-	instr, err := p.Read(hart, EventInstret)
-	if err != nil {
-		return 0, err
-	}
-	cycles, err := p.Read(hart, EventCycle)
-	if err != nil {
-		return 0, err
-	}
-	if cycles == 0 {
-		return 0, nil
-	}
-	return float64(instr) / float64(cycles), nil
-}

@@ -2,140 +2,12 @@ package qe
 
 import (
 	"math"
-	"math/rand"
 	"testing"
-	"testing/quick"
 
 	"montecimone/internal/netsim"
 	"montecimone/internal/sim"
 	"montecimone/internal/soc"
 )
-
-// randomSymmetric builds a random symmetric matrix.
-func randomSymmetric(n int, seed int64) []float64 {
-	r := rand.New(rand.NewSource(seed))
-	a := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			v := r.Float64() - 0.5
-			a[i*n+j] = v
-			a[j*n+i] = v
-		}
-	}
-	return a
-}
-
-func TestSymmetricEigenKnownTridiagonal(t *testing.T) {
-	// The (-1, 2, -1) tridiagonal matrix has eigenvalues
-	// 2 - 2 cos(k*pi/(n+1)), k = 1..n.
-	n := 32
-	a := make([]float64, n*n)
-	for i := 0; i < n; i++ {
-		a[i*n+i] = 2
-		if i+1 < n {
-			a[i*n+i+1] = -1
-			a[(i+1)*n+i] = -1
-		}
-	}
-	vals, _, err := SymmetricEigen(a, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := 1; k <= n; k++ {
-		want := 2 - 2*math.Cos(float64(k)*math.Pi/float64(n+1))
-		if math.Abs(vals[k-1]-want) > 1e-10 {
-			t.Errorf("eigenvalue %d = %v, want %v", k, vals[k-1], want)
-		}
-	}
-}
-
-func TestSymmetricEigenResidualAndOrthogonality(t *testing.T) {
-	n := 64
-	a := randomSymmetric(n, 3)
-	vals, vecs, err := SymmetricEigen(a, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A v_k = lambda_k v_k.
-	for k := 0; k < n; k++ {
-		maxErr := 0.0
-		for i := 0; i < n; i++ {
-			sum := 0.0
-			for j := 0; j < n; j++ {
-				sum += a[i*n+j] * vecs[j*n+k]
-			}
-			maxErr = math.Max(maxErr, math.Abs(sum-vals[k]*vecs[i*n+k]))
-		}
-		if maxErr > 1e-10 {
-			t.Errorf("eigenpair %d residual %v", k, maxErr)
-		}
-	}
-	// Eigenvectors orthonormal.
-	for p := 0; p < n; p += 7 {
-		for q := p; q < n; q += 7 {
-			dot := 0.0
-			for i := 0; i < n; i++ {
-				dot += vecs[i*n+p] * vecs[i*n+q]
-			}
-			want := 0.0
-			if p == q {
-				want = 1.0
-			}
-			if math.Abs(dot-want) > 1e-10 {
-				t.Errorf("vec %d . vec %d = %v, want %v", p, q, dot, want)
-			}
-		}
-	}
-	// Ascending order.
-	for k := 1; k < n; k++ {
-		if vals[k] < vals[k-1] {
-			t.Fatal("eigenvalues not sorted")
-		}
-	}
-}
-
-func TestSymmetricEigenValidation(t *testing.T) {
-	if _, _, err := SymmetricEigen(nil, 0); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if _, _, err := SymmetricEigen(make([]float64, 5), 2); err == nil {
-		t.Error("bad storage accepted")
-	}
-	asym := []float64{1, 2, 3, 4}
-	if _, _, err := SymmetricEigen(asym, 2); err == nil {
-		t.Error("asymmetric matrix accepted")
-	}
-}
-
-func TestSymmetricEigenTraceProperty(t *testing.T) {
-	// Eigenvalue sum equals the trace; sum of squares equals ||A||_F^2.
-	prop := func(seed int64, nRaw uint8) bool {
-		n := 4 + int(nRaw)%28
-		a := randomSymmetric(n, seed)
-		vals, _, err := SymmetricEigen(a, n)
-		if err != nil {
-			return false
-		}
-		trace, sumSq, frob := 0.0, 0.0, 0.0
-		for i := 0; i < n; i++ {
-			trace += a[i*n+i]
-		}
-		for _, v := range vals {
-			sumSq += v * v
-		}
-		for _, v := range a {
-			frob += v * v
-		}
-		valSum := 0.0
-		for _, v := range vals {
-			valSum += v
-		}
-		return math.Abs(valSum-trace) < 1e-9 && math.Abs(sumSq-frob) < 1e-8
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestLAXPaperPoint(t *testing.T) {
 	// Section V-A: 512^2 input, 1.44 +- 0.05 GFLOP/s (36 % of FPU peak)

@@ -91,25 +91,6 @@ func (m *Machine) TRSMTimeOn(cores, nb, cols int) float64 {
 	return flops / (float64(cores) * m.PeakFlopsPerCore * eff)
 }
 
-// RowSwapTime models the cost of exchanging nb pivot rows of the given
-// width (elements) through main memory (2 reads + 2 writes per element).
-func (m *Machine) RowSwapTime(nb, width int) float64 {
-	if nb <= 0 || width <= 0 {
-		return 0
-	}
-	bytes := 4 * 8 * float64(nb) * float64(width)
-	return bytes / m.sustainedDDRBandwidth(StreamCopy, StreamOptions{Threads: m.Cores})
-}
-
-// MemTime models a bulk main-memory transfer of the given bytes at the
-// sustained copy bandwidth.
-func (m *Machine) MemTime(bytes float64) float64 {
-	if bytes <= 0 {
-		return 0
-	}
-	return bytes / m.sustainedDDRBandwidth(StreamCopy, StreamOptions{Threads: m.Cores})
-}
-
 // StreamOptions captures the tuning state of a STREAM run; the defaults
 // reproduce the paper's upstream, unmodified benchmark.
 type StreamOptions struct {
@@ -197,10 +178,4 @@ func (m *Machine) StreamBandwidth(k StreamKernel, workingSetBytes int64, opts St
 		return bw * float64(opts.Threads) / float64(m.Cores), nil
 	}
 	return m.sustainedDDRBandwidth(k, opts), nil
-}
-
-// EfficiencyOfPeakDDR converts a bandwidth in bytes/s into a fraction of
-// the machine's peak DDR bandwidth.
-func (m *Machine) EfficiencyOfPeakDDR(bw float64) float64 {
-	return bw / m.PeakDDRBandwidth
 }

@@ -60,9 +60,6 @@ func NewInstaller(repo *Repo, targetName string, compiler Compiler) (*Installer,
 	}, nil
 }
 
-// Target returns the archspec target.
-func (in *Installer) Target() *archspec.Microarch { return in.target }
-
 // Triple returns the Spack target triple (e.g. "linux-sifive-u74mc").
 func (in *Installer) Triple() string { return in.target.Triple(in.platform) }
 
@@ -122,16 +119,6 @@ func (in *Installer) Find() []*Installed {
 		out = append(out, in.installed[h])
 	}
 	return out
-}
-
-// FindByName returns the installed instance of a package, if any.
-func (in *Installer) FindByName(name string) (*Installed, bool) {
-	for _, h := range in.order {
-		if in.installed[h].Spec.Name == name {
-			return in.installed[h], true
-		}
-	}
-	return nil, false
 }
 
 // TotalBuildSeconds sums the simulated build time of everything installed.

@@ -66,16 +66,6 @@ func (r *Repo) Get(name string) (*Package, error) {
 	return p, nil
 }
 
-// Names lists all package names, sorted.
-func (r *Repo) Names() []string {
-	out := make([]string, 0, len(r.pkgs))
-	for n := range r.pkgs {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // BuiltinRepo returns the repository holding the Table I stack and its
 // transitive dependencies.
 func BuiltinRepo() *Repo {

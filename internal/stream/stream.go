@@ -1,8 +1,8 @@
-// Package stream reimplements the STREAM memory-bandwidth benchmark
-// (McCalpin, v5.10) used in Section V-A: the four kernels (copy, scale,
-// add, triad) with STREAM's own validation, plus a calibrated bandwidth
-// model that regenerates Table V — the DDR-resident and L2-resident runs
-// on the Monte Cimone node — and the cross-machine efficiency comparison.
+// Package stream models the STREAM memory-bandwidth benchmark (McCalpin,
+// v5.10) used in Section V-A: a calibrated bandwidth model of its four
+// kernels (copy, scale, add, triad) that regenerates Table V — the
+// DDR-resident and L2-resident runs on the Monte Cimone node — and the
+// cross-machine efficiency comparison.
 //
 // The upstream benchmark's working set is capped by the RV64 medany code
 // model: the three statically allocated arrays must stay within +-2 GiB of
@@ -16,78 +16,6 @@ import (
 	"montecimone/internal/sim"
 	"montecimone/internal/soc"
 )
-
-// scalar is STREAM's scale factor.
-const scalar = 3.0
-
-// Copy performs c[i] = a[i].
-func Copy(c, a []float64) {
-	copy(c, a)
-}
-
-// Scale performs b[i] = scalar * c[i].
-func Scale(b, c []float64) {
-	for i := range b {
-		b[i] = scalar * c[i]
-	}
-}
-
-// Add performs c[i] = a[i] + b[i].
-func Add(c, a, b []float64) {
-	for i := range c {
-		c[i] = a[i] + b[i]
-	}
-}
-
-// Triad performs a[i] = b[i] + scalar * c[i].
-func Triad(a, b, c []float64) {
-	for i := range a {
-		a[i] = b[i] + scalar*c[i]
-	}
-}
-
-// Verify runs the full STREAM iteration sequence on arrays of n elements
-// for the given iteration count and checks the closed-form expected values,
-// exactly like the benchmark's own validation step.
-func Verify(n, iterations int) error {
-	if n <= 0 || iterations <= 0 {
-		return fmt.Errorf("stream: n and iterations must be positive, got %d, %d", n, iterations)
-	}
-	a := make([]float64, n)
-	b := make([]float64, n)
-	c := make([]float64, n)
-	for i := range a {
-		a[i], b[i], c[i] = 1.0, 2.0, 0.0
-	}
-	// STREAM scales a by 2 before the timed loops.
-	for i := range a {
-		a[i] *= 2.0
-	}
-	for it := 0; it < iterations; it++ {
-		Copy(c, a)
-		Scale(b, c)
-		Add(c, a, b)
-		Triad(a, b, c)
-	}
-	// Replay the recurrence on scalars.
-	aj, bj, cj := 2.0, 2.0, 0.0
-	for it := 0; it < iterations; it++ {
-		cj = aj
-		bj = scalar * cj
-		cj = aj + bj
-		aj = bj + scalar*cj
-	}
-	const tol = 1e-13
-	for i := range a {
-		if math.Abs(a[i]-aj) > tol*math.Abs(aj) ||
-			math.Abs(b[i]-bj) > tol*math.Abs(bj) ||
-			math.Abs(c[i]-cj) > tol*math.Abs(cj) {
-			return fmt.Errorf("stream: validation failed at %d: got (%v,%v,%v), want (%v,%v,%v)",
-				i, a[i], b[i], c[i], aj, bj, cj)
-		}
-	}
-	return nil
-}
 
 // BytesPerElement gives each kernel's memory traffic per index (loads plus
 // stores of 8-byte doubles), as STREAM accounts bandwidth.

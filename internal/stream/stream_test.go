@@ -10,41 +10,6 @@ import (
 	"montecimone/internal/soc"
 )
 
-func TestVerifyRealKernels(t *testing.T) {
-	// STREAM's own validation over the actual arithmetic.
-	if err := Verify(10000, 10); err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(0, 10); err == nil {
-		t.Error("n=0 accepted")
-	}
-	if err := Verify(10, 0); err == nil {
-		t.Error("iterations=0 accepted")
-	}
-}
-
-func TestKernelSemantics(t *testing.T) {
-	a := []float64{1, 2, 3}
-	b := []float64{4, 5, 6}
-	c := []float64{0, 0, 0}
-	Copy(c, a)
-	if c[1] != 2 {
-		t.Errorf("copy: %v", c)
-	}
-	Scale(b, c)
-	if b[2] != 9 { // 3 * c[2]=3
-		t.Errorf("scale: %v", b)
-	}
-	Add(c, a, b)
-	if c[0] != 1+3 {
-		t.Errorf("add: %v", c)
-	}
-	Triad(a, b, c)
-	if a[0] != 3+3*4 {
-		t.Errorf("triad: %v", a)
-	}
-}
-
 func TestBytesPerElement(t *testing.T) {
 	want := map[soc.StreamKernel]int{
 		soc.StreamCopy: 16, soc.StreamScale: 16,

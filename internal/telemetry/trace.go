@@ -6,10 +6,8 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sort"
-	"strconv"
 )
 
 // Sample is one timestamped measurement.
@@ -47,13 +45,6 @@ func (t *Trace) Add(at, value float64) error {
 // Len returns the number of samples.
 func (t *Trace) Len() int { return len(t.samples) }
 
-// Samples returns a copy of the sample slice.
-func (t *Trace) Samples() []Sample {
-	out := make([]Sample, len(t.samples))
-	copy(out, t.samples)
-	return out
-}
-
 // At returns the i-th sample.
 func (t *Trace) At(i int) Sample { return t.samples[i] }
 
@@ -85,21 +76,7 @@ func (t *Trace) Std() float64 {
 	return math.Sqrt(acc / float64(n))
 }
 
-// Min and Max return the sample extrema; both return 0 on an empty trace.
-func (t *Trace) Min() float64 {
-	if len(t.samples) == 0 {
-		return 0
-	}
-	m := t.samples[0].Value
-	for _, s := range t.samples[1:] {
-		if s.Value < m {
-			m = s.Value
-		}
-	}
-	return m
-}
-
-// Max returns the largest sample value.
+// Max returns the largest sample value (0 on an empty trace).
 func (t *Trace) Max() float64 {
 	if len(t.samples) == 0 {
 		return 0
@@ -158,21 +135,6 @@ func (t *Trace) Downsample(window float64) (*Trace, error) {
 	}
 	flush()
 	return out, nil
-}
-
-// WriteCSV emits "time,value" rows with a header naming the series.
-func (t *Trace) WriteCSV(w io.Writer) error {
-	if _, err := fmt.Fprintf(w, "time_s,%s_%s\n", t.Name, t.Unit); err != nil {
-		return err
-	}
-	for _, s := range t.samples {
-		row := strconv.FormatFloat(s.Time, 'g', -1, 64) + "," +
-			strconv.FormatFloat(s.Value, 'g', -1, 64) + "\n"
-		if _, err := io.WriteString(w, row); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Set is a collection of traces keyed by name, preserving insertion order.

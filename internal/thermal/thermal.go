@@ -191,9 +191,6 @@ func NewModel(enc Enclosure, slot int) (*Model, error) {
 	}, nil
 }
 
-// Slot returns the 0-based slot index the model was built for.
-func (m *Model) Slot() int { return m.slot }
-
 // SetEnclosure switches the enclosure configuration in place (the paper's
 // mitigation was applied to the assembled cluster); temperatures then relax
 // towards the new equilibria.

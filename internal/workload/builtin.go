@@ -34,17 +34,11 @@ const (
 // (scheduler, campaign engine, CLIs) sees the same set.
 func init() {
 	mustRegister(hplModel())
-	mustRegister(streamModel("stream.ddr", "STREAM, 1945.5 MiB DDR-resident working set",
-		power.ActivityStreamDDR, stream.DDRWorkingSetBytes))
-	mustRegister(streamModel("stream.l2", "STREAM, 1.1 MiB L2-resident working set",
-		power.ActivityStreamL2, stream.L2WorkingSetBytes))
+	mustRegister(streamModel("stream.ddr", power.ActivityStreamDDR, stream.DDRWorkingSetBytes))
+	mustRegister(streamModel("stream.l2", power.ActivityStreamL2, stream.L2WorkingSetBytes))
 	mustRegister(qeModel())
 	mustRegister(mpiPingPongModel())
-	mustRegister(&Model{
-		Name:        "idle",
-		Description: "idle operating system (Table VI Idle column)",
-		Steady:      power.ActivityIdle,
-	})
+	mustRegister(&Model{Name: "idle", Steady: power.ActivityIdle})
 }
 
 // hplModel is the HPL benchmark at the paper's N=40704, NB=192. The phase
@@ -56,10 +50,9 @@ func init() {
 // Table VI HPL column within ~1 %.
 func hplModel() *Model {
 	return &Model{
-		Name:        "hpl",
-		Description: "High-Performance Linpack, N=40704 NB=192",
-		Steady:      power.ActivityHPL,
-		MemBytes:    hplMemBytes,
+		Name:     "hpl",
+		Steady:   power.ActivityHPL,
+		MemBytes: hplMemBytes,
 		Phases: []Phase{
 			{Name: "panel", Seconds: 6,
 				Activity: power.Activity{CoreActivity: 0.35, DDRReadGBs: 0.60, DDRWriteGBs: 0.10, L2GBs: 6.0, PCIeActivity: 0.02}},
@@ -75,13 +68,6 @@ func hplModel() *Model {
 			}
 			return r.Seconds, nil
 		},
-		Performance: func(nodes int) (Perf, error) {
-			r, err := hpl.Simulate(hpl.Config{N: refHPLN, NB: refHPLNB, Nodes: nodes})
-			if err != nil {
-				return Perf{}, err
-			}
-			return Perf{Value: r.GFlops, Unit: "GFLOP/s"}, nil
-		},
 	}
 }
 
@@ -92,7 +78,7 @@ func hplModel() *Model {
 // repetitions of copy/scale/add/triad over the working set at the
 // calibrated per-kernel bandwidth; node count does not change it (STREAM
 // is per-node, campaigns run one rank set per node).
-func streamModel(name, desc string, act power.Activity, workingSet int64) *Model {
+func streamModel(name string, act power.Activity, workingSet int64) *Model {
 	const ntimes = 10 // STREAM v5.10 default repetition count
 	runtime := func(int) (float64, error) {
 		res, err := stream.Run(stream.Config{WorkingSetBytes: workingSet})
@@ -108,18 +94,10 @@ func streamModel(name, desc string, act power.Activity, workingSet int64) *Model
 		return total, nil
 	}
 	return &Model{
-		Name:        name,
-		Description: desc,
-		Steady:      act,
-		MemBytes:    streamMemBytes,
-		Runtime:     runtime,
-		Performance: func(int) (Perf, error) {
-			res, err := stream.Run(stream.Config{WorkingSetBytes: workingSet})
-			if err != nil {
-				return Perf{}, err
-			}
-			return Perf{Value: res[3].MeanMBps, Unit: "triad-MB/s"}, nil // Table V order: triad last
-		},
+		Name:     name,
+		Steady:   act,
+		MemBytes: streamMemBytes,
+		Runtime:  runtime,
 	}
 }
 
@@ -130,10 +108,9 @@ func streamModel(name, desc string, act power.Activity, workingSet int64) *Model
 // time-weighted mean.
 func qeModel() *Model {
 	return &Model{
-		Name:        "qe",
-		Description: "quantumESPRESSO LAX driver, 512^2 diagonalisation",
-		Steady:      power.ActivityQE,
-		MemBytes:    qeMemBytes,
+		Name:     "qe",
+		Steady:   power.ActivityQE,
+		MemBytes: qeMemBytes,
 		Phases: []Phase{
 			{Name: "reduce", Seconds: 8,
 				Activity: power.Activity{CoreActivity: 0.23, DDRReadGBs: 0.90, DDRWriteGBs: 0.15, L2GBs: 7.0, PCIeActivity: 0.10}},
@@ -147,13 +124,6 @@ func qeModel() *Model {
 			}
 			return r.Seconds, nil
 		},
-		Performance: func(nodes int) (Perf, error) {
-			r, err := qe.Run(qe.Config{N: refQEN, Nodes: nodes})
-			if err != nil {
-				return Perf{}, err
-			}
-			return Perf{Value: r.GFlops, Unit: "GFLOP/s"}, nil
-		},
 	}
 }
 
@@ -164,16 +134,16 @@ func qeModel() *Model {
 // the actual MPI stack over a two-node fabric, so the network model is
 // exercised end to end.
 func mpiPingPongModel() *Model {
-	sweep := func() (elapsed, oneWayUs float64, err error) {
+	sweep := func() (elapsed float64, err error) {
 		fabric, err := netsim.NewFabric(2, netsim.GigabitEthernet())
 		if err != nil {
-			return 0, 0, err
+			return 0, err
 		}
 		const iters = 200
 		for _, bytes := range []float64{1, 4096, 65536, 1 << 20} {
 			world, werr := mpi.NewWorld(fabric, []int{0, 1})
 			if werr != nil {
-				return 0, 0, werr
+				return 0, werr
 			}
 			var res mpi.PingPongResult
 			rerr := world.Run(func(p *mpi.Proc) error {
@@ -187,33 +157,21 @@ func mpiPingPongModel() *Model {
 				return nil
 			})
 			if rerr != nil {
-				return 0, 0, rerr
+				return 0, rerr
 			}
 			elapsed += res.LatencySec * 2 * iters
-			if bytes == 1 {
-				oneWayUs = res.LatencySec * 1e6
-			}
 		}
-		return elapsed, oneWayUs, nil
+		return elapsed, nil
 	}
 	return &Model{
-		Name:        "mpi.pingpong",
-		Description: "OSU-style MPI ping-pong sweep, 1 B - 1 MiB over GbE",
-		Steady:      power.Activity{CoreActivity: 0.05, DDRReadGBs: 0.10, DDRWriteGBs: 0.10, L2GBs: 0.5, PCIeActivity: 0.05},
-		MemBytes:    mpiMemBytes,
+		Name:     "mpi.pingpong",
+		Steady:   power.Activity{CoreActivity: 0.05, DDRReadGBs: 0.10, DDRWriteGBs: 0.10, L2GBs: 0.5, PCIeActivity: 0.05},
+		MemBytes: mpiMemBytes,
 		Runtime: func(nodes int) (float64, error) {
 			if nodes < 2 {
 				return 0, fmt.Errorf("workload: mpi.pingpong needs at least 2 nodes, got %d", nodes)
 			}
-			elapsed, _, err := sweep()
-			return elapsed, err
-		},
-		Performance: func(nodes int) (Perf, error) {
-			if nodes < 2 {
-				return Perf{}, fmt.Errorf("workload: mpi.pingpong needs at least 2 nodes, got %d", nodes)
-			}
-			_, oneWayUs, err := sweep()
-			return Perf{Value: oneWayUs, Unit: "oneway-us"}, err
+			return sweep()
 		},
 	}
 }

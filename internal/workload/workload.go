@@ -6,8 +6,8 @@
 // per-command switch tables: the calibrated Table VI activity profile the
 // node physics integrates, the resident memory footprint, the execution
 // phases a real run alternates through (HPL's panel-factor / broadcast /
-// trailing-update loop), and a runtime/performance estimate wired to the
-// kernel simulators (hpl.Simulate, stream.Run, qe.Run, mpi latency model).
+// trailing-update loop), and a runtime estimate wired to the kernel
+// simulators (hpl.Simulate, stream.Run, qe.Run, mpi latency model).
 //
 // The scheduler carries a *Model on every job, the campaign engine draws
 // job streams from the registry, and the CLIs resolve -workload flags
@@ -35,22 +35,12 @@ type Phase struct {
 	Seconds float64
 }
 
-// Perf is a model's headline performance estimate for an allocation.
-type Perf struct {
-	// Value is the metric magnitude; Unit names it ("GFLOP/s", "MB/s",
-	// "us"). Zero Value with empty Unit means the model publishes none.
-	Value float64
-	Unit  string
-}
-
 // Model is a first-class workload: everything the scheduler, the power
 // plane, the campaign engine and the CLIs need to know about a benchmark.
 type Model struct {
 	// Name is the registry key ("hpl", "stream.ddr", ...), the identifier
 	// the paper's campaigns and the CLIs use.
 	Name string
-	// Description is a one-line summary for listings.
-	Description string
 	// Steady is the calibrated aggregate activity profile (the Table VI
 	// column). Single-phase models run at it; phased models alternate
 	// through Phases whose time-weighted mean reproduces it.
@@ -64,9 +54,6 @@ type Model struct {
 	// reference run on the given node count, wired to the kernel
 	// simulators. Nil means the model has no intrinsic duration (idle).
 	Runtime func(nodes int) (float64, error)
-	// Performance estimates the headline metric on the given node count.
-	// Nil means none.
-	Performance func(nodes int) (Perf, error)
 }
 
 // CycleSeconds returns the duration of one phase cycle (0 for single-phase

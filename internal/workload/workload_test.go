@@ -127,29 +127,12 @@ func TestRuntimeEstimates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pp <= 0 {
-		t.Errorf("mpi.pingpong runtime %v", pp)
+	// The sweep runs the MPI stack itself; pin its estimate bit for bit.
+	if pp != 3.8818689361701657 {
+		t.Errorf("mpi.pingpong runtime %v, want 3.8818689361701657", pp)
 	}
 	if MustLookup("idle").Runtime != nil {
 		t.Error("idle has a runtime estimate")
-	}
-}
-
-// Performance estimates surface the simulators' headline numbers.
-func TestPerformanceEstimates(t *testing.T) {
-	p, err := MustLookup("hpl").Performance(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Unit != "GFLOP/s" || p.Value < 10 || p.Value > 16 {
-		t.Errorf("hpl 8-node perf = %+v, want ~12.6 GFLOP/s", p)
-	}
-	p, err = MustLookup("stream.ddr").Performance(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Unit != "triad-MB/s" || p.Value <= 0 {
-		t.Errorf("stream.ddr perf = %+v", p)
 	}
 }
 
