@@ -542,8 +542,9 @@ func BenchmarkExtension_Accelerator(b *testing.B) {
 }
 
 // BenchmarkExtension_MPIPingPong runs the OSU-style microbenchmark over
-// the simulated GbE fabric, validating the network model end to end
-// through the MPI stack.
+// the simulated GbE fabric: the MPI layer's closed-form ping-pong checks
+// the fabric's latency and bandwidth parameters through the stack's
+// per-message overhead.
 func BenchmarkExtension_MPIPingPong(b *testing.B) {
 	fabric, err := netsim.NewFabric(2, netsim.GigabitEthernet())
 	if err != nil {
@@ -551,21 +552,7 @@ func BenchmarkExtension_MPIPingPong(b *testing.B) {
 	}
 	var latUs float64
 	for i := 0; i < b.N; i++ {
-		world, err := mpi.NewWorld(fabric, []int{0, 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		var res mpi.PingPongResult
-		err = world.Run(func(p *mpi.Proc) error {
-			r, err := mpi.PingPong(p, 1, 1000)
-			if err != nil {
-				return err
-			}
-			if p.Rank() == 0 {
-				res = r
-			}
-			return nil
-		})
+		res, err := mpi.PingPong(fabric, 1, 1000)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -939,7 +926,7 @@ func BenchmarkPhysicsStep(b *testing.B) {
 // 64 and 512 synthetic nodes with the deployment's realistic series
 // density (8 PMU counters x 8 harts + 32 stats_pub metrics + cpu_temp =
 // 97 series per node, ~50k series at 512 nodes). "indexed" runs the
-// default read path — inverted tag index, snapshot fan-out across cores,
+// default read path — inverted tag index, lock-free snapshot reads,
 // ingest-time rollup tiers — "linear" runs the reference store
 // (examon.WithLinearScan plus WithRollup(-1): every series walked per
 // query, raw-only aggregation), mirroring the scheduler's easy-rescan

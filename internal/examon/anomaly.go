@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 )
 
 // This file implements the analytics side of the ODA stack: the paper's
@@ -137,42 +136,23 @@ func (d Detector) scanView(tags Tags, pts PointsView) ([]Anomaly, error) {
 // ScanAll runs the detector over every series matching the filter, reading
 // the points in place from a snapshot of the store. A time-bounded filter
 // restricts which samples the detector sees (windows are computed within
-// the selected range, as before). The per-series detector runs fan out
-// across cores, each chunk with its own scratch buffer; per-series
-// findings land in per-series slots and are concatenated in scan order
-// before the final time sort, so the output does not depend on the
-// fan-out.
+// the selected range, as before). Series are scanned in storage order
+// through one reused scratch buffer, and the findings are then sorted by
+// time.
 func (d Detector) ScanAll(st *MemStore, f Filter) ([]Anomaly, error) {
 	if st == nil {
 		return nil, fmt.Errorf("examon: nil storage")
 	}
-	snaps := st.snapshot(f, false)
-	res := make([][]Anomaly, len(snaps))
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	parallelFor(len(snaps), func(start, end int) {
-		var scratch []Point
-		for i := start; i < end; i++ {
-			var err error
-			res[i], scratch, err = d.scanFiltered(scratch, snaps[i].tags, snaps[i].pts, f)
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
-	}
 	var out []Anomaly
-	for _, r := range res {
-		out = append(out, r...)
+	var scratch []Point
+	for _, s := range st.snapshot(f, false) {
+		var found []Anomaly
+		var err error
+		found, scratch, err = d.scanFiltered(scratch, s.tags, s.pts, f)
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, found...)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Time < out[j].Time })
 	return out, nil

@@ -26,15 +26,6 @@ func (h *Heatmap) Bins() int {
 	return len(h.Values[0])
 }
 
-// heatmapPerNodeQueryMax is the requested-node count up to which
-// BuildHeatmap issues one Node-filtered query per node; wider requests
-// amortize a single multi-node query across all rows. The threshold
-// trades per-query overhead (snapshot + validation per node) against the
-// multi-node query aggregating — and discarding — unrequested nodes'
-// series when the request is a proper subset of a bigger cluster; a
-// subset wider than this still pays the discard on a much larger store.
-const heatmapPerNodeQueryMax = 32
-
 // HeatmapOptions configure BuildHeatmap.
 type HeatmapOptions struct {
 	// Plugin and Metric select the series.
@@ -52,13 +43,11 @@ type HeatmapOptions struct {
 // BuildHeatmap aggregates stored data into a heatmap over the given nodes
 // on the v2 aggregating query layer, with the bin width as the
 // downsampling step so series select through the inverted index (and, for
-// aligned bin widths, the rollup tiers) instead of the former
-// one-full-scan-per-node loop. Requests up to heatmapPerNodeQueryMax
-// unique nodes issue one Node-filtered query per node; wider requests
-// collapse into ONE multi-node query whose result is grouped into rows.
-// Per-row accumulation order matches the old per-node queries (storage
-// order restricted to each node) in both strategies, so cell values are
-// bit-identical.
+// aligned bin widths, the rollup tiers). It issues ONE multi-node query
+// and groups the result into rows, skipping series of unrequested nodes.
+// The result keeps storage order, so each row accumulates its node's
+// series in the order a Node-filtered query would return them, and its
+// cells are bit-identical to that query's.
 func BuildHeatmap(st *MemStore, nodes []string, opts HeatmapOptions) (*Heatmap, error) {
 	if st == nil {
 		return nil, fmt.Errorf("examon: heatmap needs a storage engine")
@@ -95,8 +84,7 @@ func BuildHeatmap(st *MemStore, nodes []string, opts HeatmapOptions) (*Heatmap, 
 	if opts.Rate {
 		op = AggRate
 	}
-	// Duplicate node names get duplicate (identical) rows, like the old
-	// per-node loop produced.
+	// Duplicate node names get duplicate (identical) rows.
 	rows := make(map[string][]int, len(nodes))
 	for r, nodeName := range nodes {
 		rows[nodeName] = append(rows[nodeName], r)
@@ -108,54 +96,36 @@ func BuildHeatmap(st *MemStore, nodes []string, opts HeatmapOptions) (*Heatmap, 
 		sums[r] = make([]float64, bins)
 		counts[r] = make([]int, bins)
 	}
-	accumulate := func(f Filter) error {
-		agg, err := QueryAgg(st, f, AggOptions{Op: op, Step: opts.BinWidth})
-		if err != nil {
-			return err
-		}
-		for _, s := range agg {
-			targets, ok := rows[s.Tags.Node]
-			if !ok {
-				continue // matched a node outside the requested rows
-			}
-			for _, r := range targets {
-				perRowSeries[r]++
-				for _, p := range s.Points {
-					bin := int(math.Round((p.T - opts.From) / opts.BinWidth))
-					if bin < 0 || bin >= bins {
-						continue
-					}
-					if opts.Rate {
-						// AggRate buckets carry the mean rate; recover the
-						// bucket sum so multi-core combining matches the
-						// original sample-weighted math.
-						sums[r][bin] += p.V * float64(p.N)
-					} else {
-						sums[r][bin] += p.V
-					}
-					counts[r][bin] += p.N
-				}
-			}
-		}
-		return nil
-	}
-	f := Filter{
+	agg, err := QueryAgg(st, Filter{
 		Plugin: opts.Plugin, Metric: opts.Metric,
 		From: opts.From, To: opts.To,
+	}, AggOptions{Op: op, Step: opts.BinWidth})
+	if err != nil {
+		return nil, err
 	}
-	if len(rows) <= heatmapPerNodeQueryMax {
-		// Drill-downs over a few nodes: one Node-restricted indexed query
-		// per unique node (each row's accumulation is independent, so the
-		// cross-node query order does not matter), instead of aggregating
-		// the whole cluster and discarding the unrequested rows.
-		for node := range rows {
-			f.Node = node
-			if err := accumulate(f); err != nil {
-				return nil, err
+	for _, s := range agg {
+		targets, ok := rows[s.Tags.Node]
+		if !ok {
+			continue // a node outside the requested rows
+		}
+		for _, r := range targets {
+			perRowSeries[r]++
+			for _, p := range s.Points {
+				bin := int(math.Round((p.T - opts.From) / opts.BinWidth))
+				if bin < 0 || bin >= bins {
+					continue
+				}
+				if opts.Rate {
+					// AggRate buckets carry the mean rate; recover the
+					// bucket sum so multi-core combining matches the
+					// original sample-weighted math.
+					sums[r][bin] += p.V * float64(p.N)
+				} else {
+					sums[r][bin] += p.V
+				}
+				counts[r][bin] += p.N
 			}
 		}
-	} else if err := accumulate(f); err != nil {
-		return nil, err
 	}
 	for r := range nodes {
 		row := make([]float64, bins)

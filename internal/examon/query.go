@@ -3,7 +3,7 @@ package examon
 import (
 	"fmt"
 	"math"
-	"sync"
+	"slices"
 	"sync/atomic"
 )
 
@@ -14,12 +14,12 @@ import (
 // run on this layer, and the REST server exposes it as /api/v2/query.
 //
 // Three read-path layers sit under QueryAgg: the inverted tag index
-// narrows which series are visited (index.go), the snapshot fan-out
-// aggregates many matched series concurrently with an order-preserving
-// merge (storage.go), and aligned coarse-step queries are answered from
-// the ingest-time rollup tiers without touching raw points (rollup.go).
-// The reference store (WithLinearScan, WithRollup(-1)) skips the index
-// and the tiers.
+// narrows which series are visited (index.go), a snapshot taken under the
+// read lock is then walked on the calling goroutine in storage order with
+// no lock held (storage.go), and aligned coarse-step queries are answered
+// from the ingest-time rollup tiers without touching raw points
+// (rollup.go). The reference store (WithLinearScan, WithRollup(-1)) skips
+// the index and the tiers.
 
 // AggOp selects the per-bucket aggregation of QueryAgg.
 type AggOp string
@@ -140,47 +140,28 @@ func QueryAggInto(dst []AggSeries, st *MemStore, f Filter, opts AggOptions) ([]A
 	return aggSnapshots(dst, snaps, f, opts, &st.rollupServed)
 }
 
-// aggSnapshots aggregates a matched-series snapshot, fanning the series
-// out across cores (parallelFor chunks) with the results merged back in
-// scan order. Each series is aggregated wholly within one goroutine, so
-// per-series results do not depend on the fan-out; the snapshot's order
-// is preserved by indexed assignment. Each series answered from a rollup
-// tier bumps rollupServed.
+// aggSnapshots aggregates a matched-series snapshot in scan order, one
+// series at a time through one reused bucket slice, appending to dst.
+// Each series answered from a rollup tier bumps rollupServed.
 func aggSnapshots(dst []AggSeries, snaps []seriesSnap, f Filter, opts AggOptions, rollupServed *atomic.Uint64) ([]AggSeries, error) {
-	res := make([]AggSeries, len(snaps))
-	var (
-		errMu    sync.Mutex
-		firstErr error
-	)
-	parallelFor(len(snaps), func(start, end int) {
-		var buckets []aggAccum // reused across this chunk's series
-		for i := start; i < end; i++ {
-			s := snaps[i]
-			for k := range buckets {
-				buckets[k] = aggAccum{}
-			}
-			var err error
-			if s.roll != nil {
-				buckets, err = aggregateRollup(buckets, s.roll, f, opts)
-				rollupServed.Add(1)
-			} else {
-				buckets, err = aggregateView(buckets, s.pts, f, opts)
-			}
-			if err != nil {
-				errMu.Lock()
-				if firstErr == nil {
-					firstErr = err
-				}
-				errMu.Unlock()
-				return
-			}
-			res[i] = AggSeries{Tags: s.tags, Points: bucketPoints(buckets, f, opts)}
+	out := slices.Grow(dst, len(snaps))
+	var buckets []aggAccum
+	for _, s := range snaps {
+		for k := range buckets {
+			buckets[k] = aggAccum{}
 		}
-	})
-	if firstErr != nil {
-		return nil, firstErr
+		var err error
+		if s.roll != nil {
+			buckets, err = aggregateRollup(buckets, s.roll, f, opts)
+			rollupServed.Add(1)
+		} else {
+			buckets, err = aggregateView(buckets, s.pts, f, opts)
+		}
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, AggSeries{Tags: s.tags, Points: bucketPoints(buckets, f, opts)})
 	}
-	out := append(dst, res...)
 	if out == nil {
 		out = []AggSeries{}
 	}

@@ -2,7 +2,9 @@ package examon
 
 import (
 	"encoding/json"
+	"fmt"
 	"math"
+	"math/rand"
 	"net/http/httptest"
 	"testing"
 
@@ -351,6 +353,121 @@ func TestBuildHeatmap(t *testing.T) {
 	if mean := hm.RowMean(1); math.Abs(mean-400) > 1e-9 {
 		t.Errorf("row mean = %v", mean)
 	}
+
+	// Rows against a store wider than the request, a duplicated row and a
+	// node without series: each row equals, bit for bit, the row built from
+	// one Node-filtered query for that node alone.
+	wide := heatmapStore(40)
+	all := []string{"ghost"}
+	for n := 0; n < 40; n++ {
+		all = append(all, fmt.Sprintf("mc%02d", n))
+	}
+	for _, req := range []struct {
+		name  string
+		nodes []string
+	}{
+		{"subset of a wider store", []string{"mc07", "mc31", "mc02"}},
+		{"duplicated row", []string{"mc11", "mc04", "mc11"}},
+		{"node without series", []string{"mc01", "ghost", "mc39"}},
+		{"every node and a ghost", all},
+	} {
+		name, nodes := req.name, req.nodes
+		for _, opts := range []HeatmapOptions{
+			{Plugin: "pmu_pub", Metric: "instret", Rate: true, SumCores: true, From: 0, To: 30, BinWidth: 2},
+			{Plugin: "pmu_pub", Metric: "instret", SumCores: true, From: 0, To: 240, BinWidth: 60}, // rollup-aligned
+			{Plugin: "hwmon", Metric: "cpu_temp", From: 10, To: 200, BinWidth: 7},
+		} {
+			hm, err := BuildHeatmap(wide, nodes, opts)
+			if err != nil {
+				t.Fatalf("%s %+v: %v", name, opts, err)
+			}
+			for r, nodeName := range nodes {
+				want := nodeRow(t, wide, nodeName, opts)
+				for c := range want {
+					if math.Float64bits(hm.Values[r][c]) != math.Float64bits(want[c]) {
+						t.Errorf("%s %+v: row %d (%s) bin %d = %v, per-node query gives %v",
+							name, opts, r, nodeName, c, hm.Values[r][c], want[c])
+					}
+				}
+			}
+		}
+	}
+}
+
+// heatmapStore fills a store with nodes nodes of four-core cumulative
+// instret counters and a per-node temperature, 0.5 s apart for 250 s.
+// Series are created in a shuffled order, so storage order interleaves
+// nodes, and values are arbitrary floats, so sums depend on their order.
+func heatmapStore(nodes int) *MemStore {
+	rng := rand.New(rand.NewSource(5))
+	var tags []Tags
+	for n := 0; n < nodes; n++ {
+		name := fmt.Sprintf("mc%02d", n)
+		for core := 0; core < 4; core++ {
+			tags = append(tags, Tags{Node: name, Plugin: "pmu_pub", Core: core, Metric: "instret"})
+		}
+		tags = append(tags, Tags{Node: name, Plugin: "hwmon", Core: -1, Metric: "cpu_temp"})
+	}
+	rng.Shuffle(len(tags), func(i, j int) { tags[i], tags[j] = tags[j], tags[i] })
+	db := NewMemStore()
+	totals := make([]float64, len(tags))
+	for i := 0; i <= 500; i++ {
+		for k, tg := range tags {
+			v := 40 + rng.Float64()*30
+			if tg.Metric == "instret" {
+				totals[k] += rng.Float64() * 1e9
+				v = totals[k]
+			}
+			db.Insert(tg, float64(i)*0.5, v)
+		}
+	}
+	return db
+}
+
+// nodeRow builds one heatmap row the way a per-node heatmap query would:
+// one Node-filtered QueryAgg, binned and combined across the node's
+// series.
+func nodeRow(t *testing.T, st *MemStore, nodeName string, o HeatmapOptions) []float64 {
+	t.Helper()
+	op := AggSum
+	if o.Rate {
+		op = AggRate
+	}
+	agg, err := QueryAgg(st, Filter{Node: nodeName, Plugin: o.Plugin, Metric: o.Metric, From: o.From, To: o.To},
+		AggOptions{Op: op, Step: o.BinWidth})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bins := int(math.Ceil((o.To - o.From) / o.BinWidth))
+	sums := make([]float64, bins)
+	counts := make([]int, bins)
+	for _, s := range agg {
+		for _, p := range s.Points {
+			bin := int(math.Round((p.T - o.From) / o.BinWidth))
+			if bin < 0 || bin >= bins {
+				continue
+			}
+			if o.Rate {
+				sums[bin] += p.V * float64(p.N)
+			} else {
+				sums[bin] += p.V
+			}
+			counts[bin] += p.N
+		}
+	}
+	series := max(len(agg), 1)
+	row := make([]float64, bins)
+	for c := range row {
+		switch {
+		case counts[c] == 0:
+			row[c] = math.NaN()
+		case o.SumCores:
+			row[c] = sums[c] / float64(counts[c]) * float64(series)
+		default:
+			row[c] = sums[c] / float64(counts[c])
+		}
+	}
+	return row
 }
 
 func TestBuildHeatmapValidation(t *testing.T) {

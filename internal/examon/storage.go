@@ -2,7 +2,6 @@ package examon
 
 import (
 	"math"
-	"runtime"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,7 +47,7 @@ func WithRollup(step float64) StoreOption {
 	return func(c *storeConfig) { c.rollupStep = step }
 }
 
-// --- read fan-out --------------------------------------------------------
+// --- snapshot reads -------------------------------------------------------
 
 // seriesSnap is one matched series captured as a stable view that remains
 // valid after the store's lock is released: the slice header is copied
@@ -59,45 +58,6 @@ type seriesSnap struct {
 	tags Tags
 	pts  PointsView
 	roll *rollupSnap // non-nil only when requested and maintained
-}
-
-// Read fan-out sizing: below minParallelSeries the goroutine handoff
-// costs more than the aggregation; maxReadWorkers caps one query's share
-// of the host.
-const (
-	minParallelSeries = 8
-	maxReadWorkers    = 16
-)
-
-// parallelFor splits [0, n) into contiguous chunks across up to
-// maxReadWorkers goroutines and runs body on each chunk; small inputs run
-// inline. body must be safe for concurrent use.
-func parallelFor(n int, body func(start, end int)) {
-	workers := runtime.GOMAXPROCS(0)
-	if workers > maxReadWorkers {
-		workers = maxReadWorkers
-	}
-	if n < minParallelSeries || workers <= 1 {
-		body(0, n)
-		return
-	}
-	if workers > n {
-		workers = n
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for start := 0; start < n; start += chunk {
-		end := start + chunk
-		if end > n {
-			end = n
-		}
-		wg.Add(1)
-		go func(s, e int) {
-			defer wg.Done()
-			body(s, e)
-		}(start, end)
-	}
-	wg.Wait()
 }
 
 // --- MemStore -----------------------------------------------------------
@@ -149,13 +109,16 @@ func (s *memSeries) append(t, v float64) {
 //     filtering (they apply Filter.From/To via PointsView.Cursor;
 //     aggregators like rate need the out-of-range predecessor point). The
 //     snapshot is taken under the read lock, and no lock is held while
-//     it is scanned. A view of a series whose timestamps have so far
-//     never decreased and hold no NaN lets Cursor seek.
+//     it is scanned on the calling goroutine. A view of a series whose
+//     timestamps have so far never decreased and hold no NaN lets Cursor
+//     seek.
 //   - SeriesCount and Keys report the stored series; Keys is sorted.
 //
 // Every write takes the store's lock, so any number of publishers may
 // ingest concurrently; reads copy slice headers under the read lock and
-// then run lock-free. All methods are safe for concurrent use.
+// then run lock-free, so readers on several goroutines proceed side by
+// side. A read starts no goroutines of its own. All methods are safe for
+// concurrent use.
 type MemStore struct {
 	cfg    storeConfig
 	mu     sync.RWMutex

@@ -104,12 +104,24 @@ func TestValidate(t *testing.T) {
 		{"too many stragglers", Spec{Stragglers: &Stragglers{Count: 9, Slowdown: 2}}},
 		{"straggler not slower", Spec{Stragglers: &Stragglers{Count: 1, Slowdown: 1}}},
 		{"negative checkpoint interval", Spec{CheckpointS: -1}},
+		// Compile expands every crash and injection up front: these would
+		// exhaust memory or, with an infinite rate, never finish.
+		{"crash count beyond the cap", Spec{Crash: &Crash{MTBFHours: 1e-7}}},
+		{"infinite crash rate", Spec{Crash: &Crash{MTBFHours: 1e-320}}},
+		{"NaN mtbf", Spec{Crash: &Crash{MTBFHours: math.NaN()}}},
+		{"injections beyond the cap", Spec{Thermal: &Thermal{Injections: 200_000_000}}},
 	}
 	for _, c := range bad {
 		hasPlane := c.name != "power step without plane"
 		if err := c.spec.Validate(8, 3600, hasPlane); err == nil {
 			t.Errorf("%s: accepted", c.name)
 		}
+	}
+	// An overflowing rate over a horizon so short that it expects few
+	// crashes still never reaches the horizon.
+	inf := Spec{Crash: &Crash{MTBFHours: 1e-320}}
+	if err := inf.Validate(1, 1e-315, false); err == nil {
+		t.Error("infinite crash rate over a tiny horizon: accepted")
 	}
 	good := chaosSpec()
 	if err := good.Validate(8, 3600, true); err != nil {

@@ -39,6 +39,13 @@ const (
 // repair faster than one second is not physical.
 const minRecoveryS = 1.0
 
+// maxFaultEvents caps the crashes a spec may expect and the thermal
+// injections it may ask for. Compile expands every one into the plan
+// before the run starts, so an unbounded count exhausts memory. The cap
+// sits far above every checked-in spec: examples/chaosstudy.json expects
+// about 17 crashes.
+const maxFaultEvents = 1_000_000
+
 // Crash describes random whole-node crash/reboot cycles: each node fails
 // independently with exponential interarrivals at the given MTBF, powers
 // off instantly (the job there ends in NODE_FAIL) and reboots after
@@ -195,13 +202,22 @@ func (s *Spec) Validate(nodes int, horizonS float64, hasPlane bool) error {
 		if c.MTBFHours <= 0 {
 			return fmt.Errorf("fault: crash mtbf_hours must be positive, got %v", c.MTBFHours)
 		}
+		// Compile draws at this rate. One that overflows to +Inf draws
+		// only zero interarrivals and would never reach the horizon; it
+		// makes the count +Inf, and a NaN mtbf makes it NaN, so the
+		// negated comparison rejects both.
+		rate := 1 / (c.MTBFHours * 3600)
+		if expected := float64(nodes) * horizonS * rate; !(expected <= maxFaultEvents) {
+			return fmt.Errorf("fault: crash mtbf_hours %v expects %.4g crashes over %d nodes and %v s, more than %d",
+				c.MTBFHours, expected, nodes, horizonS, maxFaultEvents)
+		}
 		if c.RebootS != 0 && c.RebootS < minRecoveryS {
 			return fmt.Errorf("fault: crash reboot_s must be >= %v s, got %v", minRecoveryS, c.RebootS)
 		}
 	}
 	if t := s.Thermal; t != nil {
-		if t.Injections <= 0 {
-			return fmt.Errorf("fault: thermal injections must be positive, got %d", t.Injections)
+		if t.Injections <= 0 || t.Injections > maxFaultEvents {
+			return fmt.Errorf("fault: thermal injections must be in [1,%d], got %d", maxFaultEvents, t.Injections)
 		}
 		if t.ExtraRthKW < 0 || t.ExtraAirC < 0 {
 			return fmt.Errorf("fault: thermal extra_rth_kw/extra_air_c must be non-negative")

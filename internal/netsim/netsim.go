@@ -9,9 +9,8 @@
 // Transfer times follow a deterministic alpha-beta law with NIC sharing:
 // arrival = departure + latency + bytes / (bandwidth / sharing), where
 // sharing is the number of co-located MPI ranks contending for the node's
-// single NIC. Determinism matters: the MPI layer computes times from each
-// sender's local clock only, so simulated results are bit-reproducible
-// regardless of host goroutine scheduling.
+// single NIC. The law is a pure function of its arguments, so the MPI
+// layer's ping-pong (package mpi) is a closed form over it.
 package netsim
 
 import (
@@ -118,9 +117,6 @@ func NewFabric(nodes int, link Link) (*Fabric, error) {
 // Nodes returns the node count.
 func (f *Fabric) Nodes() int { return f.nodes }
 
-// Link returns the inter-node link description.
-func (f *Fabric) Link() Link { return f.link }
-
 // SetDegradation installs fault-injection multipliers on the inter-node
 // path: latencyMult >= 1 stretches the one-way latency, bandwidthMult in
 // (0,1] shrinks the effective bandwidth. (1, 1) restores the healthy
@@ -135,10 +131,6 @@ func (f *Fabric) SetDegradation(latencyMult, bandwidthMult float64) error {
 	f.latMult, f.bwMult = latencyMult, bandwidthMult
 	return nil
 }
-
-// LatencySec returns the effective inter-node one-way latency including any
-// injected degradation; the MPI layer uses it instead of Link().LatencySec.
-func (f *Fabric) LatencySec() float64 { return f.link.LatencySec * f.latMult }
 
 // TransferTime returns the time for a payload of the given bytes between
 // two nodes (or within one node when srcNode == dstNode). sharing is the
