@@ -98,7 +98,7 @@ type EnergyReport struct {
 // EnergyToSolution derives HPL energy metrics from the power model and
 // the calibrated run model.
 func EnergyToSolution() (*EnergyReport, error) {
-	pm := power.NewModel()
+	pm := power.Calibration()
 	idleW := pm.TotalMilliwatts(power.PhaseRun, power.ActivityIdle) / 1000
 	hplW := pm.TotalMilliwatts(power.PhaseRun, power.ActivityHPL) / 1000
 
@@ -140,7 +140,7 @@ type AcceleratorReport struct {
 // the paper's HPL configuration.
 func AcceleratorStudy() (*AcceleratorReport, error) {
 	card := accel.VectorCard()
-	machine := power.NewModel()
+	machine := power.Calibration()
 	proj, err := accel.ProjectHPL(soc.FU740(), card, PaperN, PaperNB)
 	if err != nil {
 		return nil, err

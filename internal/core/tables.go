@@ -168,7 +168,7 @@ type PowerColumn struct {
 // TableVI regenerates the power-rail characterisation of Table VI,
 // including the two boot columns.
 func TableVI() []PowerColumn {
-	pm := power.NewModel()
+	pm := power.Calibration()
 	type col struct {
 		name  string
 		phase power.Phase
@@ -219,7 +219,7 @@ type PowerDecomposition struct {
 
 // Decomposition computes the paper's power decomposition numbers.
 func Decomposition() PowerDecomposition {
-	pm := power.NewModel()
+	pm := power.Calibration()
 	leak, clk, osp := pm.CoreDecomposition()
 	idleCore := pm.RailMilliwatts(power.RailCore, power.PhaseRun, power.ActivityIdle)
 	ddrLeak, _ := pm.DDRMemDecomposition()

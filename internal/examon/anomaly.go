@@ -77,12 +77,11 @@ func (d Detector) withDefaults() Detector {
 // fires at most once per series (the first triggering sample), matching
 // how an alerting pipeline would page.
 func (d Detector) Scan(s Series) ([]Anomaly, error) {
-	return d.scanView(s.Tags, ViewOf(s.Points))
+	return d.scanPoints(s.Tags, s.Points)
 }
 
-// scanView is the detector core, running directly over a storage view so
-// ScanAll never copies series out of the engine.
-func (d Detector) scanView(tags Tags, pts PointsView) ([]Anomaly, error) {
+// scanPoints is the detector core.
+func (d Detector) scanPoints(tags Tags, pts []Point) ([]Anomaly, error) {
 	d = d.withDefaults()
 	if d.Window < 4 {
 		return nil, fmt.Errorf("examon: detector window %d too small", d.Window)
@@ -100,9 +99,7 @@ func (d Detector) scanView(tags Tags, pts PointsView) ([]Anomaly, error) {
 		out = append(out, Anomaly{Tags: tags, Kind: kind, Time: p.T, Value: p.V, Score: score})
 	}
 
-	n := pts.Len()
-	for i := 0; i < n; i++ {
-		p := pts.At(i)
+	for i, p := range pts {
 		// Absolute limit.
 		if d.Limit > 0 && p.V >= d.Limit {
 			report(AnomalyLimit, p, p.V-d.Limit)
@@ -134,21 +131,32 @@ func (d Detector) scanView(tags Tags, pts PointsView) ([]Anomaly, error) {
 }
 
 // ScanAll runs the detector over every series matching the filter, reading
-// the points in place from a snapshot of the store. A time-bounded filter
+// the points in order from a snapshot of the store. A time-bounded filter
 // restricts which samples the detector sees (windows are computed within
-// the selected range, as before). Series are scanned in storage order
-// through one reused scratch buffer, and the findings are then sorted by
+// the selected range, as before). Series are decoded in storage order
+// into one reused scratch buffer, and the findings are then sorted by
 // time.
 func (d Detector) ScanAll(st *MemStore, f Filter) ([]Anomaly, error) {
 	if st == nil {
 		return nil, fmt.Errorf("examon: nil storage")
 	}
+	from, to := f.From, f.To
+	if from == 0 && to == 0 {
+		from = math.Inf(-1) // no time filter: every point, negative times included
+	}
 	var out []Anomaly
+	// Append-grown on purpose: the scratch is reused across series, so
+	// growth amortizes to the largest in-range count — sizing it from
+	// the full series length would pin full-history capacity for narrow
+	// windows.
 	var scratch []Point
 	for _, s := range st.snapshot(f, false) {
-		var found []Anomaly
-		var err error
-		found, scratch, err = d.scanFiltered(scratch, s.tags, s.pts, f)
+		scratch = scratch[:0]
+		cur := s.pts.Cursor(from, to)
+		for p, ok := cur.Next(); ok; p, ok = cur.Next() {
+			scratch = append(scratch, p)
+		}
+		found, err := d.scanPoints(s.tags, scratch)
 		if err != nil {
 			return nil, err
 		}
@@ -158,47 +166,26 @@ func (d Detector) ScanAll(st *MemStore, f Filter) ([]Anomaly, error) {
 	return out, nil
 }
 
-// scanFiltered runs the detector over one series view, applying the
-// filter's time range through a reused scratch copy when needed.
-func (d Detector) scanFiltered(scratch []Point, tags Tags, pts PointsView, f Filter) ([]Anomaly, []Point, error) {
-	view := pts
-	if f.From != 0 || f.To != 0 {
-		// Append-grown on purpose: the scratch is reused across series,
-		// so growth amortizes to the largest in-range count — sizing it
-		// from the full series length would pin full-history capacity for
-		// narrow windows.
-		scratch = scratch[:0]
-		cur := pts.Cursor(f.From, f.To)
-		for p, ok := cur.Next(); ok; p, ok = cur.Next() {
-			scratch = append(scratch, p)
-		}
-		view = ViewOf(scratch)
-	}
-	found, err := d.scanView(tags, view)
-	return found, scratch, err
-}
-
-// baseline computes mean and population stddev over view indices [lo, hi).
-func baseline(pts PointsView, lo, hi int) (mean, std float64) {
+// baseline computes mean and population stddev over pts[lo:hi].
+func baseline(pts []Point, lo, hi int) (mean, std float64) {
 	n := float64(hi - lo)
-	for i := lo; i < hi; i++ {
-		mean += pts.At(i).V
+	for _, p := range pts[lo:hi] {
+		mean += p.V
 	}
 	mean /= n
-	for i := lo; i < hi; i++ {
-		d := pts.At(i).V - mean
+	for _, p := range pts[lo:hi] {
+		d := p.V - mean
 		std += d * d
 	}
 	return mean, math.Sqrt(std / n)
 }
 
-// fitSlope returns the least-squares slope of value over time for view
-// indices [lo, hi).
-func fitSlope(pts PointsView, lo, hi int) float64 {
+// fitSlope returns the least-squares slope of value over time for
+// pts[lo:hi].
+func fitSlope(pts []Point, lo, hi int) float64 {
 	n := float64(hi - lo)
 	var st, sv, stt, stv float64
-	for i := lo; i < hi; i++ {
-		p := pts.At(i)
+	for _, p := range pts[lo:hi] {
 		st += p.T
 		sv += p.V
 		stt += p.T * p.T

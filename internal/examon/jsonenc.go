@@ -8,7 +8,7 @@ import (
 )
 
 // A zero-allocation JSON append encoder for the REST hot path: responses
-// are rendered straight from the storage engine's buffers into a pooled
+// are rendered straight from the storage engine's chunks into a pooled
 // byte slice with strconv.Append*, replacing the intermediate response
 // structs + encoding/json round trip. Output is byte-identical to
 // encoding/json (same float formatting, same HTML-escaped strings), which

@@ -8,7 +8,7 @@ import (
 )
 
 // The v2 query layer: server-side aggregation with step-based
-// downsampling, computed directly over the store's buffers through
+// downsampling, computed directly over the store's chunks through
 // snapshot views and Cursor so a query never copies whole series. The
 // dashboard heatmaps (BuildHeatmap) and the anomaly detector's ScanAll
 // run on this layer, and the REST server exposes it as /api/v2/query.
@@ -266,18 +266,16 @@ func aggregateView(buckets []aggAccum, pts PointsView, f Filter, opts AggOptions
 	if opts.Op == AggRate {
 		// Difference the raw series first: the predecessor of the first
 		// in-range point may itself be out of range, so iterate the full
-		// view and range-filter the resulting rate points.
-		n := pts.Len()
-		for i := 1; i < n && err == nil; i++ {
-			prev, p := pts.At(i-1), pts.At(i)
-			dt := p.T - prev.T
-			if dt <= 0 {
+		// view in order and range-filter the resulting rate points.
+		cur := pts.all()
+		prev, _ := cur.Next()
+		for p, ok := cur.Next(); ok && err == nil; p, ok = cur.Next() {
+			dt, dv := p.T-prev.T, p.V-prev.V
+			prev = p
+			if dt <= 0 || p.T < f.From || (f.To != 0 && p.T >= f.To) {
 				continue
 			}
-			if p.T < f.From || (f.To != 0 && p.T >= f.To) {
-				continue
-			}
-			add(p.T, (p.V-prev.V)/dt)
+			add(p.T, dv/dt)
 		}
 		return buckets, err
 	}

@@ -186,15 +186,13 @@ func TestFilterToZeroBoundary(t *testing.T) {
 }
 
 func TestPointsViewAndCursor(t *testing.T) {
-	pts := []Point{{T: 0, V: 0}, {T: 1, V: 10}, {T: 2, V: 20}, {T: 3, V: 30}}
-	v := ViewOf(pts)
+	pts := []Point{{T: 0, V: 0}, {T: 1, V: 1}, {T: 2, V: 2}, {T: 3, V: 3}}
+	v := storeView(NewMemStore(), "m", []float64{0, 1, 2, 3})
 	if v.Len() != 4 {
 		t.Errorf("len = %d", v.Len())
 	}
-	for i := range pts {
-		if v.At(i) != pts[i] {
-			t.Errorf("At(%d) = %+v", i, v.At(i))
-		}
+	if got := drain(v.all()); !reflect.DeepEqual(got, pts) {
+		t.Errorf("all = %+v, want %+v", got, pts)
 	}
 	cur := v.Cursor(1, 3)
 	var got []Point

@@ -24,7 +24,7 @@ import (
 // it answers exactly as it always has.
 //
 // Responses are rendered by the streaming append encoder (jsonenc.go):
-// points flow from the storage engine's buffers straight into a pooled
+// points flow from the storage engine's chunks straight into a pooled
 // byte buffer, with no intermediate response structs and no per-request
 // allocation beyond the (recycled) buffer itself. Output stays
 // byte-identical to the former encoding/json path. Raw queries accept an
@@ -144,7 +144,7 @@ func appendSeriesOpen(b []byte, tags Tags) []byte {
 }
 
 // writeRawQuery streams a raw range query: one indexed lookup, points
-// rendered straight from the store's buffers through the time cursor.
+// decoded straight from the store's chunks through the time cursor.
 // Shared by /api/v1/query and unaggregated /api/v2/query (which answer
 // byte-identically). The render runs over a lock-free snapshot, so a long
 // JSON render never stalls ingest.

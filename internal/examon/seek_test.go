@@ -43,13 +43,22 @@ func drain(c Cursor) []Point {
 	return out
 }
 
-// storeView inserts the timestamps as one series and returns the store's
-// view of it.
+// storeView inserts the timestamps as one series, point i with value i,
+// and returns the store's view of it.
 func storeView(st *MemStore, metric string, times []float64) PointsView {
 	for i, t := range times {
 		st.Insert(confTags(1, -1, metric), t, float64(i))
 	}
 	return st.snapshot(Filter{Metric: metric}, false)[0].pts
+}
+
+// pointsOf returns the points storeView stores for the timestamps.
+func pointsOf(times []float64) []Point {
+	pts := make([]Point, len(times))
+	for i, t := range times {
+		pts[i] = Point{T: t, V: float64(i)}
+	}
+	return pts
 }
 
 // seekBounds returns cursor bounds around the given timestamps: on each
@@ -104,7 +113,7 @@ func TestCursorSeekMatchesLinearFilter(t *testing.T) {
 				if want := c.sorted && !math.IsNaN(from) && !math.IsNaN(to); cur.seek != want {
 					t.Errorf("[%v,%v): seek = %v, want %v", from, to, cur.seek, want)
 				}
-				want := linearFilter(v.pts, from, to)
+				want := linearFilter(pointsOf(c.times), from, to)
 				if got := drain(cur); !samePoints(got, want) {
 					t.Errorf("[%v,%v): cursor %v, want %v", from, to, got, want)
 				}
@@ -133,9 +142,10 @@ func TestSeekViewSurvivesOutOfOrderInsert(t *testing.T) {
 	if before.Len() != len(times) || after.Len() != len(times)+2 {
 		t.Fatalf("view lengths %d/%d", before.Len(), after.Len())
 	}
+	stored := append(pointsOf(times), Point{T: 2.5, V: 99}, Point{T: 6, V: 100})
 	for _, b := range seekBounds(times) {
 		for _, v := range []PointsView{before, after} {
-			want := linearFilter(v.pts, b[0], b[1])
+			want := linearFilter(stored[:v.Len()], b[0], b[1])
 			if got := drain(v.Cursor(b[0], b[1])); !samePoints(got, want) {
 				t.Errorf("[%v,%v) over %d points: cursor %v, want %v", b[0], b[1], v.Len(), got, want)
 			}

@@ -50,10 +50,10 @@ func WithRollup(step float64) StoreOption {
 // --- snapshot reads -------------------------------------------------------
 
 // seriesSnap is one matched series captured as a stable view that remains
-// valid after the store's lock is released: the slice header is copied
-// under the read lock (the prefix it describes is immutable), and the
-// rollup tier — which ingest mutates in place — is copied for the query's
-// range.
+// valid after the store's lock is released: the points view is taken
+// under the read lock (the points it describes are never rewritten), and
+// the rollup tier — which ingest mutates in place — is copied for the
+// query's range. A series answered from its tier gets no points view.
 type seriesSnap struct {
 	tags Tags
 	pts  PointsView
@@ -62,26 +62,82 @@ type seriesSnap struct {
 
 // --- MemStore -----------------------------------------------------------
 
-// memSeries is one append-only stream.
+// memSeries is one append-only stream: a chain of sealed, encoded chunks
+// (chunk.go) followed by a raw open chunk that takes appends. The fields
+// an append touches come first.
 type memSeries struct {
 	tags Tags
-	pts  []Point
+	// open holds the points not yet sealed. The first open chunk grows by
+	// append; at chunkCap points it is sealed, and its buffer is reused
+	// unless a view holds it, when a fresh one is carved from the store's
+	// point slab instead.
+	open []Point
 	roll *seriesRollup // nil when rollups are disabled
 	// sorted records that the timestamps have never decreased and hold no
-	// NaN, so a view of the series may seek by binary search. Once an
-	// insert breaks the order it stays false.
+	// NaN, so a view of the series may seek. Once an insert breaks the
+	// order it stays false.
 	sorted bool
+	// viewed records that a snapshot has taken a view of the open chunk,
+	// so its buffer must not be reused. Snapshots set it under the read
+	// lock, concurrently with each other; the seal reads and clears it
+	// under the write lock.
+	viewed     atomic.Bool
+	head, tail *sealedChunk
+	nsealed    int
 }
 
 // append stores one point, keeping the order flag and the rollup tier.
-func (s *memSeries) append(t, v float64) {
-	if s.sorted && (math.IsNaN(t) || (len(s.pts) > 0 && t < s.pts[len(s.pts)-1].T)) {
+// A full open chunk is sealed first.
+func (s *memSeries) append(a *chunkArena, t, v float64) {
+	if len(s.open) == chunkCap {
+		s.seal(a)
+	}
+	if s.sorted && (math.IsNaN(t) || t < s.lastT()) {
 		s.sorted = false
 	}
-	s.pts = append(s.pts, Point{T: t, V: v})
+	s.open = append(s.open, Point{T: t, V: v})
 	if s.roll != nil {
 		s.roll.add(t, v)
 	}
+}
+
+// lastT is the timestamp of the last stored point, -Inf when none is.
+func (s *memSeries) lastT() float64 {
+	if n := len(s.open); n > 0 {
+		return s.open[n-1].T
+	}
+	if s.tail != nil {
+		return s.tail.lastT
+	}
+	return math.Inf(-1)
+}
+
+// seal encodes the full open chunk, links it after the sealed chain and
+// empties the open chunk.
+func (s *memSeries) seal(a *chunkArena) {
+	c := a.seal(s.open)
+	if s.tail == nil {
+		s.head = c
+	} else {
+		s.tail.next = c
+	}
+	s.tail = c
+	s.nsealed++
+	if s.viewed.Load() {
+		s.open = a.points.carve(chunkCap)[:0]
+		s.viewed.Store(false)
+	} else {
+		s.open = s.open[:0]
+	}
+}
+
+// view returns a view of the stored points. The caller holds the read
+// lock.
+func (s *memSeries) view() PointsView {
+	if len(s.open) > 0 && !s.viewed.Load() {
+		s.viewed.Store(true)
+	}
+	return PointsView{head: s.head, nsealed: s.nsealed, open: s.open, sorted: s.sorted}
 }
 
 // MemStore is the in-memory append store on the master node: the broker
@@ -89,9 +145,14 @@ func (s *memSeries) append(t, v float64) {
 // Detector.ScanAll, RESTServer) answers from it. It maintains an inverted
 // tag index (index.go) so selective reads visit only candidate series,
 // and ingest-time rollup tiers (rollup.go) that answer aligned
-// coarse-step aggregations without touching raw points. WithLinearScan
+// coarse-step aggregations without touching raw points. Each series keeps
+// its points as sealed chunks of chunkCap points, encoded losslessly at
+// about 1.5 to 2 bytes a point, plus a raw open chunk (chunk.go); the
+// encoded bytes, chunk headers and re-issued open chunks are carved from
+// store-wide slabs, so a seal allocates nothing per series. WithLinearScan
 // and WithRollup build the reference store the read-path equivalence
-// tests and BenchmarkQueryServe compare against.
+// tests and BenchmarkQueryServe compare against; it stores the same
+// chunks.
 //
 // Contract (exercised by the conformance suite in
 // storage_conformance_test.go):
@@ -106,18 +167,22 @@ func (s *memSeries) append(t, v float64) {
 //     Filter, ordered by each series' first insertion.
 //   - The read layers scan a snapshot of the matching series in the same
 //     order, each a PointsView over the stored points with NO time
-//     filtering (they apply Filter.From/To via PointsView.Cursor;
-//     aggregators like rate need the out-of-range predecessor point). The
-//     snapshot is taken under the read lock, and no lock is held while
-//     it is scanned on the calling goroutine. A view of a series whose
-//     timestamps have so far never decreased and hold no NaN lets Cursor
-//     seek.
+//     filtering (they apply Filter.From/To via PointsView.Cursor, which
+//     decodes as it goes; aggregators like rate need the out-of-range
+//     predecessor point). The snapshot is taken under the read lock, and
+//     no lock is held while it is scanned on the calling goroutine. A
+//     view of a series whose timestamps have so far never decreased and
+//     hold no NaN lets Cursor seek.
+//   - Storage is lossless: every stored float64, NaN payloads and −0
+//     included, reads back bit for bit.
 //   - SeriesCount and Keys report the stored series; Keys is sorted.
 //
 // Every write takes the store's lock, so any number of publishers may
-// ingest concurrently; reads copy slice headers under the read lock and
+// ingest concurrently; reads take their views under the read lock and
 // then run lock-free, so readers on several goroutines proceed side by
-// side. A read starts no goroutines of its own. All methods are safe for
+// side. A view stays valid because nothing it holds is rewritten: sealed
+// chunks never change, and a seal reuses the open chunk's buffer only
+// when no view has been taken of it. A read starts no goroutines of its own. All methods are safe for
 // concurrent use.
 type MemStore struct {
 	cfg    storeConfig
@@ -125,6 +190,7 @@ type MemStore struct {
 	series map[seriesID]*memSeries
 	order  []*memSeries
 	index  *tagIndex
+	arena  chunkArena // guarded by mu
 	// rollupServed counts series QueryAgg answered from rollup tiers
 	// instead of raw points.
 	rollupServed atomic.Uint64
@@ -140,13 +206,14 @@ func NewMemStore(opts ...StoreOption) *MemStore {
 		cfg:    cfg,
 		series: make(map[seriesID]*memSeries),
 		index:  newTagIndex(),
+		arena:  newChunkArena(),
 	}
 }
 
 // Insert stores one sample.
 func (st *MemStore) Insert(tags Tags, t, v float64) {
 	st.mu.Lock()
-	st.seriesLocked(tags).append(t, v)
+	st.seriesLocked(tags).append(&st.arena, t, v)
 	st.mu.Unlock()
 }
 
@@ -157,7 +224,7 @@ func (st *MemStore) InsertBatch(batch []Sample) {
 	}
 	st.mu.Lock()
 	for i := range batch {
-		st.seriesLocked(batch[i].Tags).append(batch[i].T, batch[i].V)
+		st.seriesLocked(batch[i].Tags).append(&st.arena, batch[i].T, batch[i].V)
 	}
 	st.mu.Unlock()
 }
@@ -172,7 +239,7 @@ func (st *MemStore) insertHandles(t float64, hs []*SeriesHandle, vs []float64) {
 		if h.series == nil {
 			h.series = st.seriesLocked(h.tags)
 		}
-		h.series.append(t, vs[i])
+		h.series.append(&st.arena, t, vs[i])
 	}
 	st.mu.Unlock()
 }
@@ -228,8 +295,8 @@ func (st *MemStore) Query(f Filter) []Series {
 // series' rollup buckets overlapping the filter's time range. It selects
 // through the inverted index, or by walking every series in the
 // linear-scan store and for filters with no indexed dimension. The store
-// is append-only, so a slice header copied under the read lock describes
-// an immutable prefix and stays valid after the lock is released.
+// never rewrites a point a view holds, so the views stay valid after the
+// lock is released.
 func (st *MemStore) snapshot(f Filter, withRollups bool) []seriesSnap {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -238,9 +305,12 @@ func (st *MemStore) snapshot(f Filter, withRollups bool) []seriesSnap {
 		if !f.matches(s.tags) {
 			return
 		}
-		snap := seriesSnap{tags: s.tags, pts: PointsView{pts: s.pts, sorted: s.sorted}}
+		snap := seriesSnap{tags: s.tags}
 		if withRollups {
 			snap.roll = s.roll.snapshotRange(f.From, f.To)
+		}
+		if snap.roll == nil {
+			snap.pts = s.view()
 		}
 		snaps = append(snaps, snap)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"sync"
 	"testing"
@@ -236,6 +237,10 @@ func testConcurrentIngestQuery(t *testing.T, st *MemStore) {
 					return
 				default:
 				}
+				// Yield once a round, as TestParallelQueryDuringIngest
+				// does: a read never parks, so readers that do not yield
+				// hold the CPUs the writers need.
+				runtime.Gosched()
 				node := fmt.Sprintf("mc%02d", r)
 				for _, s := range st.Query(Filter{Node: node, Metric: "instret"}) {
 					for i := 1; i < len(s.Points); i++ {

@@ -209,7 +209,7 @@ func New(cfg Config) (*Node, error) {
 		id:           cfg.ID,
 		hostname:     fmt.Sprintf("%s%02d", machine.HostPrefix, cfg.ID),
 		machine:      machine,
-		pm:           power.NewModel(),
+		pm:           power.Calibration(),
 		tm:           tm,
 		pmu:          pmu,
 		state:        StateOff,

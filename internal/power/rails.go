@@ -138,8 +138,9 @@ func railIndex(r Rail) int {
 // railTable holds one coefficient per rail, in Table VI order.
 type railTable [numRails]float64
 
-// Model evaluates per-rail power for a phase and activity. Construct with
-// NewModel; the zero value has zero coefficients everywhere.
+// Model evaluates per-rail power for a phase and activity. Calibration
+// returns the calibrated one; the zero value has zero coefficients
+// everywhere.
 type Model struct {
 	// Floors per phase, mW.
 	r1Floor  railTable
@@ -157,24 +158,28 @@ type Model struct {
 // Coefficient order within each railTable literal below:
 // core, ddr_soc, io, pll, pcievp, pcievph, ddr_mem, ddr_pll, ddr_vpp.
 
-// NewModel returns the HiFive Unmatched calibration.
-func NewModel() *Model {
-	return &Model{
-		// Fig. 4 region R1: supply on, no clock. Pure leakage.
-		r1Floor: railTable{984, 59, 5, 0, 12, 1, 275, 0, 49},
-		// Fig. 4 region R2: bootloader running, PLL active, DDR training.
-		// core = leakage (984) + clock tree and boot dynamic (1577).
-		r2Floor: railTable{2561, 197, 20, 2, 231, 395, 467, 29, 122},
-		// Table VI "Idle" column: OS up, no workload.
-		runFloor: railTable{3075, 139, 20, 1, 521, 555, 404, 28, 67},
-		// Least-squares fit of the four workload columns of Table VI.
-		coreActCoef: railTable{0: 2193, 4: 12, 5: 4, 8: 24},
-		ddrReadCoef: railTable{0: 2.5, 1: 37, 6: 18, 8: 10},
-		ddrWritCoef: railTable{0: 2.5, 1: 37, 6: 214, 8: 10},
-		l2Coef:      railTable{1: 1.2},
-		pcieCoef:    railTable{4: 20, 5: 25},
-	}
+// unmatched is the HiFive Unmatched calibration.
+var unmatched = &Model{
+	// Fig. 4 region R1: supply on, no clock. Pure leakage.
+	r1Floor: railTable{984, 59, 5, 0, 12, 1, 275, 0, 49},
+	// Fig. 4 region R2: bootloader running, PLL active, DDR training.
+	// core = leakage (984) + clock tree and boot dynamic (1577).
+	r2Floor: railTable{2561, 197, 20, 2, 231, 395, 467, 29, 122},
+	// Table VI "Idle" column: OS up, no workload.
+	runFloor: railTable{3075, 139, 20, 1, 521, 555, 404, 28, 67},
+	// Least-squares fit of the four workload columns of Table VI.
+	coreActCoef: railTable{0: 2193, 4: 12, 5: 4, 8: 24},
+	ddrReadCoef: railTable{0: 2.5, 1: 37, 6: 18, 8: 10},
+	ddrWritCoef: railTable{0: 2.5, 1: 37, 6: 214, 8: 10},
+	l2Coef:      railTable{1: 1.2},
+	pcieCoef:    railTable{4: 20, 5: 25},
 }
+
+// Calibration returns the HiFive Unmatched calibration as one instance
+// shared by every caller. A Model has no method that changes it, so
+// every node and every predictor reads the same tables instead of
+// holding a copy of its own.
+func Calibration() *Model { return unmatched }
 
 // RailMilliwatts returns the modelled power of one rail in milliwatts.
 // Unknown rails are zero in every phase, as with the historical map-based

@@ -46,7 +46,7 @@ var workloadActivity = map[string]Activity{
 }
 
 func TestTableVIRails(t *testing.T) {
-	m := NewModel()
+	m := Calibration()
 	for workload, rails := range tableVI {
 		act := workloadActivity[workload]
 		for rail, want := range rails {
@@ -60,7 +60,7 @@ func TestTableVIRails(t *testing.T) {
 }
 
 func TestTableVITotals(t *testing.T) {
-	m := NewModel()
+	m := Calibration()
 	for workload, want := range tableVITotals {
 		got := m.TotalMilliwatts(PhaseRun, workloadActivity[workload])
 		if math.Abs(got-want)/want > 0.005 {
@@ -71,7 +71,7 @@ func TestTableVITotals(t *testing.T) {
 
 func TestIdleExactlyTableVI(t *testing.T) {
 	// The idle column is the calibrated floor and must match exactly.
-	m := NewModel()
+	m := Calibration()
 	for rail, want := range tableVI["Idle"] {
 		if got := m.RailMilliwatts(rail, PhaseRun, ActivityIdle); got != want {
 			t.Errorf("idle %s = %v, want %v", rail, got, want)
@@ -84,7 +84,7 @@ func TestIdleExactlyTableVI(t *testing.T) {
 
 func TestBootColumns(t *testing.T) {
 	// Table VI Boot R1/R2 columns are floors and must match exactly.
-	m := NewModel()
+	m := Calibration()
 	wantR1 := map[Rail]float64{
 		RailCore: 984, RailDDRSoC: 59, RailIO: 5, RailPLL: 0,
 		RailPCIeVP: 12, RailPCIeVPH: 1, RailDDRMem: 275,
@@ -114,7 +114,7 @@ func TestBootColumns(t *testing.T) {
 }
 
 func TestPhaseOffIsZero(t *testing.T) {
-	m := NewModel()
+	m := Calibration()
 	if got := m.TotalMilliwatts(PhaseOff, ActivityHPL); got != 0 {
 		t.Errorf("off total = %v, want 0", got)
 	}
@@ -123,7 +123,7 @@ func TestPhaseOffIsZero(t *testing.T) {
 func TestCoreDecomposition(t *testing.T) {
 	// Section V-B: leakage 0.984 W (32 % of idle core), dynamic + clock
 	// tree 1.577 W (51 %), OS 0.514 W (17 %).
-	m := NewModel()
+	m := Calibration()
 	leak, clk, osp := m.CoreDecomposition()
 	if leak != 984 {
 		t.Errorf("leakage = %v mW, want 984", leak)
@@ -148,7 +148,7 @@ func TestCoreDecomposition(t *testing.T) {
 
 func TestDDRMemDecomposition(t *testing.T) {
 	// Section V-B: DDR bank leakage 0.275 W is 68 % of its idle power.
-	m := NewModel()
+	m := Calibration()
 	leak, rest := m.DDRMemDecomposition()
 	if leak != 275 {
 		t.Errorf("DDR leakage = %v mW, want 275", leak)
@@ -164,7 +164,7 @@ func TestDDRMemDecomposition(t *testing.T) {
 
 func TestIdleShares(t *testing.T) {
 	// Abstract: idle is 4.81 W with 64 % core, 13 % DDR, 23 % PCI.
-	m := NewModel()
+	m := Calibration()
 	total := m.TotalMilliwatts(PhaseRun, ActivityIdle)
 	core := m.RailMilliwatts(RailCore, PhaseRun, ActivityIdle) / total
 	ddr := (m.RailMilliwatts(RailDDRSoC, PhaseRun, ActivityIdle) +
@@ -186,7 +186,7 @@ func TestIdleShares(t *testing.T) {
 
 func TestHPLShares(t *testing.T) {
 	// Abstract: under HPL 5.935 W total with 69 % core, 14 % DDR, 18 % PCI.
-	m := NewModel()
+	m := Calibration()
 	total := m.TotalMilliwatts(PhaseRun, ActivityHPL)
 	core := m.RailMilliwatts(RailCore, PhaseRun, ActivityHPL) / total
 	if math.Abs(core-0.69) > 0.01 {
@@ -196,7 +196,7 @@ func TestHPLShares(t *testing.T) {
 
 func TestActivityMonotonicityProperty(t *testing.T) {
 	// More activity never reduces any rail's power.
-	m := NewModel()
+	m := Calibration()
 	prop := func(a, b, c, d, e uint8) bool {
 		act := Activity{
 			CoreActivity: float64(a) / 255,
@@ -223,7 +223,7 @@ func TestActivityMonotonicityProperty(t *testing.T) {
 }
 
 func TestNegativeActivityClamped(t *testing.T) {
-	m := NewModel()
+	m := Calibration()
 	neg := Activity{CoreActivity: -1, DDRReadGBs: -5, DDRWriteGBs: -5, L2GBs: -5, PCIeActivity: -1}
 	for _, r := range Rails {
 		if got, idle := m.RailMilliwatts(r, PhaseRun, neg), m.RailMilliwatts(r, PhaseRun, ActivityIdle); got != idle {
@@ -233,7 +233,7 @@ func TestNegativeActivityClamped(t *testing.T) {
 }
 
 func TestOverdrivenCoreActivityClamped(t *testing.T) {
-	m := NewModel()
+	m := Calibration()
 	over := Activity{CoreActivity: 5}
 	capped := Activity{CoreActivity: 1}
 	if m.RailMilliwatts(RailCore, PhaseRun, over) != m.RailMilliwatts(RailCore, PhaseRun, capped) {
@@ -242,7 +242,7 @@ func TestOverdrivenCoreActivityClamped(t *testing.T) {
 }
 
 func TestRailMilliwattsScaled(t *testing.T) {
-	m := NewModel()
+	m := Calibration()
 	full := m.RailMilliwatts(RailCore, PhaseRun, ActivityHPL)
 	if got := m.RailMilliwattsScaled(RailCore, PhaseRun, ActivityHPL, 1); got != full {
 		t.Errorf("scale 1 = %v, want full %v", got, full)
@@ -272,7 +272,7 @@ func TestRailMilliwattsScaled(t *testing.T) {
 }
 
 func TestScaledMonotoneInScaleProperty(t *testing.T) {
-	m := NewModel()
+	m := Calibration()
 	prop := func(sRaw uint8) bool {
 		s := float64(sRaw) / 255
 		for _, r := range Rails {
@@ -290,7 +290,7 @@ func TestScaledMonotoneInScaleProperty(t *testing.T) {
 }
 
 func TestBreakdownMatchesTotal(t *testing.T) {
-	m := NewModel()
+	m := Calibration()
 	for workload, act := range workloadActivity {
 		sum := 0.0
 		for _, v := range m.Breakdown(PhaseRun, act) {

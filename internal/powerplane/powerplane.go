@@ -62,7 +62,6 @@ type Governor struct {
 	cl     *cluster.Cluster
 	store  *examon.MemStore
 	broker *examon.Broker
-	pm     *power.Model
 	cfg    Config
 
 	govs []*dtm.Governor // indexed like cl.Node
@@ -120,7 +119,6 @@ func New(engine *sim.Engine, cl *cluster.Cluster, store *examon.MemStore, broker
 		cl:      cl,
 		store:   store,
 		broker:  broker,
-		pm:      power.NewModel(),
 		cfg:     cfg,
 		govs:    make([]*dtm.Governor, cl.Size()),
 		perNode: make(map[string]float64, cl.Size()),
@@ -396,7 +394,7 @@ func (g *Governor) Snapshot() Snapshot {
 // nodes already draw. Jobs without a model carry the idle zero profile
 // and predict no incremental draw.
 func (g *Governor) PredictedJobWatts(act power.Activity, nodes int) float64 {
-	return predictedWatts(g.pm, act, nodes)
+	return PredictedWatts(act, nodes)
 }
 
 // PredictedWatts is the governor's draw predictor as a standalone
@@ -406,7 +404,13 @@ func (g *Governor) PredictedJobWatts(act power.Activity, nodes int) float64 {
 // cluster (and hence any live governor) exists, so the meta level and the
 // admission gate price work with identical math.
 func PredictedWatts(act power.Activity, nodes int) float64 {
-	return predictedWatts(power.NewModel(), act, nodes)
+	pm := power.Calibration()
+	perNode := (pm.TotalMilliwatts(power.PhaseRun, act) -
+		pm.TotalMilliwatts(power.PhaseRun, power.ActivityIdle)) / 1000
+	if perNode < 0 {
+		perNode = 0
+	}
+	return float64(nodes) * perNode
 }
 
 // IdleFloorWatts is the rail model's per-node idle draw in watts — the
@@ -414,17 +418,7 @@ func PredictedWatts(act power.Activity, nodes int) float64 {
 // subtracts it from a cluster's power budget to get the budget actually
 // available to workloads.
 func IdleFloorWatts(nodes int) float64 {
-	pm := power.NewModel()
-	return float64(nodes) * pm.TotalMilliwatts(power.PhaseRun, power.ActivityIdle) / 1000
-}
-
-func predictedWatts(pm *power.Model, act power.Activity, nodes int) float64 {
-	perNode := (pm.TotalMilliwatts(power.PhaseRun, act) -
-		pm.TotalMilliwatts(power.PhaseRun, power.ActivityIdle)) / 1000
-	if perNode < 0 {
-		perNode = 0
-	}
-	return float64(nodes) * perNode
+	return float64(nodes) * power.Calibration().TotalMilliwatts(power.PhaseRun, power.ActivityIdle) / 1000
 }
 
 // HeadroomWatts returns the budget headroom available for new placements:

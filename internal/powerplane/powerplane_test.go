@@ -173,7 +173,7 @@ func TestAdvisorContract(t *testing.T) {
 	if err := e.RunUntil(e.Now() + 5); err != nil {
 		t.Fatal(err)
 	}
-	pm := power.NewModel()
+	pm := power.Calibration()
 	wantPerNode := (pm.TotalMilliwatts(power.PhaseRun, power.ActivityHPL) -
 		pm.TotalMilliwatts(power.PhaseRun, power.ActivityIdle)) / 1000
 	if got := g.PredictedJobWatts(power.ActivityHPL, 4); math.Abs(got-4*wantPerNode) > 1e-9 {

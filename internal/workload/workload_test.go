@@ -67,7 +67,7 @@ func TestSteadyMatchesTableVI(t *testing.T) {
 // mean (within 2 %), so phase interleaving dissipates the same mean power
 // as the fixed-activity ablation.
 func TestPhaseMeanReproducesSteady(t *testing.T) {
-	pm := power.NewModel()
+	pm := power.Calibration()
 	for _, name := range Names() {
 		m := MustLookup(name)
 		if len(m.Phases) <= 1 {
