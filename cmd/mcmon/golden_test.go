@@ -16,22 +16,27 @@ import (
 //	go test ./cmd/mcmon -run TestGolden -update
 var update = flag.Bool("update", false, "rewrite testdata/golden from the current output")
 
-// TestGoldenRuns pins the two mcmon runs CI checks for determinism:
+// TestGoldenRuns pins the two mcmon runs CI checks for determinism,
 // `mcmon -nodes 8 -duration 60` and `mcmon -nodes 4 -duration 60
-// -budget-w 20`, summary and heatmaps byte for byte.
+// -budget-w 20`, plus `mcmon -nodes 8 -duration 60` under
+// `-workload mpi.pingpong` and `-workload idle` (the run that starts no
+// workload), summary and heatmaps byte for byte.
 func TestGoldenRuns(t *testing.T) {
 	cases := []struct {
-		name    string
-		nodes   int
-		budgetW float64
+		name     string
+		nodes    int
+		workload string
+		budgetW  float64
 	}{
-		{"nodes8.duration60", 8, 0},
-		{"nodes4.duration60.budget20", 4, 20},
+		{"nodes8.duration60", 8, "hpl", 0},
+		{"nodes4.duration60.budget20", 4, "hpl", 20},
+		{"nodes8.duration60.mpi.pingpong", 8, "mpi.pingpong", 0},
+		{"nodes8.duration60.idle", 8, "idle", 0},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var out bytes.Buffer
-			if err := run(&out, c.nodes, "hpl", 60, "", c.budgetW); err != nil {
+			if err := run(&out, c.nodes, c.workload, 60, "", c.budgetW); err != nil {
 				t.Fatal(err)
 			}
 			checkGolden(t, filepath.Join("testdata", "golden", c.name+".txt"), out.Bytes())

@@ -69,7 +69,7 @@ func run(w io.Writer, nodes int, workloadName string, duration float64, serve st
 		return err
 	}
 	if model.Name != "idle" {
-		if err := s.Cluster.RunWorkloadOn(hosts, model.Name, model.Steady, model.MemBytes); err != nil {
+		if err := s.Cluster.RunWorkloadOn(s.Cluster.AllNodes(), model.Name, model.Steady, model.MemBytes); err != nil {
 			return err
 		}
 	}

@@ -59,6 +59,15 @@ func TestSpecValidation(t *testing.T) {
 			"jobs":[{"name":"j","workload":"qe","nodes":1,"duration_s":5}]}`, "power_budget_w must be >= 0"},
 		{"negative shards", `{"name":"x","nodes":4,"horizon_s":10,"shards":-1,
 			"jobs":[{"name":"j","workload":"qe","nodes":1,"duration_s":5}]}`, "shards must be >= 0"},
+		// Sizes past MaxSpecSize fail here instead of exhausting memory
+		// in cluster.New or GenerateJobs.
+		{"nodes over the cap", `{"name":"x","nodes":2000000000,"horizon_s":10,
+			"jobs":[{"name":"j","workload":"qe","nodes":1,"duration_s":5}]}`, "nodes must be at most 1000000, got 2000000000"},
+		{"nodes one over the cap", `{"name":"x","nodes":1000001,"horizon_s":10,
+			"jobs":[{"name":"j","workload":"qe","nodes":1,"duration_s":5}]}`, "nodes must be at most 1000000, got 1000001"},
+		{"arrival jobs over the cap", `{"name":"x","nodes":4,"horizon_s":10,
+			"arrival":{"process":"poisson","rate_per_hour":10,"jobs":2000000000},
+			"mix":[{"workload":"qe","weight":1}]}`, "arrival jobs must be at most 1000000, got 2000000000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

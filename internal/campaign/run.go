@@ -133,11 +133,14 @@ func (r *Runner) submit(entry JobEntry, out *JobOutcome) {
 		Name: entry.Name, User: "campaign", Nodes: entry.Nodes,
 		TimeLimit: entry.TimeLimitS, Duration: entry.DurationS,
 		Workload: model,
-		OnStart: func(j *sched.Job, hosts []string) {
+		OnStart: func(j *sched.Job, nodes []int) {
 			out.StartS = r.sys.Engine.Now() - r.startT
-			out.Hosts = append([]string(nil), hosts...)
-			r.logf("t=%10.1f start  %-18s job=%-4d nodes=%d hosts=%v", out.StartS, entry.Name, j.ID, entry.Nodes, hosts)
-			ex, err := workload.Start(r.sys.Engine, r.sys.Cluster, model, hosts,
+			out.Hosts = make([]string, len(nodes))
+			for k, n := range nodes {
+				out.Hosts[k] = r.sys.Cluster.Node(n).Hostname()
+			}
+			r.logf("t=%10.1f start  %-18s job=%-4d nodes=%d hosts=%v", out.StartS, entry.Name, j.ID, entry.Nodes, out.Hosts)
+			ex, err := workload.Start(r.sys.Engine, r.sys.Cluster, model, nodes,
 				workload.ExecOptions{FixedActivity: r.spec.FixedActivity, SlowFactor: j.RuntimeScale()})
 			if err != nil {
 				// A host halted between allocation and start; the node
@@ -160,7 +163,7 @@ func (r *Runner) submit(entry JobEntry, out *JobOutcome) {
 				// workload.Start failed mid-allocation (a host halted
 				// between placement and start): clear whatever partial
 				// installation it left on the surviving hosts.
-				r.sys.Cluster.ClearWorkloadOn(j.Hosts())
+				r.sys.Cluster.ClearWorkloadOn(j.Nodes())
 			}
 			r.logf("t=%10.1f end    %-18s job=%-4d state=%s", out.EndS, entry.Name, j.ID, state)
 		},

@@ -22,6 +22,14 @@ import (
 	"montecimone/internal/workload"
 )
 
+// MaxSpecSize caps the counts a spec sizes memory by: a campaign's nodes
+// and arrival jobs, and a fleet cluster's nodes and stream count.
+// cluster.New, GenerateJobs and the fleet router allocate one entry per
+// unit before the run starts, so an unbounded count exhausts memory
+// instead of failing. The cap sits far above every checked-in spec:
+// scale10k.json asks for 10,000 nodes.
+const MaxSpecSize = 1_000_000
+
 // Arrival describes how generated jobs enter the queue.
 type Arrival struct {
 	// Process selects the arrival process: "poisson" (memoryless
@@ -171,6 +179,9 @@ func (s *Spec) Validate() error {
 	if s.Nodes < 1 {
 		return fmt.Errorf("campaign: spec %q: nodes must be positive, got %d", s.Name, s.Nodes)
 	}
+	if s.Nodes > MaxSpecSize {
+		return fmt.Errorf("campaign: spec %q: nodes must be at most %d, got %d", s.Name, MaxSpecSize, s.Nodes)
+	}
 	if s.HorizonS <= 0 {
 		return fmt.Errorf("campaign: spec %q: horizon_s must be positive, got %v", s.Name, s.HorizonS)
 	}
@@ -219,6 +230,9 @@ func (s *Spec) Validate() error {
 		}
 		if a.Jobs <= 0 {
 			return fmt.Errorf("campaign: spec %q: arrival jobs must be positive, got %d", s.Name, a.Jobs)
+		}
+		if a.Jobs > MaxSpecSize {
+			return fmt.Errorf("campaign: spec %q: arrival jobs must be at most %d, got %d", s.Name, MaxSpecSize, a.Jobs)
 		}
 		if a.BurstSize < 0 || a.PeriodS < 0 {
 			return fmt.Errorf("campaign: spec %q: negative burst_size/period_s", s.Name)

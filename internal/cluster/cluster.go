@@ -56,14 +56,13 @@ type Cluster struct {
 	engine  *sim.Engine
 	machine *soc.Machine
 	nodes   []*node.Node
-	index   map[string]int // hostname -> 0-based node index
 	fabric  *netsim.Fabric
 
 	lockStep bool
 	ambientC float64    // configured machine-room inlet temperature
 	tick     sim.Handle // the lock-step ticker's recurring event
-	onHalt   []func(hostname string)
-	onBoot   []func(hostname string)
+	onHalt   []func(i int)
+	onBoot   []func(i int)
 
 	// Demand-driven mode: one pending watchdog handle per node (zero when
 	// the node needs none) plus its precomputed event name and callback —
@@ -107,7 +106,6 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 	c := &Cluster{
 		engine:   engine,
 		machine:  soc.FU740(),
-		index:    make(map[string]int, n),
 		fabric:   fabric,
 		lockStep: cfg.LockStep,
 		ambientC: enc.AmbientC,
@@ -123,7 +121,6 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: %w", err)
 		}
 		c.nodes = append(c.nodes, nd)
-		c.index[nd.Hostname()] = id - 1
 	}
 	for _, nd := range c.nodes {
 		// Transitions surface in both modes: the lock-step ticker and the
@@ -162,11 +159,11 @@ func (c *Cluster) nodeTransition(nd *node.Node, kind node.Transition) {
 	switch kind {
 	case node.TransitionHalt:
 		for _, fn := range c.onHalt {
-			fn(nd.Hostname())
+			fn(nd.ID() - 1)
 		}
 	case node.TransitionBootComplete:
 		for _, fn := range c.onBoot {
-			fn(nd.Hostname())
+			fn(nd.ID() - 1)
 		}
 	}
 	if !c.lockStep {
@@ -216,12 +213,13 @@ func (c *Cluster) Size() int { return len(c.nodes) }
 // Node returns the 0-based i-th compute node.
 func (c *Cluster) Node(i int) *node.Node { return c.nodes[i] }
 
-// NodeByHostname resolves a compute node by hostname.
-func (c *Cluster) NodeByHostname(host string) (*node.Node, error) {
-	if i, ok := c.index[host]; ok {
-		return c.nodes[i], nil
+// AllNodes lists every compute node's 0-based index, in node order.
+func (c *Cluster) AllNodes() []int {
+	out := make([]int, len(c.nodes))
+	for i := range out {
+		out[i] = i
 	}
-	return nil, fmt.Errorf("cluster: unknown host %q", host)
+	return out
 }
 
 // Hostnames lists the compute-node hostnames in node order.
@@ -233,16 +231,17 @@ func (c *Cluster) Hostnames() []string {
 	return out
 }
 
-// OnNodeHalt registers a callback fired once per thermal halt (wired to
-// the scheduler's NodeDown by the facade; the fault controller subscribes
-// too). Callbacks fire in registration order.
-func (c *Cluster) OnNodeHalt(fn func(hostname string)) { c.onHalt = append(c.onHalt, fn) }
+// OnNodeHalt registers a callback fired once per thermal halt with the
+// halted node's 0-based index (wired to the scheduler's NodeDown by the
+// facade; the fault controller subscribes too). Callbacks fire in
+// registration order.
+func (c *Cluster) OnNodeHalt(fn func(i int)) { c.onHalt = append(c.onHalt, fn) }
 
-// OnNodeBoot registers a callback fired when a node finishes booting (the
-// event-driven boot-completion notification BootAndSettle waits on, and
-// the fault controller's recovery path). Callbacks fire in registration
-// order.
-func (c *Cluster) OnNodeBoot(fn func(hostname string)) { c.onBoot = append(c.onBoot, fn) }
+// OnNodeBoot registers a callback fired with a node's 0-based index when
+// it finishes booting (the event-driven boot-completion notification
+// BootAndSettle waits on, and the fault controller's recovery path).
+// Callbacks fire in registration order.
+func (c *Cluster) OnNodeBoot(fn func(i int)) { c.onBoot = append(c.onBoot, fn) }
 
 // ModelSteps sums the Euler substeps integrated across all nodes — the
 // physics cost the demand-driven mode minimises relative to the LockStep
@@ -328,27 +327,21 @@ func (c *Cluster) BootAndSettle(settle float64) error {
 	return nil
 }
 
-// RunWorkloadOn installs a workload activity on the named hosts.
-func (c *Cluster) RunWorkloadOn(hosts []string, name string, act power.Activity, memBytes float64) error {
-	for _, h := range hosts {
-		nd, err := c.NodeByHostname(h)
-		if err != nil {
-			return err
-		}
-		if err := nd.SetWorkload(name, act, memBytes); err != nil {
+// RunWorkloadOn installs a workload activity on the given 0-based nodes.
+func (c *Cluster) RunWorkloadOn(nodes []int, name string, act power.Activity, memBytes float64) error {
+	for _, i := range nodes {
+		if err := c.nodes[i].SetWorkload(name, act, memBytes); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// ClearWorkloadOn clears workloads from the named hosts (halted nodes are
-// skipped: their workload already ended).
-func (c *Cluster) ClearWorkloadOn(hosts []string) {
-	for _, h := range hosts {
-		if nd, err := c.NodeByHostname(h); err == nil {
-			nd.ClearWorkload()
-		}
+// ClearWorkloadOn clears the workload from each of the given 0-based
+// nodes, halted ones included.
+func (c *Cluster) ClearWorkloadOn(nodes []int) {
+	for _, i := range nodes {
+		c.nodes[i].ClearWorkload()
 	}
 }
 

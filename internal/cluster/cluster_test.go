@@ -44,14 +44,20 @@ func TestDefaultTopology(t *testing.T) {
 	}
 }
 
+// TestLookups: node index i, the identity the scheduler and the fault
+// and power layers pass around, is the node with ID i+1 named
+// Hostnames()[i], and AllNodes lists every index in order.
 func TestLookups(t *testing.T) {
 	_, c := newCluster(t, Config{})
-	nd, err := c.NodeByHostname("mc05")
-	if err != nil || nd.ID() != 5 {
-		t.Errorf("NodeByHostname: %v, %v", nd, err)
+	hosts := c.Hostnames()
+	for k, i := range c.AllNodes() {
+		if nd := c.Node(i); i != k || nd.ID() != i+1 || nd.Hostname() != hosts[i] {
+			t.Errorf("AllNodes()[%d] = %d: node ID %d named %s, want ID %d named %s",
+				k, i, nd.ID(), nd.Hostname(), k+1, hosts[k])
+		}
 	}
-	if _, err := c.NodeByHostname("zz99"); err == nil {
-		t.Error("unknown host accepted")
+	if n := len(c.AllNodes()); n != c.Size() {
+		t.Errorf("AllNodes lists %d nodes, want %d", n, c.Size())
 	}
 }
 
@@ -79,29 +85,23 @@ func TestWorkloadRoundTrip(t *testing.T) {
 	if err := c.BootAndSettle(1); err != nil {
 		t.Fatal(err)
 	}
-	hosts := c.Hostnames()[:4]
-	if err := c.RunWorkloadOn(hosts, "hpl", power.ActivityHPL, 13e9); err != nil {
+	nodes := c.AllNodes()[:4]
+	if err := c.RunWorkloadOn(nodes, "hpl", power.ActivityHPL, 13e9); err != nil {
 		t.Fatal(err)
 	}
-	for _, h := range hosts {
-		nd, _ := c.NodeByHostname(h)
-		if nd.Workload() != "hpl" {
-			t.Errorf("%s workload = %q", h, nd.Workload())
+	for _, i := range nodes {
+		if nd := c.Node(i); nd.Workload() != "hpl" {
+			t.Errorf("%s workload = %q", nd.Hostname(), nd.Workload())
 		}
 	}
-	nd, _ := c.NodeByHostname("mc05")
-	if nd.Workload() != "" {
+	if c.Node(4).Workload() != "" {
 		t.Error("unallocated node got a workload")
 	}
-	c.ClearWorkloadOn(hosts)
-	for _, h := range hosts {
-		nd, _ := c.NodeByHostname(h)
-		if nd.Workload() != "" {
-			t.Errorf("%s workload not cleared", h)
+	c.ClearWorkloadOn(nodes)
+	for _, i := range nodes {
+		if nd := c.Node(i); nd.Workload() != "" {
+			t.Errorf("%s workload not cleared", nd.Hostname())
 		}
-	}
-	if err := c.RunWorkloadOn([]string{"bogus"}, "x", power.ActivityIdle, 0); err == nil {
-		t.Error("workload on unknown host accepted")
 	}
 }
 
@@ -111,18 +111,18 @@ func TestNode7HaltsUnderFullMachineHPL(t *testing.T) {
 	if err := c.BootAndSettle(1); err != nil {
 		t.Fatal(err)
 	}
-	var halted []string
-	c.OnNodeHalt(func(h string) { halted = append(halted, h) })
-	if err := c.RunWorkloadOn(c.Hostnames(), "hpl", power.ActivityHPL, 13e9); err != nil {
+	var halted []int
+	c.OnNodeHalt(func(i int) { halted = append(halted, i) })
+	if err := c.RunWorkloadOn(c.AllNodes(), "hpl", power.ActivityHPL, 13e9); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.RunUntil(e.Now() + 3600); err != nil {
 		t.Fatal(err)
 	}
-	if len(halted) != 1 || halted[0] != "mc07" {
-		t.Fatalf("halted = %v, want [mc07]", halted)
+	if len(halted) != 1 || halted[0] != 6 {
+		t.Fatalf("halted = %v, want [6] (mc07)", halted)
 	}
-	nd, _ := c.NodeByHostname("mc07")
+	nd := c.Node(6)
 	if nd.State() != node.StateHalted {
 		t.Errorf("mc07 state = %s", nd.State())
 	}
@@ -132,8 +132,7 @@ func TestNode7HaltsUnderFullMachineHPL(t *testing.T) {
 		t.Errorf("mc07 temp = %v, want cooling below %v after shutdown", got, thermal.TripTempC)
 	}
 	// Other centre nodes hot but stable near 71 degC.
-	nd3, _ := c.NodeByHostname("mc03")
-	if temp := nd3.Temperature(thermal.SensorCPU); math.Abs(temp-71) > 3 {
+	if temp := c.Node(2).Temperature(thermal.SensorCPU); math.Abs(temp-71) > 3 {
 		t.Errorf("mc03 temp = %.1f, want ~71", temp)
 	}
 }
@@ -143,7 +142,7 @@ func TestAirflowMitigationRecoversNode7(t *testing.T) {
 	if err := c.BootAndSettle(1); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.RunWorkloadOn(c.Hostnames(), "hpl", power.ActivityHPL, 13e9); err != nil {
+	if err := c.RunWorkloadOn(c.AllNodes(), "hpl", power.ActivityHPL, 13e9); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.RunUntil(e.Now() + 3600); err != nil {
@@ -156,12 +155,11 @@ func TestAirflowMitigationRecoversNode7(t *testing.T) {
 	if err := e.RunUntil(e.Now() + 600); err != nil {
 		t.Fatal(err)
 	}
-	nd, _ := c.NodeByHostname("mc07")
-	if nd.State() != node.StateRunning {
-		t.Fatalf("mc07 state = %s after mitigation", nd.State())
+	if st := c.Node(6).State(); st != node.StateRunning {
+		t.Fatalf("mc07 state = %s after mitigation", st)
 	}
 	// Re-run HPL everywhere: the hottest node now stays near 39 degC.
-	if err := c.RunWorkloadOn(c.Hostnames(), "hpl", power.ActivityHPL, 13e9); err != nil {
+	if err := c.RunWorkloadOn(c.AllNodes(), "hpl", power.ActivityHPL, 13e9); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.RunUntil(e.Now() + 1800); err != nil {

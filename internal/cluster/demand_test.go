@@ -24,21 +24,19 @@ func runHazardCampaign(t *testing.T, lockStep bool) (host string, callbackAt, ha
 		t.Fatal(err)
 	}
 	callbackAt = -1
-	c.OnNodeHalt(func(h string) {
+	c.OnNodeHalt(func(i int) {
 		if host == "" {
-			host = h
+			host = c.Node(i).Hostname()
 			callbackAt = e.Now()
 		}
 	})
-	if err := c.RunWorkloadOn(c.Hostnames(), "hpl", power.ActivityHPL, 13e9); err != nil {
+	if err := c.RunWorkloadOn(c.AllNodes(), "hpl", power.ActivityHPL, 13e9); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.RunUntil(e.Now() + 3600); err != nil {
 		t.Fatal(err)
 	}
-	nd, _ := c.NodeByHostname("mc07")
-	nd3, _ := c.NodeByHostname("mc03")
-	return host, callbackAt, nd.HaltedAt(), nd3.Temperature(thermal.SensorCPU)
+	return host, callbackAt, c.Node(6).HaltedAt(), c.Node(2).Temperature(thermal.SensorCPU)
 }
 
 // TestDemandDrivenMatchesLockStep is the ablation equivalence contract:
@@ -125,19 +123,19 @@ func TestBootCompletionNotification(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		booted := map[string]float64{}
-		c.OnNodeBoot(func(h string) { booted[h] = e.Now() })
+		booted := map[int]float64{}
+		c.OnNodeBoot(func(i int) { booted[i] = e.Now() })
 		if err := c.BootAndSettle(0); err != nil {
 			t.Fatalf("lockStep=%v: %v", lockStep, err)
 		}
 		if len(booted) != 4 {
 			t.Fatalf("lockStep=%v: %d boot notifications, want 4", lockStep, len(booted))
 		}
-		for h, at := range booted {
+		for i, at := range booted {
 			min := node.R1Duration + node.R2Duration - 1e-6
 			if at < min || at > min+node.BaseStep+1e-6 {
-				t.Errorf("lockStep=%v: %s booted at %v, want within one step of %v",
-					lockStep, h, at, min)
+				t.Errorf("lockStep=%v: node %d booted at %v, want within one step of %v",
+					lockStep, i, at, min)
 			}
 		}
 		c.Stop()
@@ -156,7 +154,7 @@ func TestStopCancelsWatchdogs(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A runaway workload keeps watchdogs armed.
-	if err := c.RunWorkloadOn(c.Hostnames(), "hpl", power.ActivityHPL, 13e9); err != nil {
+	if err := c.RunWorkloadOn(c.AllNodes(), "hpl", power.ActivityHPL, 13e9); err != nil {
 		t.Fatal(err)
 	}
 	c.Stop()

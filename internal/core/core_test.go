@@ -425,13 +425,13 @@ func TestSchedulerIntegrationThermalFailure(t *testing.T) {
 	job, err := s.Scheduler.Submit(sched.JobSpec{
 		Name: "hpl-full", User: "ops", Nodes: 8,
 		TimeLimit: 7200, Duration: 4000,
-		OnStart: func(_ *sched.Job, hosts []string) {
-			if err := s.Cluster.RunWorkloadOn(hosts, "hpl", power.ActivityHPL, hplMemBytes); err != nil {
+		OnStart: func(_ *sched.Job, nodes []int) {
+			if err := s.Cluster.RunWorkloadOn(nodes, "hpl", power.ActivityHPL, hplMemBytes); err != nil {
 				t.Errorf("workload start: %v", err)
 			}
 		},
 		OnEnd: func(j *sched.Job, _ sched.JobState) {
-			s.Cluster.ClearWorkloadOn(j.Hosts())
+			s.Cluster.ClearWorkloadOn(j.Nodes())
 		},
 	})
 	if err != nil {

@@ -43,15 +43,14 @@ func ThermalAnomalyScan(seed int64) (*AnomalyScanReport, error) {
 	if err := s.Boot(); err != nil {
 		return nil, err
 	}
-	hosts := s.Cluster.Hostnames()
 	tripAt := -1.0
-	s.Cluster.OnNodeHalt(func(h string) {
+	s.Cluster.OnNodeHalt(func(int) {
 		if tripAt < 0 {
 			tripAt = s.Engine.Now()
 		}
 	})
 	start := s.Engine.Now()
-	if err := s.Cluster.RunWorkloadOn(hosts, "hpl", power.ActivityHPL, hplMemBytes); err != nil {
+	if err := s.Cluster.RunWorkloadOn(s.Cluster.AllNodes(), "hpl", power.ActivityHPL, hplMemBytes); err != nil {
 		return nil, err
 	}
 	for i := 0; i < 7200 && tripAt < 0; i++ {
@@ -185,10 +184,7 @@ func DTMStudy() (*DTMReport, error) {
 	if err := s.Boot(); err != nil {
 		return nil, err
 	}
-	nd, err := s.Cluster.NodeByHostname("mc07")
-	if err != nil {
-		return nil, err
-	}
+	nd := s.Cluster.Node(6) // mc07, the hot slot
 	gov, err := dtm.New(nd)
 	if err != nil {
 		return nil, err
@@ -197,7 +193,7 @@ func DTMStudy() (*DTMReport, error) {
 		return nil, err
 	}
 	defer gov.Stop()
-	if err := s.Cluster.RunWorkloadOn(s.Cluster.Hostnames(), "hpl", power.ActivityHPL, hplMemBytes); err != nil {
+	if err := s.Cluster.RunWorkloadOn(s.Cluster.AllNodes(), "hpl", power.ActivityHPL, hplMemBytes); err != nil {
 		return nil, err
 	}
 	if err := s.Advance(3600); err != nil {

@@ -265,31 +265,30 @@ func Fig5(iterations int, seed int64) (*HeatmapSet, error) {
 	}
 	commAct := power.Activity{CoreActivity: 0.05, DDRReadGBs: 0.12, DDRWriteGBs: 0.12, PCIeActivity: 0.05}
 
+	all := s.Cluster.AllNodes()
 	for it := 0; it < iterations; it++ {
-		if err := s.Cluster.RunWorkloadOn(hosts, "hpl", power.ActivityHPL, hplMemBytes); err != nil {
+		if err := s.Cluster.RunWorkloadOn(all, "hpl", power.ActivityHPL, hplMemBytes); err != nil {
 			return nil, err
 		}
-		for _, h := range hosts {
-			nd, _ := s.Cluster.NodeByHostname(h)
-			nd.SetNetRates(0, 0)
+		for _, i := range all {
+			s.Cluster.Node(i).SetNetRates(0, 0)
 		}
 		if err := s.Advance(computePerIter); err != nil {
 			return nil, err
 		}
-		if err := s.Cluster.RunWorkloadOn(hosts, "hpl", commAct, hplMemBytes); err != nil {
+		if err := s.Cluster.RunWorkloadOn(all, "hpl", commAct, hplMemBytes); err != nil {
 			return nil, err
 		}
 		perNodeBps := 117.5e6 * 0.8
-		for _, h := range hosts {
-			nd, _ := s.Cluster.NodeByHostname(h)
-			nd.SetNetRates(perNodeBps, perNodeBps)
+		for _, i := range all {
+			s.Cluster.Node(i).SetNetRates(perNodeBps, perNodeBps)
 		}
 		if err := s.Advance(commPerIter); err != nil {
 			return nil, err
 		}
 	}
 	end := s.Engine.Now()
-	s.Cluster.ClearWorkloadOn(hosts)
+	s.Cluster.ClearWorkloadOn(all)
 
 	bin := (end - start) / 64
 	instr, err := examon.BuildHeatmap(s.DB, hosts, examon.HeatmapOptions{
@@ -355,14 +354,14 @@ func fig6(opts Options) (*ThermalReport, error) {
 	if err := s.Boot(); err != nil {
 		return nil, err
 	}
-	hosts := s.Cluster.Hostnames()
+	all := s.Cluster.AllNodes()
 	report := &ThermalReport{Temps: telemetry.NewSet()}
 
-	var tripped string
+	tripped := -1
 	tripAt := -1.0
-	s.Cluster.OnNodeHalt(func(h string) {
-		if tripped == "" {
-			tripped = h
+	s.Cluster.OnNodeHalt(func(i int) {
+		if tripped < 0 {
+			tripped = i
 		}
 	})
 
@@ -383,15 +382,15 @@ func fig6(opts Options) (*ThermalReport, error) {
 
 	// First HPL runs with the lid on.
 	hplStart := s.Engine.Now()
-	if err := s.Cluster.RunWorkloadOn(hosts, "hpl", power.ActivityHPL, hplMemBytes); err != nil {
+	if err := s.Cluster.RunWorkloadOn(all, "hpl", power.ActivityHPL, hplMemBytes); err != nil {
 		return nil, err
 	}
-	for i := 0; i < 7200 && tripped == ""; i++ {
+	for i := 0; i < 7200 && tripped < 0; i++ {
 		if err := s.Advance(1); err != nil {
 			return nil, err
 		}
 	}
-	if tripped == "" {
+	if tripped < 0 {
 		return nil, fmt.Errorf("core: fig6: no thermal trip within two hours")
 	}
 	tripAt = s.Engine.Now() - hplStart
@@ -401,15 +400,14 @@ func fig6(opts Options) (*ThermalReport, error) {
 	}
 	before := 0.0
 	for i := 0; i < s.Cluster.Size(); i++ {
-		nd := s.Cluster.Node(i)
-		if nd.Hostname() == tripped {
+		if i == tripped {
 			continue
 		}
-		if temp := nd.Temperature(thermal.SensorCPU); temp > before {
+		if temp := s.Cluster.Node(i).Temperature(thermal.SensorCPU); temp > before {
 			before = temp
 		}
 	}
-	s.Cluster.ClearWorkloadOn(hosts)
+	s.Cluster.ClearWorkloadOn(all)
 
 	// Mitigation: remove the lids, increase spacing, power-cycle node 7.
 	if err := s.Cluster.ApplyAirflowMitigation(); err != nil {
@@ -418,7 +416,7 @@ func fig6(opts Options) (*ThermalReport, error) {
 	if err := s.Advance(node.R1Duration + node.R2Duration + 300); err != nil {
 		return nil, err
 	}
-	if err := s.Cluster.RunWorkloadOn(hosts, "hpl", power.ActivityHPL, hplMemBytes); err != nil {
+	if err := s.Cluster.RunWorkloadOn(all, "hpl", power.ActivityHPL, hplMemBytes); err != nil {
 		return nil, err
 	}
 	if err := s.Advance(1800); err != nil {
@@ -430,9 +428,9 @@ func fig6(opts Options) (*ThermalReport, error) {
 			after = temp
 		}
 	}
-	s.Cluster.ClearWorkloadOn(hosts)
+	s.Cluster.ClearWorkloadOn(all)
 
-	report.TrippedNode = tripped
+	report.TrippedNode = s.Cluster.Node(tripped).Hostname()
 	report.TripAt = tripAt
 	report.PeakBeforeMitigation = before
 	report.PeakAfterMitigation = after

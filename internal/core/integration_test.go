@@ -66,12 +66,12 @@ func TestPaperStoryEndToEnd(t *testing.T) {
 	// original enclosure, through the scheduler.
 	job, err := s.Scheduler.Submit(sched.JobSpec{
 		Name: "hpl-first", User: "bench", Nodes: 8, TimeLimit: 7200, Duration: 3700,
-		OnStart: func(_ *sched.Job, hosts []string) {
-			if err := s.Cluster.RunWorkloadOn(hosts, "hpl", power.ActivityHPL, hplMemBytes); err != nil {
+		OnStart: func(_ *sched.Job, nodes []int) {
+			if err := s.Cluster.RunWorkloadOn(nodes, "hpl", power.ActivityHPL, hplMemBytes); err != nil {
 				t.Errorf("workload: %v", err)
 			}
 		},
-		OnEnd: func(j *sched.Job, _ sched.JobState) { s.Cluster.ClearWorkloadOn(j.Hosts()) },
+		OnEnd: func(j *sched.Job, _ sched.JobState) { s.Cluster.ClearWorkloadOn(j.Nodes()) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -108,9 +108,7 @@ func TestPaperStoryEndToEnd(t *testing.T) {
 	if err := s.Cluster.ApplyAirflowMitigation(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Scheduler.NodeUp("mc07"); err != nil {
-		t.Fatal(err)
-	}
+	s.Scheduler.NodeUp(6) // mc07
 	if err := s.Advance(120); err != nil {
 		t.Fatal(err)
 	}
@@ -119,12 +117,12 @@ func TestPaperStoryEndToEnd(t *testing.T) {
 	// matches the paper's 12.65 GFLOP/s within tolerance.
 	rerun, err := s.Scheduler.Submit(sched.JobSpec{
 		Name: "hpl-fixed", User: "bench", Nodes: 8, TimeLimit: 7200, Duration: 3700,
-		OnStart: func(_ *sched.Job, hosts []string) {
-			if err := s.Cluster.RunWorkloadOn(hosts, "hpl", power.ActivityHPL, hplMemBytes); err != nil {
+		OnStart: func(_ *sched.Job, nodes []int) {
+			if err := s.Cluster.RunWorkloadOn(nodes, "hpl", power.ActivityHPL, hplMemBytes); err != nil {
 				t.Errorf("workload: %v", err)
 			}
 		},
-		OnEnd: func(j *sched.Job, _ sched.JobState) { s.Cluster.ClearWorkloadOn(j.Hosts()) },
+		OnEnd: func(j *sched.Job, _ sched.JobState) { s.Cluster.ClearWorkloadOn(j.Nodes()) },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -146,12 +146,12 @@ func TestPowerPlaneBudgetEnforcement(t *testing.T) {
 		spec := sched.JobSpec{
 			Name: fmt.Sprintf("hpl-%d", i), User: "ops", Nodes: 4,
 			TimeLimit: 900, Duration: 600, Workload: workload.MustLookup("hpl"),
-			OnStart: func(_ *sched.Job, hosts []string) {
-				if err := s.Cluster.RunWorkloadOn(hosts, "hpl", power.ActivityHPL, 13e9); err != nil {
+			OnStart: func(_ *sched.Job, nodes []int) {
+				if err := s.Cluster.RunWorkloadOn(nodes, "hpl", power.ActivityHPL, 13e9); err != nil {
 					t.Errorf("workload: %v", err)
 				}
 			},
-			OnEnd: func(j *sched.Job, _ sched.JobState) { s.Cluster.ClearWorkloadOn(j.Hosts()) },
+			OnEnd: func(j *sched.Job, _ sched.JobState) { s.Cluster.ClearWorkloadOn(j.Nodes()) },
 		}
 		j, err := s.Scheduler.Submit(spec)
 		if err != nil {
@@ -206,14 +206,14 @@ func TestPowerCapPrefersCoolerNodes(t *testing.T) {
 	if err := s.Boot(); err != nil {
 		t.Fatal(err)
 	}
-	// Heat mc03 (a hot centre slot) under direct HPL for a while.
-	if err := s.Cluster.RunWorkloadOn([]string{"mc03"}, "hpl", power.ActivityHPL, 13e9); err != nil {
+	// Heat mc03 (node 2, a hot centre slot) under direct HPL for a while.
+	if err := s.Cluster.RunWorkloadOn([]int{2}, "hpl", power.ActivityHPL, 13e9); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Advance(600); err != nil {
 		t.Fatal(err)
 	}
-	s.Cluster.ClearWorkloadOn([]string{"mc03"})
+	s.Cluster.ClearWorkloadOn([]int{2})
 	job, err := s.Scheduler.Submit(sched.JobSpec{
 		Name: "probe", User: "ops", Nodes: 1, TimeLimit: 60, Duration: 30, Workload: workload.MustLookup("qe"),
 	})
@@ -223,14 +223,14 @@ func TestPowerCapPrefersCoolerNodes(t *testing.T) {
 	if err := s.Advance(5); err != nil {
 		t.Fatal(err)
 	}
-	hosts := job.Hosts()
-	if len(hosts) != 1 {
-		t.Fatalf("probe not placed: %v (state %s)", hosts, job.State())
+	nodes := job.Nodes()
+	if len(nodes) != 1 {
+		t.Fatalf("probe not placed: %v (state %s)", nodes, job.State())
 	}
-	if hosts[0] == "mc03" {
-		t.Errorf("probe landed on the pre-heated node %v", hosts)
+	if nodes[0] == 2 {
+		t.Errorf("probe landed on the pre-heated node %v", nodes)
 	}
-	if math.IsInf(s.Plane.NodeTempC(hosts[0]), 1) {
-		t.Errorf("advisor has no temperature for %s", hosts[0])
+	if math.IsInf(s.Plane.NodeTempC(nodes[0]), 1) {
+		t.Errorf("advisor has no temperature for node %d", nodes[0])
 	}
 }

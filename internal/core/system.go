@@ -136,14 +136,9 @@ func NewSystem(opts Options) (*System, error) {
 		RNG:       sim.NewRNG(opts.Seed),
 		Plane:     plane,
 	}
-	// Thermal halts surface as SLURM node failures.
-	cl.OnNodeHalt(func(host string) {
-		// NodeDown only fails on unknown hosts; cluster hostnames are the
-		// partition, so this cannot error.
-		if err := sc.NodeDown(host); err != nil {
-			panic(fmt.Sprintf("core: node down: %v", err))
-		}
-	})
+	// Thermal halts surface as SLURM node failures; partition index i is
+	// cluster node i.
+	cl.OnNodeHalt(sc.NodeDown)
 	// Per-node plugins, built in start order: Boot starts them in turn.
 	addPlugins := func(builders ...func(*examon.Broker, *node.Node, string, string) (*examon.Plugin, error)) error {
 		for i := 0; i < cl.Size(); i++ {

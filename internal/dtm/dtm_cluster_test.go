@@ -24,11 +24,8 @@ func hazardCluster(t *testing.T, lockStep bool) (*sim.Engine, *cluster.Cluster, 
 	if err := c.BootAndSettle(1); err != nil {
 		t.Fatal(err)
 	}
-	nd, err := c.NodeByHostname("mc07")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := c.RunWorkloadOn(c.Hostnames(), "hpl", power.ActivityHPL, 13e9); err != nil {
+	nd := c.Node(6) // mc07
+	if err := c.RunWorkloadOn(c.AllNodes(), "hpl", power.ActivityHPL, 13e9); err != nil {
 		t.Fatal(err)
 	}
 	return e, c, nd
@@ -73,8 +70,8 @@ func TestGovernorDisabledTripMatchesLockStep(t *testing.T) {
 		e, c, nd := hazardCluster(t, lockStep)
 		defer c.Stop()
 		cb := -1.0
-		c.OnNodeHalt(func(h string) {
-			if h == "mc07" && cb < 0 {
+		c.OnNodeHalt(func(i int) {
+			if i == 6 && cb < 0 {
 				cb = e.Now()
 			}
 		})

@@ -36,16 +36,12 @@ type Controller struct {
 	cfg  Config
 	plan *Plan
 
-	// stragglers and netSlow feed the scheduler's runtime scaler.
-	stragglers map[string]float64 // hostname -> slowdown
-	netSlow    float64            // active window's job stretch, 1 outside
+	// netSlow (with the plan's stragglers) feeds the scheduler's runtime
+	// scaler: the active window's job stretch, 1 outside.
+	netSlow float64
 
-	// thermFaulted marks hosts carrying an injected airflow fault (their
-	// halts are ours to repair; natural runaways stay down as before).
-	thermFaulted map[string]bool
-	// downSince tracks open outages: hostname -> engine time the outage
-	// began (crash instant or fault-induced halt).
-	downSince map[string]float64
+	// nodes holds each node's fault state, indexed like cluster.Node.
+	nodes []nodeFaults
 
 	crashes    int
 	injects    int
@@ -54,6 +50,17 @@ type Controller struct {
 	netWindows int
 	repairs    int
 	downDoneS  float64 // closed-outage node-seconds: every repair time
+}
+
+// nodeFaults is one node's fault state.
+type nodeFaults struct {
+	// thermFaulted marks a node carrying an injected airflow fault (its
+	// halts are ours to repair; natural runaways stay down as before).
+	thermFaulted bool
+	// down marks an open outage, which began at engine time downSince
+	// (crash instant or fault-induced halt).
+	down      bool
+	downSince float64
 }
 
 // Stats is the controller's accounting snapshot, campaign-report ready.
@@ -83,15 +90,10 @@ func NewController(cfg Config) (*Controller, error) {
 		return nil, err
 	}
 	c := &Controller{
-		cfg:          cfg,
-		plan:         Compile(cfg.Spec, cfg.RNG, cfg.Cluster.Size(), cfg.HorizonS),
-		stragglers:   map[string]float64{},
-		netSlow:      1,
-		thermFaulted: map[string]bool{},
-		downSince:    map[string]float64{},
-	}
-	for n, slow := range c.plan.Stragglers {
-		c.stragglers[cfg.Cluster.Node(n).Hostname()] = slow
+		cfg:     cfg,
+		plan:    Compile(cfg.Spec, cfg.RNG, cfg.Cluster.Size(), cfg.HorizonS),
+		netSlow: 1,
+		nodes:   make([]nodeFaults, cfg.Cluster.Size()),
 	}
 	cfg.Cluster.OnNodeHalt(c.nodeHalted)
 	cfg.Cluster.OnNodeBoot(c.nodeBooted)
@@ -144,14 +146,14 @@ func (c *Controller) Arm() error {
 // network window at least at the window's stretch. Factors do not stack
 // (the max applies) — a job on a slow node inside a slow window is bound
 // by whichever bottleneck is worse.
-func (c *Controller) Slowdown(job *sched.Job, hosts []string) float64 {
+func (c *Controller) Slowdown(job *sched.Job, nodes []int) float64 {
 	s := 1.0
-	for _, h := range hosts {
-		if f := c.stragglers[h]; f > s {
+	for _, n := range nodes {
+		if f := c.plan.Stragglers[n]; f > s {
 			s = f
 		}
 	}
-	if len(hosts) > 1 && c.netSlow > s {
+	if len(nodes) > 1 && c.netSlow > s {
 		s = c.netSlow
 	}
 	return s
@@ -167,18 +169,17 @@ func (c *Controller) Stats(now float64) Stats {
 		Trips:          c.trips,
 		PowerSteps:     c.powerSteps,
 		NetWindows:     c.netWindows,
-		StragglerNodes: len(c.stragglers),
+		StragglerNodes: len(c.plan.Stragglers),
 		Repairs:        c.repairs,
 		DownNodeS:      c.downDoneS,
 	}
 	if c.repairs > 0 {
 		st.MTTRS = c.downDoneS / float64(c.repairs)
 	}
-	// Node order: float addition is not associative, and map order would
-	// change the sum from call to call.
-	for i := 0; i < c.cfg.Cluster.Size(); i++ {
-		if since, down := c.downSince[c.cfg.Cluster.Node(i).Hostname()]; down && now > since {
-			st.DownNodeS += now - since
+	// Node order: float addition is not associative.
+	for _, nf := range c.nodes {
+		if nf.down && now > nf.downSince {
+			st.DownNodeS += now - nf.downSince
 		}
 	}
 	return st
@@ -196,8 +197,8 @@ func (c *Controller) rel(now float64) float64 { return now - c.cfg.StartT }
 // that is already down (off, halted, or mid-outage) absorbs the crash.
 func (c *Controller) crash(n int) {
 	nd := c.cfg.Cluster.Node(n)
-	host := nd.Hostname()
-	if _, down := c.downSince[host]; down {
+	nf := &c.nodes[n]
+	if nf.down {
 		return
 	}
 	if st := nd.State(); st != node.StateRunning && st != node.StateBooting {
@@ -206,21 +207,19 @@ func (c *Controller) crash(n int) {
 	now := c.cfg.Engine.Now()
 	reboot := c.cfg.Spec.Crash.rebootS()
 	c.crashes++
-	c.downSince[host] = now
-	c.logf("t=%10.1f fault  crash  %-14s reboot=%.0fs", c.rel(now), host, reboot)
+	nf.down, nf.downSince = true, now
+	c.logf("t=%10.1f fault  crash  %-14s reboot=%.0fs", c.rel(now), nd.Hostname(), reboot)
 	nd.PowerOff()
-	if err := c.cfg.Sched.NodeDown(host); err != nil {
-		panic(fmt.Sprintf("fault: node down %s: %v", host, err))
-	}
+	c.cfg.Sched.NodeDown(n)
 	_, err := c.cfg.Engine.ScheduleAfter(reboot, "fault.reboot", func(e *sim.Engine) {
 		if nd.State() == node.StateOff {
 			if perr := nd.PowerOn(e.Now()); perr != nil {
-				panic(fmt.Sprintf("fault: reboot %s: %v", host, perr))
+				panic(fmt.Sprintf("fault: reboot %s: %v", nd.Hostname(), perr))
 			}
 		}
 	})
 	if err != nil {
-		panic(fmt.Sprintf("fault: schedule reboot %s: %v", host, err))
+		panic(fmt.Sprintf("fault: schedule reboot %s: %v", nd.Hostname(), err))
 	}
 }
 
@@ -229,67 +228,59 @@ func (c *Controller) crash(n int) {
 // is handled by nodeHalted.
 func (c *Controller) injectThermal(n int) {
 	nd := c.cfg.Cluster.Node(n)
-	host := nd.Hostname()
 	th := c.cfg.Spec.Thermal
 	now := c.cfg.Engine.Now()
 	c.injects++
-	c.thermFaulted[host] = true
-	c.logf("t=%10.1f fault  airflow %-13s rth+=%.1fK/W air+=%.1fC", c.rel(now), host, th.extraRthKW(), th.extraAirC())
+	c.nodes[n].thermFaulted = true
+	c.logf("t=%10.1f fault  airflow %-13s rth+=%.1fK/W air+=%.1fC", c.rel(now), nd.Hostname(), th.extraRthKW(), th.extraAirC())
 	nd.InjectThermalFault(th.extraRthKW(), th.extraAirC())
 }
 
-// nodeHalted runs on every cluster halt; halts of hosts we faulted are
+// nodeHalted runs on every cluster halt; halts of nodes we faulted are
 // ours to repair (fan fix + power cycle after RepairS). Natural runaways
-// on healthy hosts stay down, exactly as without the fault subsystem.
-func (c *Controller) nodeHalted(host string) {
-	if !c.thermFaulted[host] {
+// on healthy nodes stay down, exactly as without the fault subsystem.
+func (c *Controller) nodeHalted(n int) {
+	nf := &c.nodes[n]
+	if !nf.thermFaulted || nf.down {
 		return
 	}
-	if _, down := c.downSince[host]; down {
-		return
-	}
+	nd := c.cfg.Cluster.Node(n)
 	now := c.cfg.Engine.Now()
 	repair := c.cfg.Spec.Thermal.repairS()
 	c.trips++
-	c.downSince[host] = now
-	c.logf("t=%10.1f fault  trip   %-14s repair=%.0fs", c.rel(now), host, repair)
-	nd, err := c.cfg.Cluster.NodeByHostname(host)
-	if err != nil {
-		panic(fmt.Sprintf("fault: halt of unknown host %s", host))
-	}
-	_, err = c.cfg.Engine.ScheduleAfter(repair, "fault.repair", func(e *sim.Engine) {
+	nf.down, nf.downSince = true, now
+	c.logf("t=%10.1f fault  trip   %-14s repair=%.0fs", c.rel(now), nd.Hostname(), repair)
+	_, err := c.cfg.Engine.ScheduleAfter(repair, "fault.repair", func(e *sim.Engine) {
 		if nd.State() != node.StateHalted {
 			return
 		}
-		c.thermFaulted[host] = false
+		nf.thermFaulted = false
 		nd.ClearThermalFault()
 		nd.PowerOff()
 		if perr := nd.PowerOn(e.Now()); perr != nil {
-			panic(fmt.Sprintf("fault: repair %s: %v", host, perr))
+			panic(fmt.Sprintf("fault: repair %s: %v", nd.Hostname(), perr))
 		}
-		c.logf("t=%10.1f fault  repair %-14s power-cycled", c.rel(e.Now()), host)
+		c.logf("t=%10.1f fault  repair %-14s power-cycled", c.rel(e.Now()), nd.Hostname())
 	})
 	if err != nil {
-		panic(fmt.Sprintf("fault: schedule repair %s: %v", host, err))
+		panic(fmt.Sprintf("fault: schedule repair %s: %v", nd.Hostname(), err))
 	}
 }
 
-// nodeBooted closes the outage when a repaired/rebooted host finishes
+// nodeBooted closes the outage when a repaired/rebooted node finishes
 // booting and returns it to the scheduler.
-func (c *Controller) nodeBooted(host string) {
-	since, ok := c.downSince[host]
-	if !ok {
+func (c *Controller) nodeBooted(n int) {
+	nf := &c.nodes[n]
+	if !nf.down {
 		return
 	}
-	delete(c.downSince, host)
+	nf.down = false
 	now := c.cfg.Engine.Now()
-	d := now - since
+	d := now - nf.downSince
 	c.repairs++
 	c.downDoneS += d
-	if err := c.cfg.Sched.NodeUp(host); err != nil {
-		panic(fmt.Sprintf("fault: node up %s: %v", host, err))
-	}
-	c.logf("t=%10.1f fault  up     %-14s down=%.1fs", c.rel(now), host, d)
+	c.cfg.Sched.NodeUp(n)
+	c.logf("t=%10.1f fault  up     %-14s down=%.1fs", c.rel(now), c.cfg.Cluster.Node(n).Hostname(), d)
 }
 
 // powerStep rewrites the facility budget (brownout or recovery). The

@@ -6,7 +6,6 @@ import (
 	"sort"
 	"testing"
 
-	"montecimone/internal/cluster"
 	"montecimone/internal/sim"
 )
 
@@ -147,15 +146,9 @@ func TestRequeueDefaults(t *testing.T) {
 // TestStatsRepeatable: open outages are charged in a fixed order, so every
 // snapshot at the same instant returns the same bits.
 func TestStatsRepeatable(t *testing.T) {
-	cl, err := cluster.New(sim.NewEngine(), cluster.Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c := &Controller{
-		cfg:       Config{Cluster: cl},
-		downDoneS: 5804.7,
-		downSince: map[string]float64{"mc03": 1828.7, "mc06": 3288.8},
-	}
+	c := &Controller{plan: &Plan{}, downDoneS: 5804.7, nodes: make([]nodeFaults, 8)}
+	c.nodes[2] = nodeFaults{down: true, downSince: 1828.7}
+	c.nodes[5] = nodeFaults{down: true, downSince: 3288.8}
 	want := c.Stats(5994.7).DownNodeS
 	for call := 1; call < 200; call++ {
 		if got := c.Stats(5994.7).DownNodeS; math.Float64bits(got) != math.Float64bits(want) {

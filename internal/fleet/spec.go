@@ -155,6 +155,10 @@ func (s *Spec) Validate() error {
 		if c.Nodes < 1 {
 			return fmt.Errorf("fleet: spec %q: cluster %s: nodes must be positive, got %d", s.Name, c.ID, c.Nodes)
 		}
+		if c.Nodes > campaign.MaxSpecSize {
+			return fmt.Errorf("fleet: spec %q: cluster %s: nodes must be at most %d, got %d",
+				s.Name, c.ID, campaign.MaxSpecSize, c.Nodes)
+		}
 		if c.AmbientC < 0 || c.AmbientC >= thermal.TripTempC {
 			return fmt.Errorf("fleet: spec %q: cluster %s: ambient %v °C outside [0,%v)", s.Name, c.ID, c.AmbientC, thermal.TripTempC)
 		}
@@ -196,6 +200,10 @@ func (s *Spec) Validate() error {
 		if st := t.Stream; st != nil {
 			if st.RatePerHour <= 0 || st.Count <= 0 {
 				return fmt.Errorf("fleet: spec %q: tenant %s: stream needs positive rate_per_hour and count", s.Name, t.Name)
+			}
+			if st.Count > campaign.MaxSpecSize {
+				return fmt.Errorf("fleet: spec %q: tenant %s: stream count must be at most %d, got %d",
+					s.Name, t.Name, campaign.MaxSpecSize, st.Count)
 			}
 			if err := validateSubmission(st.Template, maxNodes); err != nil {
 				return fmt.Errorf("fleet: spec %q: tenant %s stream template: %w", s.Name, t.Name, err)

@@ -63,6 +63,12 @@ func TestValidateRejections(t *testing.T) {
 		{"negative arrive", func(s *Spec) { s.Tenants[0].Campaigns[0].ArriveS = -1 }, "negative arrive_s"},
 		{"negative workers", func(s *Spec) { s.Workers = -1 }, "workers"},
 		{"bad stream rate", func(s *Spec) { s.Tenants[1].Stream.RatePerHour = 0 }, "rate_per_hour"},
+		// Sizes past campaign.MaxSpecSize fail here instead of exhausting
+		// memory in cluster.New or the router's stream expansion.
+		{"nodes over the cap", func(s *Spec) { s.Clusters[0].Nodes = 2000000000 },
+			"cluster bologna: nodes must be at most 1000000, got 2000000000"},
+		{"stream count over the cap", func(s *Spec) { s.Tenants[1].Stream.Count = 2000000000 },
+			"stream count must be at most 1000000, got 2000000000"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -81,8 +81,8 @@ type Governor struct {
 	hs          []*examon.SeriesHandle
 	vs          []float64
 
-	perNode map[string]float64 // scratch: measured draw per host, watts
-	caps    map[string]float64 // last distributed caps, watts
+	perNode map[string]float64 // scratch: measured draw by telemetry node tag, watts
+	caps    []float64          // last distributed caps, watts, indexed like cl.Node; 0 = none
 	aggRes  []examon.AggSeries // scratch: reused measurement query result
 	shares  []share            // scratch: reused per-tick distribution table
 }
@@ -90,7 +90,6 @@ type Governor struct {
 // share is one running node's row in the distribute() water-filling pass.
 type share struct {
 	i      int // node index
-	host   string
 	draw   float64
 	cap    float64
 	capped bool
@@ -122,7 +121,7 @@ func New(engine *sim.Engine, cl *cluster.Cluster, store *examon.MemStore, broker
 		cfg:     cfg,
 		govs:    make([]*dtm.Governor, cl.Size()),
 		perNode: make(map[string]float64, cl.Size()),
-		caps:    make(map[string]float64, cl.Size()),
+		caps:    make([]float64, cl.Size()),
 	}
 	for i := range g.govs {
 		gov, err := dtm.New(cl.Node(i))
@@ -262,16 +261,15 @@ func (g *Governor) distribute() {
 	g.throttled = 0
 	for i, gov := range g.govs {
 		nd := g.cl.Node(i)
-		host := nd.Hostname()
 		if nd.State() != node.StateRunning {
 			gov.SetPowerCapW(0) // nothing to enforce on a node that is down
-			delete(g.caps, host)
+			g.caps[i] = 0
 			continue
 		}
 		if gov.Scale() < 1 {
 			g.throttled++
 		}
-		active = append(active, share{i: i, host: host, draw: g.perNode[host]})
+		active = append(active, share{i: i, draw: g.perNode[nd.Hostname()]})
 	}
 	g.shares = active
 	if len(active) == 0 {
@@ -303,7 +301,7 @@ func (g *Governor) distribute() {
 		}
 	}
 	for _, s := range active {
-		g.caps[s.host] = s.cap
+		g.caps[s.i] = s.cap
 		g.govs[s.i].SetPowerCapW(s.cap)
 	}
 }
@@ -314,11 +312,8 @@ func (g *Governor) distribute() {
 func (g *Governor) publish(now float64) {
 	g.hs = append(g.hs[:0], g.stateSeries[:]...)
 	g.vs = append(g.vs[:0], g.cfg.BudgetW, g.drawW, g.cfg.BudgetW-g.drawW, float64(g.throttled))
-	// Node order, not map order: telemetry ingest order must be
-	// deterministic for the byte-identical regeneration guarantee.
-	for i := 0; i < g.cl.Size(); i++ {
-		cap, ok := g.caps[g.cl.Node(i).Hostname()]
-		if !ok {
+	for i, cap := range g.caps {
+		if cap == 0 {
 			continue
 		}
 		g.hs = append(g.hs, g.capSeries[i])
@@ -366,12 +361,13 @@ type Snapshot struct {
 // /api/v2/powerplane endpoint).
 func (g *Governor) Snapshot() Snapshot {
 	caps := make(map[string]float64, len(g.caps))
-	for h, c := range g.caps {
-		caps[h] = c
-	}
 	scales := make(map[string]float64, len(g.govs))
 	for i, gov := range g.govs {
-		scales[g.cl.Node(i).Hostname()] = gov.Scale()
+		host := g.cl.Node(i).Hostname()
+		if g.caps[i] != 0 {
+			caps[host] = g.caps[i]
+		}
+		scales[host] = gov.Scale()
 	}
 	return Snapshot{
 		BudgetW:        g.cfg.BudgetW,
@@ -431,14 +427,10 @@ func (g *Governor) HeadroomWatts() float64 {
 	return h
 }
 
-// NodeTempC returns the junction temperature for cooler-node placement.
-// Unknown hosts read +Inf so they sort last.
-func (g *Governor) NodeTempC(host string) float64 {
-	nd, err := g.cl.NodeByHostname(host)
-	if err != nil {
-		return math.Inf(1)
-	}
-	return nd.Temperature(thermal.SensorCPU)
+// NodeTempC returns node i's junction temperature for cooler-node
+// placement.
+func (g *Governor) NodeTempC(i int) float64 {
+	return g.cl.Node(i).Temperature(thermal.SensorCPU)
 }
 
 // NotePlacement reserves a just-placed job's predicted watts until the

@@ -82,7 +82,7 @@ func TestNewValidation(t *testing.T) {
 func TestCapsEnforceBudget(t *testing.T) {
 	const budget = 44.0 // 8 HPL nodes want ~47.5 W on the rails
 	e, c, g := rig(t, Config{BudgetW: budget})
-	if err := c.RunWorkloadOn(c.Hostnames(), "hpl", power.ActivityHPL, 13e9); err != nil {
+	if err := c.RunWorkloadOn(c.AllNodes(), "hpl", power.ActivityHPL, 13e9); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.RunUntil(e.Now() + 120); err != nil {
@@ -106,7 +106,7 @@ func TestCapsEnforceBudget(t *testing.T) {
 		t.Errorf("distributed caps sum to %.2f W above the budget", capTotal)
 	}
 	// Clearing the load recovers the nodes to nominal.
-	c.ClearWorkloadOn(c.Hostnames())
+	c.ClearWorkloadOn(c.AllNodes())
 	if err := e.RunUntil(e.Now() + 300); err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestGovernorsActInNodeOrder(t *testing.T) {
 		if err := c.BootAndSettle(1); err != nil {
 			t.Fatal(err)
 		}
-		if err := c.RunWorkloadOn(c.Hostnames(), "hpl", power.ActivityHPL, 13e9); err != nil {
+		if err := c.RunWorkloadOn(c.AllNodes(), "hpl", power.ActivityHPL, 13e9); err != nil {
 			t.Fatal(err)
 		}
 		g, err := New(e, c, db, broker, Config{BudgetW: 8})
@@ -195,11 +195,8 @@ func TestAdvisorContract(t *testing.T) {
 	if g.Snapshot().ReservedW != 0 {
 		t.Errorf("reservation did not expire: %+v", g.Snapshot())
 	}
-	if temp := g.NodeTempC("mc01"); temp < 20 || temp > 110 {
-		t.Errorf("NodeTempC(mc01) = %v", temp)
-	}
-	if !math.IsInf(g.NodeTempC("nope"), 1) {
-		t.Error("unknown host temperature not +Inf")
+	if temp := g.NodeTempC(0); temp < 20 || temp > 110 {
+		t.Errorf("NodeTempC(0) = %v", temp)
 	}
 }
 

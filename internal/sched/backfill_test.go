@@ -13,12 +13,8 @@ import (
 // that is not starting cannot be delayed.
 func TestReservationDownNodesSentinel(t *testing.T) {
 	_, s := newSched(t, 4)
-	if err := s.NodeDown("mc03"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.NodeDown("mc04"); err != nil {
-		t.Fatal(err)
-	}
+	s.NodeDown(2)
+	s.NodeDown(3)
 	head := s.mustSubmit(t, JobSpec{Name: "head", Nodes: 4, TimeLimit: 100, Duration: 10})
 	shadow, extra := s.reservation(head)
 	if !math.IsInf(shadow, 1) {
@@ -34,12 +30,8 @@ func TestBackfillProceedsWhenHeadCanNeverFit(t *testing.T) {
 	// 2 idle + 2 down; the head wants 4 and can never start until a
 	// NodeUp. The small job must still backfill (regression: the seed
 	// starved it).
-	if err := s.NodeDown("mc03"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.NodeDown("mc04"); err != nil {
-		t.Fatal(err)
-	}
+	s.NodeDown(2)
+	s.NodeDown(3)
 	head := s.mustSubmit(t, JobSpec{Name: "head", Nodes: 4, TimeLimit: 100, Duration: 10})
 	small := s.mustSubmit(t, JobSpec{Name: "small", Nodes: 1, TimeLimit: 1000, Duration: 300})
 	if err := e.RunUntil(5); err != nil {
@@ -51,12 +43,8 @@ func TestBackfillProceedsWhenHeadCanNeverFit(t *testing.T) {
 	if head.State() != StatePending {
 		t.Fatalf("head state %s, want PENDING", head.State())
 	}
-	if err := s.NodeUp("mc03"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.NodeUp("mc04"); err != nil {
-		t.Fatal(err)
-	}
+	s.NodeUp(2)
+	s.NodeUp(3)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -105,9 +93,7 @@ func TestCancelRequeuedClone(t *testing.T) {
 	if err := e.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.NodeDown("mc01"); err != nil {
-		t.Fatal(err)
-	}
+	s.NodeDown(0)
 	if err := e.RunUntil(20); err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +114,7 @@ func TestCancelRequeuedClone(t *testing.T) {
 	if got := len(s.Squeue()); got != 0 {
 		t.Errorf("squeue rows = %d after cancel, want 0", got)
 	}
-	if err := s.NodeUp("mc01"); err != nil {
-		t.Fatal(err)
-	}
+	s.NodeUp(0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +126,7 @@ func TestCancelRequeuedClone(t *testing.T) {
 
 func TestNodeUpStartsBlockedHead(t *testing.T) {
 	e, s := newSched(t, 2)
-	if err := s.NodeDown("mc02"); err != nil {
-		t.Fatal(err)
-	}
+	s.NodeDown(1)
 	j := s.mustSubmit(t, JobSpec{Name: "wide", Nodes: 2, TimeLimit: 50, Duration: 20})
 	if err := e.RunUntil(30); err != nil {
 		t.Fatal(err)
@@ -152,9 +134,7 @@ func TestNodeUpStartsBlockedHead(t *testing.T) {
 	if j.State() != StatePending {
 		t.Fatalf("job state %s with a node down, want PENDING", j.State())
 	}
-	if err := s.NodeUp("mc02"); err != nil {
-		t.Fatal(err)
-	}
+	s.NodeUp(1)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -186,8 +166,9 @@ func TestSubmitDuringOnEnd(t *testing.T) {
 	if follow == nil {
 		t.Fatal("OnEnd submission did not happen")
 	}
-	if follow.SubmitTime() != 30 || follow.StartTime() != 30 {
-		t.Errorf("follow submit/start = %v/%v, want 30/30", follow.SubmitTime(), follow.StartTime())
+	submit := s.Sacct()[follow.ID-1].Submit // sacct rows are by job id, from 1
+	if submit != 30 || follow.StartTime() != 30 {
+		t.Errorf("follow submit/start = %v/%v, want 30/30", submit, follow.StartTime())
 	}
 	if follow.State() != StateCompleted {
 		t.Errorf("follow state = %s", follow.State())
@@ -216,10 +197,10 @@ func TestLinearScanMatchesIndexed(t *testing.T) {
 			}
 			jobs = append(jobs, j)
 		}
-		if _, err := e.ScheduleAt(60, "down", func(*sim.Engine) { _ = s.NodeDown("mc05") }); err != nil {
+		if _, err := e.ScheduleAt(60, "down", func(*sim.Engine) { s.NodeDown(4) }); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := e.ScheduleAt(200, "up", func(*sim.Engine) { _ = s.NodeUp("mc05") }); err != nil {
+		if _, err := e.ScheduleAt(200, "up", func(*sim.Engine) { s.NodeUp(4) }); err != nil {
 			t.Fatal(err)
 		}
 		if err := e.Run(); err != nil {
@@ -248,7 +229,7 @@ func TestCancelDuringOnStart(t *testing.T) {
 	var victim *Job
 	s.mustSubmit(t, JobSpec{
 		Name: "canceller", Nodes: 1, TimeLimit: 50, Duration: 20,
-		OnStart: func(*Job, []string) {
+		OnStart: func(*Job, []int) {
 			if err := s.Cancel(victim.ID); err != nil {
 				t.Errorf("cancel during OnStart: %v", err)
 			}
@@ -261,7 +242,7 @@ func TestCancelDuringOnStart(t *testing.T) {
 	if victim.State() != StateCancelled {
 		t.Errorf("victim state = %s, want CANCELLED", victim.State())
 	}
-	if victim.StartTime() != 0 || len(victim.Hosts()) != 0 {
-		t.Errorf("victim ran anyway: start %v hosts %v", victim.StartTime(), victim.Hosts())
+	if victim.StartTime() != 0 || len(victim.Nodes()) != 0 {
+		t.Errorf("victim ran anyway: start %v nodes %v", victim.StartTime(), victim.Nodes())
 	}
 }

@@ -13,23 +13,18 @@ import (
 // node to service, with no other scheduler activity in between.
 func TestNodeUpKicksScheduler(t *testing.T) {
 	e, s := newSched(t, 2)
-	for _, h := range hosts(2) {
-		if err := s.NodeDown(h); err != nil {
-			t.Fatal(err)
-		}
-	}
+	s.NodeDown(0)
+	s.NodeDown(1)
 	started := false
 	s.mustSubmit(t, JobSpec{Name: "waiter", Nodes: 1, TimeLimit: 100, Duration: 10,
-		OnStart: func(*Job, []string) { started = true }})
+		OnStart: func(*Job, []int) { started = true }})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if started {
 		t.Fatal("job started with every node down")
 	}
-	if err := s.NodeUp("mc01"); err != nil {
-		t.Fatal(err)
-	}
+	s.NodeUp(0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +42,7 @@ func TestRequeueBounded(t *testing.T) {
 	var lastState JobState
 	s.mustSubmit(t, JobSpec{Name: "victim", Nodes: 1, TimeLimit: 1000, Duration: 500,
 		Requeue: true, MaxRequeues: 2,
-		OnStart: func(j *Job, _ []string) { attempts = append(attempts, j.Attempt()) },
+		OnStart: func(j *Job, _ []int) { attempts = append(attempts, j.Attempt()) },
 		OnEnd: func(_ *Job, st JobState) {
 			fails++
 			lastState = st
@@ -56,12 +51,8 @@ func TestRequeueBounded(t *testing.T) {
 		if err := e.RunUntil(100 * float64(i+1)); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.NodeDown("mc01"); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.NodeUp("mc01"); err != nil {
-			t.Fatal(err)
-		}
+		s.NodeDown(0)
+		s.NodeUp(0)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -89,7 +80,7 @@ func TestOnRequeueMutatesClone(t *testing.T) {
 			}
 			next.Duration = 40 // resume near the end
 		},
-		OnStart: func(j *Job, _ []string) { start = e.Now() },
+		OnStart: func(j *Job, _ []int) { start = e.Now() },
 		OnEnd: func(_ *Job, st JobState) {
 			if st == StateCompleted {
 				end = e.Now()
@@ -99,12 +90,8 @@ func TestOnRequeueMutatesClone(t *testing.T) {
 	if err := e.RunUntil(100); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.NodeDown("mc01"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.NodeUp("mc01"); err != nil {
-		t.Fatal(err)
-	}
+	s.NodeDown(0)
+	s.NodeUp(0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -121,12 +108,12 @@ func TestOnRequeueMutatesClone(t *testing.T) {
 // reports the applied scale.
 func TestRuntimeScalerStretchesIntoTimeout(t *testing.T) {
 	e, s := newSched(t, 1)
-	s.SetRuntimeScaler(func(*Job, []string) float64 { return 3 })
+	s.SetRuntimeScaler(func(*Job, []int) float64 { return 3 })
 	var scale float64
 	var start, end float64
 	var final JobState
 	s.mustSubmit(t, JobSpec{Name: "slow", Nodes: 1, TimeLimit: 20, Duration: 10,
-		OnStart: func(j *Job, _ []string) { start, scale = e.Now(), j.RuntimeScale() },
+		OnStart: func(j *Job, _ []int) { start, scale = e.Now(), j.RuntimeScale() },
 		OnEnd:   func(_ *Job, st JobState) { end, final = e.Now(), st }})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
@@ -143,11 +130,11 @@ func TestRuntimeScalerStretchesIntoTimeout(t *testing.T) {
 // SetRuntimeScaler lengthens the run without tripping the limit.
 func TestRuntimeScalerSetterEquivalent(t *testing.T) {
 	e, s := newSched(t, 1)
-	s.SetRuntimeScaler(func(*Job, []string) float64 { return 1.5 })
+	s.SetRuntimeScaler(func(*Job, []int) float64 { return 1.5 })
 	var start, end float64
 	var final JobState
 	s.mustSubmit(t, JobSpec{Name: "slowish", Nodes: 1, TimeLimit: 20, Duration: 10,
-		OnStart: func(*Job, []string) { start = e.Now() },
+		OnStart: func(*Job, []int) { start = e.Now() },
 		OnEnd:   func(_ *Job, st JobState) { end, final = e.Now(), st }})
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

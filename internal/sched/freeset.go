@@ -6,16 +6,16 @@ import (
 )
 
 // freeIndex presents the idle node set to the scheduling passes. Both
-// implementations report idle hosts in partition order, which keeps
+// implementations report idle nodes in partition order, which keeps
 // allocation deterministic.
 type freeIndex interface {
 	// Count returns the number of idle nodes.
 	Count() int
-	// Hosts returns the idle hostnames in partition order. The slice is
-	// only valid until the next Hosts call: implementations may reuse one
-	// scratch buffer, so callers (the policies' PickHosts) must not retain
-	// it — the scheduler copies the chosen allocation before the next pass.
-	Hosts() []string
+	// Idle returns the idle partition indexes, ascending. The slice may
+	// be the index's own storage: it is valid until the next Add or
+	// Remove, and callers (the policies' PickHosts) must not modify it —
+	// the scheduler copies the chosen allocation before removing it.
+	Idle() []int
 	// Add records that the node at partition index idx became idle.
 	Add(idx int)
 	// Remove records that the node at partition index idx left the idle set.
@@ -23,26 +23,15 @@ type freeIndex interface {
 }
 
 // indexedFree keeps the idle nodes as a sorted slice of partition indexes,
-// maintained incrementally: Count is O(1) and Hosts touches only the idle
-// set, so a scheduling pass never rescans the whole partition.
+// maintained incrementally: Count is O(1) and Idle hands out the slice
+// itself, so a scheduling pass never rescans or copies the partition.
 type indexedFree struct {
-	order []string
-	idx   []int    // idle partition indexes, ascending
-	hosts []string // Hosts scratch, reused across scheduling passes
+	idx []int // idle partition indexes, ascending
 }
 
 func (f *indexedFree) Count() int { return len(f.idx) }
 
-func (f *indexedFree) Hosts() []string {
-	// Reuse one scratch buffer: on a 10k-node partition a fresh O(free)
-	// slice per job placement dominated the whole campaign's allocation
-	// profile. The freeIndex contract forbids callers retaining the result.
-	f.hosts = f.hosts[:0]
-	for _, n := range f.idx {
-		f.hosts = append(f.hosts, f.order[n])
-	}
-	return f.hosts
-}
+func (f *indexedFree) Idle() []int { return f.idx }
 
 func (f *indexedFree) Add(n int) {
 	i := sort.SearchInts(f.idx, n)
@@ -66,21 +55,13 @@ func (f *indexedFree) Remove(n int) {
 // the throughput benchmarks (see WithLinearScan).
 type linearFree struct{ s *Scheduler }
 
-func (f *linearFree) Count() int {
-	n := 0
-	for _, h := range f.s.order {
-		if f.s.nodes[h].state == NodeIdle {
-			n++
-		}
-	}
-	return n
-}
+func (f *linearFree) Count() int { return len(f.Idle()) }
 
-func (f *linearFree) Hosts() []string {
-	var idle []string
-	for _, h := range f.s.order {
-		if f.s.nodes[h].state == NodeIdle {
-			idle = append(idle, h)
+func (f *linearFree) Idle() []int {
+	var idle []int
+	for i, ni := range f.s.nodes {
+		if ni.state == NodeIdle {
+			idle = append(idle, i)
 		}
 	}
 	return idle

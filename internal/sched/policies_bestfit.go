@@ -39,7 +39,7 @@ func (bestFitPolicy) BackfillOrder(cands []*Job) []*Job {
 	return out
 }
 
-func (bestFitPolicy) PickHosts(free []string, job *Job) []string {
+func (bestFitPolicy) PickHosts(free []int, job *Job) []int {
 	n := job.Spec.Nodes
 	if 2*n >= len(free) {
 		return free[:n]

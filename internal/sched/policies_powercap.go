@@ -46,17 +46,29 @@ func (p *powercapPolicy) Admit(job *Job, runningJobs int) bool {
 }
 
 // PickHosts allocates the coolest idle nodes first (ties keep partition
-// order via the stable sort). Temperatures are read once per host, not
-// inside the comparator.
-func (p *powercapPolicy) PickHosts(free []string, job *Job) []string {
+// order via the stable sort). Each idle node's temperature is read once,
+// in partition order and not inside the comparator: a read integrates the
+// node and may fire its halt, whose NodeDown shifts the scheduler's idle
+// slice, so free is copied before the first read.
+func (p *powercapPolicy) PickHosts(free []int, job *Job) []int {
 	if p.advisor == nil {
 		return free[:job.Spec.Nodes]
 	}
-	order := append([]string(nil), free...)
-	temps := make(map[string]float64, len(order))
-	for _, h := range order {
-		temps[h] = p.advisor.NodeTempC(h)
+	type nodeTemp struct {
+		node  int
+		tempC float64
 	}
-	sort.SliceStable(order, func(i, j int) bool { return temps[order[i]] < temps[order[j]] })
-	return order[:job.Spec.Nodes]
+	byTemp := make([]nodeTemp, len(free))
+	for k, i := range free {
+		byTemp[k].node = i
+	}
+	for k := range byTemp {
+		byTemp[k].tempC = p.advisor.NodeTempC(byTemp[k].node)
+	}
+	sort.SliceStable(byTemp, func(a, b int) bool { return byTemp[a].tempC < byTemp[b].tempC })
+	picked := make([]int, job.Spec.Nodes)
+	for k := range picked {
+		picked[k] = byTemp[k].node
+	}
+	return picked
 }

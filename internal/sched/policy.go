@@ -32,10 +32,11 @@ type Policy interface {
 	// tried. cands holds the pending jobs behind the head in queue
 	// priority order and must not be mutated in place.
 	BackfillOrder(cands []*Job) []*Job
-	// PickHosts selects job.Spec.Nodes hosts for a starting job. free
-	// lists the idle hostnames in partition order; the returned hosts must
-	// be distinct members of free.
-	PickHosts(free []string, job *Job) []string
+	// PickHosts selects job.Spec.Nodes nodes for a starting job. free
+	// lists the idle partition indexes, ascending, and belongs to the
+	// scheduler: it must not be modified. The returned indexes must be
+	// distinct members of free.
+	PickHosts(free []int, job *Job) []int
 }
 
 // PolicyNames lists the registered policy names in presentation order.
@@ -72,9 +73,9 @@ type PowerAdvisor interface {
 	// new placements (budget minus measured draw minus unexpired
 	// placement reservations).
 	HeadroomWatts() float64
-	// NodeTempC returns a node's SoC junction temperature, for
+	// NodeTempC returns node i's SoC junction temperature, for
 	// cooler-node-first placement.
-	NodeTempC(host string) float64
+	NodeTempC(i int) float64
 	// NotePlacement records that a job with the given activity profile
 	// was just placed on the given node count, reserving its predicted
 	// watts until the measured draw catches up.
@@ -125,7 +126,7 @@ func WithPowerAdvisor(a PowerAdvisor) Option { return advisorOption{a} }
 // controller that supplies the factor only exists once the system — and
 // with it the scheduler — is already assembled. Without a hook the
 // scheduler behaves exactly as before.
-func (s *Scheduler) SetRuntimeScaler(fn func(job *Job, hosts []string) float64) { s.runtimeScale = fn }
+func (s *Scheduler) SetRuntimeScaler(fn func(job *Job, nodes []int) float64) { s.runtimeScale = fn }
 
 type linearScanOption bool
 

@@ -47,7 +47,7 @@ func conformanceRun(t *testing.T, policy string) []float64 {
 	}
 	// busy tracks our own view of node occupancy to catch double
 	// allocation independently of the scheduler's bookkeeping.
-	busy := make(map[string]int)
+	busy := make(map[int]int)
 	for i := 0; i < 60; i++ {
 		i := i
 		width := 1 + (i*5)%11
@@ -61,18 +61,18 @@ func conformanceRun(t *testing.T, policy string) []float64 {
 			TimeLimit: dur + 10 + float64(i%3)*40,
 			Duration:  dur,
 			Requeue:   i%4 == 0,
-			OnStart: func(j *Job, hs []string) {
-				for _, h := range hs {
-					if owner, taken := busy[h]; taken {
-						t.Errorf("policy %s: node %s allocated to job %d while job %d holds it", policy, h, j.ID, owner)
+			OnStart: func(j *Job, nodes []int) {
+				for _, n := range nodes {
+					if owner, taken := busy[n]; taken {
+						t.Errorf("policy %s: node %d allocated to job %d while job %d holds it", policy, n, j.ID, owner)
 					}
-					busy[h] = j.ID
+					busy[n] = j.ID
 				}
 			},
 			OnEnd: func(j *Job, _ JobState) {
-				for _, h := range j.Hosts() {
-					if busy[h] == j.ID {
-						delete(busy, h)
+				for _, n := range j.Nodes() {
+					if busy[n] == j.ID {
+						delete(busy, n)
 					}
 				}
 			},
@@ -86,10 +86,10 @@ func conformanceRun(t *testing.T, policy string) []float64 {
 			t.Fatal(err)
 		}
 	}
-	if _, err := e.ScheduleAt(100, "down", func(*sim.Engine) { _ = s.NodeDown("mc03") }); err != nil {
+	if _, err := e.ScheduleAt(100, "down", func(*sim.Engine) { s.NodeDown(2) }); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ScheduleAt(400, "up", func(*sim.Engine) { _ = s.NodeUp("mc03") }); err != nil {
+	if _, err := e.ScheduleAt(400, "up", func(*sim.Engine) { s.NodeUp(2) }); err != nil {
 		t.Fatal(err)
 	}
 	if err := e.Run(); err != nil {

@@ -13,16 +13,22 @@ import (
 type fakeAdvisor struct {
 	perNodeW   float64
 	headroomW  float64
-	temps      map[string]float64
+	temps      map[int]float64
 	placements []string
+	reads      []int     // NodeTempC calls, in order
+	onRead     func(int) // runs inside each NodeTempC call, when set
 }
 
 func (f *fakeAdvisor) PredictedJobWatts(act power.Activity, nodes int) float64 {
 	return float64(nodes) * f.perNodeW
 }
 func (f *fakeAdvisor) HeadroomWatts() float64 { return f.headroomW }
-func (f *fakeAdvisor) NodeTempC(host string) float64 {
-	if t, ok := f.temps[host]; ok {
+func (f *fakeAdvisor) NodeTempC(i int) float64 {
+	f.reads = append(f.reads, i)
+	if f.onRead != nil {
+		f.onRead(i)
+	}
+	if t, ok := f.temps[i]; ok {
 		return t
 	}
 	return 50
@@ -100,8 +106,8 @@ func TestPowerCapForcedProgress(t *testing.T) {
 // nodes, stable on ties.
 func TestPowerCapPicksCoolestHosts(t *testing.T) {
 	e := sim.NewEngine()
-	adv := &fakeAdvisor{perNodeW: 0, headroomW: 100, temps: map[string]float64{
-		"mc01": 70, "mc02": 40, "mc03": 55, "mc04": 35,
+	adv := &fakeAdvisor{perNodeW: 0, headroomW: 100, temps: map[int]float64{
+		0: 70, 1: 40, 2: 55, 3: 35,
 	}}
 	s, err := New(e, hosts(4), WithPolicy(PowerCap()), WithPowerAdvisor(adv))
 	if err != nil {
@@ -114,9 +120,42 @@ func TestPowerCapPicksCoolestHosts(t *testing.T) {
 	if err := e.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
-	got := job.Hosts()
-	if len(got) != 2 || got[0] != "mc04" || got[1] != "mc02" {
-		t.Errorf("hosts = %v, want [mc04 mc02] (coolest first)", got)
+	got := job.Nodes()
+	if len(got) != 2 || got[0] != 3 || got[1] != 1 {
+		t.Errorf("nodes = %v, want [3 1] (coolest first)", got)
+	}
+}
+
+// TestPowerCapReadsEachIdleNodeOnce: placement reads every idle node's
+// temperature exactly once, in partition order, even when a read halts
+// an idle node (a read integrates the node, and the halt's NodeDown
+// shifts the scheduler's idle slice mid-pass).
+func TestPowerCapReadsEachIdleNodeOnce(t *testing.T) {
+	e := sim.NewEngine()
+	adv := &fakeAdvisor{perNodeW: 0, headroomW: 100, temps: map[int]float64{
+		0: 60, 1: 58, 2: 30, 3: 45, 4: 40, 5: 50,
+	}}
+	s, err := New(e, hosts(6), WithPolicy(PowerCap()), WithPowerAdvisor(adv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv.onRead = func(i int) {
+		if i == 1 {
+			s.NodeDown(0) // the hottest node halts during the pass
+		}
+	}
+	job, err := s.Submit(JobSpec{Name: "cool", Nodes: 2, TimeLimit: 50, Duration: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := fmt.Sprint(adv.reads), "[0 1 2 3 4 5]"; got != want {
+		t.Errorf("temperature reads = %s, want %s", got, want)
+	}
+	if got := job.Nodes(); len(got) != 2 || got[0] != 2 || got[1] != 4 {
+		t.Errorf("nodes = %v, want [2 4] (coolest first)", got)
 	}
 }
 
@@ -135,8 +174,8 @@ func TestPowerCapWithoutAdvisorIsFIFO(t *testing.T) {
 	if err := e.RunUntil(1); err != nil {
 		t.Fatal(err)
 	}
-	got := job.Hosts()
-	if len(got) != 2 || got[0] != "mc01" || got[1] != "mc02" {
-		t.Errorf("hosts = %v, want partition order", got)
+	got := job.Nodes()
+	if len(got) != 2 || got[0] != 0 || got[1] != 1 {
+		t.Errorf("nodes = %v, want partition order", got)
 	}
 }

@@ -2,7 +2,7 @@
 // Cimone (Section IV-A of the paper lists SLURM among the essential
 // production services brought up on the cluster).
 //
-// The scheduler manages one partition of named nodes, accepts batch jobs
+// The scheduler manages one partition of nodes, accepts batch jobs
 // with node counts and wall-time limits, and reacts to node failures (the
 // thermal halt of node 7 in the paper surfaces as a NODE_FAIL job state).
 // sinfo/squeue/sacct-style views expose the state. All timing is driven by
@@ -82,8 +82,9 @@ type JobSpec struct {
 	// drive the model's phase cycle on the allocated nodes. Nil means an
 	// idle-like job with no incremental draw.
 	Workload *workload.Model
-	// OnStart runs when the job starts, with the allocated hostnames.
-	OnStart func(job *Job, hosts []string)
+	// OnStart runs when the job starts, with the allocated node indices.
+	// The slice is the job's own and must not be modified.
+	OnStart func(job *Job, nodes []int)
 	// OnEnd runs when the job leaves the node set, with the final state.
 	OnEnd func(job *Job, state JobState)
 }
@@ -109,7 +110,7 @@ type Job struct {
 	submitted float64
 	started   float64
 	ended     float64
-	hosts     []string
+	nodes     []int   // allocated partition indices
 	attempt   int     // 0 for the original submission, +1 per requeue
 	runScale  float64 // runtime stretch applied at start (0 until started)
 	endEvent  sim.Handle
@@ -128,12 +129,9 @@ func (j *Job) Attempt() int { return j.attempt }
 // job has never started).
 func (j *Job) RuntimeScale() float64 { return j.runScale }
 
-// Hosts returns the allocated hostnames (nil unless running or finished).
-func (j *Job) Hosts() []string { return append([]string(nil), j.hosts...) }
-
-// SubmitTime, StartTime and EndTime return the job's timestamps; Start and
-// End are zero until the respective transition.
-func (j *Job) SubmitTime() float64 { return j.submitted }
+// Nodes returns the allocated node indices (nil unless running or
+// finished).
+func (j *Job) Nodes() []int { return append([]int(nil), j.nodes...) }
 
 // StartTime returns when the job started (0 if never started).
 func (j *Job) StartTime() float64 { return j.started }
@@ -142,8 +140,7 @@ func (j *Job) StartTime() float64 { return j.started }
 func (j *Job) EndTime() float64 { return j.ended }
 
 type nodeInfo struct {
-	host  string
-	idx   int // position in the partition order
+	host  string // rendered in sinfo and job rows only
 	state NodeState
 	jobID int // running job, 0 if none
 }
@@ -156,8 +153,7 @@ type Scheduler struct {
 	linearScan  bool
 	fifoOrdered bool // policy priority == submission order; skip sorting
 
-	nodes    map[string]*nodeInfo
-	order    []string // stable allocation order
+	nodes    []nodeInfo // partition order: index i is cluster node i
 	free     freeIndex
 	releases releaseHeap
 	queue    []*Job // pending, submission order
@@ -167,7 +163,7 @@ type Scheduler struct {
 	// runtimeScale, when installed (SetRuntimeScaler), stretches each
 	// job's modelled execution time at start: fault campaigns return > 1
 	// for allocations touching straggler nodes or degraded-network windows.
-	runtimeScale func(job *Job, hosts []string) float64
+	runtimeScale func(job *Job, nodes []int) float64
 
 	// Per-cycle scratch, rebuilt on every scheduling pass: the priority
 	// snapshot of the pending queue, the reservation walk's value-copy
@@ -180,8 +176,11 @@ type Scheduler struct {
 	relScratch   scratchHeap
 }
 
-// New builds a scheduler over the given hostnames. The default policy is
-// EASY backfill, matching the production SLURM configuration.
+// New builds a scheduler over a partition of len(hostnames) nodes. Node
+// index i, the identity every other method and callback uses, is cluster
+// node i; hostnames[i] is only its label in sinfo and job rows. The
+// default policy is EASY backfill, matching the production SLURM
+// configuration.
 func New(engine *sim.Engine, hostnames []string, opts ...Option) (*Scheduler, error) {
 	if engine == nil {
 		return nil, fmt.Errorf("sched: nil engine")
@@ -192,16 +191,17 @@ func New(engine *sim.Engine, hostnames []string, opts ...Option) (*Scheduler, er
 	s := &Scheduler{
 		engine: engine,
 		policy: EASY(),
-		nodes:  make(map[string]*nodeInfo, len(hostnames)),
+		nodes:  make([]nodeInfo, len(hostnames)),
 		jobs:   make(map[int]*Job),
 		nextID: 1,
 	}
+	seen := make(map[string]bool, len(hostnames))
 	for i, h := range hostnames {
-		if _, dup := s.nodes[h]; dup {
+		if seen[h] {
 			return nil, fmt.Errorf("sched: duplicate hostname %q", h)
 		}
-		s.nodes[h] = &nodeInfo{host: h, idx: i, state: NodeIdle}
-		s.order = append(s.order, h)
+		seen[h] = true
+		s.nodes[i] = nodeInfo{host: h, state: NodeIdle}
 	}
 	for _, o := range opts {
 		o.apply(s)
@@ -216,11 +216,11 @@ func New(engine *sim.Engine, hostnames []string, opts ...Option) (*Scheduler, er
 	if s.linearScan {
 		s.free = &linearFree{s: s}
 	} else {
-		idx := make([]int, len(s.order))
+		idx := make([]int, len(s.nodes))
 		for i := range idx {
 			idx[i] = i
 		}
-		s.free = &indexedFree{order: s.order, idx: idx}
+		s.free = &indexedFree{idx: idx}
 	}
 	return s, nil
 }
@@ -270,19 +270,16 @@ func (s *Scheduler) Cancel(jobID int) error {
 	return nil
 }
 
-// NodeDown marks a node failed (e.g. thermal halt). A job running there
+// NodeDown marks node i failed (e.g. thermal halt). A job running there
 // ends in NODE_FAIL and is requeued when its spec asks for it.
-func (s *Scheduler) NodeDown(host string) error {
-	ni, ok := s.nodes[host]
-	if !ok {
-		return fmt.Errorf("sched: unknown node %q", host)
-	}
+func (s *Scheduler) NodeDown(i int) {
+	ni := &s.nodes[i]
 	if ni.state == NodeDown {
-		return nil
+		return
 	}
 	victim := ni.jobID
 	if ni.state == NodeIdle {
-		s.free.Remove(ni.idx)
+		s.free.Remove(i)
 	}
 	ni.state = NodeDown
 	ni.jobID = 0
@@ -304,21 +301,15 @@ func (s *Scheduler) NodeDown(host string) error {
 		}
 	}
 	s.kick()
-	return nil
 }
 
-// NodeUp returns a failed node to service.
-func (s *Scheduler) NodeUp(host string) error {
-	ni, ok := s.nodes[host]
-	if !ok {
-		return fmt.Errorf("sched: unknown node %q", host)
-	}
-	if ni.state == NodeDown {
+// NodeUp returns failed node i to service.
+func (s *Scheduler) NodeUp(i int) {
+	if ni := &s.nodes[i]; ni.state == NodeDown {
 		ni.state = NodeIdle
-		s.free.Add(ni.idx)
+		s.free.Add(i)
 	}
 	s.kick()
-	return nil
 }
 
 // Job returns a job by id.
@@ -464,9 +455,9 @@ func (s *Scheduler) reservation(head *Job) (shadow float64, extraNodes int) {
 // linearFree, as the benchmark baseline for the indexed structures.
 func (s *Scheduler) reservationRescan(head *Job, avail int) (float64, int) {
 	perJob := make(map[int]int)
-	for _, h := range s.order {
-		if s.nodes[h].state == NodeAlloc {
-			perJob[s.nodes[h].jobID]++
+	for _, ni := range s.nodes {
+		if ni.state == NodeAlloc {
+			perJob[ni.jobID]++
 		}
 	}
 	releases := make([]releaseEntry, 0, len(perJob))
@@ -494,31 +485,33 @@ func (s *Scheduler) reservationRescan(head *Job, avail int) (float64, int) {
 }
 
 // pickHosts asks the policy for the job's allocation and validates it.
-func (s *Scheduler) pickHosts(job *Job) []string {
-	hosts := s.policy.PickHosts(s.free.Hosts(), job)
-	if len(hosts) != job.Spec.Nodes {
+// The result may alias the idle index slice.
+func (s *Scheduler) pickHosts(job *Job) []int {
+	picked := s.policy.PickHosts(s.free.Idle(), job)
+	if len(picked) != job.Spec.Nodes {
 		panic(fmt.Sprintf("sched: policy %s picked %d hosts for job %d (want %d)",
-			s.policy.Name(), len(hosts), job.ID, job.Spec.Nodes))
+			s.policy.Name(), len(picked), job.ID, job.Spec.Nodes))
 	}
-	return hosts
+	return picked
 }
 
-func (s *Scheduler) start(job *Job, hosts []string) {
+func (s *Scheduler) start(job *Job, picked []int) {
 	s.removeFromQueue(job)
 	job.state = StateRunning
 	job.started = s.engine.Now()
-	job.hosts = append([]string(nil), hosts...)
-	for _, h := range hosts {
-		ni := s.nodes[h]
-		if ni == nil || ni.state != NodeIdle {
-			panic(fmt.Sprintf("sched: policy %s picked non-idle host %q for job %d",
-				s.policy.Name(), h, job.ID))
+	// Copy first: picked may alias the idle slice the removals below shift.
+	job.nodes = append([]int(nil), picked...)
+	for _, i := range job.nodes {
+		ni := &s.nodes[i]
+		if ni.state != NodeIdle {
+			panic(fmt.Sprintf("sched: policy %s picked non-idle host %s for job %d",
+				s.policy.Name(), ni.host, job.ID))
 		}
 		ni.state = NodeAlloc
 		ni.jobID = job.ID
-		s.free.Remove(ni.idx)
+		s.free.Remove(i)
 	}
-	job.release = &releaseEntry{at: job.started + job.Spec.TimeLimit, nodes: len(hosts), jobID: job.ID}
+	job.release = &releaseEntry{at: job.started + job.Spec.TimeLimit, nodes: len(job.nodes), jobID: job.ID}
 	s.releases.push(job.release)
 	if s.advisor != nil {
 		// Reserve the predicted draw until the plane's measurements see it.
@@ -526,7 +519,7 @@ func (s *Scheduler) start(job *Job, hosts []string) {
 	}
 	job.runScale = 1
 	if s.runtimeScale != nil {
-		if scale := s.runtimeScale(job, job.hosts); scale > 1 {
+		if scale := s.runtimeScale(job, job.nodes); scale > 1 {
 			job.runScale = scale
 		}
 	}
@@ -544,7 +537,7 @@ func (s *Scheduler) start(job *Job, hosts []string) {
 	}
 	job.endEvent = ev
 	if job.Spec.OnStart != nil {
-		job.Spec.OnStart(job, job.Hosts())
+		job.Spec.OnStart(job, job.nodes)
 	}
 }
 
@@ -559,12 +552,12 @@ func (s *Scheduler) endJob(job *Job, state JobState) {
 		s.releases.remove(job.release)
 		job.release = nil
 	}
-	for _, h := range job.hosts {
-		if ni := s.nodes[h]; ni.jobID == job.ID {
+	for _, i := range job.nodes {
+		if ni := &s.nodes[i]; ni.jobID == job.ID {
 			ni.jobID = 0
 			if ni.state == NodeAlloc {
 				ni.state = NodeIdle
-				s.free.Add(ni.idx)
+				s.free.Add(i)
 			}
 		}
 	}
@@ -639,9 +632,21 @@ func (s *Scheduler) Sacct() []JobRow {
 func (s *Scheduler) row(j *Job) JobRow {
 	return JobRow{
 		ID: j.ID, Name: j.Spec.Name, User: j.Spec.User, State: j.state,
-		Nodes: j.Spec.Nodes, Hosts: j.Hosts(), Submit: j.submitted,
+		Nodes: j.Spec.Nodes, Hosts: s.hostnames(j.nodes), Submit: j.submitted,
 		Start: j.started, End: j.ended, TimeLimit: j.Spec.TimeLimit,
 	}
+}
+
+// hostnames renders node indices as their hostnames (nil for none).
+func (s *Scheduler) hostnames(nodes []int) []string {
+	if len(nodes) == 0 {
+		return nil
+	}
+	hosts := make([]string, len(nodes))
+	for k, i := range nodes {
+		hosts[k] = s.nodes[i].host
+	}
+	return hosts
 }
 
 // NodeRow is one sinfo line.
@@ -653,10 +658,9 @@ type NodeRow struct {
 
 // Sinfo lists nodes in partition order.
 func (s *Scheduler) Sinfo() []NodeRow {
-	rows := make([]NodeRow, 0, len(s.order))
-	for _, h := range s.order {
-		ni := s.nodes[h]
-		rows = append(rows, NodeRow{Host: h, State: ni.state, JobID: ni.jobID})
+	rows := make([]NodeRow, 0, len(s.nodes))
+	for _, ni := range s.nodes {
+		rows = append(rows, NodeRow{Host: ni.host, State: ni.state, JobID: ni.jobID})
 	}
 	return rows
 }

@@ -56,11 +56,11 @@ func TestSubmitValidation(t *testing.T) {
 
 func TestSingleJobLifecycle(t *testing.T) {
 	e, s := newSched(t, 8)
-	var startedHosts []string
+	var startedNodes []int
 	var endState JobState
 	job, err := s.Submit(JobSpec{
 		Name: "hpl", User: "bench", Nodes: 8, TimeLimit: 100, Duration: 42,
-		OnStart: func(_ *Job, h []string) { startedHosts = h },
+		OnStart: func(_ *Job, nodes []int) { startedNodes = nodes },
 		OnEnd:   func(_ *Job, st JobState) { endState = st },
 	})
 	if err != nil {
@@ -72,8 +72,8 @@ func TestSingleJobLifecycle(t *testing.T) {
 	if job.State() != StateCompleted {
 		t.Errorf("state = %s, want COMPLETED", job.State())
 	}
-	if len(startedHosts) != 8 {
-		t.Errorf("allocated %d hosts", len(startedHosts))
+	if len(startedNodes) != 8 {
+		t.Errorf("allocated %d nodes", len(startedNodes))
 	}
 	if endState != StateCompleted {
 		t.Errorf("OnEnd state = %s", endState)
@@ -227,9 +227,7 @@ func TestNodeFailKillsJob(t *testing.T) {
 	if err := e.RunUntil(100); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.NodeDown("mc07"); err != nil {
-		t.Fatal(err)
-	}
+	s.NodeDown(6)
 	if err := e.RunUntil(200); err != nil {
 		t.Fatal(err)
 	}
@@ -257,9 +255,7 @@ func TestNodeFailRequeues(t *testing.T) {
 	if err := e.RunUntil(10); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.NodeDown("mc01"); err != nil {
-		t.Fatal(err)
-	}
+	s.NodeDown(0)
 	if err := e.RunUntil(20); err != nil {
 		t.Fatal(err)
 	}
@@ -268,9 +264,7 @@ func TestNodeFailRequeues(t *testing.T) {
 	if len(rows) != 1 || rows[0].State != StatePending {
 		t.Fatalf("squeue = %+v, want one pending clone", rows)
 	}
-	if err := s.NodeUp("mc01"); err != nil {
-		t.Fatal(err)
-	}
+	s.NodeUp(0)
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -283,19 +277,13 @@ func TestNodeFailRequeues(t *testing.T) {
 	}
 }
 
+// NodeDown is idempotent: a second call on a down node changes nothing.
 func TestNodeDownValidation(t *testing.T) {
 	_, s := newSched(t, 2)
-	if err := s.NodeDown("nope"); err == nil {
-		t.Error("unknown node accepted")
-	}
-	if err := s.NodeUp("nope"); err == nil {
-		t.Error("unknown node accepted")
-	}
-	if err := s.NodeDown("mc01"); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.NodeDown("mc01"); err != nil {
-		t.Errorf("idempotent NodeDown failed: %v", err)
+	s.NodeDown(0)
+	s.NodeDown(0)
+	if rows := s.Sinfo(); rows[0].State != NodeDown || rows[1].State != NodeIdle {
+		t.Errorf("sinfo after two NodeDown(0) = %+v, want mc01 down, mc02 idle", rows)
 	}
 }
 
@@ -362,9 +350,7 @@ func TestPendingMatchesSqueue(t *testing.T) {
 		t.Fatal(err)
 	}
 	check("after a pending cancel", 1)
-	if err := s.NodeDown(wide.Hosts()[0]); err != nil {
-		t.Fatal(err)
-	}
+	s.NodeDown(wide.Nodes()[0])
 	check("after a NODE_FAIL requeue", 2)
 	cycle() // full can never start on three nodes, so the clone backfills
 	check("after the clone starts", 1)

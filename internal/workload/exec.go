@@ -11,11 +11,10 @@ import (
 // cluster facade implements it; the indirection keeps this package free of
 // the hardware assembly (and lets tests substitute a recorder).
 type NodeOps interface {
-	// RunWorkloadOn installs an activity on the named hosts.
-	RunWorkloadOn(hosts []string, name string, act power.Activity, memBytes float64) error
-	// ClearWorkloadOn returns the named hosts to idle (halted hosts are
-	// skipped by the implementation).
-	ClearWorkloadOn(hosts []string)
+	// RunWorkloadOn installs an activity on the given 0-based nodes.
+	RunWorkloadOn(nodes []int, name string, act power.Activity, memBytes float64) error
+	// ClearWorkloadOn returns the given 0-based nodes to idle.
+	ClearWorkloadOn(nodes []int)
 }
 
 // ExecOptions tunes a phased execution.
@@ -39,7 +38,7 @@ type Execution struct {
 	engine *sim.Engine
 	ops    NodeOps
 	model  *Model
-	hosts  []string
+	nodes  []int
 	opts   ExecOptions
 
 	phase   int
@@ -55,23 +54,23 @@ type Execution struct {
 	transFn   func(*sim.Engine)
 }
 
-// Start installs the model's first phase on the hosts and schedules the
+// Start installs the model's first phase on the nodes and schedules the
 // phase transitions. Single-phase models (and FixedActivity runs) install
 // the steady profile once and never transition. The initial installation
-// error surfaces (a halted host cannot take work); transition errors are
+// error surfaces (a halted node cannot take work); transition errors are
 // swallowed exactly like the scheduler's own workload callbacks — a node
 // that halts mid-job is reported through the node-failure path, not here.
-func Start(engine *sim.Engine, ops NodeOps, m *Model, hosts []string, opts ExecOptions) (*Execution, error) {
+func Start(engine *sim.Engine, ops NodeOps, m *Model, nodes []int, opts ExecOptions) (*Execution, error) {
 	if engine == nil || ops == nil || m == nil {
 		return nil, fmt.Errorf("workload: Start needs an engine, node ops and a model")
 	}
-	ex := &Execution{engine: engine, ops: ops, model: m, hosts: append([]string(nil), hosts...), opts: opts}
+	ex := &Execution{engine: engine, ops: ops, model: m, nodes: append([]int(nil), nodes...), opts: opts}
 	if opts.FixedActivity || len(m.Phases) <= 1 {
 		act, label := m.Steady, m.Name
 		if !opts.FixedActivity && len(m.Phases) == 1 {
 			act, label = m.Phases[0].Activity, m.Name+"/"+m.Phases[0].Name
 		}
-		if err := ops.RunWorkloadOn(ex.hosts, label, act, m.MemBytes); err != nil {
+		if err := ops.RunWorkloadOn(ex.nodes, label, act, m.MemBytes); err != nil {
 			return nil, err
 		}
 		return ex, nil
@@ -92,7 +91,7 @@ func Start(engine *sim.Engine, ops NodeOps, m *Model, hosts []string, opts ExecO
 func (ex *Execution) install(i int, first bool) error {
 	ex.phase = i
 	p := ex.model.Phases[i]
-	err := ex.ops.RunWorkloadOn(ex.hosts, ex.model.Name+"/"+p.Name, p.Activity, ex.model.MemBytes)
+	err := ex.ops.RunWorkloadOn(ex.nodes, ex.model.Name+"/"+p.Name, p.Activity, ex.model.MemBytes)
 	if first && err != nil {
 		return err
 	}
@@ -127,5 +126,5 @@ func (ex *Execution) Stop() {
 	ex.stopped = true
 	ex.next.Cancel()
 	ex.next = sim.Handle{}
-	ex.ops.ClearWorkloadOn(ex.hosts)
+	ex.ops.ClearWorkloadOn(ex.nodes)
 }

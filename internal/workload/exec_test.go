@@ -12,36 +12,36 @@ import (
 type recorder struct {
 	engine *sim.Engine
 	log    []string
-	active map[string]power.Activity
+	active map[int]power.Activity
 }
 
 func newRecorder(e *sim.Engine) *recorder {
-	return &recorder{engine: e, active: make(map[string]power.Activity)}
+	return &recorder{engine: e, active: make(map[int]power.Activity)}
 }
 
-func (r *recorder) RunWorkloadOn(hosts []string, name string, act power.Activity, mem float64) error {
-	r.log = append(r.log, fmt.Sprintf("t=%.0f run %s on %v", r.engine.Now(), name, hosts))
-	for _, h := range hosts {
-		r.active[h] = act
+func (r *recorder) RunWorkloadOn(nodes []int, name string, act power.Activity, mem float64) error {
+	r.log = append(r.log, fmt.Sprintf("t=%.0f run %s on %v", r.engine.Now(), name, nodes))
+	for _, n := range nodes {
+		r.active[n] = act
 	}
 	return nil
 }
 
-func (r *recorder) ClearWorkloadOn(hosts []string) {
-	r.log = append(r.log, fmt.Sprintf("t=%.0f clear %v", r.engine.Now(), hosts))
-	for _, h := range hosts {
-		delete(r.active, h)
+func (r *recorder) ClearWorkloadOn(nodes []int) {
+	r.log = append(r.log, fmt.Sprintf("t=%.0f clear %v", r.engine.Now(), nodes))
+	for _, n := range nodes {
+		delete(r.active, n)
 	}
 }
 
 // A phased model must walk its cycle on the engine: hpl installs
 // panel -> bcast -> update -> panel... at the phase boundaries, and Stop
-// cancels the pending transition and clears the hosts.
+// cancels the pending transition and clears the nodes.
 func TestPhasedExecutionCycles(t *testing.T) {
 	e := sim.NewEngine()
 	rec := newRecorder(e)
 	m := MustLookup("hpl")
-	ex, err := Start(e, rec, m, []string{"mc01", "mc02"}, ExecOptions{})
+	ex, err := Start(e, rec, m, []int{0, 1}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +52,10 @@ func TestPhasedExecutionCycles(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := []string{
-		"t=0 run hpl/panel on [mc01 mc02]",
-		"t=6 run hpl/bcast on [mc01 mc02]",
-		"t=9 run hpl/update on [mc01 mc02]",
-		"t=30 run hpl/panel on [mc01 mc02]",
+		"t=0 run hpl/panel on [0 1]",
+		"t=6 run hpl/bcast on [0 1]",
+		"t=9 run hpl/update on [0 1]",
+		"t=30 run hpl/panel on [0 1]",
 	}
 	if len(rec.log) != len(want) {
 		t.Fatalf("log = %v, want %v", rec.log, want)
@@ -67,7 +67,7 @@ func TestPhasedExecutionCycles(t *testing.T) {
 	}
 	ex.Stop()
 	if len(rec.active) != 0 {
-		t.Errorf("hosts still active after Stop: %v", rec.active)
+		t.Errorf("nodes still active after Stop: %v", rec.active)
 	}
 	n := len(rec.log) // includes the clear line Stop just logged
 	if err := e.RunUntil(500); err != nil {
@@ -85,7 +85,7 @@ func TestFixedActivityExecution(t *testing.T) {
 	e := sim.NewEngine()
 	rec := newRecorder(e)
 	m := MustLookup("hpl")
-	ex, err := Start(e, rec, m, []string{"mc01"}, ExecOptions{FixedActivity: true})
+	ex, err := Start(e, rec, m, []int{0}, ExecOptions{FixedActivity: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestFixedActivityExecution(t *testing.T) {
 	if len(rec.log) != 1 {
 		t.Fatalf("fixed-activity run transitioned: %v", rec.log)
 	}
-	if got := rec.active["mc01"]; got != m.Steady {
+	if got := rec.active[0]; got != m.Steady {
 		t.Errorf("installed %+v, want steady %+v", got, m.Steady)
 	}
 	ex.Stop()
@@ -108,7 +108,7 @@ func TestFixedActivityExecution(t *testing.T) {
 func TestSinglePhaseExecution(t *testing.T) {
 	e := sim.NewEngine()
 	rec := newRecorder(e)
-	ex, err := Start(e, rec, MustLookup("stream.ddr"), []string{"mc03"}, ExecOptions{})
+	ex, err := Start(e, rec, MustLookup("stream.ddr"), []int{2}, ExecOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
