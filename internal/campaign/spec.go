@@ -27,7 +27,7 @@ import (
 // cluster.New, GenerateJobs and the fleet router allocate one entry per
 // unit before the run starts, so an unbounded count exhausts memory
 // instead of failing. The cap sits far above every checked-in spec:
-// scale10k.json asks for 10,000 nodes.
+// scale100k.json asks for 100,000 nodes.
 const MaxSpecSize = 1_000_000
 
 // Arrival describes how generated jobs enter the queue.

@@ -38,6 +38,14 @@ const (
 // cluster's lock-step ticker.
 const BaseStep = 0.1
 
+// calibration is the rail model every node draws power from, and
+// bootPower its boot power, tabulated once: a booting node's power is a
+// function of its boot progress alone.
+var (
+	calibration = power.Calibration()
+	bootPower   = calibration.BootTable()
+)
+
 // State is the node's life-cycle state.
 type State int
 
@@ -100,7 +108,6 @@ type Node struct {
 	id       int
 	hostname string
 	machine  *soc.Machine
-	pm       *power.Model
 	tm       *thermal.Model
 	pmu      *perf.PMU
 
@@ -131,7 +138,7 @@ type Node struct {
 	// input change or state transition). Inputs change rarely and recur
 	// (workload phases cycle), substeps and observations happen
 	// constantly. Outside the boot phases only: boot power depends on
-	// time, not just inputs.
+	// time, not on inputs, and comes from bootPower.
 	sets []inputSet
 	cur  int
 
@@ -209,7 +216,6 @@ func New(cfg Config) (*Node, error) {
 		id:           cfg.ID,
 		hostname:     fmt.Sprintf("%s%02d", machine.HostPrefix, cfg.ID),
 		machine:      machine,
-		pm:           power.Calibration(),
 		tm:           tm,
 		pmu:          pmu,
 		state:        StateOff,
@@ -437,8 +443,9 @@ func (n *Node) lookupInputs() {
 }
 
 // inputPower returns the SoC and NVMe power in watts for the current
-// inputs: computed afresh while booting (the R2 ramp moves with time),
-// from the input-set table otherwise.
+// inputs: the SoC's from the boot table at the current instant while
+// booting (the R2 ramp moves with time), both from the input-set table
+// otherwise.
 func (n *Node) inputPower() (socW, nvmeW float64) {
 	if n.state == StateBooting {
 		return n.totalMilliwatts() / 1000, n.nvmeWatts()
@@ -615,22 +622,26 @@ func (n *Node) RailMilliwatts(r power.Rail) float64 {
 
 // railMilliwatts is RailMilliwatts without the lazy sync (integrator use).
 func (n *Node) railMilliwatts(r power.Rail) float64 {
-	phase := n.phase()
-	if phase == power.PhaseRun {
-		return n.pm.RailMilliwattsScaled(r, phase, n.in.act, n.in.freqScale)
+	switch phase := n.phase(); phase {
+	case power.PhaseRun:
+		return calibration.RailMilliwattsScaled(r, phase, n.in.act, n.in.freqScale)
+	case power.PhaseOff:
+		return 0
+	default:
+		return bootPower.RailMilliwatts(r, phase, n.bootRamp())
 	}
-	base := n.pm.RailMilliwatts(r, phase, n.in.act)
-	if phase != power.PhaseR2 {
-		return base
-	}
+}
+
+// bootRamp returns how far a booting node's power has ramped from the R2
+// floor toward the OS idle floor: 0 until the last RampDuration seconds of
+// R2, then rising linearly to 1 at the boot deadline.
+func (n *Node) bootRamp() float64 {
+	const rampStart = R1Duration + R2Duration - RampDuration
 	elapsed := n.now - n.poweredAt
-	rampStart := R1Duration + R2Duration - RampDuration
 	if elapsed <= rampStart {
-		return base
+		return 0
 	}
-	frac := (elapsed - rampStart) / RampDuration
-	idle := n.pm.RailMilliwatts(r, power.PhaseRun, power.Activity{})
-	return base + frac*(idle-base)
+	return (elapsed - rampStart) / RampDuration
 }
 
 // TotalMilliwatts sums all nine rails.
@@ -640,6 +651,9 @@ func (n *Node) TotalMilliwatts() float64 {
 }
 
 func (n *Node) totalMilliwatts() float64 {
+	if n.state == StateBooting {
+		return bootPower.TotalMilliwatts(n.phase(), n.bootRamp())
+	}
 	total := 0.0
 	for _, r := range power.Rails {
 		total += n.railMilliwatts(r)

@@ -257,6 +257,70 @@ func (m *Model) TotalMilliwatts(phase Phase, act Activity) float64 {
 	return total
 }
 
+// BootTable is a booting board's rail power (Fig. 4) tabulated from a
+// model: each rail's R1 and R2 floors with their nine-rail totals, and
+// the OS idle floor that power ramps toward at the end of R2. Boot power
+// depends on no workload activity, so a booting node reads it from here
+// as a function of its boot progress alone.
+type BootTable struct {
+	r1, r2, idle     railTable
+	r1Total, r2Total float64
+}
+
+// BootTable tabulates m's boot power.
+func (m *Model) BootTable() *BootTable {
+	b := &BootTable{}
+	for i := range b.r1 {
+		b.r1[i] = m.railMilliwattsAt(i, PhaseR1, ActivityIdle)
+		b.r2[i] = m.railMilliwattsAt(i, PhaseR2, ActivityIdle)
+		b.idle[i] = m.railMilliwattsAt(i, PhaseRun, ActivityIdle)
+		b.r1Total += b.r1[i]
+		b.r2Total += b.r2[i]
+	}
+	return b
+}
+
+// RailMilliwatts returns rail r's power in boot phase R1 or R2, and zero
+// in any other phase and for an unknown rail. ramp is how far the end of
+// R2 has carried power from the R2 floor toward the idle floor: 0 before
+// the ramp starts, rising to 1 as the OS comes up.
+func (b *BootTable) RailMilliwatts(r Rail, phase Phase, ramp float64) float64 {
+	i := railIndex(r)
+	if i < 0 {
+		return 0
+	}
+	return b.rail(i, phase, ramp)
+}
+
+// TotalMilliwatts returns the sum of RailMilliwatts over Rails, added in
+// Rails order: a tabulated constant in R1 and in R2 before the ramp.
+func (b *BootTable) TotalMilliwatts(phase Phase, ramp float64) float64 {
+	switch {
+	case phase == PhaseR1:
+		return b.r1Total
+	case phase == PhaseR2 && ramp <= 0:
+		return b.r2Total
+	}
+	total := 0.0
+	for i := range b.r2 {
+		total += b.rail(i, phase, ramp)
+	}
+	return total
+}
+
+func (b *BootTable) rail(i int, phase Phase, ramp float64) float64 {
+	switch {
+	case phase == PhaseR1:
+		return b.r1[i]
+	case phase != PhaseR2:
+		return 0
+	case ramp > 0:
+		return b.r2[i] + ramp*(b.idle[i]-b.r2[i])
+	default:
+		return b.r2[i]
+	}
+}
+
 // CoreDecomposition reports the three components of the idle core power
 // derived from the boot regions of Fig. 4: leakage (R1), dynamic + clock
 // tree (R2 - R1) and operating-system power (idle - R2), in milliwatts.

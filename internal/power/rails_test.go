@@ -113,6 +113,38 @@ func TestBootColumns(t *testing.T) {
 	}
 }
 
+// TestBootTableEndpoints: the boot table reads the model's floors in R1,
+// in R2 before the ramp and at the ramp's end (the idle floor), and
+// nothing outside the boot phases or for an unknown rail.
+func TestBootTableEndpoints(t *testing.T) {
+	m := Calibration()
+	b := m.BootTable()
+	for _, c := range []struct {
+		phase Phase
+		ramp  float64
+		want  Phase
+	}{{PhaseR1, 0, PhaseR1}, {PhaseR1, 0.5, PhaseR1}, {PhaseR2, 0, PhaseR2}, {PhaseR2, 1, PhaseRun}} {
+		for _, r := range Rails {
+			if got, want := b.RailMilliwatts(r, c.phase, c.ramp), m.RailMilliwatts(r, c.want, ActivityIdle); got != want {
+				t.Errorf("%v ramp %v %s = %v, want %v", c.phase, c.ramp, r, got, want)
+			}
+		}
+		if c.ramp == 0 {
+			if got, want := b.TotalMilliwatts(c.phase, 0), m.TotalMilliwatts(c.phase, ActivityIdle); got != want {
+				t.Errorf("%v total = %v, want %v", c.phase, got, want)
+			}
+		}
+	}
+	for _, phase := range []Phase{PhaseOff, PhaseRun} {
+		if got := b.TotalMilliwatts(phase, 0.5); got != 0 {
+			t.Errorf("%v total = %v, want 0", phase, got)
+		}
+	}
+	if got := b.RailMilliwatts("vdd_gpu", PhaseR2, 0.5); got != 0 {
+		t.Errorf("unknown rail = %v, want 0", got)
+	}
+}
+
 func TestPhaseOffIsZero(t *testing.T) {
 	m := Calibration()
 	if got := m.TotalMilliwatts(PhaseOff, ActivityHPL); got != 0 {

@@ -81,10 +81,14 @@ type Governor struct {
 	hs          []*examon.SeriesHandle
 	vs          []float64
 
-	perNode map[string]float64 // scratch: measured draw by telemetry node tag, watts
-	caps    []float64          // last distributed caps, watts, indexed like cl.Node; 0 = none
-	aggRes  []examon.AggSeries // scratch: reused measurement query result
-	shares  []share            // scratch: reused per-tick distribution table
+	// index resolves a telemetry node tag to its node index; a tag that
+	// names no node of this cluster is absent, and its series ignored.
+	index    map[string]int
+	perNode  []float64          // last measured draw, watts, indexed like cl.Node
+	measured []bool             // scratch: perNode[i] came from telemetry this tick
+	caps     []float64          // last distributed caps, watts, indexed like cl.Node; 0 = none
+	aggRes   []examon.AggSeries // scratch: reused measurement query result
+	shares   []share            // scratch: reused per-tick distribution table
 }
 
 // share is one running node's row in the distribute() water-filling pass.
@@ -114,16 +118,19 @@ func New(engine *sim.Engine, cl *cluster.Cluster, store *examon.MemStore, broker
 		cfg.Cluster = examon.DefaultCluster
 	}
 	g := &Governor{
-		engine:  engine,
-		cl:      cl,
-		store:   store,
-		broker:  broker,
-		cfg:     cfg,
-		govs:    make([]*dtm.Governor, cl.Size()),
-		perNode: make(map[string]float64, cl.Size()),
-		caps:    make([]float64, cl.Size()),
+		engine:   engine,
+		cl:       cl,
+		store:    store,
+		broker:   broker,
+		cfg:      cfg,
+		govs:     make([]*dtm.Governor, cl.Size()),
+		index:    make(map[string]int, cl.Size()),
+		perNode:  make([]float64, cl.Size()),
+		measured: make([]bool, cl.Size()),
+		caps:     make([]float64, cl.Size()),
 	}
 	for i := range g.govs {
+		g.index[cl.Node(i).Hostname()] = i
 		gov, err := dtm.New(cl.Node(i))
 		if err != nil {
 			return nil, fmt.Errorf("powerplane: %w", err)
@@ -223,9 +230,7 @@ func (g *Governor) control(e *sim.Engine) {
 // after boot) fall back to an instantaneous model read so the budget
 // never flies blind.
 func (g *Governor) measure(now float64) {
-	for h := range g.perNode {
-		delete(g.perNode, h)
-	}
+	clear(g.measured)
 	series, err := examon.QueryAggInto(g.aggRes[:0], g.store, examon.Filter{
 		Plugin: "power_pub",
 		Metric: examon.PowerTotalMetric,
@@ -234,20 +239,18 @@ func (g *Governor) measure(now float64) {
 	if err == nil {
 		g.aggRes = series
 		for _, s := range series {
-			if len(s.Points) > 0 {
-				g.perNode[s.Tags.Node] = s.Points[len(s.Points)-1].V / 1000
+			if i, ok := g.index[s.Tags.Node]; ok && len(s.Points) > 0 {
+				g.perNode[i] = s.Points[len(s.Points)-1].V / 1000
+				g.measured[i] = true
 			}
 		}
 	}
 	total := 0.0
-	for i := 0; i < g.cl.Size(); i++ {
-		nd := g.cl.Node(i)
-		w, ok := g.perNode[nd.Hostname()]
-		if !ok {
-			w = nd.TotalMilliwatts() / 1000
-			g.perNode[nd.Hostname()] = w
+	for i := range g.perNode {
+		if !g.measured[i] {
+			g.perNode[i] = g.cl.Node(i).TotalMilliwatts() / 1000
 		}
-		total += w
+		total += g.perNode[i]
 	}
 	g.drawW = total
 }
@@ -260,8 +263,7 @@ func (g *Governor) distribute() {
 	active := g.shares[:0]
 	g.throttled = 0
 	for i, gov := range g.govs {
-		nd := g.cl.Node(i)
-		if nd.State() != node.StateRunning {
+		if g.cl.Node(i).State() != node.StateRunning {
 			gov.SetPowerCapW(0) // nothing to enforce on a node that is down
 			g.caps[i] = 0
 			continue
@@ -269,7 +271,7 @@ func (g *Governor) distribute() {
 		if gov.Scale() < 1 {
 			g.throttled++
 		}
-		active = append(active, share{i: i, draw: g.perNode[nd.Hostname()]})
+		active = append(active, share{i: i, draw: g.perNode[i]})
 	}
 	g.shares = active
 	if len(active) == 0 {
