@@ -111,7 +111,7 @@ func (r *bitReader) bit() bool {
 func (r *bitReader) read(k uint) uint64 {
 	if k <= r.valid {
 		r.valid -= k
-		return r.buf >> r.valid & (1<<k - 1)
+		return r.buf >> r.valid &^ (^uint64(0) << k)
 	}
 	return r.readAcross(k)
 }

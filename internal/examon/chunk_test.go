@@ -354,3 +354,31 @@ func FuzzChunkRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// BenchmarkChunkDecode reads a series of ten sealed chunks (and the one
+// open point whose append sealed the last) through a cursor and reports
+// the cost per point. The series is what telemetry stores: 1 s
+// timestamps, which hit the delta prediction, and a slowly walking
+// reading whose XORs mostly reuse their window.
+func BenchmarkChunkDecode(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	st := NewMemStore()
+	v := 4000.0
+	for i := 0; i <= 10*chunkCap; i++ {
+		v += float64(rng.Intn(21) - 10)
+		st.Insert(confTags(1, -1, "power"), float64(i), v)
+	}
+	view := st.snapshot(Filter{Metric: "power"}, false)[0].pts
+	if view.nsealed != 10 || len(view.open) != 1 {
+		b.Fatalf("view holds %d sealed chunks and %d open points, want 10 and 1", view.nsealed, len(view.open))
+	}
+	b.ResetTimer()
+	points := 0
+	for i := 0; i < b.N; i++ {
+		c := view.all()
+		for _, ok := c.Next(); ok; _, ok = c.Next() {
+			points++
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(points), "ns/point")
+}

@@ -1,7 +1,9 @@
 package sched
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"montecimone/internal/sim"
@@ -175,12 +177,23 @@ func TestSubmitDuringOnEnd(t *testing.T) {
 	}
 }
 
-// The linear-scan baseline must schedule identically to the indexed
-// structures — only the data-structure costs differ.
+// The linear-scan reference must schedule identically to the bitset free
+// set under every policy, on one bitset word and on three (the last
+// partial): every job's start time and allocation, and under powercap
+// (on a fake advisor whose gate bites and whose temperatures tie) the
+// temperature reads too. Only the data-structure costs differ.
 func TestLinearScanMatchesIndexed(t *testing.T) {
-	run := func(opts ...Option) []float64 {
+	run := func(n int, policy string, opts ...Option) (runs []string, reads []int) {
+		pol, err := PolicyByName(policy)
+		if err != nil {
+			t.Fatal(err)
+		}
+		adv := &fakeAdvisor{perNodeW: 1, headroomW: float64(n / 2), temps: map[int]float64{}}
+		for i := 0; i < n; i++ {
+			adv.temps[i] = 40 + float64((i*7)%5)
+		}
 		e := sim.NewEngine()
-		s, err := New(e, hosts(8), opts...)
+		s, err := New(e, hosts(n), append(opts, WithPolicy(pol), WithPowerAdvisor(adv))...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +201,7 @@ func TestLinearScanMatchesIndexed(t *testing.T) {
 		for i := 0; i < 30; i++ {
 			j, err := s.Submit(JobSpec{
 				Name:      "j",
-				Nodes:     1 + (i*3)%7,
+				Nodes:     1 + (i*3)%7*n/8,
 				TimeLimit: 40 + float64(i%5)*30,
 				Duration:  20 + float64(i%9)*10,
 			})
@@ -197,26 +210,37 @@ func TestLinearScanMatchesIndexed(t *testing.T) {
 			}
 			jobs = append(jobs, j)
 		}
-		if _, err := e.ScheduleAt(60, "down", func(*sim.Engine) { s.NodeDown(4) }); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := e.ScheduleAt(200, "up", func(*sim.Engine) { s.NodeUp(4) }); err != nil {
-			t.Fatal(err)
+		for _, down := range []int{4, n/2 + 1, n - 1} {
+			down := down
+			if _, err := e.ScheduleAt(60, "down", func(*sim.Engine) { s.NodeDown(down) }); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := e.ScheduleAt(200, "up", func(*sim.Engine) { s.NodeUp(down) }); err != nil {
+				t.Fatal(err)
+			}
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		starts := make([]float64, len(jobs))
-		for i, j := range jobs {
-			starts[i] = j.StartTime()
+		for _, j := range jobs {
+			runs = append(runs, fmt.Sprintf("%s at %v on %v", j.State(), j.StartTime(), j.Nodes()))
 		}
-		return starts
+		return runs, adv.reads
 	}
-	indexed := run()
-	linear := run(WithLinearScan(true))
-	for i := range indexed {
-		if indexed[i] != linear[i] {
-			t.Errorf("job %d: indexed start %v, linear start %v", i, indexed[i], linear[i])
+	for _, n := range []int{8, 130} {
+		for _, policy := range PolicyNames() {
+			t.Run(fmt.Sprintf("%s/%dnodes", policy, n), func(t *testing.T) {
+				indexed, indexedReads := run(n, policy)
+				linear, linearReads := run(n, policy, WithLinearScan(true))
+				for i := range indexed {
+					if indexed[i] != linear[i] {
+						t.Errorf("job %d: indexed %s, linear %s", i+1, indexed[i], linear[i])
+					}
+				}
+				if !slices.Equal(indexedReads, linearReads) {
+					t.Errorf("temperature reads differ: indexed %d, linear %d", len(indexedReads), len(linearReads))
+				}
+			})
 		}
 	}
 }

@@ -15,7 +15,7 @@ import "sort"
 // job always owns the EASY reservation and can never starve; behind it,
 // backfill candidates are tried widest first (ties: longest first), which
 // co-schedules the jobs that are hardest to place and leaves narrow short
-// jobs to plug what remains. Host selection splits the free list into two
+// jobs to plug what remains. Host selection splits the idle set into two
 // shelves, echoing the big/small bar split of the papers: big jobs (at
 // least half the free strip) allocate from the head of the partition,
 // small ones from the tail.
@@ -39,10 +39,10 @@ func (bestFitPolicy) BackfillOrder(cands []*Job) []*Job {
 	return out
 }
 
-func (bestFitPolicy) PickHosts(free []int, job *Job) []int {
+func (bestFitPolicy) PickHosts(free IdleSet, job *Job) []int {
 	n := job.Spec.Nodes
-	if 2*n >= len(free) {
-		return free[:n]
+	if 2*n >= free.Len() {
+		return free.First(n)
 	}
-	return free[len(free)-n:]
+	return free.Last(n)
 }

@@ -22,6 +22,6 @@ func (fifoPolicy) Backfill() bool { return false }
 
 func (fifoPolicy) BackfillOrder(cands []*Job) []*Job { return cands }
 
-func (fifoPolicy) PickHosts(free []int, job *Job) []int {
-	return free[:job.Spec.Nodes]
+func (fifoPolicy) PickHosts(free IdleSet, job *Job) []int {
+	return free.First(job.Spec.Nodes)
 }

@@ -1,7 +1,5 @@
 package sched
 
-import "sort"
-
 // powercapPolicy closes the power-management loop at the scheduling
 // layer: jobs start in submission order, but a job whose predicted draw
 // (rail model at its workload model's steady activity) would exceed the
@@ -23,6 +21,8 @@ import "sort"
 type powercapPolicy struct {
 	fifoPolicy
 	advisor PowerAdvisor
+	idle    []int      // PickHosts scratch: the idle set before the reads
+	cands   []nodeTemp // PickHosts scratch: idle nodes and their temperatures
 }
 
 // PowerCap returns the power-budget-aware policy. Wire the power plane in
@@ -45,30 +45,93 @@ func (p *powercapPolicy) Admit(job *Job, runningJobs int) bool {
 	return predicted <= p.advisor.HeadroomWatts()
 }
 
-// PickHosts allocates the coolest idle nodes first (ties keep partition
-// order via the stable sort). Each idle node's temperature is read once,
-// in partition order and not inside the comparator: a read integrates the
-// node and may fire its halt, whose NodeDown shifts the scheduler's idle
-// slice, so free is copied before the first read.
-func (p *powercapPolicy) PickHosts(free []int, job *Job) []int {
+// PickHosts allocates the k coolest idle nodes, coolest first, ordered by
+// (temperature, partition index): for finite temperatures, the order a
+// stable sort by temperature over the ascending idle set gives. Each idle
+// node's temperature is read once, in partition order and not inside a
+// comparison. A read integrates the node and may fire its halt, whose
+// NodeDown edits the idle set, so the idle indexes are copied before the
+// first read and the nodes that went down are skipped after the last.
+// When fewer than k remain, the job does not fit now and PickHosts
+// returns nil.
+func (p *powercapPolicy) PickHosts(free IdleSet, job *Job) []int {
+	k := job.Spec.Nodes
 	if p.advisor == nil {
-		return free[:job.Spec.Nodes]
+		return free.First(k)
 	}
-	type nodeTemp struct {
-		node  int
-		tempC float64
+	p.idle = free.AppendAll(p.idle[:0])
+	cands := p.cands[:0]
+	for _, i := range p.idle {
+		cands = append(cands, nodeTemp{node: i, tempC: p.advisor.NodeTempC(i)})
 	}
-	byTemp := make([]nodeTemp, len(free))
-	for k, i := range free {
-		byTemp[k].node = i
+	p.cands = cands
+	up := cands[:0]
+	for _, c := range cands {
+		if free.Has(c.node) {
+			up = append(up, c)
+		}
 	}
-	for k := range byTemp {
-		byTemp[k].tempC = p.advisor.NodeTempC(byTemp[k].node)
+	if len(up) < k {
+		return nil
 	}
-	sort.SliceStable(byTemp, func(a, b int) bool { return byTemp[a].tempC < byTemp[b].tempC })
-	picked := make([]int, job.Spec.Nodes)
-	for k := range picked {
-		picked[k] = byTemp[k].node
+	coolest(up, k)
+	picked := make([]int, k)
+	for j := range picked {
+		picked[j] = up[j].node
 	}
 	return picked
+}
+
+// nodeTemp is one idle node and its temperature at placement.
+type nodeTemp struct {
+	node  int
+	tempC float64
+}
+
+// cooler orders placements by (temperature, partition index).
+func (a nodeTemp) cooler(b nodeTemp) bool {
+	if a.tempC != b.tempC {
+		return a.tempC < b.tempC
+	}
+	return a.node < b.node
+}
+
+// coolest moves the k coolest of c (0 < k <= len(c)) to c[:k], coolest
+// first, in O(len(c) log k) without allocating: c[:k] becomes a heap with
+// the warmest of the k kept at its root, every later candidate cooler
+// than that root replaces it, and a heap sort finally orders the k.
+func coolest(c []nodeTemp, k int) {
+	h := c[:k]
+	for i := k/2 - 1; i >= 0; i-- {
+		siftWarmest(h, i)
+	}
+	for _, x := range c[k:] {
+		if x.cooler(h[0]) {
+			h[0] = x
+			siftWarmest(h, 0)
+		}
+	}
+	for end := k - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftWarmest(h[:end], 0)
+	}
+}
+
+// siftWarmest restores the heap order below h[i]: no element is warmer
+// than its parent.
+func siftWarmest(h []nodeTemp, i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			return
+		}
+		if c+1 < len(h) && h[c].cooler(h[c+1]) {
+			c++
+		}
+		if !h[i].cooler(h[c]) {
+			return
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
 }

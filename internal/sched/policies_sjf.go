@@ -20,6 +20,6 @@ func (sjfPolicy) Backfill() bool { return true }
 // first.
 func (sjfPolicy) BackfillOrder(cands []*Job) []*Job { return cands }
 
-func (sjfPolicy) PickHosts(free []int, job *Job) []int {
-	return free[:job.Spec.Nodes]
+func (sjfPolicy) PickHosts(free IdleSet, job *Job) []int {
+	return free.First(job.Spec.Nodes)
 }

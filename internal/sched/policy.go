@@ -32,11 +32,13 @@ type Policy interface {
 	// tried. cands holds the pending jobs behind the head in queue
 	// priority order and must not be mutated in place.
 	BackfillOrder(cands []*Job) []*Job
-	// PickHosts selects job.Spec.Nodes nodes for a starting job. free
-	// lists the idle partition indexes, ascending, and belongs to the
-	// scheduler: it must not be modified. The returned indexes must be
-	// distinct members of free.
-	PickHosts(free []int, job *Job) []int
+	// PickHosts selects job.Spec.Nodes distinct idle nodes for a starting
+	// job from the scheduler's live view of its idle set, and returns
+	// their partition indexes in a new slice that the job then owns. It
+	// returns nil when the job no longer fits: a power-aware policy's
+	// temperature reads may take idle nodes down, and the NodeDown that
+	// took them has already asked for a new scheduling pass.
+	PickHosts(free IdleSet, job *Job) []int
 }
 
 // PolicyNames lists the registered policy names in presentation order.

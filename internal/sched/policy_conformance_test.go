@@ -10,7 +10,8 @@ import (
 // Conformance suite: every registered policy must (1) never allocate a
 // node to two jobs at once, (2) run every job of a finite workload to a
 // terminal state (no starvation), surviving a mid-run node failure and
-// recovery, and (3) schedule deterministically. The EASY policy's
+// recovery, and (3) schedule deterministically, on the bitset free set and
+// identically on the linear-scan reference. The EASY policy's
 // bit-for-bit reproduction of the seed scheduler is additionally pinned by
 // the start-time assertions in sched_test.go, which predate the policy
 // engine and run unchanged.
@@ -19,13 +20,18 @@ func TestPolicyConformance(t *testing.T) {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			first := conformanceRun(t, name)
-			second := conformanceRun(t, name)
-			if len(first) != len(second) {
-				t.Fatalf("job counts differ across runs: %d vs %d", len(first), len(second))
-			}
-			for i := range first {
-				if first[i] != second[i] {
-					t.Errorf("job %d start differs across runs: %v vs %v", i+1, first[i], second[i])
+			for _, again := range []struct {
+				what string
+				opts []Option
+			}{{"across runs", nil}, {"on the linear scan", []Option{WithLinearScan(true)}}} {
+				second := conformanceRun(t, name, again.opts...)
+				if len(first) != len(second) {
+					t.Fatalf("job counts differ %s: %d vs %d", again.what, len(first), len(second))
+				}
+				for i := range first {
+					if first[i] != second[i] {
+						t.Errorf("job %d start differs %s: %v vs %v", i+1, again.what, first[i], second[i])
+					}
 				}
 			}
 		})
@@ -34,14 +40,14 @@ func TestPolicyConformance(t *testing.T) {
 
 // conformanceRun drives one deterministic mixed campaign under the named
 // policy and returns the per-job start times (by job id).
-func conformanceRun(t *testing.T, policy string) []float64 {
+func conformanceRun(t *testing.T, policy string, opts ...Option) []float64 {
 	t.Helper()
 	pol, err := PolicyByName(policy)
 	if err != nil {
 		t.Fatal(err)
 	}
 	e := sim.NewEngine()
-	s, err := New(e, hosts(16), WithPolicy(pol))
+	s, err := New(e, hosts(16), append(opts, WithPolicy(pol))...)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,9 @@ package sched
 
 import (
 	"fmt"
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 
 	"montecimone/internal/power"
@@ -156,6 +159,100 @@ func TestPowerCapReadsEachIdleNodeOnce(t *testing.T) {
 	}
 	if got := job.Nodes(); len(got) != 2 || got[0] != 2 || got[1] != 4 {
 		t.Errorf("nodes = %v, want [2 4] (coolest first)", got)
+	}
+}
+
+// TestPowerCapSkipsNodeDownedDuringReads: the coolest idle node halts
+// while the placement reads temperatures; the allocation skips it and
+// takes the next-coolest idle node instead of handing the scheduler a
+// node that is down (regression: the scheduler panicked on a non-idle
+// pick).
+func TestPowerCapSkipsNodeDownedDuringReads(t *testing.T) {
+	e := sim.NewEngine()
+	adv := &fakeAdvisor{perNodeW: 0, headroomW: 100, temps: map[int]float64{
+		0: 30, 1: 40, 2: 50, 3: 45,
+	}}
+	s, err := New(e, hosts(4), WithPolicy(PowerCap()), WithPowerAdvisor(adv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	adv.onRead = func(i int) {
+		if i == 1 {
+			s.NodeDown(0)
+		}
+	}
+	job, err := s.Submit(JobSpec{Name: "cool", Nodes: 2, TimeLimit: 50, Duration: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	if got := job.Nodes(); len(got) != 2 || got[0] != 1 || got[1] != 3 {
+		t.Errorf("nodes = %v, want [1 3] (coolest idle first, node 0 down)", got)
+	}
+}
+
+// TestPowerCapWaitsWhenReadsLeaveTooFewNodes: a job that needs every idle
+// node loses one to a halt during the placement's reads; it stays pending
+// instead of starting on a down node, and starts once the node is back.
+func TestPowerCapWaitsWhenReadsLeaveTooFewNodes(t *testing.T) {
+	e := sim.NewEngine()
+	adv := &fakeAdvisor{perNodeW: 0, headroomW: 100, temps: map[int]float64{0: 30}}
+	s, err := New(e, hosts(4), WithPolicy(PowerCap()), WithPowerAdvisor(adv))
+	if err != nil {
+		t.Fatal(err)
+	}
+	halted := false
+	adv.onRead = func(i int) {
+		if i == 1 && !halted {
+			halted = true
+			s.NodeDown(0)
+		}
+	}
+	job, err := s.Submit(JobSpec{Name: "all", Nodes: 4, TimeLimit: 50, Duration: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ScheduleAt(5, "up", func(*sim.Engine) { s.NodeUp(0) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.RunUntil(1); err != nil {
+		t.Fatal(err)
+	}
+	if job.State() != StatePending {
+		t.Fatalf("job state = %s with node 0 down, want PENDING", job.State())
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if job.State() != StateCompleted || job.StartTime() != 5 {
+		t.Errorf("job %s, started at %v; want COMPLETED, started at 5", job.State(), job.StartTime())
+	}
+	if got := fmt.Sprint(job.Nodes()); got != "[0 1 2 3]" {
+		t.Errorf("nodes = %s, want [0 1 2 3] (coolest first)", got)
+	}
+}
+
+// TestCoolestMatchesStableSort: the bounded selection picks the same
+// nodes in the same order as a stable sort by temperature over the
+// ascending idle set, for every k, with many tied temperatures.
+func TestCoolestMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(70)
+		idle := make([]nodeTemp, n)
+		for i := range idle {
+			idle[i] = nodeTemp{node: 3*i + rng.Intn(3), tempC: 30 + float64(rng.Intn(8))/2}
+		}
+		sorted := slices.Clone(idle)
+		sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].tempC < sorted[b].tempC })
+		k := 1 + rng.Intn(n)
+		got := slices.Clone(idle)
+		coolest(got, k)
+		if !slices.Equal(got[:k], sorted[:k]) {
+			t.Fatalf("n=%d k=%d: coolest %v, stable sort %v", n, k, got[:k], sorted[:k])
+		}
 	}
 }
 

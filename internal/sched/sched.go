@@ -11,10 +11,12 @@
 // Scheduling decisions are delegated to a pluggable Policy (see policy.go):
 // the default EASY policy reproduces the production FIFO+EASY-backfill
 // configuration, and FIFO, shortest-job-first and best-fit packing
-// variants ship alongside it. The hot paths are indexed — an incrementally
-// maintained free-node set and a release heap — so synthetic partitions far
-// beyond the paper's eight nodes schedule without O(nodes) rescans per
-// decision.
+// variants ship alongside it. The hot paths are indexed, so synthetic
+// partitions far beyond the paper's eight nodes schedule without O(nodes)
+// rescans per decision: the idle nodes are a bitset with a maintained
+// count, which policies read through an in-order view (the first or last
+// k idle nodes, or all of them), and running jobs' releases sit in a
+// heap.
 package sched
 
 import (
@@ -154,7 +156,7 @@ type Scheduler struct {
 	fifoOrdered bool // policy priority == submission order; skip sorting
 
 	nodes    []nodeInfo // partition order: index i is cluster node i
-	free     freeIndex
+	free     freeSet
 	releases releaseHeap
 	queue    []*Job // pending, submission order
 	jobs     map[int]*Job
@@ -216,11 +218,7 @@ func New(engine *sim.Engine, hostnames []string, opts ...Option) (*Scheduler, er
 	if s.linearScan {
 		s.free = &linearFree{s: s}
 	} else {
-		idx := make([]int, len(s.nodes))
-		for i := range idx {
-			idx[i] = i
-		}
-		s.free = &indexedFree{idx: idx}
+		s.free = newBitsetFree(len(s.nodes))
 	}
 	return s, nil
 }
@@ -376,7 +374,7 @@ func (s *Scheduler) trySchedule() {
 			idx++
 			continue
 		}
-		if head.Spec.Nodes > s.free.Count() {
+		if head.Spec.Nodes > s.free.Len() {
 			break
 		}
 		if gate, ok := s.policy.(admissionGate); ok && !gate.Admit(head, s.releases.Len()) {
@@ -387,7 +385,11 @@ func (s *Scheduler) trySchedule() {
 			break
 		}
 		before := s.nextID
-		s.start(head, s.pickHosts(head))
+		picked := s.pickHosts(head)
+		if picked == nil {
+			return // the head no longer fits (see pickHosts)
+		}
+		s.start(head, picked)
 		idx++
 		resort = s.nextID != before
 	}
@@ -401,14 +403,18 @@ func (s *Scheduler) trySchedule() {
 	shadow, extra := s.reservation(order[0])
 	now := s.engine.Now()
 	for _, cand := range s.policy.BackfillOrder(order[1:]) {
-		if cand.state != StatePending || cand.Spec.Nodes > s.free.Count() {
+		if cand.state != StatePending || cand.Spec.Nodes > s.free.Len() {
 			continue
 		}
 		endsBeforeShadow := now+cand.Spec.TimeLimit <= shadow
 		if !endsBeforeShadow && cand.Spec.Nodes > extra {
 			continue
 		}
-		s.start(cand, s.pickHosts(cand))
+		picked := s.pickHosts(cand)
+		if picked == nil {
+			return
+		}
+		s.start(cand, picked)
 		if !endsBeforeShadow {
 			// Only charge the spare-node budget when it was the admitting
 			// reason: a job that ends before the shadow time has returned
@@ -424,7 +430,7 @@ func (s *Scheduler) trySchedule() {
 // enough of the partition is down), it returns +Inf: no backfill can delay
 // a start that is not coming, so every fitting candidate is harmless.
 func (s *Scheduler) reservation(head *Job) (shadow float64, extraNodes int) {
-	avail := s.free.Count()
+	avail := s.free.Len()
 	if head.Spec.Nodes <= avail {
 		return s.engine.Now(), avail - head.Spec.Nodes
 	}
@@ -484,11 +490,13 @@ func (s *Scheduler) reservationRescan(head *Job, avail int) (float64, int) {
 	return math.Inf(1), 0
 }
 
-// pickHosts asks the policy for the job's allocation and validates it.
-// The result may alias the idle index slice.
+// pickHosts asks the policy for the job's allocation and validates its
+// size. It returns nil when the policy found the job no longer fits; the
+// pass then ends, since the NodeDown that shrank the idle set has kicked
+// a new one.
 func (s *Scheduler) pickHosts(job *Job) []int {
-	picked := s.policy.PickHosts(s.free.Idle(), job)
-	if len(picked) != job.Spec.Nodes {
+	picked := s.policy.PickHosts(s.free, job)
+	if picked != nil && len(picked) != job.Spec.Nodes {
 		panic(fmt.Sprintf("sched: policy %s picked %d hosts for job %d (want %d)",
 			s.policy.Name(), len(picked), job.ID, job.Spec.Nodes))
 	}
@@ -499,8 +507,7 @@ func (s *Scheduler) start(job *Job, picked []int) {
 	s.removeFromQueue(job)
 	job.state = StateRunning
 	job.started = s.engine.Now()
-	// Copy first: picked may alias the idle slice the removals below shift.
-	job.nodes = append([]int(nil), picked...)
+	job.nodes = picked
 	for _, i := range job.nodes {
 		ni := &s.nodes[i]
 		if ni.state != NodeIdle {
