@@ -1,5 +1,10 @@
 package sched
 
+import (
+	"cmp"
+	"slices"
+)
+
 // powercapPolicy closes the power-management loop at the scheduling
 // layer: jobs start in submission order, but a job whose predicted draw
 // (rail model at its workload model's steady activity) would exceed the
@@ -74,7 +79,7 @@ func (p *powercapPolicy) PickHosts(free IdleSet, job *Job) []int {
 	if len(up) < k {
 		return nil
 	}
-	coolest(up, k)
+	slices.SortFunc(up, coolerFirst)
 	picked := make([]int, k)
 	for j := range picked {
 		picked[j] = up[j].node
@@ -88,50 +93,10 @@ type nodeTemp struct {
 	tempC float64
 }
 
-// cooler orders placements by (temperature, partition index).
-func (a nodeTemp) cooler(b nodeTemp) bool {
-	if a.tempC != b.tempC {
-		return a.tempC < b.tempC
+// coolerFirst orders placements by (temperature, partition index).
+func coolerFirst(a, b nodeTemp) int {
+	if c := cmp.Compare(a.tempC, b.tempC); c != 0 {
+		return c
 	}
-	return a.node < b.node
-}
-
-// coolest moves the k coolest of c (0 < k <= len(c)) to c[:k], coolest
-// first, in O(len(c) log k) without allocating: c[:k] becomes a heap with
-// the warmest of the k kept at its root, every later candidate cooler
-// than that root replaces it, and a heap sort finally orders the k.
-func coolest(c []nodeTemp, k int) {
-	h := c[:k]
-	for i := k/2 - 1; i >= 0; i-- {
-		siftWarmest(h, i)
-	}
-	for _, x := range c[k:] {
-		if x.cooler(h[0]) {
-			h[0] = x
-			siftWarmest(h, 0)
-		}
-	}
-	for end := k - 1; end > 0; end-- {
-		h[0], h[end] = h[end], h[0]
-		siftWarmest(h[:end], 0)
-	}
-}
-
-// siftWarmest restores the heap order below h[i]: no element is warmer
-// than its parent.
-func siftWarmest(h []nodeTemp, i int) {
-	for {
-		c := 2*i + 1
-		if c >= len(h) {
-			return
-		}
-		if c+1 < len(h) && h[c].cooler(h[c+1]) {
-			c++
-		}
-		if !h[i].cooler(h[c]) {
-			return
-		}
-		h[i], h[c] = h[c], h[i]
-		i = c
-	}
+	return cmp.Compare(a.node, b.node)
 }

@@ -234,25 +234,60 @@ func TestPowerCapWaitsWhenReadsLeaveTooFewNodes(t *testing.T) {
 	}
 }
 
-// TestCoolestMatchesStableSort: the bounded selection picks the same
-// nodes in the same order as a stable sort by temperature over the
-// ascending idle set, for every k, with many tied temperatures.
+// tempTable is a PowerAdvisor that admits everything and reads node i's
+// temperature from element i, without allocating.
+type tempTable []float64
+
+func (tempTable) PredictedJobWatts(power.Activity, int) float64 { return 0 }
+func (tempTable) HeadroomWatts() float64                        { return 0 }
+func (t tempTable) NodeTempC(i int) float64                     { return t[i] }
+func (tempTable) NotePlacement(power.Activity, int)             {}
+
+// TestCoolestMatchesStableSort: PickHosts picks the same nodes in the
+// same order as a stable sort by temperature over the ascending idle set,
+// for every k, with many tied temperatures, on partitions of up to three
+// bitset words with random nodes busy.
 func TestCoolestMatchesStableSort(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(70)
-		idle := make([]nodeTemp, n)
-		for i := range idle {
-			idle[i] = nodeTemp{node: 3*i + rng.Intn(3), tempC: 30 + float64(rng.Intn(8))/2}
+		n := 1 + rng.Intn(140)
+		temps := make(tempTable, n)
+		for i := range temps {
+			temps[i] = 30 + float64(rng.Intn(8))/2
 		}
-		sorted := slices.Clone(idle)
-		sort.SliceStable(sorted, func(a, b int) bool { return sorted[a].tempC < sorted[b].tempC })
-		k := 1 + rng.Intn(n)
-		got := slices.Clone(idle)
-		coolest(got, k)
-		if !slices.Equal(got[:k], sorted[:k]) {
-			t.Fatalf("n=%d k=%d: coolest %v, stable sort %v", n, k, got[:k], sorted[:k])
+		free := newBitsetFree(n)
+		for i := 0; i < n; i++ {
+			if rng.Intn(3) == 0 {
+				free.Remove(i)
+			}
 		}
+		if free.Len() == 0 {
+			continue
+		}
+		sorted := free.AppendAll(nil)
+		sort.SliceStable(sorted, func(a, b int) bool { return temps[sorted[a]] < temps[sorted[b]] })
+		k := 1 + rng.Intn(free.Len())
+		p := &powercapPolicy{advisor: temps}
+		got := p.PickHosts(free, &Job{Spec: JobSpec{Nodes: k}})
+		if !slices.Equal(got, sorted[:k]) {
+			t.Fatalf("n=%d k=%d: PickHosts %v, stable sort %v", n, k, got, sorted[:k])
+		}
+	}
+}
+
+// TestPowerCapPickAllocatesOnlyTheResult: once its scratch has grown, a
+// pick allocates the returned slice the job owns and nothing else.
+func TestPowerCapPickAllocatesOnlyTheResult(t *testing.T) {
+	temps := make(tempTable, 130)
+	for i := range temps {
+		temps[i] = float64((i * 37) % 11)
+	}
+	p := &powercapPolicy{advisor: temps}
+	free := newBitsetFree(len(temps))
+	job := &Job{Spec: JobSpec{Nodes: 16}}
+	p.PickHosts(free, job)
+	if allocs := testing.AllocsPerRun(100, func() { p.PickHosts(free, job) }); allocs != 1 {
+		t.Errorf("PickHosts allocated %v times a pick, want 1 (the result)", allocs)
 	}
 }
 
