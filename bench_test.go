@@ -384,14 +384,11 @@ func BenchmarkAblation_Backfill(b *testing.B) {
 // nodes under every registered policy, reporting drained jobs per
 // wall-clock second. The "easy-rescan" case runs the EASY policy on the
 // seed's O(n) partition-rescan structures instead of the bitset free set
-// and release heap — the ablation that must lose at 512 nodes.
+// and sorted release list — the ablation that must lose at 512 nodes.
 //
 // The 10,000-node rows, campaign-10k's partition, drain 2,048 jobs, not
 // 4 a node, and their names say so ("10000nodes-2048jobs"): their jobs/s
-// does not compare with the other rows'. At 40,000 jobs the easy row took
-// 33–43 s an iteration, nearly all of it the pass walking the queue and
-// the reservation walking the release heap. They have no "easy-rescan"
-// row.
+// does not compare with the other rows'. They have no "easy-rescan" row.
 func BenchmarkScheduler_PolicyThroughput(b *testing.B) {
 	drain := func(b *testing.B, nodes, jobs int, opts ...sched.Option) {
 		b.Helper()

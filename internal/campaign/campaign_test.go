@@ -224,6 +224,35 @@ func TestGeneratedDurationFromModel(t *testing.T) {
 	}
 }
 
+// A duration or horizon near the float64 limit parses, but a job's
+// latest end, the horizon plus its wall limit, overflows to +Inf: an
+// explicit job's default 1.5× limit, a drawn job's jitter and
+// time_limit_factor, or a late start. The run must fail with an error
+// naming the job (regression: mcsched panicked scheduling the job's end
+// at +Inf, in the first row after stragglers stretched the runtime).
+func TestOverflowingJobTimesRejected(t *testing.T) {
+	for _, tc := range []struct{ name, json, want string }{
+		{"explicit job", `{"name":"inf","nodes":2,"seed":1,"horizon_s":100,
+			"jobs":[{"name":"huge","workload":"qe","nodes":1,"duration_s":1.7e308}],
+			"faults":{"stragglers":{"count":2,"slowdown":1.3}}}`, "job huge: its latest end, horizon_s 100 plus time limit +Inf"},
+		{"drawn job", `{"name":"inf","nodes":2,"seed":1,"horizon_s":100,
+			"arrival":{"process":"burst","rate_per_hour":3600,"jobs":2},
+			"mix":[{"workload":"qe","weight":1,"duration_s":1e308,"time_limit_factor":2}]}`, "job qe-000: its latest end, horizon_s 100 plus time limit +Inf"},
+		{"late start", `{"name":"late","nodes":2,"seed":1,"horizon_s":1.7e308,
+			"jobs":[{"name":"late","workload":"qe","nodes":1,"submit_s":1.6e308,"duration_s":1e308}]}`, "job late: its latest end, horizon_s 1.7e+308 plus time limit 1.5e+308"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			spec, err := Parse([]byte(tc.json))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Run(spec); err == nil || !strings.Contains(err.Error(), tc.want+", is not finite") {
+				t.Fatalf("Run error = %v, want %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // Tentpole acceptance: same spec + seed ⇒ byte-identical report and event
 // log across runs.
 func TestCampaignDeterminism(t *testing.T) {

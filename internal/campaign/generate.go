@@ -69,6 +69,16 @@ func (s *Spec) GenerateJobs() ([]JobEntry, error) {
 			jobs = append(jobs, entry)
 		}
 	}
+	// A job starts by the horizon at the latest and ends within its wall
+	// limit, so the scheduler orders and schedules it by times up to their
+	// sum. A huge duration times the default 1.5, or the mix's jitter and
+	// factor, overflows that to +Inf; so does a huge horizon.
+	for _, j := range jobs {
+		if end := s.HorizonS + j.TimeLimitS; !(end <= math.MaxFloat64) {
+			return nil, fmt.Errorf("campaign: spec %q job %s: its latest end, horizon_s %v plus time limit %v, is not finite",
+				s.Name, j.Name, s.HorizonS, j.TimeLimitS)
+		}
+	}
 	sort.SliceStable(jobs, func(i, j int) bool { return jobs[i].SubmitS < jobs[j].SubmitS })
 	return jobs, nil
 }

@@ -1,9 +1,6 @@
 package sched
 
-import (
-	"container/heap"
-	"math/bits"
-)
+import "math/bits"
 
 // IdleSet is a read-only view of the scheduler's idle nodes in ascending
 // partition order, handed to Policy.PickHosts. The view is live: a node
@@ -145,93 +142,3 @@ func (f *linearFree) AppendAll(dst []int) []int {
 func (f *linearFree) Add(int) {}
 
 func (f *linearFree) Remove(int) {}
-
-// releaseEntry is one running job's future node release (start time plus
-// wall limit).
-type releaseEntry struct {
-	at    float64
-	nodes int
-	jobID int
-	pos   int // heap position, -1 once removed
-}
-
-// releaseHeap is a min-heap on (at, jobID), pushed on job start and pruned
-// on job end, so reservation() reads releases without rebuilding them from
-// a partition scan.
-type releaseHeap []*releaseEntry
-
-func (h releaseHeap) Len() int { return len(h) }
-
-func (h releaseHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].jobID < h[j].jobID
-}
-
-func (h releaseHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].pos = i
-	h[j].pos = j
-}
-
-func (h *releaseHeap) Push(x any) {
-	e := x.(*releaseEntry)
-	e.pos = len(*h)
-	*h = append(*h, e)
-}
-
-func (h *releaseHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	e.pos = -1
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
-}
-
-func (h *releaseHeap) push(e *releaseEntry) { heap.Push(h, e) }
-
-func (h *releaseHeap) remove(e *releaseEntry) {
-	if e.pos >= 0 && e.pos < h.Len() && (*h)[e.pos] == e {
-		heap.Remove(h, e.pos)
-	}
-}
-
-// scratchInto fills dst (reusing its capacity) with a value-copy min-heap
-// of the pending releases that can be consumed in (at, jobID) order
-// without disturbing the live entries' heap positions. A copy of a heap
-// slice is already heap-ordered, so no re-heapify is needed.
-func (h releaseHeap) scratchInto(dst scratchHeap) scratchHeap {
-	dst = dst[:0]
-	for _, e := range h {
-		dst = append(dst, *e)
-	}
-	return dst
-}
-
-// scratchHeap is a value-based min-heap over releaseEntry with the same
-// ordering as releaseHeap but without position tracking.
-type scratchHeap []releaseEntry
-
-func (h scratchHeap) Len() int { return len(h) }
-
-func (h scratchHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].jobID < h[j].jobID
-}
-
-func (h scratchHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
-
-func (h *scratchHeap) Push(x any) { *h = append(*h, x.(releaseEntry)) }
-
-func (h *scratchHeap) Pop() any {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}

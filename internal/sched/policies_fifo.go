@@ -13,11 +13,6 @@ func (fifoPolicy) Name() string { return "fifo" }
 
 func (fifoPolicy) Less(a, b *Job) bool { return false }
 
-// keepsSubmissionOrder marks the queue priority as identical to submission
-// order, letting the scheduler skip the priority sort on its hot path.
-// Policies embedding fifoPolicy (easy, bestfit) inherit it.
-func (fifoPolicy) keepsSubmissionOrder() {}
-
 func (fifoPolicy) Backfill() bool { return false }
 
 func (fifoPolicy) BackfillOrder(cands []*Job) []*Job { return cands }

@@ -23,7 +23,10 @@ type Policy interface {
 	// Name identifies the policy ("easy", "fifo", ...).
 	Name() string
 	// Less reports whether job a has strictly higher queue priority than
-	// b. The scheduler sorts the pending queue with a stable sort, so
+	// b. It must be a strict weak order, and its result for a job must not
+	// change while the job is queued: the scheduler keeps the pending
+	// queue in this order by inserting each submission before the first
+	// queued job it outranks, which gives the order of a stable sort, so
 	// equal priorities keep submission order.
 	Less(a, b *Job) bool
 	// Backfill reports whether a backfill pass runs behind a blocked head.

@@ -15,14 +15,17 @@
 // partitions far beyond the paper's eight nodes schedule without O(nodes)
 // rescans per decision: the idle nodes are a bitset with a maintained
 // count, which policies read through an in-order view (the first or last
-// k idle nodes, or all of them), and running jobs' releases sit in a
-// heap.
+// k idle nodes, or all of them). The scheduler keeps the rest of its state
+// in order as it changes and reads it in place on every pass: the pending
+// queue in the policy's priority order, and running jobs' releases in a
+// slice sorted by release time.
 package sched
 
 import (
-	"container/heap"
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"montecimone/internal/power"
@@ -61,7 +64,9 @@ type JobSpec struct {
 	User string
 	// Nodes is the requested node count (sbatch -N).
 	Nodes int
-	// TimeLimit is the wall-time limit in seconds (sbatch -t).
+	// TimeLimit is the wall-time limit in seconds (sbatch -t), positive
+	// and finite. The job's end, at most its start plus TimeLimit, must
+	// be finite too.
 	TimeLimit float64
 	// Duration is the modelled execution time of the workload; the job
 	// completes after this time or hits TimeLimit, whichever comes first.
@@ -105,7 +110,8 @@ func (s *JobSpec) Activity() power.Activity {
 type Job struct {
 	// ID is the cluster-unique job id.
 	ID int
-	// Spec is the submission.
+	// Spec is the submission. The scheduler orders its queue and its
+	// releases by it, so it must not change after Submit.
 	Spec JobSpec
 
 	state     JobState
@@ -116,7 +122,6 @@ type Job struct {
 	attempt   int     // 0 for the original submission, +1 per requeue
 	runScale  float64 // runtime stretch applied at start (0 until started)
 	endEvent  sim.Handle
-	release   *releaseEntry
 }
 
 // State returns the job state.
@@ -149,16 +154,15 @@ type nodeInfo struct {
 
 // Scheduler is the controller daemon (slurmctld).
 type Scheduler struct {
-	engine      *sim.Engine
-	policy      Policy
-	advisor     PowerAdvisor
-	linearScan  bool
-	fifoOrdered bool // policy priority == submission order; skip sorting
+	engine     *sim.Engine
+	policy     Policy
+	advisor    PowerAdvisor
+	linearScan bool
 
 	nodes    []nodeInfo // partition order: index i is cluster node i
 	free     freeSet
-	releases releaseHeap
-	queue    []*Job // pending, submission order
+	releases []release // running jobs, sorted by compareReleases
+	queue    []*Job    // pending, in priority order (see enqueue)
 	jobs     map[int]*Job
 	nextID   int
 
@@ -167,15 +171,14 @@ type Scheduler struct {
 	// for allocations touching straggler nodes or degraded-network windows.
 	runtimeScale func(job *Job, nodes []int) float64
 
-	// Per-cycle scratch, rebuilt on every scheduling pass: the priority
-	// snapshot of the pending queue, the reservation walk's value-copy
-	// release heap, and the cycle callback itself. All three are consumed
-	// strictly within one trySchedule call (kick only enqueues an engine
-	// event), so reusing them is safe and keeps the scheduling cycle —
-	// which runs after every submission and completion — allocation-free.
-	cycleFn      func(*sim.Engine)
+	// The scheduling pass: its callback, built once, and whether a pass is
+	// already scheduled at the current instant (see kick).
+	cycleFn     func(*sim.Engine)
+	passPending bool
+	// orderScratch is the backfill pass's snapshot of the pending queue,
+	// reused from pass to pass: it is consumed strictly within one
+	// trySchedule call, which keeps the pass allocation-free.
 	orderScratch []*Job
-	relScratch   scratchHeap
 }
 
 // New builds a scheduler over a partition of len(hostnames) nodes. Node
@@ -214,7 +217,6 @@ func New(engine *sim.Engine, hostnames []string, opts ...Option) (*Scheduler, er
 	if pa, ok := s.policy.(PowerAwarePolicy); ok && s.advisor != nil {
 		pa.SetAdvisor(s.advisor)
 	}
-	_, s.fifoOrdered = s.policy.(interface{ keepsSubmissionOrder() })
 	if s.linearScan {
 		s.free = &linearFree{s: s}
 	} else {
@@ -234,18 +236,29 @@ func (s *Scheduler) Submit(spec JobSpec) (*Job, error) {
 	if spec.Nodes > len(s.nodes) {
 		return nil, fmt.Errorf("sched: job %q requests %d nodes, partition has %d", spec.Name, spec.Nodes, len(s.nodes))
 	}
-	if spec.TimeLimit <= 0 {
-		return nil, fmt.Errorf("sched: job %q needs a positive time limit", spec.Name)
+	// The comparisons reject NaN too. The queue and the release list are
+	// ordered by these times, and the job's end is scheduled from them.
+	if !(spec.TimeLimit > 0 && spec.TimeLimit <= math.MaxFloat64) {
+		return nil, fmt.Errorf("sched: job %q needs a positive, finite time limit, got %v", spec.Name, spec.TimeLimit)
 	}
-	if spec.Duration < 0 {
-		return nil, fmt.Errorf("sched: job %q has negative duration", spec.Name)
+	if !(spec.Duration >= 0 && spec.Duration <= math.MaxFloat64) {
+		return nil, fmt.Errorf("sched: job %q needs a non-negative, finite duration, got %v", spec.Name, spec.Duration)
 	}
 	job := &Job{ID: s.nextID, Spec: spec, state: StatePending, submitted: s.engine.Now()}
 	s.nextID++
 	s.jobs[job.ID] = job
-	s.queue = append(s.queue, job)
+	s.enqueue(job)
 	s.kick()
 	return job, nil
+}
+
+// enqueue inserts a pending job before the first queued job it has
+// strictly higher priority than. Inserting each submission this way keeps
+// the queue in the order a stable sort of the submissions by Policy.Less
+// gives, so equal priorities keep submission order.
+func (s *Scheduler) enqueue(job *Job) {
+	i := sort.Search(len(s.queue), func(i int) bool { return s.policy.Less(job, s.queue[i]) })
+	s.queue = slices.Insert(s.queue, i, job)
 }
 
 // Cancel removes a pending job or stops a running one (scancel).
@@ -295,7 +308,7 @@ func (s *Scheduler) NodeDown(i int) {
 				submitted: s.engine.Now(), attempt: job.attempt + 1}
 			s.nextID++
 			s.jobs[clone.ID] = clone
-			s.queue = append(s.queue, clone)
+			s.enqueue(clone)
 		}
 	}
 	s.kick()
@@ -322,30 +335,27 @@ func (s *Scheduler) Job(id int) (*Job, bool) {
 // power-delayed heads do not wait for the next job event.
 func (s *Scheduler) Reschedule() { s.kick() }
 
-// kick schedules a trySchedule pass at the current instant.
+// kick schedules a trySchedule pass at the current instant, unless one
+// is already pending there: that pass has not read the scheduler's state
+// yet, so it sees this change too. The flag clears as the pass starts, so
+// a kick from inside a pass (an OnStart submission, a NodeDown during a
+// placement's reads) still schedules the next one.
 func (s *Scheduler) kick() {
+	if s.passPending {
+		return
+	}
 	// Scheduling runs as an event so that submissions during event
 	// processing still honour engine ordering.
 	if s.cycleFn == nil {
-		s.cycleFn = func(*sim.Engine) { s.trySchedule() }
+		s.cycleFn = func(*sim.Engine) {
+			s.passPending = false
+			s.trySchedule()
+		}
 	}
 	if _, err := s.engine.ScheduleAfter(0, "sched.cycle", s.cycleFn); err != nil {
 		panic(fmt.Sprintf("sched: kick: %v", err)) // unreachable: delay 0 is valid
 	}
-}
-
-// pendingByPriority returns the pending queue in the policy's priority
-// order; the sort is stable, so equal priorities keep submission order.
-// Policies that keep submission order outright skip the sort. The snapshot
-// lives in the scheduler's scratch buffer: each call invalidates the
-// previous one, which trySchedule (the only caller) never needs again.
-func (s *Scheduler) pendingByPriority() []*Job {
-	out := append(s.orderScratch[:0], s.queue...)
-	s.orderScratch = out
-	if !s.fifoOrdered {
-		sort.SliceStable(out, func(i, j int) bool { return s.policy.Less(out[i], out[j]) })
-	}
-	return out
+	s.passPending = true
 }
 
 // trySchedule starts the highest-priority pending job while it fits, then
@@ -353,53 +363,36 @@ func (s *Scheduler) pendingByPriority() []*Job {
 // start out of order as long as they cannot delay the blocked head's
 // reservation.
 func (s *Scheduler) trySchedule() {
-	// Priority order is invariant while heads are started (free nodes only
-	// shrink), so one sort serves the whole pass — unless an OnStart
-	// callback submits new jobs, which forces a re-sort.
-	resort := true
-	var order []*Job
-	idx := 0
-	for {
-		if resort {
-			order = s.pendingByPriority()
-			idx = 0
-			resort = false
-		}
-		if idx >= len(order) {
-			break
-		}
-		head := order[idx]
-		if head.state != StatePending {
-			// An OnStart callback cancelled it out of the snapshot.
-			idx++
-			continue
-		}
+	// The queue is in priority order and holds only pending jobs, so its
+	// front is the head, even after an OnStart callback submits or cancels
+	// jobs.
+	for len(s.queue) > 0 {
+		head := s.queue[0]
 		if head.Spec.Nodes > s.free.Len() {
 			break
 		}
-		if gate, ok := s.policy.(admissionGate); ok && !gate.Admit(head, s.releases.Len()) {
+		if gate, ok := s.policy.(admissionGate); ok && !gate.Admit(head, len(s.releases)) {
 			// The head fits node-wise but not budget-wise: stop the pass
 			// (power-aware policies run no backfill, so nothing overtakes
 			// it) and wait for job completions or a power plane
 			// Reschedule to retry.
 			break
 		}
-		before := s.nextID
 		picked := s.pickHosts(head)
 		if picked == nil {
 			return // the head no longer fits (see pickHosts)
 		}
 		s.start(head, picked)
-		idx++
-		resort = s.nextID != before
 	}
 	if !s.policy.Backfill() || len(s.queue) < 2 {
 		return
 	}
 	// Compute the head's shadow start from running jobs' wall-time limits,
 	// then admit any later job that either ends before the shadow time or
-	// fits in the nodes the head won't need.
-	order = s.pendingByPriority()
+	// fits in the nodes the head won't need. Starts edit the queue, so the
+	// candidates come from a snapshot of it.
+	order := append(s.orderScratch[:0], s.queue...)
+	s.orderScratch = order
 	shadow, extra := s.reservation(order[0])
 	now := s.engine.Now()
 	for _, cand := range s.policy.BackfillOrder(order[1:]) {
@@ -424,6 +417,28 @@ func (s *Scheduler) trySchedule() {
 	}
 }
 
+// release is one running job's future node release: its start time plus
+// wall limit, and the nodes it frees then.
+type release struct {
+	at    float64
+	jobID int
+	nodes int
+}
+
+// compareReleases orders releases by (time, job id).
+func compareReleases(a, b release) int {
+	if c := cmp.Compare(a.at, b.at); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.jobID, b.jobID)
+}
+
+// releaseOf is a running job's entry in the release list. Its key is
+// fixed while the job runs, so start and endJob find the same position.
+func releaseOf(job *Job) release {
+	return release{at: job.started + job.Spec.TimeLimit, jobID: job.ID, nodes: len(job.nodes)}
+}
+
 // reservation returns the head job's expected start (shadow time) and the
 // number of nodes that remain free at that time beyond the head's need.
 // When the head can never start with the nodes currently in service (e.g.
@@ -434,20 +449,17 @@ func (s *Scheduler) reservation(head *Job) (shadow float64, extraNodes int) {
 	if head.Spec.Nodes <= avail {
 		return s.engine.Now(), avail - head.Spec.Nodes
 	}
+	releases := s.releases
 	if s.linearScan {
-		return s.reservationRescan(head, avail)
+		releases = s.rescanReleases()
 	}
-	// Walk the maintained release heap in time order on a value-copy
-	// scratch heap: O(releases) to heapify, then only as many pops as it
-	// takes to fit the head. Releases at the same instant free together,
-	// so a whole group is accumulated before the fit test.
-	scratch := s.releases.scratchInto(s.relScratch)
-	s.relScratch = scratch // retain the (possibly grown) backing for reuse
-	for scratch.Len() > 0 {
-		at := scratch[0].at
-		for scratch.Len() > 0 && scratch[0].at == at {
-			avail += scratch[0].nodes
-			heap.Pop(&scratch)
+	// Walk the releases in time order and stop at the first instant the
+	// head fits. Releases at the same instant free together, so a whole
+	// group is accumulated before the fit test.
+	for i := 0; i < len(releases); {
+		at := releases[i].at
+		for ; i < len(releases) && releases[i].at == at; i++ {
+			avail += releases[i].nodes
 		}
 		if avail >= head.Spec.Nodes {
 			return at, avail - head.Spec.Nodes
@@ -456,38 +468,22 @@ func (s *Scheduler) reservation(head *Job) (shadow float64, extraNodes int) {
 	return math.Inf(1), 0
 }
 
-// reservationRescan recomputes the reservation the way the seed scheduler
-// did — a full partition scan per pass — and is kept, together with
-// linearFree, as the benchmark baseline for the indexed structures.
-func (s *Scheduler) reservationRescan(head *Job, avail int) (float64, int) {
+// rescanReleases rebuilds the release list the way the seed scheduler did,
+// from a full partition scan, for the WithLinearScan reference.
+func (s *Scheduler) rescanReleases() []release {
 	perJob := make(map[int]int)
 	for _, ni := range s.nodes {
 		if ni.state == NodeAlloc {
 			perJob[ni.jobID]++
 		}
 	}
-	releases := make([]releaseEntry, 0, len(perJob))
+	releases := make([]release, 0, len(perJob))
 	for id, count := range perJob {
 		j := s.jobs[id]
-		releases = append(releases, releaseEntry{at: j.started + j.Spec.TimeLimit, nodes: count, jobID: id})
+		releases = append(releases, release{at: j.started + j.Spec.TimeLimit, jobID: id, nodes: count})
 	}
-	sort.Slice(releases, func(i, k int) bool {
-		if releases[i].at != releases[k].at {
-			return releases[i].at < releases[k].at
-		}
-		return releases[i].jobID < releases[k].jobID
-	})
-	for i := 0; i < len(releases); {
-		at := releases[i].at
-		for i < len(releases) && releases[i].at == at {
-			avail += releases[i].nodes
-			i++
-		}
-		if avail >= head.Spec.Nodes {
-			return at, avail - head.Spec.Nodes
-		}
-	}
-	return math.Inf(1), 0
+	slices.SortFunc(releases, compareReleases)
+	return releases
 }
 
 // pickHosts asks the policy for the job's allocation and validates its
@@ -518,8 +514,9 @@ func (s *Scheduler) start(job *Job, picked []int) {
 		ni.jobID = job.ID
 		s.free.Remove(i)
 	}
-	job.release = &releaseEntry{at: job.started + job.Spec.TimeLimit, nodes: len(job.nodes), jobID: job.ID}
-	s.releases.push(job.release)
+	r := releaseOf(job)
+	i, _ := slices.BinarySearchFunc(s.releases, r, compareReleases)
+	s.releases = slices.Insert(s.releases, i, r)
 	if s.advisor != nil {
 		// Reserve the predicted draw until the plane's measurements see it.
 		s.advisor.NotePlacement(job.Spec.Activity(), job.Spec.Nodes)
@@ -540,7 +537,7 @@ func (s *Scheduler) start(job *Job, picked []int) {
 		s.endJob(job, final)
 	})
 	if err != nil {
-		panic(fmt.Sprintf("sched: schedule end: %v", err)) // unreachable: runFor >= 0
+		panic(fmt.Sprintf("sched: schedule end: %v", err)) // unreachable while the end is finite (see TimeLimit)
 	}
 	job.endEvent = ev
 	if job.Spec.OnStart != nil {
@@ -555,9 +552,8 @@ func (s *Scheduler) endJob(job *Job, state JobState) {
 	}
 	job.endEvent.Cancel()
 	job.endEvent = sim.Handle{}
-	if job.release != nil {
-		s.releases.remove(job.release)
-		job.release = nil
+	if i, ok := slices.BinarySearchFunc(s.releases, releaseOf(job), compareReleases); ok {
+		s.releases = slices.Delete(s.releases, i, i+1)
 	}
 	for _, i := range job.nodes {
 		if ni := &s.nodes[i]; ni.jobID == job.ID {
@@ -607,7 +603,7 @@ type JobRow struct {
 // priority order.
 func (s *Scheduler) Squeue() []JobRow {
 	var rows []JobRow
-	for _, j := range s.pendingByPriority() {
+	for _, j := range s.queue {
 		rows = append(rows, s.row(j))
 	}
 	var running []JobRow

@@ -2,6 +2,7 @@ package sched
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
 	"montecimone/internal/sim"
@@ -51,6 +52,19 @@ func TestSubmitValidation(t *testing.T) {
 	}
 	if _, err := s.Submit(JobSpec{Name: "x", Nodes: 1, TimeLimit: 10, Duration: -1}); err == nil {
 		t.Error("negative duration accepted")
+	}
+	// The queue and the release list are ordered by these times, and the
+	// job's end is scheduled from them: NaN and infinities are rejected.
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		if _, err := s.Submit(JobSpec{Name: "x", Nodes: 1, TimeLimit: v, Duration: 1}); err == nil {
+			t.Errorf("time limit %v accepted", v)
+		}
+		if _, err := s.Submit(JobSpec{Name: "x", Nodes: 1, TimeLimit: 10, Duration: v}); err == nil {
+			t.Errorf("duration %v accepted", v)
+		}
+	}
+	if got := s.Pending(); got != 0 {
+		t.Errorf("%d rejected jobs queued", got)
 	}
 }
 
@@ -354,6 +368,49 @@ func TestPendingMatchesSqueue(t *testing.T) {
 	check("after a NODE_FAIL requeue", 2)
 	cycle() // full can never start on three nodes, so the clone backfills
 	check("after the clone starts", 1)
+}
+
+// TestOnePassPerInstant: a pass already pending at this instant has not
+// read the scheduler's state yet, so further kicks there schedule no
+// second one.
+func TestOnePassPerInstant(t *testing.T) {
+	e, s := newSched(t, 4)
+	for i := 0; i < 8; i++ {
+		s.mustSubmit(t, JobSpec{Name: "j", Nodes: 1, TimeLimit: 10, Duration: 5})
+	}
+	if got := e.Pending(); got != 1 {
+		t.Fatalf("engine holds %d events after 8 submissions at one instant, want 1 pass", got)
+	}
+	if err := e.RunUntil(0); err != nil {
+		t.Fatal(err)
+	}
+	if got := s.Pending(); got != 4 {
+		t.Errorf("%d jobs pending after the pass, want 4 (one a node)", got)
+	}
+}
+
+// TestKickInsidePassSchedulesNext: the pending flag clears as a pass
+// starts, so a submission from a backfilled job's OnStart, which the
+// pass's candidate snapshot does not hold, still gets a pass at the same
+// instant.
+func TestKickInsidePassSchedulesNext(t *testing.T) {
+	e, s := newSched(t, 5)
+	s.mustSubmit(t, JobSpec{Name: "wide", Nodes: 3, TimeLimit: 100, Duration: 100})
+	head := s.mustSubmit(t, JobSpec{Name: "head", Nodes: 5, TimeLimit: 100, Duration: 10})
+	var late *Job
+	s.mustSubmit(t, JobSpec{Name: "small", Nodes: 1, TimeLimit: 30, Duration: 30,
+		OnStart: func(*Job, []int) {
+			late = s.mustSubmit(t, JobSpec{Name: "late", Nodes: 1, TimeLimit: 30, Duration: 30})
+		}})
+	if err := e.RunUntil(0); err != nil {
+		t.Fatal(err)
+	}
+	if head.State() != StatePending {
+		t.Fatalf("head %s, want PENDING behind wide", head.State())
+	}
+	if late == nil || late.State() != StateRunning {
+		t.Fatalf("late job %v, want it backfilled at t=0 by the next pass", late)
+	}
 }
 
 func TestManyJobsDrainDeterministically(t *testing.T) {
