@@ -150,7 +150,7 @@ func (d Detector) ScanAll(st *MemStore, f Filter) ([]Anomaly, error) {
 	// the full series length would pin full-history capacity for narrow
 	// windows.
 	var scratch []Point
-	for _, s := range st.snapshot(f, false) {
+	for _, s := range st.snapshot(nil, f, false) {
 		scratch = scratch[:0]
 		cur := s.pts.Cursor(from, to)
 		for p, ok := cur.Next(); ok; p, ok = cur.Next() {

@@ -7,10 +7,10 @@ import (
 )
 
 // Encoded chunks: a series stores its points as a chain of sealed chunks
-// of exactly chunkCap points each, encoded Gorilla-style (Pelkonen et
-// al., VLDB 2015), plus one raw open chunk that takes appends. Both
-// encodings are lossless for every float64 bit pattern — NaN payloads,
-// ±Inf, −0, subnormals, and timestamps that go backwards:
+// of exactly chunkCap points each plus one open chunk that takes appends,
+// all encoded Gorilla-style (Pelkonen et al., VLDB 2015) as the points
+// arrive. The encoding is lossless for every float64 bit pattern — NaN
+// payloads, ±Inf, −0, subnormals, and timestamps that go backwards:
 //
 //   - The chunk header records the first and last timestamp. The first
 //     point's time is the header's; every later time costs one 0 bit when
@@ -24,14 +24,12 @@ import (
 //     6 bits of meaningful-bit count minus one, and the meaningful bits.
 //
 // Bits are written and read a 64-bit word at a time, most significant
-// bit first.
+// bit first. The open chunk keeps its whole words in a heap buffer that
+// appends only extend and its pending bits in the encoder; a seal copies
+// the chunk into the store's byte slab at its exact length.
 
 // chunkCap is the number of points in every sealed chunk.
 const chunkCap = 128
-
-// maxChunkBytes bounds one encoded chunk: a raw first value, then per
-// point a raw timestamp (1+64 bits) and a new-window value (2+5+6+64).
-const maxChunkBytes = (64 + (chunkCap-1)*(1+64+2+5+6+64) + 7) / 8
 
 // sealedChunk is one encoded chunk of chunkCap points. Nothing in it
 // changes once it is linked into its series, except next on the series'
@@ -74,15 +72,21 @@ func (w *bitWriter) flush() []byte {
 	return w.b
 }
 
-// bitReader reads what bitWriter wrote, a 64-bit word at a time.
+// bitReader reads what bitWriter wrote, a 64-bit word at a time: a
+// sealed chunk's bytes, or an open chunk's whole words followed by its
+// pending bits, which a view copied out of the encoder.
 type bitReader struct {
 	b     []byte // bytes not yet loaded
 	buf   uint64 // loaded bits, right-aligned
 	valid uint   // unread bits in buf
+	last  uint64 // an open chunk's pending bits, right-aligned, read after b
+	nlast uint   // count of those bits
 }
 
-// load replaces the (fully read) buffer with the next word, or with the
-// last bytes of the stream.
+// load replaces the (fully read) buffer with the next word, or with what
+// follows the last word: a sealed chunk's last bytes or an open chunk's
+// pending bits. An open chunk's words are whole, so only one of the two
+// is ever there, and nothing is read after it.
 func (r *bitReader) load() {
 	if len(r.b) >= 8 {
 		r.buf = binary.BigEndian.Uint64(r.b)
@@ -90,7 +94,7 @@ func (r *bitReader) load() {
 		r.valid = 64
 		return
 	}
-	r.buf, r.valid = 0, 0
+	r.buf, r.valid = r.last, r.nlast
 	for _, c := range r.b {
 		r.buf = r.buf<<8 | uint64(c)
 		r.valid += 8
@@ -125,44 +129,55 @@ func (r *bitReader) readAcross(k uint) uint64 {
 	return hi<<need | r.buf>>r.valid&(1<<need-1)
 }
 
-// encodeChunk appends the encoding of pts (at least one point) to dst;
-// the first timestamp is not written, the chunk header carries it.
-func encodeChunk(dst []byte, pts []Point) []byte {
-	w := bitWriter{b: dst}
-	t, dt := pts[0].T, 0.0
-	v := math.Float64bits(pts[0].V)
-	w.write(v, 64)
-	lead, trail := uint(64), uint(0) // no window yet: lead > 31 never fits
-	for _, p := range pts[1:] {
-		if math.Float64bits(t+dt) == math.Float64bits(p.T) {
-			w.write(0, 1)
-		} else {
-			w.write(1, 1)
-			w.write(math.Float64bits(p.T), 64)
-		}
-		dt, t = p.T-t, p.T
+// chunkEncoder encodes one chunk a point at a time: w holds the bits
+// written so far, the other fields the state the next point is encoded
+// against. It is the only encoder: a series' open chunk is one, and a
+// seal flushes it.
+type chunkEncoder struct {
+	w             bitWriter
+	firstT, t, dt float64
+	v             uint64 // the last value's bits
+	lead, trail   uint   // the XOR window; lead 64 (no window yet) never fits
+	n             int    // points encoded
+}
 
-		x := math.Float64bits(p.V) ^ v
-		v ^= x
-		if x == 0 {
-			w.write(0, 1)
-			continue
-		}
-		l := min(uint(bits.LeadingZeros64(x)), 31)
-		tr := uint(bits.TrailingZeros64(x))
-		if l >= lead && tr >= trail {
-			w.write(0b10, 2)
-			w.write(x>>trail, 64-lead-trail)
-			continue
-		}
-		lead, trail = l, tr
-		sig := 64 - l - tr
-		w.write(0b11, 2)
-		w.write(uint64(l), 5)
-		w.write(uint64(sig-1), 6)
-		w.write(x>>tr, sig)
+// add encodes one point: the first value raw (the first time goes to the
+// chunk header), every later point against its predecessor.
+func (e *chunkEncoder) add(t, v float64) {
+	vb := math.Float64bits(v)
+	if e.n++; e.n == 1 {
+		e.firstT, e.t, e.dt, e.v = t, t, 0, vb
+		e.lead, e.trail = 64, 0
+		e.w.write(vb, 64)
+		return
 	}
-	return w.flush()
+	if math.Float64bits(e.t+e.dt) == math.Float64bits(t) {
+		e.w.write(0, 1)
+	} else {
+		e.w.write(1, 1)
+		e.w.write(math.Float64bits(t), 64)
+	}
+	e.dt, e.t = t-e.t, t
+
+	x := vb ^ e.v
+	e.v = vb
+	if x == 0 {
+		e.w.write(0, 1)
+		return
+	}
+	l := min(uint(bits.LeadingZeros64(x)), 31)
+	tr := uint(bits.TrailingZeros64(x))
+	if l >= e.lead && tr >= e.trail {
+		e.w.write(0b10, 2)
+		e.w.write(x>>e.trail, 64-e.lead-e.trail)
+		return
+	}
+	e.lead, e.trail = l, tr
+	sig := 64 - l - tr
+	e.w.write(0b11, 2)
+	e.w.write(uint64(l), 5)
+	e.w.write(uint64(sig-1), 6)
+	e.w.write(x>>tr, sig)
 }
 
 // chunkDecoder yields an encoded chunk's points in order. The caller
@@ -174,10 +189,10 @@ type chunkDecoder struct {
 	lead, trail uint
 }
 
-// reset starts decoding data, whose first point has time firstT, and
-// returns that first point.
-func (d *chunkDecoder) reset(data []byte, firstT float64) Point {
-	*d = chunkDecoder{r: bitReader{b: data}, t: firstT}
+// reset starts decoding the chunk r reads, whose first point has time
+// firstT, and returns that first point.
+func (d *chunkDecoder) reset(r bitReader, firstT float64) Point {
+	*d = chunkDecoder{r: r, t: firstT}
 	d.v = d.r.read(64)
 	return Point{T: firstT, V: math.Float64frombits(d.v)}
 }
@@ -228,30 +243,30 @@ func (s *slab[T]) carve(n int) []T {
 	return r[:n:n]
 }
 
-// chunkArena holds the store-wide slabs that sealed chunks, their headers
-// and re-issued open chunks are carved from. Guarded by the store's write
-// lock.
+// chunkArena holds the store-wide slabs that sealed chunks and their
+// headers are carved from. Guarded by the store's write lock.
 type chunkArena struct {
 	bytes   slab[byte]
 	headers slab[sealedChunk]
-	points  slab[Point]
 }
 
 func newChunkArena() chunkArena {
 	return chunkArena{
 		bytes:   slab[byte]{minLen: 16 << 10, maxLen: 1 << 20},
 		headers: slab[sealedChunk]{minLen: 64, maxLen: 16 << 10},
-		points:  slab[Point]{minLen: 4 * chunkCap, maxLen: 256 * chunkCap},
 	}
 }
 
-// seal encodes a full open chunk into the byte slab and returns its
-// header, carved from the header slab.
-func (a *chunkArena) seal(pts []Point) *sealedChunk {
-	room := a.bytes.room(maxChunkBytes)
-	data := encodeChunk(room[:0], pts)
+// seal flushes an open chunk's encoder into the byte slab, at the
+// encoding's exact length, and returns its header, carved from the header
+// slab. The encoder's own buffer is not written: views may hold it.
+func (a *chunkArena) seal(e *chunkEncoder) *sealedChunk {
+	room := a.bytes.room(len(e.w.b) + 8)
+	w := e.w
+	w.b = append(room[:0], e.w.b...)
+	data := w.flush()
 	a.bytes.free = room[len(data):]
 	h := &a.headers.carve(1)[0]
-	*h = sealedChunk{firstT: pts[0].T, lastT: pts[len(pts)-1].T, data: data[:len(data):len(data)]}
+	*h = sealedChunk{firstT: e.firstT, lastT: e.t, data: data[:len(data):len(data)]}
 	return h
 }

@@ -67,15 +67,47 @@ func randomPoints(rng *rand.Rand, n int) []Point {
 	return pts
 }
 
-// roundTrip encodes pts as one chunk and decodes them back.
-func roundTrip(pts []Point) []Point {
-	data := encodeChunk(nil, pts)
+// maxChunkBytes bounds one encoded chunk: a raw first value, then per
+// point a raw timestamp (1+64 bits) and a new-window value (2+5+6+64).
+const maxChunkBytes = (64 + (chunkCap-1)*(1+64+2+5+6+64) + 7) / 8
+
+// encode runs pts (at least one point) through the store's per-point
+// encoder and returns it unflushed, as an open chunk holds it.
+func encode(pts []Point) chunkEncoder {
+	var e chunkEncoder
+	for _, p := range pts {
+		e.add(p.T, p.V)
+	}
+	return e
+}
+
+// encodeChunk returns the bytes a seal stores for pts.
+func encodeChunk(pts []Point) []byte {
+	e := encode(pts)
+	return e.w.flush()
+}
+
+// decode reads n points from r, a chunk whose first time is firstT.
+func decode(r bitReader, firstT float64, n int) []Point {
 	var d chunkDecoder
-	out := []Point{d.reset(data, pts[0].T)}
-	for len(out) < len(pts) {
+	out := []Point{d.reset(r, firstT)}
+	for len(out) < n {
 		out = append(out, d.next())
 	}
 	return out
+}
+
+// roundTrip encodes pts as one chunk and decodes them back, both from the
+// open form a view reads (whole words, then the pending bits) and from
+// the sealed bytes; it returns nil when the two disagree.
+func roundTrip(pts []Point) []Point {
+	e := encode(pts)
+	open := decode(bitReader{b: e.w.b, last: e.w.acc, nlast: e.w.n}, pts[0].T, len(pts))
+	sealed := decode(bitReader{b: e.w.flush()}, pts[0].T, len(pts))
+	if !samePoints(open, sealed) {
+		return nil
+	}
+	return sealed
 }
 
 // TestChunkRoundTripEveryLength: every chunk length from 1 to chunkCap
@@ -88,7 +120,7 @@ func TestChunkRoundTripEveryLength(t *testing.T) {
 			if got := roundTrip(pts); !samePoints(got, pts) {
 				t.Fatalf("n=%d trial %d: decoded %v, want %v", n, trial, got, pts)
 			}
-			if b := len(encodeChunk(nil, pts)); b > maxChunkBytes {
+			if b := len(encodeChunk(pts)); b > maxChunkBytes {
 				t.Fatalf("n=%d: %d bytes, over the %d-byte bound", n, b, maxChunkBytes)
 			}
 		}
@@ -111,8 +143,7 @@ func TestChunkRoundTripEveryLength(t *testing.T) {
 // TestChunkWorstCaseFitsBound: random timestamp bits miss the delta
 // prediction every time, and value XORs alternating between two windows
 // neither of which fits the other force a new window every time; the
-// encoding still fits maxChunkBytes, which the byte slab reserves per
-// seal.
+// encoding still fits maxChunkBytes.
 func TestChunkWorstCaseFitsBound(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	pts := make([]Point, chunkCap)
@@ -121,7 +152,7 @@ func TestChunkWorstCaseFitsBound(t *testing.T) {
 		v ^= []uint64{0x4000_0000_0000_0001, 0x8000_0000_0000_0002}[i%2]
 		pts[i] = Point{T: math.Float64frombits(rng.Uint64()), V: math.Float64frombits(v)}
 	}
-	data := encodeChunk(nil, pts)
+	data := encodeChunk(pts)
 	if len(data) > maxChunkBytes || len(data) < maxChunkBytes-32 {
 		t.Fatalf("%d bytes, want at most and near the %d-byte bound", len(data), maxChunkBytes)
 	}
@@ -181,7 +212,7 @@ func TestChunkStoreRandomized(t *testing.T) {
 				sorted = false
 			}
 		}
-		v := st.snapshot(Filter{Metric: "m"}, false)[0].pts
+		v := st.snapshot(nil, Filter{Metric: "m"}, false)[0].pts
 		if v.sorted != sorted {
 			t.Fatalf("trial %d: sorted = %v, want %v", trial, v.sorted, sorted)
 		}
@@ -204,54 +235,27 @@ func TestOutOfOrderInsertAcrossSeal(t *testing.T) {
 			st.Insert(confTags(1, -1, "m"), float64(i), 0)
 		}
 		st.Insert(confTags(1, -1, "m"), c.next, 0) // seals the full open chunk first
-		v := st.snapshot(Filter{Metric: "m"}, false)[0].pts
-		if v.nsealed != 1 || len(v.open) != 1 || v.sorted != c.sorted {
-			t.Errorf("next t=%v: sealed %d open %d sorted %v, want 1, 1, %v", c.next, v.nsealed, len(v.open), v.sorted, c.sorted)
+		v := st.snapshot(nil, Filter{Metric: "m"}, false)[0].pts
+		if v.nsealed != 1 || v.nopen != 1 || v.sorted != c.sorted {
+			t.Errorf("next t=%v: sealed %d open %d sorted %v, want 1, 1, %v", c.next, v.nsealed, v.nopen, v.sorted, c.sorted)
 		}
-	}
-}
-
-// TestSealReusesUnviewedOpenChunk: a seal keeps the open chunk's buffer
-// when no view holds it and carves a fresh one when a view does.
-func TestSealReusesUnviewedOpenChunk(t *testing.T) {
-	st := NewMemStore()
-	fill := func(from int) {
-		for i := from; i < from+chunkCap; i++ {
-			st.Insert(confTags(1, -1, "m"), float64(i), float64(i))
-		}
-	}
-	fill(0)
-	s := st.order[0]
-	buf := &s.open[:1][0]
-	fill(chunkCap) // seals the first chunk, unviewed
-	if &s.open[:1][0] != buf {
-		t.Fatal("unviewed open chunk was not reused")
-	}
-	view := st.snapshot(Filter{}, false)[0].pts
-	fill(2 * chunkCap) // seals the second chunk, viewed
-	if &s.open[:1][0] == buf || cap(s.open) != chunkCap {
-		t.Fatal("viewed open chunk was reused")
-	}
-	if got := drain(view.all()); len(got) != 2*chunkCap || got[chunkCap].T != chunkCap {
-		t.Fatalf("view read %d points", len(got))
 	}
 }
 
 // TestViewSurvivesSeals: views taken at every length before the first
-// seal, and fresh views taken while a writer appends through later seals
-// and open-chunk reuse, each read exactly the points stored when they
-// were taken, also after a final run of seals that reuse the open
-// chunk's buffer. One reader takes fresh views, which makes the next seal
-// carve a new open chunk; the other only rereads the early views, so
-// seals between fresh views reuse the open chunk's buffer. Under -race it
-// is the regression net for the lock-free reads of sealed chunks and
-// open-chunk prefixes.
+// seal, and fresh views taken while a writer appends through later seals,
+// each read exactly the points stored when they were taken, also after a
+// final run of seals. One reader takes fresh views, the other only
+// rereads the early views, whose open-chunk words the writer keeps
+// extending until the first seal drops that buffer. Under -race it is
+// the regression net for the lock-free reads of sealed chunks, open-chunk
+// words and the copied pending bits and last points.
 func TestViewSurvivesSeals(t *testing.T) {
 	const total = 8 * chunkCap
 	point := func(i int) Point { return Point{T: 0.5 * float64(i), V: float64(i * i % 97)} }
 	st := NewMemStore()
 	tags := confTags(1, -1, "m")
-	view := func() PointsView { return st.snapshot(Filter{}, false)[0].pts }
+	view := func() PointsView { return st.snapshot(nil, Filter{}, false)[0].pts }
 	var early []PointsView
 	for i := 0; i < chunkCap; i++ {
 		st.Insert(tags, point(i).T, point(i).V)
@@ -306,8 +310,7 @@ func TestViewSurvivesSeals(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	// With no view taken after the last one, the first of these seals
-	// carves a fresh open chunk and the later ones reuse its buffer.
+	// Three more seals after the last view.
 	last := view()
 	for i := total; i < total+3*chunkCap; i++ {
 		st.Insert(tags, point(i).T, point(i).V)
@@ -346,11 +349,98 @@ func FuzzChunkRoundTrip(f *testing.F) {
 			pts[i].T = math.Float64frombits(binary.LittleEndian.Uint64(data[16*i:]))
 			pts[i].V = math.Float64frombits(binary.LittleEndian.Uint64(data[16*i+8:]))
 		}
-		if b := len(encodeChunk(nil, pts)); b > maxChunkBytes {
+		if b := len(encodeChunk(pts)); b > maxChunkBytes {
 			t.Fatalf("%d bytes, over the %d-byte bound", b, maxChunkBytes)
 		}
 		if got := roundTrip(pts); !samePoints(got, pts) {
 			t.Fatalf("decoded %v, want %v", got, pts)
+		}
+	})
+}
+
+// FuzzAppendMatchesLinearFilter drives the store's append path. Each
+// 17-byte record of the input, until six chunks' worth of points are
+// stored, appends 1 to 128 points one at a time
+// through MemStore.Insert: the first with the record's time and value
+// bit patterns (NaN, infinities and -0 included), each later one a second
+// and a unit further on, as far as float64 steps. A record with its low
+// control bit set then takes a view, up to 16 of them. After the last append, every view
+// must still yield exactly its prefix of the stored points: all(), and
+// Cursor over the record's own bits as bounds, the power plane's window
+// and bounds on and around stored times, each against the linear filter.
+// That covers the recent-point ring, the chunk skip, the open-chunk
+// decode and the point-by-point filter, across seals.
+func FuzzAppendMatchesLinearFilter(f *testing.F) {
+	rec := func(ctl byte, t, v float64) []byte {
+		b := binary.LittleEndian.AppendUint64([]byte{ctl}, math.Float64bits(t))
+		return binary.LittleEndian.AppendUint64(b, math.Float64bits(v))
+	}
+	cat := func(recs ...[]byte) []byte {
+		var b []byte
+		for _, r := range recs {
+			b = append(b, r...)
+		}
+		return b
+	}
+	f.Add(rec(1, 0, 1))
+	f.Add(cat(rec(3, 1, 4000), rec(1, 3, 4000), rec(0xff, 4, 4001), rec(0xfe, 132, 4100), rec(5, 260, -1)))
+	f.Add(cat(rec(0xff, 100, 1), rec(0x11, 50, 2), rec(0xff, 60, 3)))
+	for _, a := range awkwardValues {
+		f.Add(cat(rec(7, a, a), rec(3, 1, a), rec(0xfd, 2, 0.5), rec(1, a, 1)))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		type taken struct {
+			v        PointsView
+			from, to float64
+		}
+		st := NewMemStore()
+		tags := confTags(1, -1, "m")
+		var stored []Point
+		var views []taken
+		// Six chunks' worth of points and 16 views cross five seals and
+		// keep an input's checks to milliseconds.
+		for ; len(data) >= 17 && len(stored) < 6*chunkCap; data = data[17:] {
+			t0 := math.Float64frombits(binary.LittleEndian.Uint64(data[1:]))
+			v0 := math.Float64frombits(binary.LittleEndian.Uint64(data[9:]))
+			for i := 0; i <= int(data[0]>>1); i++ {
+				p := Point{T: t0, V: v0}
+				if i > 0 {
+					p = Point{T: t0 + float64(i), V: v0 + float64(i)}
+				}
+				st.Insert(tags, p.T, p.V)
+				stored = append(stored, p)
+			}
+			if data[0]&1 == 1 && len(views) < 16 {
+				views = append(views, taken{st.snapshot(nil, Filter{}, false)[0].pts, t0, v0})
+			}
+		}
+		if len(stored) == 0 {
+			return
+		}
+		views = append(views, taken{st.snapshot(nil, Filter{}, false)[0].pts, math.Inf(-1), 0})
+		for _, w := range views {
+			n := w.v.Len()
+			check := func(from, to float64) {
+				want := linearFilter(stored[:n], from, to)
+				if got := drain(w.v.Cursor(from, to)); !samePoints(got, want) {
+					t.Fatalf("view of %d of %d points, [%v,%v): cursor %v, want %v", n, len(stored), from, to, got, want)
+				}
+			}
+			if got := drain(w.v.all()); !samePoints(got, stored[:n]) {
+				t.Fatalf("view of %d of %d points reads %v, want %v", n, len(stored), got, stored[:n])
+			}
+			check(w.from, w.to)
+			check(stored[n-1].T-1.5, 0)
+			for _, i := range []int{0, n / 2, n - ringLen - 1, n - ringLen, n - 1} {
+				if i < 0 {
+					continue
+				}
+				x := stored[i].T
+				check(x, 0)
+				check(x, x+2)
+				check(x+0.25, x+0.75)
+				check(x-0.25, 0)
+			}
 		}
 	})
 }
@@ -368,9 +458,9 @@ func BenchmarkChunkDecode(b *testing.B) {
 		v += float64(rng.Intn(21) - 10)
 		st.Insert(confTags(1, -1, "power"), float64(i), v)
 	}
-	view := st.snapshot(Filter{Metric: "power"}, false)[0].pts
-	if view.nsealed != 10 || len(view.open) != 1 {
-		b.Fatalf("view holds %d sealed chunks and %d open points, want 10 and 1", view.nsealed, len(view.open))
+	view := st.snapshot(nil, Filter{Metric: "power"}, false)[0].pts
+	if view.nsealed != 10 || view.nopen != 1 {
+		b.Fatalf("view holds %d sealed chunks and %d open points, want 10 and 1", view.nsealed, view.nopen)
 	}
 	b.ResetTimer()
 	points := 0

@@ -35,8 +35,10 @@ type Plugin struct {
 	fill   func(p *Plugin) // appends one tick's samples with add
 
 	tick sim.Handle
-	// Per-tick scratch, reused across ticks: the handles and values of
-	// the samples fill added.
+	// Per-tick scratch, reused across ticks: the values fill added and,
+	// once it has skipped a series, their handles. While fill adds every
+	// series in order, the values belong to a prefix of series and hs
+	// stays empty.
 	hs []*SeriesHandle
 	vs []float64
 }
@@ -129,15 +131,28 @@ func (p *Plugin) sample(e *sim.Engine) {
 	p.node.SyncTo(now)
 	p.hs, p.vs = p.hs[:0], p.vs[:0]
 	p.fill(p)
+	hs := p.hs
+	if len(hs) == 0 {
+		hs = p.series[:len(p.vs)]
+	}
 	// One batch per node per tick, never rendered to the Table II string
 	// encoding; an empty batch publishes nothing. The handles were
 	// validated at construction and belong to p.broker, so Publish cannot
 	// fail here.
-	_ = p.broker.Publish(now, p.hs, p.vs)
+	_ = p.broker.Publish(now, hs, p.vs)
 }
 
-// add appends one sample of this tick: value v for series[i].
+// add appends one sample of this tick: value v for series[i]. The first
+// series fill skips makes the tick list its handles in hs, starting with
+// the prefix added so far.
 func (p *Plugin) add(i int, v float64) {
+	if len(p.hs) == 0 {
+		if i == len(p.vs) {
+			p.vs = append(p.vs, v)
+			return
+		}
+		p.hs = append(p.hs, p.series[:len(p.vs)]...)
+	}
 	p.hs = append(p.hs, p.series[i])
 	p.vs = append(p.vs, v)
 }

@@ -126,3 +126,43 @@ func TestRESTPowerPlaneEndpoint(t *testing.T) {
 		t.Errorf("POST status %d, want 405", rec.Code)
 	}
 }
+
+// TestDrawQueryServesFromRing: the power plane's draw query (From one and
+// a half control periods back, To unbounded, over a node's power_pub
+// total) is served from the series' raw last points. Every quarter second
+// of a run long enough to seal chunks, the query's cursor has no sealed
+// chunk to visit and nothing to decode, and it yields the points the
+// decoding path yields.
+func TestDrawQueryServesFromRing(t *testing.T) {
+	e, nd, db := newPowerRig(t)
+	if err := nd.PowerOn(0); err != nil {
+		t.Fatal(err)
+	}
+	var v PointsView
+	for now := PowerPubPeriod; now <= 3*chunkCap+8; now += 0.25 { // the first sample creates the series
+		if err := e.RunUntil(now); err != nil {
+			t.Fatal(err)
+		}
+		f := Filter{Plugin: "power_pub", Metric: PowerTotalMetric, From: now - 1.5}
+		snaps := db.snapshot(nil, f, false)
+		if len(snaps) != 1 {
+			t.Fatalf("t=%v: %d series match the draw query, want 1", now, len(snaps))
+		}
+		v = snaps[0].pts
+		c := v.Cursor(f.From, f.To)
+		if c.rest.nsealed != 0 || c.rest.nopen != 0 || c.left != 0 {
+			t.Fatalf("t=%v: cursor over %d points would decode %d sealed chunks and %d open points",
+				now, v.Len(), c.rest.nsealed, c.rest.nopen)
+		}
+		want := linearFilter(drain(v.all()), f.From, f.To)
+		if got := drain(c); !samePoints(got, want) {
+			t.Fatalf("t=%v: ring served %v, decoding yields %v", now, got, want)
+		}
+		if len(want) == 0 {
+			t.Fatalf("t=%v: no point in the draw window", now)
+		}
+	}
+	if v.nsealed < 3 {
+		t.Fatalf("the run sealed %d chunks, want at least 3", v.nsealed)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 	"sync/atomic"
 )
 
@@ -136,9 +137,19 @@ func QueryAggInto(dst []AggSeries, st *MemStore, f Filter, opts AggOptions) ([]A
 		return nil, fmt.Errorf("examon: step %v yields more than %d buckets over [%v,%v)",
 			opts.Step, maxAggBuckets, f.From, f.To)
 	}
-	snaps := st.snapshot(f, rollupAligned(f, opts, st.rollupStep()))
-	return aggSnapshots(dst, snaps, f, opts, &st.rollupServed)
+	sp := snapPool.Get().(*[]seriesSnap)
+	snaps := st.snapshot((*sp)[:0], f, rollupAligned(f, opts, st.rollupStep()))
+	out, err := aggSnapshots(dst, snaps, f, opts, &st.rollupServed)
+	clear(snaps) // the pooled slice must not pin views or rollup copies
+	*sp = snaps[:0]
+	snapPool.Put(sp)
+	return out, err
 }
+
+// snapPool recycles QueryAggInto's snapshot slices: the power plane and
+// dashboard pollers query every tick, and a fresh snapshot each time was
+// most of what a monitored run allocated.
+var snapPool = sync.Pool{New: func() any { return new([]seriesSnap) }}
 
 // aggSnapshots aggregates a matched-series snapshot in scan order, one
 // series at a time through one reused bucket slice, appending to dst.
@@ -147,9 +158,7 @@ func aggSnapshots(dst []AggSeries, snaps []seriesSnap, f Filter, opts AggOptions
 	out := slices.Grow(dst, len(snaps))
 	var buckets []aggAccum
 	for _, s := range snaps {
-		for k := range buckets {
-			buckets[k] = aggAccum{}
-		}
+		buckets = buckets[:0] // both fillers grow it by appending zeroed buckets
 		var err error
 		if s.roll != nil {
 			buckets, err = aggregateRollup(buckets, s.roll, f, opts)
@@ -221,8 +230,8 @@ func aggregateRollup(buckets []aggAccum, roll *rollupSnap, f Filter, opts AggOpt
 				opts.Step, maxAggBuckets, float64(b)*roll.step)
 		}
 		k := int(k64)
-		for k >= len(buckets) {
-			buckets = append(buckets, aggAccum{})
+		if k >= len(buckets) {
+			buckets = append(buckets, make([]aggAccum, k+1-len(buckets))...)
 		}
 		a := &buckets[k]
 		if a.n == 0 || rb.min < a.min {
@@ -258,8 +267,8 @@ func aggregateView(buckets []aggAccum, pts PointsView, f Filter, opts AggOptions
 			}
 			k = int(q)
 		}
-		for k >= len(buckets) {
-			buckets = append(buckets, aggAccum{})
+		if k >= len(buckets) {
+			buckets = append(buckets, make([]aggAccum, k+1-len(buckets))...)
 		}
 		buckets[k].add(v)
 	}

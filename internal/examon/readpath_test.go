@@ -110,6 +110,8 @@ func TestReadPathEquivalence(t *testing.T) {
 // TestQueryAggEquivalence is the randomized indexed-vs-linear and
 // rollup-vs-raw check: every operator, aligned and unaligned steps,
 // bounded and unbounded ranges. Results must be deeply (bit-)identical.
+// Each filter's cases run as a parallel subtest over the two shared
+// stores, which reads leave unchanged.
 func TestQueryAggEquivalence(t *testing.T) {
 	steps := []float64{0, 7, 60, 120, 180}
 	ranges := [][2]float64{{0, 0}, {60, 240}, {13, 307}, {60, 0}, {120, 120.5}}
@@ -117,34 +119,31 @@ func TestQueryAggEquivalence(t *testing.T) {
 		rng := rand.New(rand.NewSource(11))
 		fast, slow := NewMemStore(), reference()
 		fillRandom(rng, fast, slow)
-		type aggCase struct {
-			f    Filter
-			opts AggOptions
-		}
-		var cases []aggCase
-		for _, f := range equivalenceFilters() {
-			for _, op := range []AggOp{AggAvg, AggMin, AggMax, AggSum, AggRate} {
-				for _, step := range steps {
-					for _, tr := range ranges {
-						q := f
-						q.From, q.To = tr[0], tr[1]
-						if f.From != 0 || f.To != 0 {
-							q.From, q.To = f.From, f.To
+		for i, f := range equivalenceFilters() {
+			f := f
+			t.Run(fmt.Sprintf("filter%d", i), func(t *testing.T) {
+				t.Parallel()
+				for _, op := range []AggOp{AggAvg, AggMin, AggMax, AggSum, AggRate} {
+					for _, step := range steps {
+						for _, tr := range ranges {
+							q := f
+							q.From, q.To = tr[0], tr[1]
+							if f.From != 0 || f.To != 0 {
+								q.From, q.To = f.From, f.To
+							}
+							opts := AggOptions{Op: op, Step: step}
+							want, werr := QueryAgg(slow, q, opts)
+							got, gerr := QueryAgg(fast, q, opts)
+							if (gerr == nil) != (werr == nil) {
+								t.Fatalf("%+v %+v: error divergence %v vs %v", q, opts, gerr, werr)
+							}
+							if !reflect.DeepEqual(got, want) {
+								t.Errorf("%+v %+v: fast path diverges from the reference store", q, opts)
+							}
 						}
-						cases = append(cases, aggCase{q, AggOptions{Op: op, Step: step}})
 					}
 				}
-			}
-		}
-		for _, c := range cases {
-			want, werr := QueryAgg(slow, c.f, c.opts)
-			got, gerr := QueryAgg(fast, c.f, c.opts)
-			if (gerr == nil) != (werr == nil) {
-				t.Fatalf("%+v %+v: error divergence %v vs %v", c.f, c.opts, gerr, werr)
-			}
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%+v %+v: fast path diverges from the reference store", c.f, c.opts)
-			}
+			})
 		}
 	})
 }

@@ -149,7 +149,7 @@ func appendSeriesOpen(b []byte, tags Tags) []byte {
 // byte-identically). The render runs over a lock-free snapshot, so a long
 // JSON render never stalls ingest.
 func (s *RESTServer) writeRawQuery(w http.ResponseWriter, f Filter, limit int) {
-	snaps := s.st.snapshot(f, false)
+	snaps := s.st.snapshot(nil, f, false)
 	bp := jsonBufPool.Get().(*[]byte)
 	b := append((*bp)[:0], `{"series":[`...)
 	release := func() { putJSONBuf(bp, b) }

@@ -49,7 +49,7 @@ func storeView(st *MemStore, metric string, times []float64) PointsView {
 	for i, t := range times {
 		st.Insert(confTags(1, -1, metric), t, float64(i))
 	}
-	return st.snapshot(Filter{Metric: metric}, false)[0].pts
+	return st.snapshot(nil, Filter{Metric: metric}, false)[0].pts
 }
 
 // pointsOf returns the points storeView stores for the timestamps.
@@ -135,7 +135,7 @@ func TestSeekViewSurvivesOutOfOrderInsert(t *testing.T) {
 	before := storeView(st, "m", times)
 	st.Insert(confTags(1, -1, "m"), 2.5, 99)
 	st.Insert(confTags(1, -1, "m"), 6, 100)
-	after := st.snapshot(Filter{Metric: "m"}, false)[0].pts
+	after := st.snapshot(nil, Filter{Metric: "m"}, false)[0].pts
 	if !before.sorted || after.sorted {
 		t.Fatalf("sorted before/after = %v/%v, want true/false", before.sorted, after.sorted)
 	}

@@ -62,60 +62,57 @@ type seriesSnap struct {
 
 // --- MemStore -----------------------------------------------------------
 
+// ringLen is the number of latest points a series also keeps raw.
+const ringLen = 4
+
 // memSeries is one append-only stream: a chain of sealed, encoded chunks
-// (chunk.go) followed by a raw open chunk that takes appends. The fields
-// an append touches come first.
+// (chunk.go) followed by the open chunk, which encodes each point as it
+// arrives, and the last ringLen points kept raw. The fields an append
+// touches come first.
 type memSeries struct {
 	tags Tags
-	// open holds the points not yet sealed. The first open chunk grows by
-	// append; at chunkCap points it is sealed, and its buffer is reused
-	// unless a view holds it, when a fresh one is carved from the store's
-	// point slab instead.
-	open []Point
-	roll *seriesRollup // nil when rollups are disabled
+	// open encodes the points not yet sealed. Its whole words sit in a
+	// heap buffer that appends only extend; at chunkCap points a seal
+	// copies the chunk into the store's byte slab and starts a fresh
+	// buffer, so a view's prefix of the old one is never rewritten.
+	open chunkEncoder
+	// recent holds the last ringLen points raw: point i of the series at
+	// i % ringLen.
+	recent [ringLen]Point
+	roll   *seriesRollup // nil when rollups are disabled
 	// sorted records that the timestamps have never decreased and hold no
 	// NaN, so a view of the series may seek. Once an insert breaks the
 	// order it stays false.
-	sorted bool
-	// viewed records that a snapshot has taken a view of the open chunk,
-	// so its buffer must not be reused. Snapshots set it under the read
-	// lock, concurrently with each other; the seal reads and clears it
-	// under the write lock.
-	viewed     atomic.Bool
+	sorted     bool
 	head, tail *sealedChunk
 	nsealed    int
 }
 
+// len is the number of stored points.
+func (s *memSeries) len() int { return s.nsealed*chunkCap + s.open.n }
+
 // append stores one point, keeping the order flag and the rollup tier.
 // A full open chunk is sealed first.
 func (s *memSeries) append(a *chunkArena, t, v float64) {
-	if len(s.open) == chunkCap {
+	if s.open.n == chunkCap {
 		s.seal(a)
 	}
-	if s.sorted && (math.IsNaN(t) || t < s.lastT()) {
+	n := s.len()
+	if s.sorted && (math.IsNaN(t) || n > 0 && t < s.recent[(n-1)%ringLen].T) {
 		s.sorted = false
 	}
-	s.open = append(s.open, Point{T: t, V: v})
+	s.open.add(t, v)
+	s.recent[n%ringLen] = Point{T: t, V: v}
 	if s.roll != nil {
 		s.roll.add(t, v)
 	}
 }
 
-// lastT is the timestamp of the last stored point, -Inf when none is.
-func (s *memSeries) lastT() float64 {
-	if n := len(s.open); n > 0 {
-		return s.open[n-1].T
-	}
-	if s.tail != nil {
-		return s.tail.lastT
-	}
-	return math.Inf(-1)
-}
-
-// seal encodes the full open chunk, links it after the sealed chain and
-// empties the open chunk.
+// seal copies the full open chunk into the byte slab, links it after the
+// sealed chain and starts the next open chunk in a fresh buffer sized
+// like this chunk: a view may still hold the old one.
 func (s *memSeries) seal(a *chunkArena) {
-	c := a.seal(s.open)
+	c := a.seal(&s.open)
 	if s.tail == nil {
 		s.head = c
 	} else {
@@ -123,21 +120,20 @@ func (s *memSeries) seal(a *chunkArena) {
 	}
 	s.tail = c
 	s.nsealed++
-	if s.viewed.Load() {
-		s.open = a.points.carve(chunkCap)[:0]
-		s.viewed.Store(false)
-	} else {
-		s.open = s.open[:0]
-	}
+	s.open = chunkEncoder{w: bitWriter{b: make([]byte, 0, (len(c.data)+7)&^7)}}
 }
 
 // view returns a view of the stored points. The caller holds the read
 // lock.
 func (s *memSeries) view() PointsView {
-	if len(s.open) > 0 && !s.viewed.Load() {
-		s.viewed.Store(true)
+	v := PointsView{head: s.head, nsealed: s.nsealed, open: s.open.w, openT: s.open.firstT,
+		nopen: s.open.n, sorted: s.sorted}
+	n := s.len()
+	first := max(n-ringLen, 0)
+	for i := first; i < n; i++ {
+		v.recent[i-first] = s.recent[i%ringLen]
 	}
-	return PointsView{head: s.head, nsealed: s.nsealed, open: s.open, sorted: s.sorted}
+	return v
 }
 
 // MemStore is the in-memory append store on the master node: the broker
@@ -145,14 +141,14 @@ func (s *memSeries) view() PointsView {
 // Detector.ScanAll, RESTServer) answers from it. It maintains an inverted
 // tag index (index.go) so selective reads visit only candidate series,
 // and ingest-time rollup tiers (rollup.go) that answer aligned
-// coarse-step aggregations without touching raw points. Each series keeps
-// its points as sealed chunks of chunkCap points, encoded losslessly at
-// about 1.5 to 2 bytes a point, plus a raw open chunk (chunk.go); the
-// encoded bytes, chunk headers and re-issued open chunks are carved from
-// store-wide slabs, so a seal allocates nothing per series. WithLinearScan
-// and WithRollup build the reference store the read-path equivalence
-// tests and BenchmarkQueryServe compare against; it stores the same
-// chunks.
+// coarse-step aggregations without touching raw points. Each series
+// encodes its points losslessly as they arrive, at about 1.5 to 2 bytes a
+// point, into chunks of chunkCap points (chunk.go), and keeps only its
+// last ringLen points raw. Sealed chunks and their headers are carved
+// from store-wide slabs, so a seal allocates only the next open chunk's
+// buffer. WithLinearScan and WithRollup build the reference store the
+// read-path equivalence tests and BenchmarkQueryServe compare against; it
+// stores the same chunks.
 //
 // Contract (exercised by the conformance suite in
 // storage_conformance_test.go):
@@ -181,9 +177,10 @@ func (s *memSeries) view() PointsView {
 // ingest concurrently; reads take their views under the read lock and
 // then run lock-free, so readers on several goroutines proceed side by
 // side. A view stays valid because nothing it holds is rewritten: sealed
-// chunks never change, and a seal reuses the open chunk's buffer only
-// when no view has been taken of it. A read starts no goroutines of its own. All methods are safe for
-// concurrent use.
+// chunks never change, appends write past the open-chunk words a view
+// holds, and a seal starts a fresh open buffer instead of reusing the
+// old one. A read starts no goroutines of its own. All methods are safe
+// for concurrent use.
 type MemStore struct {
 	cfg    storeConfig
 	mu     sync.RWMutex
@@ -265,7 +262,7 @@ func (st *MemStore) seriesLocked(tags Tags) *memSeries {
 // points keeps nil Points (seed semantics).
 func (st *MemStore) Query(f Filter) []Series {
 	var out []Series
-	for _, s := range st.snapshot(f, false) {
+	for _, s := range st.snapshot(nil, f, false) {
 		cp := Series{Tags: s.tags}
 		if n := s.pts.Len(); n > 0 {
 			// Always filter through the cursor — even a zero From excludes
@@ -290,17 +287,16 @@ func (st *MemStore) Query(f Filter) []Series {
 	return out
 }
 
-// snapshot captures the matching series in creation order as views that
-// stay valid after the lock is released; withRollups also copies each
-// series' rollup buckets overlapping the filter's time range. It selects
-// through the inverted index, or by walking every series in the
+// snapshot appends the matching series to dst in creation order as views
+// that stay valid after the lock is released; withRollups also copies
+// each series' rollup buckets overlapping the filter's time range. It
+// selects through the inverted index, or by walking every series in the
 // linear-scan store and for filters with no indexed dimension. The store
 // never rewrites a point a view holds, so the views stay valid after the
 // lock is released.
-func (st *MemStore) snapshot(f Filter, withRollups bool) []seriesSnap {
+func (st *MemStore) snapshot(dst []seriesSnap, f Filter, withRollups bool) []seriesSnap {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
-	var snaps []seriesSnap
 	add := func(s *memSeries) {
 		if !f.matches(s.tags) {
 			return
@@ -312,7 +308,7 @@ func (st *MemStore) snapshot(f Filter, withRollups bool) []seriesSnap {
 		if snap.roll == nil {
 			snap.pts = s.view()
 		}
-		snaps = append(snaps, snap)
+		dst = append(dst, snap)
 	}
 	if cand, ok := st.index.candidates(f); ok && !st.cfg.linear {
 		for _, pos := range cand {
@@ -323,7 +319,7 @@ func (st *MemStore) snapshot(f Filter, withRollups bool) []seriesSnap {
 			add(s)
 		}
 	}
-	return snaps
+	return dst
 }
 
 // rollupStep is the rollup bucket width in seconds (<= 0: no tiers).

@@ -273,6 +273,7 @@ func (s *Scheduler) Cancel(jobID int) error {
 		job.state = StateCancelled
 		job.ended = s.engine.Now()
 		s.finish(job, StateCancelled)
+		s.kick() // the job may have been the blocked head
 	case StateRunning:
 		s.endJob(job, StateCancelled)
 	default:

@@ -195,6 +195,29 @@ func TestBackfillDisabled(t *testing.T) {
 	}
 }
 
+// TestCancelBlockedHeadStartsWaitingJob: cancelling the pending head
+// that blocks the queue starts a pass, so a job behind it that fits
+// starts at the cancel, not at the next unrelated event.
+func TestCancelBlockedHeadStartsWaitingJob(t *testing.T) {
+	e, s := newSched(t, 2, WithPolicy(FIFO()))
+	s.mustSubmit(t, JobSpec{Name: "run", Nodes: 1, TimeLimit: 100, Duration: 100})
+	head := s.mustSubmit(t, JobSpec{Name: "head", Nodes: 2, TimeLimit: 100, Duration: 10})
+	small := s.mustSubmit(t, JobSpec{Name: "small", Nodes: 1, TimeLimit: 100, Duration: 10})
+	if _, err := e.ScheduleAt(10, "cancel", func(*sim.Engine) {
+		if err := s.Cancel(head.ID); err != nil {
+			t.Error(err)
+		}
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if small.State() != StateCompleted || small.StartTime() != 10 {
+		t.Errorf("job behind the cancelled head: %s, started at t=%v, want COMPLETED from t=10", small.State(), small.StartTime())
+	}
+}
+
 func TestCancelPendingAndRunning(t *testing.T) {
 	e, s := newSched(t, 2)
 	j1 := s.mustSubmit(t, JobSpec{Name: "run", Nodes: 2, TimeLimit: 100, Duration: 100})
