@@ -894,7 +894,7 @@ func BenchmarkPhysicsStep(b *testing.B) {
 			b.Run(fmt.Sprintf("%s/nodes=%d", mode.name, nodes), func(b *testing.B) {
 				e := sim.NewEngine()
 				c, err := cluster.New(e, cluster.Config{
-					Nodes: nodes, SyntheticSlots: nodes > cluster.DefaultNodes, LockStep: mode.lock,
+					Nodes: nodes, LockStep: mode.lock,
 				})
 				if err != nil {
 					b.Fatal(err)

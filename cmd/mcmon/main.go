@@ -28,6 +28,7 @@ import (
 	"os"
 	"strings"
 
+	"montecimone/internal/campaign"
 	"montecimone/internal/core"
 	"montecimone/internal/examon"
 	"montecimone/internal/report"
@@ -54,6 +55,9 @@ func run(w io.Writer, nodes int, workloadName string, duration float64, serve st
 	}
 	if !(budgetW >= 0) || math.IsInf(budgetW, 1) {
 		return fmt.Errorf("-budget-w must be finite and >= 0, got %v", budgetW)
+	}
+	if nodes > campaign.MaxSpecSize {
+		return fmt.Errorf("-nodes must be at most %d, got %d", campaign.MaxSpecSize, nodes)
 	}
 	s, err := core.NewSystem(core.Options{Nodes: nodes, HPMPatch: true, PowerBudgetW: budgetW})
 	if err != nil {

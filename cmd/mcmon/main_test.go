@@ -1,9 +1,12 @@
 package main
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
+
+	"montecimone/internal/campaign"
 )
 
 func TestMonitoringRun(t *testing.T) {
@@ -58,6 +61,26 @@ func TestMonitoringRejectsBadFloats(t *testing.T) {
 		if sb.Len() != 0 {
 			t.Errorf("%s printed before failing:\n%s", tc.name, sb.String())
 		}
+	}
+}
+
+// -nodes above campaign.MaxSpecSize fails before anything is built, as
+// mcsched's does, with an error naming the cap; a cluster larger than the
+// eight-slot enclosure needs no other flag.
+func TestMonitoringNodeCap(t *testing.T) {
+	var sb strings.Builder
+	err := run(&sb, campaign.MaxSpecSize+1, "idle", 10, "", 0)
+	if err == nil || !strings.Contains(err.Error(), fmt.Sprint(campaign.MaxSpecSize)) {
+		t.Errorf("-nodes %d: error %v, want one naming the cap", campaign.MaxSpecSize+1, err)
+	}
+	if sb.Len() != 0 {
+		t.Errorf("printed before failing:\n%s", sb.String())
+	}
+	if err := run(&sb, 12, "idle", 10, "", 0); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(sb.String(), "monitored 12 nodes ") {
+		t.Errorf("summary = %q", strings.SplitN(sb.String(), "\n", 2)[0])
 	}
 }
 

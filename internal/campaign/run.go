@@ -3,7 +3,6 @@ package campaign
 import (
 	"fmt"
 
-	"montecimone/internal/cluster"
 	"montecimone/internal/core"
 	"montecimone/internal/fault"
 	"montecimone/internal/sched"
@@ -64,16 +63,15 @@ func NewRunner(spec Spec) (*Runner, error) {
 		return nil, err
 	}
 	sys, err := core.NewSystem(core.Options{
-		Nodes:          spec.Nodes,
-		Seed:           spec.Seed,
-		Policy:         spec.Policy,
-		NoMonitor:      !spec.Monitor,
-		SyntheticSlots: spec.Nodes > cluster.DefaultNodes,
-		PowerBudgetW:   spec.PowerBudgetW,
-		HPMPatch:       spec.Monitor,
-		Org:            spec.Org,
-		ClusterTag:     spec.ClusterTag,
-		AmbientC:       spec.AmbientC,
+		Nodes:        spec.Nodes,
+		Seed:         spec.Seed,
+		Policy:       spec.Policy,
+		NoMonitor:    !spec.Monitor,
+		PowerBudgetW: spec.PowerBudgetW,
+		HPMPatch:     spec.Monitor,
+		Org:          spec.Org,
+		ClusterTag:   spec.ClusterTag,
+		AmbientC:     spec.AmbientC,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("campaign: %w", err)

@@ -25,7 +25,9 @@ const DefaultNodes = 8
 // booting in the original lid-on enclosure (thermal.DefaultEnclosure) and
 // integrated on the node.BaseStep grid.
 type Config struct {
-	// Nodes is the compute-node count; defaults to DefaultNodes.
+	// Nodes is the compute-node count; defaults to DefaultNodes. Nodes
+	// beyond the paper's enclosure of thermal.NumSlots reuse the slot
+	// thermal environments modulo thermal.NumSlots.
 	Nodes int
 	// AmbientC overrides the machine-room inlet temperature of the
 	// enclosure. 0 keeps the paper's 25 °C room. Fleet clusters use it to
@@ -35,11 +37,6 @@ type Config struct {
 	AmbientC float64
 	// HPMPatch applies the U-Boot counter patch on all nodes.
 	HPMPatch bool
-	// SyntheticSlots lifts the physical thermal.NumSlots ceiling on Nodes
-	// for synthetic scale-out studies (e.g. large scheduler partitions):
-	// nodes beyond the paper's enclosure reuse the slot thermal
-	// environments modulo thermal.NumSlots.
-	SyntheticSlots bool
 	// LockStep reinstates the seed's fixed-period global integration
 	// ticker, which Euler-steps every node every node.BaseStep regardless
 	// of activity. The default is demand-driven co-simulation: each node
@@ -87,10 +84,7 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 		n = DefaultNodes
 	}
 	if n < 1 {
-		return nil, fmt.Errorf("cluster: node count %d outside [1,%d]", n, thermal.NumSlots)
-	}
-	if n > thermal.NumSlots && !cfg.SyntheticSlots {
-		return nil, fmt.Errorf("cluster: node count %d outside [1,%d] (set SyntheticSlots to scale beyond the enclosure)", n, thermal.NumSlots)
+		return nil, fmt.Errorf("cluster: node count %d must be at least 1", n)
 	}
 	enc := thermal.DefaultEnclosure()
 	if cfg.AmbientC != 0 {

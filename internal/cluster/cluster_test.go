@@ -25,8 +25,8 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(nil, Config{}); err == nil {
 		t.Error("nil engine accepted")
 	}
-	if _, err := New(e, Config{Nodes: 99}); err == nil {
-		t.Error("oversized cluster accepted")
+	if _, err := New(e, Config{Nodes: -1}); err == nil {
+		t.Error("negative node count accepted")
 	}
 }
 
@@ -206,12 +206,11 @@ func TestSmallCluster(t *testing.T) {
 	}
 }
 
+// TestSyntheticSlots: a cluster larger than the eight-slot enclosure
+// needs no option; its extra nodes reuse the slot thermal environments
+// modulo eight.
 func TestSyntheticSlots(t *testing.T) {
-	e := sim.NewEngine()
-	if _, err := New(e, Config{Nodes: 12}); err == nil {
-		t.Error("12 nodes accepted without SyntheticSlots")
-	}
-	_, c := newCluster(t, Config{Nodes: 12, SyntheticSlots: true})
+	_, c := newCluster(t, Config{Nodes: 12})
 	if c.Size() != 12 {
 		t.Fatalf("size = %d, want 12", c.Size())
 	}

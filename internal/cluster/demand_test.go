@@ -75,7 +75,7 @@ func TestDemandDrivenMatchesLockStep(t *testing.T) {
 func TestDemandDrivenStepReduction(t *testing.T) {
 	window := func(lockStep bool) uint64 {
 		e := sim.NewEngine()
-		c, err := New(e, Config{Nodes: 16, SyntheticSlots: true, LockStep: lockStep})
+		c, err := New(e, Config{Nodes: 16, LockStep: lockStep})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -91,7 +91,7 @@ func TestPaperArtifactsIdenticalAcrossPhysicsModes(t *testing.T) {
 // lock-step.
 func TestDemandDrivenMonitoredStepReduction(t *testing.T) {
 	window := func(lockStep bool) uint64 {
-		s, err := NewSystem(Options{Nodes: 16, SyntheticSlots: true, LockStep: lockStep})
+		s, err := NewSystem(Options{Nodes: 16, LockStep: lockStep})
 		if err != nil {
 			t.Fatal(err)
 		}

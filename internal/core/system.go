@@ -23,7 +23,8 @@ import (
 
 // Options configures a System build.
 type Options struct {
-	// Nodes is the compute-node count (default 8).
+	// Nodes is the compute-node count (default 8); nodes beyond the
+	// eight-slot enclosure reuse slot thermal environments cyclically.
 	Nodes int
 	// HPMPatch applies the U-Boot performance-counter patch.
 	HPMPatch bool
@@ -35,9 +36,6 @@ type Options struct {
 	// Policy selects the scheduler policy by name (sched.PolicyNames;
 	// default "easy", the production configuration).
 	Policy string
-	// SyntheticSlots permits Nodes beyond the physical eight-slot
-	// enclosure; extra nodes reuse slot thermal environments cyclically.
-	SyntheticSlots bool
 	// LockStep reinstates the fixed-period global physics ticker instead
 	// of the default demand-driven co-simulation (the equivalence
 	// reference; see cluster.Config.LockStep).
@@ -87,11 +85,10 @@ func NewSystem(opts Options) (*System, error) {
 	}
 	engine := sim.NewEngine()
 	cl, err := cluster.New(engine, cluster.Config{
-		Nodes:          opts.Nodes,
-		HPMPatch:       opts.HPMPatch,
-		SyntheticSlots: opts.SyntheticSlots,
-		LockStep:       opts.LockStep,
-		AmbientC:       opts.AmbientC,
+		Nodes:    opts.Nodes,
+		HPMPatch: opts.HPMPatch,
+		LockStep: opts.LockStep,
+		AmbientC: opts.AmbientC,
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)

@@ -33,9 +33,11 @@ func handleStreamTags() []Tags {
 // TestHandlePublishMatchesPublishBatch publishes one randomized sample
 // stream twice: tag-keyed through PublishBatch into store A, and through
 // registered handles into store B. The stream has ticks that publish a
-// random subset in random order, out-of-order timestamps, and a handle
-// that never publishes. Both stores must hold the same series, created in
-// the same order, with the same points and aggregates.
+// random subset in random order, out-of-order timestamps on a fixed
+// subset of series (which then drop their rollup tiers while the others
+// keep theirs), and a handle that never publishes. Both stores must hold
+// the same series, created in the same order, with the same points and
+// aggregates.
 func TestHandlePublishMatchesPublishBatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tags := handleStreamTags()
@@ -63,14 +65,12 @@ func TestHandlePublishMatchesPublishBatch(t *testing.T) {
 		hs    []*SeriesHandle
 		vs    []float64
 	)
-	for tick := 0; tick < 600; tick++ {
-		// Mostly 0.5 s steps; every 37th tick goes back in time.
-		now := float64(tick) * 0.5
-		if tick%37 == 36 {
-			now -= 7
+	publish := func(now float64, idx []int) {
+		if len(idx) == 0 {
+			return
 		}
 		batch, hs, vs = batch[:0], hs[:0], vs[:0]
-		for _, i := range rng.Perm(len(tags))[:1+rng.Intn(len(tags))] {
+		for _, i := range idx {
 			v := float64(rng.Intn(1<<20)) / 4 // dyadic: rollup sums are exact
 			batch = append(batch, Sample{Tags: tags[i], T: now, V: v})
 			hs = append(hs, handles[i])
@@ -82,6 +82,25 @@ func TestHandlePublishMatchesPublishBatch(t *testing.T) {
 		if err := brokerB.Publish(now, hs, vs); err != nil {
 			t.Fatal(err)
 		}
+	}
+	for tick := 0; tick < 600; tick++ {
+		// Mostly 0.5 s steps; every 37th tick goes 7 s back in time on
+		// the series whose index is a multiple of 4.
+		now := float64(tick) * 0.5
+		sel := rng.Perm(len(tags))[:1+rng.Intn(len(tags))]
+		if tick%37 == 36 {
+			var back, rest []int
+			for _, i := range sel {
+				if i%4 == 0 {
+					back = append(back, i)
+				} else {
+					rest = append(rest, i)
+				}
+			}
+			publish(now-7, back)
+			sel = rest
+		}
+		publish(now, sel)
 	}
 
 	if a, b := brokerA.Published(), brokerB.Published(); a != b {

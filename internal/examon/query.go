@@ -1,6 +1,7 @@
 package examon
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -21,6 +22,14 @@ import (
 // from the ingest-time rollup tiers without touching raw points
 // (rollup.go). The reference store (WithLinearScan, WithRollup(-1)) skips
 // the index and the tiers.
+//
+// Aggregation runs in time order. A rollup tier and a time-ordered view
+// both yield a series' buckets in ascending order, so each series folds
+// its samples into one open bucket and renders it as a point when the
+// next bucket opens (aggStream): a query's cost follows the samples it
+// reads, not the size of its step grid. Only a view that is not
+// time-ordered pairs its samples with their buckets and stable-sorts the
+// pairs first; every bucket adds its samples in storage order either way.
 
 // AggOp selects the per-bucket aggregation of QueryAgg.
 type AggOp string
@@ -70,21 +79,26 @@ type AggSeries struct {
 	Points []AggPoint
 }
 
-// aggAccum is one bucket under construction.
+// aggAccum is one bucket: of a query's result under construction, or of a
+// rollup tier.
 type aggAccum struct {
 	sum, min, max float64
 	n             int
 }
 
-func (a *aggAccum) add(v float64) {
-	if a.n == 0 || v < a.min {
-		a.min = v
+// add folds one sample into a.
+func (a *aggAccum) add(v float64) { a.merge(aggAccum{sum: v, min: v, max: v, n: 1}) }
+
+// merge folds bucket b's samples into a.
+func (a *aggAccum) merge(b aggAccum) {
+	if a.n == 0 || b.min < a.min {
+		a.min = b.min
 	}
-	if a.n == 0 || v > a.max {
-		a.max = v
+	if a.n == 0 || b.max > a.max {
+		a.max = b.max
 	}
-	a.sum += v
-	a.n++
+	a.sum += b.sum
+	a.n += b.n
 }
 
 func (a *aggAccum) value(op AggOp) float64 {
@@ -106,7 +120,8 @@ const maxAggBuckets = 1 << 20
 
 // QueryAgg runs an aggregating range query against the store: the filter
 // selects series and the time range, opts select the operator and the
-// downsampling step. Matching series are returned in storage order.
+// downsampling step. Matching series are returned in storage order; their
+// Points lie back to back in one array, each capacity-clipped.
 func QueryAgg(st *MemStore, f Filter, opts AggOptions) ([]AggSeries, error) {
 	return QueryAggInto(nil, st, f, opts)
 }
@@ -138,9 +153,9 @@ func QueryAggInto(dst []AggSeries, st *MemStore, f Filter, opts AggOptions) ([]A
 			opts.Step, maxAggBuckets, f.From, f.To)
 	}
 	sp := snapPool.Get().(*[]seriesSnap)
-	snaps := st.snapshot((*sp)[:0], f, rollupAligned(f, opts, st.rollupStep()))
+	snaps := st.snapshot((*sp)[:0], f, rollupAligned(f, opts, st.cfg.rollupStep))
 	out, err := aggSnapshots(dst, snaps, f, opts, &st.rollupServed)
-	clear(snaps) // the pooled slice must not pin views or rollup copies
+	clear(snaps) // the pooled slice must not pin views or tier buckets
 	*sp = snaps[:0]
 	snapPool.Put(sp)
 	return out, err
@@ -152,24 +167,41 @@ func QueryAggInto(dst []AggSeries, st *MemStore, f Filter, opts AggOptions) ([]A
 var snapPool = sync.Pool{New: func() any { return new([]seriesSnap) }}
 
 // aggSnapshots aggregates a matched-series snapshot in scan order, one
-// series at a time through one reused bucket slice, appending to dst.
-// Each series answered from a rollup tier bumps rollupServed.
+// series at a time through one aggStream, appending to dst. Each series
+// answered from a rollup tier bumps rollupServed.
 func aggSnapshots(dst []AggSeries, snaps []seriesSnap, f Filter, opts AggOptions, rollupServed *atomic.Uint64) ([]AggSeries, error) {
 	out := slices.Grow(dst, len(snaps))
-	var buckets []aggAccum
-	for _, s := range snaps {
-		buckets = buckets[:0] // both fillers grow it by appending zeroed buckets
+	// One point a series is what a query without a step, and a dashboard
+	// panel of one window, returns.
+	s := aggStream{f: f, opts: opts, pts: make([]AggPoint, 0, len(snaps))}
+	for i := range snaps {
+		sn := &snaps[i]
+		start := len(s.pts)
 		var err error
-		if s.roll != nil {
-			buckets, err = aggregateRollup(buckets, s.roll, f, opts)
+		if sn.roll.step > 0 {
+			err = s.rollup(&sn.roll)
 			rollupServed.Add(1)
 		} else {
-			buckets, err = aggregateView(buckets, s.pts, f, opts)
+			err = s.view(sn.pts)
 		}
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, AggSeries{Tags: s.tags, Points: bucketPoints(buckets, f, opts)})
+		s.flush()
+		out = append(out, AggSeries{Tags: sn.tags, Points: s.pts[start:]})
+	}
+	// The series' points lie back to back in s.pts. Point each series at
+	// its part of the final array (an append may have outgrown the one it
+	// was sliced from), capacity clipped so that an append to one series
+	// cannot overwrite the next; a series with no points keeps nil.
+	off := 0
+	for i := len(dst); i < len(out); i++ {
+		n := len(out[i].Points)
+		out[i].Points = nil
+		if n > 0 {
+			out[i].Points = s.pts[off : off+n : off+n]
+		}
+		off += n
 	}
 	if out == nil {
 		out = []AggSeries{}
@@ -177,120 +209,139 @@ func aggSnapshots(dst []AggSeries, snaps []seriesSnap, f Filter, opts AggOptions
 	return out, nil
 }
 
-// bucketPoints renders populated buckets as AggPoints, sized exactly from
-// the populated-bucket count. A series with no populated buckets keeps
-// nil Points (matching the append-grown behavior).
-func bucketPoints(buckets []aggAccum, f Filter, opts AggOptions) []AggPoint {
-	populated := 0
-	for k := range buckets {
-		if buckets[k].n > 0 {
-			populated++
-		}
-	}
-	if populated == 0 {
-		return nil
-	}
-	pts := make([]AggPoint, 0, populated)
-	for k := range buckets {
-		if buckets[k].n == 0 {
-			continue
-		}
-		t := f.From
-		if opts.Step > 0 {
-			t += float64(k) * opts.Step
-		}
-		pts = append(pts, AggPoint{T: t, V: buckets[k].value(opts.Op), N: buckets[k].n})
-	}
-	return pts
+// aggStream folds one query's samples into buckets that arrive in
+// ascending order, rendering a bucket when the next one opens, so a query
+// holds one open bucket whatever its grid.
+type aggStream struct {
+	f     Filter
+	opts  AggOptions
+	pts   []AggPoint // the rendered points of every series so far
+	k     int        // the open bucket's index
+	acc   aggAccum   // the open bucket
+	pairs []bucketSample
 }
 
-// aggregateRollup fills buckets from one series' rollup tier instead of
-// its raw points. rollupAligned guarantees every raw point in range is
-// covered by whole in-range rollup buckets, so counts and min/max are
-// identical to the raw computation and sums regroup the same additions.
-func aggregateRollup(buckets []aggAccum, roll *rollupSnap, f Filter, opts AggOptions) ([]aggAccum, error) {
-	m := int64(opts.Step / roll.step) // exact: rollupAligned checked divisibility
-	q0 := int64(math.Floor(f.From / roll.step))
-	qEnd := int64(math.MaxInt64)
-	if f.To != 0 {
-		qEnd = int64(math.Floor(f.To / roll.step))
-	}
-	for j := range roll.buckets {
-		rb := &roll.buckets[j]
-		if rb.n == 0 {
-			continue
-		}
-		b := roll.first + int64(j)
-		if b < q0 || b >= qEnd {
-			continue
-		}
-		k64 := (b - q0) / m
-		if k64 >= maxAggBuckets {
-			return buckets, fmt.Errorf("examon: step %v yields more than %d buckets (rollup bucket at t=%v)",
-				opts.Step, maxAggBuckets, float64(b)*roll.step)
-		}
-		k := int(k64)
-		if k >= len(buckets) {
-			buckets = append(buckets, make([]aggAccum, k+1-len(buckets))...)
-		}
-		a := &buckets[k]
-		if a.n == 0 || rb.min < a.min {
-			a.min = rb.min
-		}
-		if a.n == 0 || rb.max > a.max {
-			a.max = rb.max
-		}
-		a.sum += rb.sum
-		a.n += rb.n
-	}
-	return buckets, nil
+// bucketSample is a sample paired with its bucket, for sorting the
+// samples of a view that is not time-ordered.
+type bucketSample struct {
+	k int
+	v float64
 }
 
-// aggregateView fills buckets from one series view, growing the bucket
-// slice as needed, and returns it.
-func aggregateView(buckets []aggAccum, pts PointsView, f Filter, opts AggOptions) ([]aggAccum, error) {
-	var err error
-	add := func(t, v float64) {
-		k := 0
-		if opts.Step > 0 {
-			// Compare as float before converting: a quotient beyond the
-			// int range would make the conversion implementation-defined
-			// and could silently skip the bucket-cap error below.
-			q := math.Floor((t - f.From) / opts.Step)
-			if q < 0 {
-				return
-			}
-			if q >= maxAggBuckets {
-				err = fmt.Errorf("examon: step %v yields more than %d buckets (sample at t=%v)",
-					opts.Step, maxAggBuckets, t)
-				return
-			}
-			k = int(q)
-		}
-		if k >= len(buckets) {
-			buckets = append(buckets, make([]aggAccum, k+1-len(buckets))...)
-		}
-		buckets[k].add(v)
+// to returns the open bucket after moving to bucket k, rendering the
+// open one first when k is another.
+func (s *aggStream) to(k int) *aggAccum {
+	if k != s.k {
+		s.flush()
+		s.k = k
 	}
-	if opts.Op == AggRate {
+	return &s.acc
+}
+
+// flush renders the open bucket, if it holds samples, and empties it.
+func (s *aggStream) flush() {
+	if s.acc.n == 0 {
+		return
+	}
+	t := s.f.From
+	if s.opts.Step > 0 {
+		t += float64(s.k) * s.opts.Step
+	}
+	s.pts = append(s.pts, AggPoint{T: t, V: s.acc.value(s.opts.Op), N: s.acc.n})
+	s.acc = aggAccum{}
+}
+
+// bucket returns the index of the bucket a sample at t falls in, or -1
+// when it lies on none: before From, or with a NaN quotient (a NaN time).
+func (s *aggStream) bucket(t float64) (int, error) {
+	if s.opts.Step <= 0 {
+		return 0, nil
+	}
+	// Compare as float before converting: a quotient beyond the int range
+	// would make the conversion implementation-defined and could silently
+	// skip the bucket-cap error below.
+	q := math.Floor((t - s.f.From) / s.opts.Step)
+	if !(q >= 0) {
+		return -1, nil
+	}
+	if q >= maxAggBuckets {
+		return -1, fmt.Errorf("examon: step %v yields more than %d buckets (sample at t=%v)",
+			s.opts.Step, maxAggBuckets, t)
+	}
+	return int(q), nil
+}
+
+// rollup streams one series' rollup tier instead of its raw points,
+// reading the tier's buckets in the query's index range.
+// rollupAligned guarantees every raw point in range is covered by whole
+// in-range tier buckets, so counts and min/max are identical to the raw
+// computation and sums regroup the same additions.
+func (s *aggStream) rollup(r *rollupView) error {
+	m := int64(s.opts.Step / r.step) // exact: rollupAligned checked divisibility
+	q0 := int64(math.Floor(s.f.From / r.step))
+	end := r.first + int64(len(r.closed)) + 1
+	if s.f.To != 0 {
+		end = min(end, int64(math.Floor(s.f.To/r.step)))
+	}
+	for b := max(q0, r.first); b < end; b++ {
+		a := &r.last
+		if j := b - r.first; j < int64(len(r.closed)) {
+			a = &r.closed[j]
+		}
+		if a.n == 0 {
+			continue
+		}
+		k := (b - q0) / m
+		if k >= maxAggBuckets {
+			return fmt.Errorf("examon: step %v yields more than %d buckets (rollup bucket at t=%v)",
+				s.opts.Step, maxAggBuckets, float64(b)*r.step)
+		}
+		s.to(int(k)).merge(*a)
+	}
+	return nil
+}
+
+// view streams one series' raw points. A time-ordered view yields its
+// buckets in ascending order; any other first pairs each sample with its
+// bucket and stable-sorts the pairs, so every bucket still adds its
+// samples in storage order.
+func (s *aggStream) view(v PointsView) error {
+	rate := s.opts.Op == AggRate
+	cur := v.Cursor(s.f.From, s.f.To)
+	var prev Point
+	if rate {
 		// Difference the raw series first: the predecessor of the first
 		// in-range point may itself be out of range, so iterate the full
 		// view in order and range-filter the resulting rate points.
-		cur := pts.all()
-		prev, _ := cur.Next()
-		for p, ok := cur.Next(); ok && err == nil; p, ok = cur.Next() {
+		cur = v.all()
+		prev, _ = cur.Next()
+	}
+	s.pairs = s.pairs[:0]
+	for p, ok := cur.Next(); ok; p, ok = cur.Next() {
+		val := p.V
+		if rate {
 			dt, dv := p.T-prev.T, p.V-prev.V
 			prev = p
-			if dt <= 0 || p.T < f.From || (f.To != 0 && p.T >= f.To) {
+			if dt <= 0 || p.T < s.f.From || (s.f.To != 0 && p.T >= s.f.To) {
 				continue
 			}
-			add(p.T, dv/dt)
+			val = dv / dt
 		}
-		return buckets, err
+		k, err := s.bucket(p.T)
+		if err != nil {
+			return err
+		}
+		switch {
+		case k < 0:
+		case v.sorted:
+			s.to(k).add(val)
+		default:
+			s.pairs = append(s.pairs, bucketSample{k, val})
+		}
 	}
-	cur := pts.Cursor(f.From, f.To)
-	for p, ok := cur.Next(); ok && err == nil; p, ok = cur.Next() {
-		add(p.T, p.V)
+	slices.SortStableFunc(s.pairs, func(a, b bucketSample) int { return cmp.Compare(a.k, b.k) })
+	for _, p := range s.pairs {
+		s.to(p.k).add(p.v)
 	}
-	return buckets, err
+	return nil
 }

@@ -109,9 +109,10 @@ func TestReadPathEquivalence(t *testing.T) {
 
 // TestQueryAggEquivalence is the randomized indexed-vs-linear and
 // rollup-vs-raw check: every operator, aligned and unaligned steps,
-// bounded and unbounded ranges. Results must be deeply (bit-)identical.
-// Each filter's cases run as a parallel subtest over the two shared
-// stores, which reads leave unchanged.
+// bounded and unbounded ranges. Results must be deeply (bit-)identical,
+// and both stores must match aggByDefinition, which shares no code with
+// their accumulation. Each filter's cases run as a parallel subtest over
+// the two shared stores, which reads leave unchanged.
 func TestQueryAggEquivalence(t *testing.T) {
 	steps := []float64{0, 7, 60, 120, 180}
 	ranges := [][2]float64{{0, 0}, {60, 240}, {13, 307}, {60, 0}, {120, 120.5}}
@@ -139,6 +140,10 @@ func TestQueryAggEquivalence(t *testing.T) {
 							}
 							if !reflect.DeepEqual(got, want) {
 								t.Errorf("%+v %+v: fast path diverges from the reference store", q, opts)
+							}
+							def, derr := aggByDefinition(slow, q, opts)
+							if (derr == nil) != (werr == nil) || !sameAgg(want, def) {
+								t.Errorf("%+v %+v: the stores diverge from the definition (errors %v, %v)", q, opts, werr, derr)
 							}
 						}
 					}
@@ -202,7 +207,7 @@ func TestRollupAlignment(t *testing.T) {
 }
 
 // TestParallelQueryDuringIngest hammers concurrent snapshot reads (and
-// the rollup snapshot copies) while writers are appending: under -race
+// the rollup tier views) while writers are appending: under -race
 // this is the regression net for the lock-free read path. Results must
 // stay ordered by series creation and aggregation must never error.
 func TestParallelQueryDuringIngest(t *testing.T) {
@@ -294,30 +299,56 @@ func TestParallelQueryDuringIngest(t *testing.T) {
 	})
 }
 
-// TestRollupOutOfOrderAndDrop pins the tier's edge cases directly:
-// front-growth on out-of-order inserts and the overflow drop.
+// TestRollupOutOfOrderAndDrop pins when a series gives up its tier: a
+// tier that would span more than maxRollupBuckets drops itself, and at
+// the store an out-of-order sample drops it, after which the series
+// answers like the reference store.
 func TestRollupOutOfOrderAndDrop(t *testing.T) {
 	r := newSeriesRollup(60)
-	r.add(150, 2) // bucket 2
-	r.add(30, 1)  // front growth to bucket 0
-	r.add(70, 4)  // bucket 1
-	r.add(155, 6) // back to bucket 2
-	if r.first != 0 || len(r.buckets) != 3 {
-		t.Fatalf("tier shape: first=%d len=%d", r.first, len(r.buckets))
+	for _, s := range [][2]float64{{30, 1}, {70, 4}, {150, 2}, {155, 6}} {
+		if !r.add(s[0], s[1]) {
+			t.Fatalf("in-order sample %v dropped the tier", s)
+		}
 	}
-	if b := r.buckets[2]; b.n != 2 || b.sum != 8 || b.min != 2 || b.max != 6 {
+	if r.first != 0 || len(r.closed) != 2 {
+		t.Fatalf("tier shape: first=%d closed=%d", r.first, len(r.closed))
+	}
+	if b := r.last; b.n != 2 || b.sum != 8 || b.min != 2 || b.max != 6 {
 		t.Errorf("bucket 2 = %+v", b)
 	}
-	r.add(float64(maxRollupBuckets+1)*60, 9) // overflow: tier drops
-	if !r.dropped || r.buckets != nil {
-		t.Errorf("tier not dropped on overflow: %+v", r)
+	if r.add(float64(maxRollupBuckets+1)*60, 9) {
+		t.Error("a tier spanning more than maxRollupBuckets was kept")
 	}
-	r.add(10, 1) // no-op after drop
-	if !r.dropped {
-		t.Error("drop did not stick")
+
+	fast, slow := NewMemStore(), reference()
+	tags := confTags(1, -1, "m")
+	for _, st := range []*MemStore{fast, slow} {
+		st.Insert(tags, 150, 2)
+		st.Insert(tags, 155, 6)
 	}
-	if r.snapshotRange(0, 0) != nil {
-		t.Error("dropped tier produced a snapshot")
+	if fast.series[idOf(tags)].roll == nil {
+		t.Fatal("in-order series lost its tier")
+	}
+	for _, st := range []*MemStore{fast, slow} {
+		st.Insert(tags, 30, 1) // out of order
+		st.Insert(tags, 170, 4)
+	}
+	if fast.series[idOf(tags)].roll != nil {
+		t.Error("out-of-order sample kept the tier")
+	}
+	served := fast.rollupServed.Load()
+	for _, op := range []AggOp{AggAvg, AggMin, AggMax, AggSum} {
+		for _, q := range []Filter{{}, {From: 60, To: 180}, {From: 120}} {
+			opts := AggOptions{Op: op, Step: 60}
+			got, gerr := QueryAgg(fast, q, opts)
+			want, werr := QueryAgg(slow, q, opts)
+			if gerr != nil || werr != nil || !reflect.DeepEqual(got, want) {
+				t.Errorf("%+v %+v: %+v (%v), reference %+v (%v)", q, opts, got, gerr, want, werr)
+			}
+		}
+	}
+	if fast.rollupServed.Load() != served {
+		t.Error("a series that dropped its tier was served from it")
 	}
 }
 

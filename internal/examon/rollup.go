@@ -10,12 +10,20 @@ import "math"
 // raw path. The tiers rely on the store never deleting points: min/max
 // buckets cannot subtract an evicted sample back out.
 //
+// A series keeps its tier only while its samples arrive in time order
+// (memSeries.sorted). An out-of-order or NaN-time sample, a time beyond
+// the tier's index range, or a tier that would span more than
+// maxRollupBuckets drops the tier, and the series answers from raw points
+// from then on, as the reference store (WithRollup(-1)) always does. So
+// only a tier's last bucket ever changes: a snapshot shares the closed
+// buckets and copies the last one, and yields them in ascending order.
+//
 // Exactness contract: on an aligned query (From, To and Step all exact
 // multiples of the rollup step) the tier yields the same bucket counts
 // and, for min/max, bit-identical values; sums (and therefore averages)
 // regroup the same additions, so they are bit-identical whenever the
 // additions incur no floating-point rounding (counter/temperature-style
-// telemetry) and equal up to reassociation otherwise. NaN samples are
+// telemetry) and equal up to reassociation otherwise. NaN values are
 // outside the contract entirely: IEEE comparisons make even the raw
 // fold's min/max depend on insertion order, so no deterministic tier can
 // reproduce it — the plugins never emit NaN. The conformance suite pins
@@ -38,134 +46,65 @@ const maxRollupBuckets = 1 << 20
 // own guards handle pathological ranges.
 const maxRollupIdx = 1 << 62
 
-// rollupBucket aggregates the samples of one series whose timestamps fall
-// in [idx*step, (idx+1)*step).
-type rollupBucket struct {
-	n             int
-	sum, min, max float64
+// rollupView is a tier's buckets, densely from the first sample's bucket
+// to the last's: bucket first+i aggregates the samples in
+// [(first+i)*step, (first+i+1)*step). Ingest fills only the last bucket
+// and never rewrites a closed one, so a snapshot, taken under the store's
+// read lock, shares the closed buckets by length and copies the last.
+type rollupView struct {
+	step   float64 // 0: no tier
+	first  int64   // absolute index of the first bucket
+	closed []aggAccum
+	last   aggAccum
 }
 
-func (b *rollupBucket) add(v float64) {
-	if b.n == 0 || v < b.min {
-		b.min = v
-	}
-	if b.n == 0 || v > b.max {
-		b.max = v
-	}
-	b.sum += v
-	b.n++
-}
-
-// seriesRollup is one series' tier: a dense bucket slice anchored at the
-// first bucket index seen. Guarded by the owning engine's lock.
+// seriesRollup is one series' tier. Guarded by the owning store's lock.
 type seriesRollup struct {
-	step    float64
-	first   int64 // absolute index of buckets[0]
-	buckets []rollupBucket
-	dropped bool
-	// Fast path: the bucket the previous insert landed in, so in-order
-	// streams update it with one range check and no division.
-	lo, hi float64
-	cur    *rollupBucket
+	rollupView
+	// hi ends the last bucket: an in-order sample below it lands there
+	// with one comparison and no division.
+	hi float64
 }
 
 func newSeriesRollup(step float64) *seriesRollup {
-	return &seriesRollup{step: step, lo: math.Inf(1), hi: math.Inf(-1)}
+	return &seriesRollup{rollupView: rollupView{step: step}, hi: math.Inf(-1)}
 }
 
-// add folds one sample into the tier.
-func (r *seriesRollup) add(t, v float64) {
-	if r.dropped {
-		return
-	}
-	if t >= r.lo && t < r.hi {
-		r.cur.add(v)
-		return
+// add folds one sample, no earlier than any before it, into the tier. It
+// reports false when the tier must be dropped instead.
+func (r *seriesRollup) add(t, v float64) bool {
+	if t < r.hi {
+		r.last.add(v)
+		return true
 	}
 	// Range-check in the float domain before converting: an int64
-	// overflow here would wrap the growth arithmetic below.
+	// overflow here would wrap the index arithmetic below.
 	q := math.Floor(t / r.step)
-	if math.IsNaN(q) || q >= maxRollupIdx || q <= -maxRollupIdx {
-		r.drop()
-		return
+	if !(math.Abs(q) < maxRollupIdx) {
+		return false
 	}
 	idx := int64(q)
-	switch {
-	case len(r.buckets) == 0:
+	if r.last.n == 0 { // the first sample: every later one leaves last non-empty
 		r.first = idx
-		r.buckets = append(r.buckets, rollupBucket{})
-	case idx < r.first:
-		grow := r.first - idx
-		if grow+int64(len(r.buckets)) > maxRollupBuckets {
-			r.drop()
-			return
-		}
-		nb := make([]rollupBucket, grow+int64(len(r.buckets)))
-		copy(nb[grow:], r.buckets)
-		r.buckets, r.first = nb, idx
-	case idx >= r.first+int64(len(r.buckets)):
-		n := idx - r.first + 1
-		if n > maxRollupBuckets {
-			r.drop()
-			return
-		}
-		r.buckets = append(r.buckets, make([]rollupBucket, n-int64(len(r.buckets)))...)
 	}
-	b := &r.buckets[idx-r.first]
-	b.add(v)
-	r.lo = float64(idx) * r.step
+	switch gap := idx - r.first - int64(len(r.closed)); {
+	case gap < 0 || idx-r.first >= maxRollupBuckets:
+		return false
+	case gap > 0:
+		r.closed = append(r.closed, r.last)
+		r.closed = append(r.closed, make([]aggAccum, gap-1)...)
+		r.last = aggAccum{}
+	}
+	r.last.add(v)
 	r.hi = float64(idx+1) * r.step
-	r.cur = b
+	return true
 }
 
-// drop abandons the tier (the series keeps answering from raw points).
-func (r *seriesRollup) drop() {
-	r.dropped = true
-	r.buckets = nil
-	r.cur = nil
-	r.lo, r.hi = math.Inf(1), math.Inf(-1)
-}
-
-// rollupSnap is a consistent copy of the tier's buckets overlapping a
-// query range, taken under the engine's lock so readers never see a
-// bucket mid-update.
-type rollupSnap struct {
-	step    float64
-	first   int64 // absolute index of buckets[0]
-	buckets []rollupBucket
-}
-
-// snapshotRange copies the buckets overlapping [from, to) (to == 0 means
-// unbounded). Returns nil when the tier was dropped.
-func (r *seriesRollup) snapshotRange(from, to float64) *rollupSnap {
-	if r == nil || r.dropped {
-		return nil
-	}
-	// Clamp in the float domain so extreme bounds cannot overflow the
-	// index conversions (rollupAligned already rejects such queries;
-	// this keeps the method safe standalone).
-	lo, hi := int64(0), int64(len(r.buckets))
-	if fq := math.Floor(from / r.step); fq > float64(r.first) {
-		if fq >= float64(r.first)+float64(hi) {
-			lo = hi
-		} else {
-			lo = int64(fq) - r.first
-		}
-	}
-	if to != 0 {
-		if tq := math.Ceil(to / r.step); tq-float64(r.first) < float64(hi) {
-			if tq <= float64(r.first)+float64(lo) {
-				hi = lo
-			} else {
-				hi = int64(tq) - r.first
-			}
-		}
-	}
-	return &rollupSnap{
-		step:    r.step,
-		first:   r.first + lo,
-		buckets: append([]rollupBucket(nil), r.buckets[lo:hi]...),
-	}
+// view takes the tier's snapshot.
+func (r *seriesRollup) view() rollupView {
+	v := r.rollupView
+	v.closed = v.closed[:len(v.closed):len(v.closed)]
+	return v
 }
 
 // rollupAligned reports whether a QueryAgg can be answered from a rollup

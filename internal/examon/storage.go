@@ -50,14 +50,14 @@ func WithRollup(step float64) StoreOption {
 // --- snapshot reads -------------------------------------------------------
 
 // seriesSnap is one matched series captured as a stable view that remains
-// valid after the store's lock is released: the points view is taken
-// under the read lock (the points it describes are never rewritten), and
-// the rollup tier — which ingest mutates in place — is copied for the
-// query's range. A series answered from its tier gets no points view.
+// valid after the store's lock is released: the points view and the
+// rollup tier's view are taken under the read lock, and ingest never
+// rewrites what either holds. A series answered from its tier gets no
+// points view.
 type seriesSnap struct {
 	tags Tags
 	pts  PointsView
-	roll *rollupSnap // non-nil only when requested and maintained
+	roll rollupView // roll.step > 0 only when requested and the series keeps a tier
 }
 
 // --- MemStore -----------------------------------------------------------
@@ -79,10 +79,12 @@ type memSeries struct {
 	// recent holds the last ringLen points raw: point i of the series at
 	// i % ringLen.
 	recent [ringLen]Point
-	roll   *seriesRollup // nil when rollups are disabled
+	// roll is nil when rollups are disabled or the series dropped its
+	// tier.
+	roll *seriesRollup
 	// sorted records that the timestamps have never decreased and hold no
-	// NaN, so a view of the series may seek. Once an insert breaks the
-	// order it stays false.
+	// NaN, so a view of the series may seek and the series may keep its
+	// rollup tier. Once an insert breaks the order it stays false.
 	sorted     bool
 	head, tail *sealedChunk
 	nsealed    int
@@ -91,7 +93,8 @@ type memSeries struct {
 // len is the number of stored points.
 func (s *memSeries) len() int { return s.nsealed*chunkCap + s.open.n }
 
-// append stores one point, keeping the order flag and the rollup tier.
+// append stores one point, keeping the order flag and the rollup tier,
+// which it drops once the order breaks or the tier cannot take the point.
 // A full open chunk is sealed first.
 func (s *memSeries) append(a *chunkArena, t, v float64) {
 	if s.open.n == chunkCap {
@@ -103,8 +106,8 @@ func (s *memSeries) append(a *chunkArena, t, v float64) {
 	}
 	s.open.add(t, v)
 	s.recent[n%ringLen] = Point{T: t, V: v}
-	if s.roll != nil {
-		s.roll.add(t, v)
+	if s.roll != nil && !(s.sorted && s.roll.add(t, v)) {
+		s.roll = nil
 	}
 }
 
@@ -141,7 +144,8 @@ func (s *memSeries) view() PointsView {
 // Detector.ScanAll, RESTServer) answers from it. It maintains an inverted
 // tag index (index.go) so selective reads visit only candidate series,
 // and ingest-time rollup tiers (rollup.go) that answer aligned
-// coarse-step aggregations without touching raw points. Each series
+// coarse-step aggregations without touching raw points, kept while a
+// series' samples arrive in time order. Each series
 // encodes its points losslessly as they arrive, at about 1.5 to 2 bytes a
 // point, into chunks of chunkCap points (chunk.go), and keeps only its
 // last ringLen points raw. Sealed chunks and their headers are carved
@@ -179,7 +183,9 @@ func (s *memSeries) view() PointsView {
 // side. A view stays valid because nothing it holds is rewritten: sealed
 // chunks never change, appends write past the open-chunk words a view
 // holds, and a seal starts a fresh open buffer instead of reusing the
-// old one. A read starts no goroutines of its own. All methods are safe
+// old one; a tier view shares only closed buckets, which ingest never
+// touches again, and copies the last one. A read starts no goroutines of
+// its own. All methods are safe
 // for concurrent use.
 type MemStore struct {
 	cfg    storeConfig
@@ -288,12 +294,12 @@ func (st *MemStore) Query(f Filter) []Series {
 }
 
 // snapshot appends the matching series to dst in creation order as views
-// that stay valid after the lock is released; withRollups also copies
-// each series' rollup buckets overlapping the filter's time range. It
+// that stay valid after the lock is released; withRollups takes the view
+// of a series' rollup tier instead, where the series keeps one. It
 // selects through the inverted index, or by walking every series in the
 // linear-scan store and for filters with no indexed dimension. The store
-// never rewrites a point a view holds, so the views stay valid after the
-// lock is released.
+// never rewrites a point or a closed tier bucket a view holds, so the
+// views stay valid after the lock is released.
 func (st *MemStore) snapshot(dst []seriesSnap, f Filter, withRollups bool) []seriesSnap {
 	st.mu.RLock()
 	defer st.mu.RUnlock()
@@ -302,10 +308,9 @@ func (st *MemStore) snapshot(dst []seriesSnap, f Filter, withRollups bool) []ser
 			return
 		}
 		snap := seriesSnap{tags: s.tags}
-		if withRollups {
-			snap.roll = s.roll.snapshotRange(f.From, f.To)
-		}
-		if snap.roll == nil {
+		if withRollups && s.roll != nil {
+			snap.roll = s.roll.view()
+		} else {
 			snap.pts = s.view()
 		}
 		dst = append(dst, snap)
@@ -321,9 +326,6 @@ func (st *MemStore) snapshot(dst []seriesSnap, f Filter, withRollups bool) []ser
 	}
 	return dst
 }
-
-// rollupStep is the rollup bucket width in seconds (<= 0: no tiers).
-func (st *MemStore) rollupStep() float64 { return st.cfg.rollupStep }
 
 // SeriesCount returns the number of stored series.
 func (st *MemStore) SeriesCount() int {
