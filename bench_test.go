@@ -695,15 +695,12 @@ func BenchmarkTelemetryIngest(b *testing.B) {
 // registry, scheduler, cluster physics, phased workload execution — at 64
 // and 512 nodes, reporting drained jobs per wall-clock second. Each
 // iteration submits 2 jobs per node (~70 % HPL node-seconds) and must
-// drain them all within the horizon. The "fixed" cases run the
-// fixed-activity ablation: jobs hold their steady Table VI profile, no
-// phase-transition events — the baseline that prices the phased
-// co-simulation.
+// drain them all within the horizon.
 func BenchmarkCampaignThroughput(b *testing.B) {
-	mkSpec := func(nodes int, fixed bool) campaign.Spec {
+	mkSpec := func(nodes int) campaign.Spec {
 		return campaign.Spec{
 			Name: "bench", Nodes: nodes, Seed: 1, HorizonS: 40000,
-			Mitigated: true, FixedActivity: fixed,
+			Mitigated: true,
 			Arrival: &campaign.Arrival{
 				Process: campaign.ProcessPoisson, RatePerHour: float64(nodes) * 30, Jobs: 2 * nodes,
 			},
@@ -730,15 +727,10 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 		b.ReportMetric(float64(jobs)/b.Elapsed().Seconds(), "jobs/s")
 	}
 	for _, nodes := range []int{64, 512} {
-		for _, mode := range []struct {
-			name  string
-			fixed bool
-		}{{"phased", false}, {"fixed", true}} {
-			mode := mode
-			b.Run(fmt.Sprintf("%s/%dnodes", mode.name, nodes), func(b *testing.B) {
-				runSpec(b, mkSpec(nodes, mode.fixed))
-			})
-		}
+		nodes := nodes
+		b.Run(fmt.Sprintf("phased/%dnodes", nodes), func(b *testing.B) {
+			runSpec(b, mkSpec(nodes))
+		})
 	}
 	// Chaos cases: the same phased campaign with the fault subsystem armed
 	// — crash/reboot cycles, thermal runaway injections, a network window,
@@ -764,7 +756,7 @@ func BenchmarkCampaignThroughput(b *testing.B) {
 	for _, nodes := range []int{64, 512} {
 		nodes := nodes
 		b.Run(fmt.Sprintf("chaos/%dnodes", nodes), func(b *testing.B) {
-			spec := mkSpec(nodes, false)
+			spec := mkSpec(nodes)
 			spec.Faults = &fault.Spec{
 				Crash:      &fault.Crash{MTBFHours: 6, RebootS: 120},
 				Thermal:    &fault.Thermal{Injections: nodes / 16, ExtraRthKW: 7, ExtraAirC: 20, RepairS: 300},

@@ -62,9 +62,6 @@ func run(w io.Writer, specPath string, workers int, events bool, cpuprofile, mem
 	if err != nil {
 		return err
 	}
-	if workers == 0 && spec.Workers > 0 {
-		workers = spec.Workers
-	}
 	res, err := fleet.Run(spec, workers)
 	if err != nil {
 		return err

@@ -36,6 +36,8 @@ func TestSpecValidation(t *testing.T) {
 		{"unknown field", `{"name":"x","nodes":4,"horizon_s":10,"jobs":[],"rate":3}`, "rate"},
 		{"storage backend", `{"name":"x","nodes":4,"horizon_s":10,"backend":"ring",
 			"jobs":[{"name":"j","workload":"qe","nodes":1,"duration_s":5}]}`, "backend"},
+		{"fixed activity", `{"name":"x","nodes":4,"horizon_s":10,"fixed_activity":true,
+			"jobs":[{"name":"j","workload":"qe","nodes":1,"duration_s":5}]}`, `unknown field "fixed_activity"`},
 		{"no jobs", `{"name":"x","nodes":4,"horizon_s":10}`, "needs explicit jobs"},
 		{"unknown workload", `{"name":"x","nodes":4,"horizon_s":10,
 			"arrival":{"process":"poisson","rate_per_hour":10,"jobs":2},
@@ -377,27 +379,5 @@ func TestSmokeSpecFile(t *testing.T) {
 		if !strings.Contains(b.String(), want) {
 			t.Errorf("report missing %q:\n%s", want, b.String())
 		}
-	}
-}
-
-// An explicit trace with the fixed-activity ablation must run the same
-// stream with no phase transitions (the benchmark's baseline) and still
-// be deterministic.
-func TestFixedActivityAblation(t *testing.T) {
-	spec := mixedSpec("easy", 31)
-	spec.FixedActivity = true
-	res, err := Run(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Completed == 0 {
-		t.Error("ablation campaign completed no jobs")
-	}
-	var b bytes.Buffer
-	if err := res.WriteReport(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(b.String(), "fixed activity (ablation)") {
-		t.Errorf("report does not flag the ablation:\n%s", b.String())
 	}
 }

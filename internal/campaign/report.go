@@ -140,11 +140,7 @@ func (r *Result) WriteReport(w io.Writer) error {
 		fmt.Fprintf(w, "arrivals: %s, %.1f jobs/h, %d generated\n",
 			s.Arrival.Process, s.Arrival.RatePerHour, s.Arrival.Jobs)
 	}
-	mode := "phased activity"
-	if s.FixedActivity {
-		mode = "fixed activity (ablation)"
-	}
-	fmt.Fprintf(w, "workload execution: %s\n", mode)
+	fmt.Fprintln(w, "workload execution: phased activity")
 	fmt.Fprintf(w, "jobs: %d total, %d completed, %d failed, %d timeout, %d unfinished at horizon\n",
 		len(r.Jobs), r.Completed, r.Failed, r.TimedOut, r.Unfinished)
 	if s.Faults != nil {

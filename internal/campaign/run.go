@@ -139,7 +139,7 @@ func (r *Runner) submit(entry JobEntry, out *JobOutcome) {
 			}
 			r.logf("t=%10.1f start  %-18s job=%-4d nodes=%d hosts=%v", out.StartS, entry.Name, j.ID, entry.Nodes, out.Hosts)
 			ex, err := workload.Start(r.sys.Engine, r.sys.Cluster, model, nodes,
-				workload.ExecOptions{FixedActivity: r.spec.FixedActivity, SlowFactor: j.RuntimeScale()})
+				workload.ExecOptions{SlowFactor: j.RuntimeScale()})
 			if err != nil {
 				// A host halted between allocation and start; the node
 				// failure path will surface it.

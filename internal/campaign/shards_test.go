@@ -65,15 +65,10 @@ func TestShardedWindowStats(t *testing.T) {
 
 // TestShardedCampaignByteIdentical pins the deprecated Shards field as
 // accepted and ignored across the main campaign configurations: phased
-// mix, fixed-activity ablation, monitor-on sampling, and the power plane.
+// mix, monitor-on sampling, and the power plane.
 func TestShardedCampaignByteIdentical(t *testing.T) {
 	t.Run("phased", func(t *testing.T) {
 		assertShardsIgnored(t, mixedSpec("easy", 11))
-	})
-	t.Run("fixed-activity", func(t *testing.T) {
-		spec := mixedSpec("fifo", 5)
-		spec.FixedActivity = true
-		assertShardsIgnored(t, spec)
 	})
 	t.Run("monitor", func(t *testing.T) {
 		spec := Spec{

@@ -108,9 +108,6 @@ type Spec struct {
 	Mitigated bool `json:"mitigated,omitempty"`
 	// PowerBudgetW enables the cluster power plane at this budget.
 	PowerBudgetW float64 `json:"power_budget_w,omitempty"`
-	// FixedActivity disables phase interleaving (jobs hold their steady
-	// Table VI profile) — the campaign benchmark's ablation.
-	FixedActivity bool `json:"fixed_activity,omitempty"`
 	// Deprecated: Shards has no effect; the engine is serial. It is still
 	// parsed and validated (>= 0) so existing specs keep loading.
 	Shards int `json:"shards,omitempty"`

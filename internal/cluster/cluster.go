@@ -13,7 +13,6 @@ import (
 	"montecimone/internal/node"
 	"montecimone/internal/power"
 	"montecimone/internal/sim"
-	"montecimone/internal/soc"
 	"montecimone/internal/thermal"
 )
 
@@ -50,10 +49,9 @@ type Config struct {
 
 // Cluster is the assembled machine.
 type Cluster struct {
-	engine  *sim.Engine
-	machine *soc.Machine
-	nodes   []*node.Node
-	fabric  *netsim.Fabric
+	engine *sim.Engine
+	nodes  []*node.Node
+	fabric *netsim.Fabric
 
 	lockStep bool
 	ambientC float64    // configured machine-room inlet temperature
@@ -99,7 +97,6 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 	}
 	c := &Cluster{
 		engine:   engine,
-		machine:  soc.FU740(),
 		fabric:   fabric,
 		lockStep: cfg.LockStep,
 		ambientC: enc.AmbientC,
@@ -107,7 +104,6 @@ func New(engine *sim.Engine, cfg Config) (*Cluster, error) {
 	for id := 1; id <= n; id++ {
 		nd, err := node.New(node.Config{
 			ID:        id,
-			Machine:   c.machine,
 			Enclosure: enc,
 			HPMPatch:  cfg.HPMPatch,
 		})
@@ -194,9 +190,6 @@ func (c *Cluster) replanWatch(i int) {
 
 // Engine returns the driving discrete-event engine.
 func (c *Cluster) Engine() *sim.Engine { return c.engine }
-
-// Machine returns the node SoC model.
-func (c *Cluster) Machine() *soc.Machine { return c.machine }
 
 // Fabric returns the MPI interconnect.
 func (c *Cluster) Fabric() *netsim.Fabric { return c.fabric }

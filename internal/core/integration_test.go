@@ -8,6 +8,7 @@ import (
 	"montecimone/internal/hpl"
 	"montecimone/internal/power"
 	"montecimone/internal/sched"
+	"montecimone/internal/soc"
 	"montecimone/internal/spack"
 	"montecimone/internal/stream"
 	"montecimone/internal/thermal"
@@ -29,8 +30,8 @@ func TestPaperStoryEndToEnd(t *testing.T) {
 	}
 
 	// --- Section IV: deploy the software stack with Spack, targeting the
-	// cluster's microarchitecture with the deployed GCC 10.3.0.
-	installer, err := spack.NewInstaller(spack.BuiltinRepo(), s.Cluster.Machine().Microarch,
+	// nodes' FU740 microarchitecture with the deployed GCC 10.3.0.
+	installer, err := spack.NewInstaller(spack.BuiltinRepo(), soc.FU740().Microarch,
 		spack.Compiler{Name: "gcc", Version: "10.3.0"})
 	if err != nil {
 		t.Fatal(err)

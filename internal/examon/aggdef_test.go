@@ -16,18 +16,16 @@ import (
 // code with the stores' accumulation: it reads each matching series'
 // points through Query (the cursor's range filter), puts a sample at t in
 // bucket floor((t−From)/Step) (every sample in one bucket at From when
-// Step is 0, none for a negative or NaN quotient), folds each bucket's
-// samples in storage order, and for rate differences the full series
-// with Rate first and keeps the rate points in [From, To).
+// Step is 0, none for a negative or NaN quotient, and an error for a
+// quotient past the int64 range), folds each bucket's samples in storage
+// order, and for rate differences the full series with Rate first and
+// keeps the rate points in [From, To).
 func aggByDefinition(st *MemStore, f Filter, opts AggOptions) ([]AggSeries, error) {
 	if !slices.Contains([]AggOp{AggAvg, AggMin, AggMax, AggSum, AggRate}, opts.Op) {
 		return nil, fmt.Errorf("operator %q", opts.Op)
 	}
 	if !(opts.Step >= 0) || math.IsInf(opts.Step, 1) || math.IsNaN(f.From) || math.IsNaN(f.To) {
 		return nil, fmt.Errorf("bad step %v or range [%v,%v)", opts.Step, f.From, f.To)
-	}
-	if opts.Step > 0 && f.To != 0 && (f.To-f.From)/opts.Step > maxAggBuckets {
-		return nil, fmt.Errorf("grid over %d buckets", maxAggBuckets)
 	}
 	all := f
 	all.From, all.To = math.Inf(-1), 0
@@ -38,20 +36,20 @@ func aggByDefinition(st *MemStore, f Filter, opts AggOptions) ([]AggSeries, erro
 			sum, min, max float64
 			n             int
 		}
-		buckets := map[int]*bucket{}
+		buckets := map[int64]*bucket{}
 		var tooMany error
 		fold := func(t, v float64) {
-			k := 0
+			k := int64(0)
 			if opts.Step > 0 {
 				q := math.Floor((t - f.From) / opts.Step)
 				switch {
 				case math.IsNaN(q) || q < 0:
 					return
-				case q >= maxAggBuckets:
-					tooMany = fmt.Errorf("sample at t=%v past the bucket cap", t)
+				case q >= math.MaxInt64:
+					tooMany = fmt.Errorf("sample at t=%v past the int64 bucket range", t)
 					return
 				}
-				k = int(q)
+				k = int64(q)
 			}
 			b := buckets[k]
 			if b == nil {
@@ -82,7 +80,7 @@ func aggByDefinition(st *MemStore, f Filter, opts AggOptions) ([]AggSeries, erro
 			return nil, tooMany
 		}
 		as := AggSeries{Tags: s.Tags}
-		keys := make([]int, 0, len(buckets))
+		keys := make([]int64, 0, len(buckets))
 		for k := range buckets {
 			keys = append(keys, k)
 		}
@@ -322,8 +320,8 @@ func TestRollupQueryAllocsPerSeries(t *testing.T) {
 	}
 }
 
-// TestFineStepQueryBytes: a query whose step grid nears maxAggBuckets over
-// sparse series allocates for the buckets it fills, not for its grid.
+// TestFineStepQueryBytes: a query whose step grid spans a million buckets
+// over sparse series allocates for the buckets it fills, not for its grid.
 // Sixteen series of two points, 1,000 s apart, at a step of 1/1024 s span
 // a grid of 1,024,001 buckets; a dense grid of them is 32 MB.
 func TestFineStepQueryBytes(t *testing.T) {

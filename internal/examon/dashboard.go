@@ -40,6 +40,11 @@ type HeatmapOptions struct {
 	From, To, BinWidth float64
 }
 
+// maxHeatmapBins bounds a heatmap's time axis: every row holds a dense
+// grid of its bins, so a tiny bin width over a long range could exhaust
+// memory.
+const maxHeatmapBins = 1 << 20
+
 // BuildHeatmap aggregates stored data into a heatmap over the given nodes
 // on the v2 aggregating query layer, with the bin width as the
 // downsampling step so series select through the inverted index (and, for
@@ -69,9 +74,9 @@ func BuildHeatmap(st *MemStore, nodes []string, opts HeatmapOptions) (*Heatmap, 
 		return nil, fmt.Errorf("examon: empty time range [%v,%v)", opts.From, opts.To)
 	}
 	span := math.Ceil((opts.To - opts.From) / opts.BinWidth)
-	if span > maxAggBuckets {
+	if span > maxHeatmapBins {
 		return nil, fmt.Errorf("examon: bin width %v yields more than %d bins over [%v,%v)",
-			opts.BinWidth, maxAggBuckets, opts.From, opts.To)
+			opts.BinWidth, maxHeatmapBins, opts.From, opts.To)
 	}
 	bins := int(span)
 	hm := &Heatmap{

@@ -32,15 +32,12 @@ type Plugin struct {
 	// series holds a handle per stream the plugin can publish, registered
 	// at construction in the order fill walks them.
 	series []*SeriesHandle
-	fill   func(p *Plugin) // appends one tick's samples with add
+	// fill appends one tick's values to vs, one for each of a prefix of
+	// series, in order.
+	fill func(p *Plugin)
 
 	tick sim.Handle
-	// Per-tick scratch, reused across ticks: the values fill added and,
-	// once it has skipped a series, their handles. While fill adds every
-	// series in order, the values belong to a prefix of series and hs
-	// stays empty.
-	hs []*SeriesHandle
-	vs []float64
+	vs   []float64 // per-tick scratch, reused across ticks
 }
 
 // pluginSeries names one stream of a plugin: the hart (-1 for node-level
@@ -129,32 +126,13 @@ func (p *Plugin) sample(e *sim.Engine) {
 	// Under lock-step this is a sub-period catch-up; under demand-driven
 	// integration the sample IS the observation that advances the node.
 	p.node.SyncTo(now)
-	p.hs, p.vs = p.hs[:0], p.vs[:0]
+	p.vs = p.vs[:0]
 	p.fill(p)
-	hs := p.hs
-	if len(hs) == 0 {
-		hs = p.series[:len(p.vs)]
-	}
 	// One batch per node per tick, never rendered to the Table II string
 	// encoding; an empty batch publishes nothing. The handles were
 	// validated at construction and belong to p.broker, so Publish cannot
 	// fail here.
-	_ = p.broker.Publish(now, hs, p.vs)
-}
-
-// add appends one sample of this tick: value v for series[i]. The first
-// series fill skips makes the tick list its handles in hs, starting with
-// the prefix added so far.
-func (p *Plugin) add(i int, v float64) {
-	if len(p.hs) == 0 {
-		if i == len(p.vs) {
-			p.vs = append(p.vs, v)
-			return
-		}
-		p.hs = append(p.hs, p.series[:len(p.vs)]...)
-	}
-	p.hs = append(p.hs, p.series[i])
-	p.vs = append(p.vs, v)
+	_ = p.broker.Publish(now, p.series[:len(p.vs)], p.vs)
 }
 
 // pmuEvents lists the counters pmu_pub reads on each hart: the fixed
@@ -182,22 +160,24 @@ func pmuSeries(nd *node.Node) []pluginSeries {
 	return out
 }
 
-// fillPMU reads every exposed counter of every hart while the OS is up.
+// fillPMU reads every exposed counter of every hart while the OS is up,
+// in the order pmuSeries registered them. pmuEvents lists only counters
+// the PMU exposes, so a read does not fail; if one did, the tick would
+// publish the counters read before it.
 func fillPMU(p *Plugin) {
 	if p.node.State() != node.StateRunning {
 		return
 	}
 	pmu := p.node.PMU()
 	events := pmuEvents(pmu)
-	i := 0 // index into p.series, which pmuSeries laid out in this order
 	for core := 0; core < pmu.Harts(); core++ {
 		for _, group := range events {
 			for _, ev := range group {
 				v, err := pmu.Read(core, ev)
-				if err == nil { // disabled counters silently absent, as on the real node
-					p.add(i, float64(v))
+				if err != nil {
+					return
 				}
-				i++
+				p.vs = append(p.vs, float64(v))
 			}
 		}
 	}
@@ -241,9 +221,7 @@ func fillStats(p *Plugin) {
 		st.NetRecv, st.NetSend,
 		st.TempMB, st.TempCPU, st.TempNVMe,
 	}
-	for i, v := range values {
-		p.add(i, v)
-	}
+	p.vs = append(p.vs, values[:]...)
 }
 
 // PowerTotalMetric is the power_pub metric carrying the nine-rail board
@@ -263,10 +241,10 @@ var powerMetrics = func() []string {
 // fillPower reads the nine rails and their total in every powered state.
 func fillPower(p *Plugin) {
 	total := 0.0
-	for i, rail := range power.Rails {
+	for _, rail := range power.Rails {
 		mw := p.node.RailMilliwatts(rail)
 		total += mw
-		p.add(i, mw)
+		p.vs = append(p.vs, mw)
 	}
-	p.add(len(power.Rails), total)
+	p.vs = append(p.vs, total)
 }

@@ -114,10 +114,6 @@ func (a *aggAccum) value(op AggOp) float64 {
 	}
 }
 
-// maxAggBuckets bounds a single QueryAgg's downsampling grid so a tiny
-// step over a huge time range cannot exhaust memory.
-const maxAggBuckets = 1 << 20
-
 // QueryAgg runs an aggregating range query against the store: the filter
 // selects series and the time range, opts select the operator and the
 // downsampling step. Matching series are returned in storage order; their
@@ -148,10 +144,6 @@ func QueryAggInto(dst []AggSeries, st *MemStore, f Filter, opts AggOptions) ([]A
 	if math.IsNaN(f.From) || math.IsNaN(f.To) {
 		return nil, fmt.Errorf("examon: bad time range [%v,%v)", f.From, f.To)
 	}
-	if opts.Step > 0 && f.To != 0 && (f.To-f.From)/opts.Step > maxAggBuckets {
-		return nil, fmt.Errorf("examon: step %v yields more than %d buckets over [%v,%v)",
-			opts.Step, maxAggBuckets, f.From, f.To)
-	}
 	sp := snapPool.Get().(*[]seriesSnap)
 	snaps := st.snapshot((*sp)[:0], f, rollupAligned(f, opts, st.cfg.rollupStep))
 	out, err := aggSnapshots(dst, snaps, f, opts, &st.rollupServed)
@@ -177,14 +169,10 @@ func aggSnapshots(dst []AggSeries, snaps []seriesSnap, f Filter, opts AggOptions
 	for i := range snaps {
 		sn := &snaps[i]
 		start := len(s.pts)
-		var err error
 		if sn.roll.step > 0 {
-			err = s.rollup(&sn.roll)
+			s.rollup(&sn.roll)
 			rollupServed.Add(1)
-		} else {
-			err = s.view(sn.pts)
-		}
-		if err != nil {
+		} else if err := s.view(sn.pts); err != nil {
 			return nil, err
 		}
 		s.flush()
@@ -216,7 +204,7 @@ type aggStream struct {
 	f     Filter
 	opts  AggOptions
 	pts   []AggPoint // the rendered points of every series so far
-	k     int        // the open bucket's index
+	k     int64      // the open bucket's index
 	acc   aggAccum   // the open bucket
 	pairs []bucketSample
 }
@@ -224,13 +212,13 @@ type aggStream struct {
 // bucketSample is a sample paired with its bucket, for sorting the
 // samples of a view that is not time-ordered.
 type bucketSample struct {
-	k int
+	k int64
 	v float64
 }
 
 // to returns the open bucket after moving to bucket k, rendering the
 // open one first when k is another.
-func (s *aggStream) to(k int) *aggAccum {
+func (s *aggStream) to(k int64) *aggAccum {
 	if k != s.k {
 		s.flush()
 		s.k = k
@@ -253,22 +241,23 @@ func (s *aggStream) flush() {
 
 // bucket returns the index of the bucket a sample at t falls in, or -1
 // when it lies on none: before From, or with a NaN quotient (a NaN time).
-func (s *aggStream) bucket(t float64) (int, error) {
+// The stream holds one open bucket, so a fine grid costs nothing; only an
+// index beyond the int64 range fails the query.
+func (s *aggStream) bucket(t float64) (int64, error) {
 	if s.opts.Step <= 0 {
 		return 0, nil
 	}
-	// Compare as float before converting: a quotient beyond the int range
-	// would make the conversion implementation-defined and could silently
-	// skip the bucket-cap error below.
+	// Compare as float before converting: converting a quotient beyond
+	// the int64 range is implementation-defined.
 	q := math.Floor((t - s.f.From) / s.opts.Step)
 	if !(q >= 0) {
 		return -1, nil
 	}
-	if q >= maxAggBuckets {
-		return -1, fmt.Errorf("examon: step %v yields more than %d buckets (sample at t=%v)",
-			s.opts.Step, maxAggBuckets, t)
+	if q >= math.MaxInt64 {
+		return -1, fmt.Errorf("examon: step %v puts the sample at t=%v past bucket %d",
+			s.opts.Step, t, int64(math.MaxInt64))
 	}
-	return int(q), nil
+	return int64(q), nil
 }
 
 // rollup streams one series' rollup tier instead of its raw points,
@@ -276,7 +265,7 @@ func (s *aggStream) bucket(t float64) (int, error) {
 // rollupAligned guarantees every raw point in range is covered by whole
 // in-range tier buckets, so counts and min/max are identical to the raw
 // computation and sums regroup the same additions.
-func (s *aggStream) rollup(r *rollupView) error {
+func (s *aggStream) rollup(r *rollupView) {
 	m := int64(s.opts.Step / r.step) // exact: rollupAligned checked divisibility
 	q0 := int64(math.Floor(s.f.From / r.step))
 	end := r.first + int64(len(r.closed)) + 1
@@ -291,14 +280,8 @@ func (s *aggStream) rollup(r *rollupView) error {
 		if a.n == 0 {
 			continue
 		}
-		k := (b - q0) / m
-		if k >= maxAggBuckets {
-			return fmt.Errorf("examon: step %v yields more than %d buckets (rollup bucket at t=%v)",
-				s.opts.Step, maxAggBuckets, float64(b)*r.step)
-		}
-		s.to(int(k)).merge(*a)
+		s.to((b - q0) / m).merge(*a)
 	}
-	return nil
 }
 
 // view streams one series' raw points. A time-ordered view yields its

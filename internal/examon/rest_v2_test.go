@@ -161,6 +161,45 @@ func TestQueryV2Aggregation(t *testing.T) {
 	}
 }
 
+// TestQueryV2FineStep: a step grid of ten million buckets over two
+// points answers with the two points, bounded or not, since aggregation
+// holds one open bucket whatever the grid.
+func TestQueryV2FineStep(t *testing.T) {
+	st := NewMemStore()
+	st.Insert(confTags(1, -1, "uptime"), 0, 1)
+	st.Insert(confTags(1, -1, "uptime"), 999, 2)
+	srv, err := NewRESTServer(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	for _, path := range []string{
+		"/api/v2/query?agg=avg&step=0.0001&from=0&to=1000",
+		"/api/v2/query?agg=avg&step=0.0001",
+	} {
+		code, body := get(t, ts, path)
+		if code != 200 {
+			t.Fatalf("%s -> %d: %s", path, code, body)
+		}
+		var resp struct {
+			Series []struct {
+				Points [][3]float64 `json:"points"`
+			} `json:"series"`
+		}
+		if err := json.Unmarshal([]byte(body), &resp); err != nil {
+			t.Fatal(err)
+		}
+		if len(resp.Series) != 1 {
+			t.Fatalf("%s: series = %+v", path, resp.Series)
+		}
+		pts := resp.Series[0].Points
+		if len(pts) != 2 || pts[0] != [3]float64{0, 1, 1} || math.Abs(pts[1][0]-999) > 1e-3 || pts[1][1] != 2 || pts[1][2] != 1 {
+			t.Errorf("%s: points = %v, want (0, 1) and (999, 2)", path, pts)
+		}
+	}
+}
+
 func TestQueryV2BadParameters(t *testing.T) {
 	ts := restFixture(t, NewMemStore())
 	for _, path := range []string{

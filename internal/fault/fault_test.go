@@ -4,6 +4,7 @@ import (
 	"math"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"montecimone/internal/sim"
@@ -96,6 +97,10 @@ func TestValidate(t *testing.T) {
 		{"zero injections", Spec{Thermal: &Thermal{}}},
 		{"sub-second repair", Spec{Thermal: &Thermal{Injections: 1, RepairS: 0.5}}},
 		{"power step without plane", Spec{PowerSteps: []PowerStep{{AtS: 1, BudgetW: 30}}}},
+		// Validation must hold power steps to the plane's own rule, or the
+		// controller's SetBudgetW would refuse a step mid-run.
+		{"NaN power step budget", Spec{PowerSteps: []PowerStep{{AtS: 1, BudgetW: math.NaN()}}}},
+		{"+Inf power step budget", Spec{PowerSteps: []PowerStep{{AtS: 1, BudgetW: math.Inf(1)}}}},
 		{"zero-duration window", Spec{Network: []NetWindow{{StartS: 10}}}},
 		{"overlapping windows", Spec{Network: []NetWindow{{StartS: 0, DurationS: 100}, {StartS: 50, DurationS: 100}}}},
 		{"latency under 1", Spec{Network: []NetWindow{{StartS: 0, DurationS: 10, LatencyMult: 0.5}}}},
@@ -112,8 +117,11 @@ func TestValidate(t *testing.T) {
 	}
 	for _, c := range bad {
 		hasPlane := c.name != "power step without plane"
-		if err := c.spec.Validate(8, 3600, hasPlane); err == nil {
+		err := c.spec.Validate(8, 3600, hasPlane)
+		if err == nil {
 			t.Errorf("%s: accepted", c.name)
+		} else if len(c.spec.PowerSteps) > 0 && !strings.Contains(err.Error(), "power_steps[0]") {
+			t.Errorf("%s: error %q does not name the power step", c.name, err)
 		}
 	}
 	// An overflowing rate over a horizon so short that it expects few

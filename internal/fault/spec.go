@@ -16,6 +16,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"sort"
 )
 
@@ -233,8 +234,8 @@ func (s *Spec) Validate(nodes int, horizonS float64, hasPlane bool) error {
 		if p.AtS < 0 || p.AtS > horizonS {
 			return fmt.Errorf("fault: power_steps[%d]: at_s %v outside [0,%v]", i, p.AtS, horizonS)
 		}
-		if p.BudgetW <= 0 {
-			return fmt.Errorf("fault: power_steps[%d]: budget_w must be positive, got %v", i, p.BudgetW)
+		if !(p.BudgetW > 0) || math.IsInf(p.BudgetW, 1) {
+			return fmt.Errorf("fault: power_steps[%d]: budget_w must be positive and finite, got %v", i, p.BudgetW)
 		}
 	}
 	windows := append([]NetWindow(nil), s.Network...)

@@ -92,10 +92,6 @@ type Spec struct {
 	Seed int64 `json:"seed"`
 	// Org scopes all federated telemetry (default "fleet").
 	Org string `json:"org,omitempty"`
-	// Workers is the default worker-pool width (0 = one per CPU); the
-	// -fleet-workers flag overrides it. Any width renders byte-identical
-	// output.
-	Workers int `json:"workers,omitempty"`
 	// Clusters declares the fleet's machines.
 	Clusters []ClusterSpec `json:"clusters"`
 	// Tenants declares the campaign streams.
@@ -138,9 +134,6 @@ func Load(path string) (Spec, error) {
 func (s *Spec) Validate() error {
 	if len(s.Clusters) == 0 {
 		return fmt.Errorf("fleet: spec %q: needs at least one cluster", s.Name)
-	}
-	if s.Workers < 0 {
-		return fmt.Errorf("fleet: spec %q: workers must be >= 0, got %d", s.Name, s.Workers)
 	}
 	maxNodes := 0
 	seen := make(map[string]bool, len(s.Clusters))

@@ -34,6 +34,12 @@ func TestParseRejectsUnknownField(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "clusterz") {
 		t.Fatalf("unknown field not rejected: %v", err)
 	}
+	// The pool width is the -fleet-workers flag's alone.
+	_, err = Parse([]byte(`{"name":"x","seed":1,"workers":2,
+		"clusters":[{"id":"a","nodes":4}]}`))
+	if err == nil || !strings.Contains(err.Error(), `unknown field "workers"`) {
+		t.Fatalf("workers field not rejected: %v", err)
+	}
 	// Clusters have no storage backend to choose.
 	_, err = Parse([]byte(`{"name":"x","seed":1,
 		"clusters":[{"id":"a","nodes":4,"backend":"sharded"}]}`))
@@ -61,7 +67,6 @@ func TestValidateRejections(t *testing.T) {
 		{"duplicate tenant", func(s *Spec) { s.Tenants[1].Name = s.Tenants[0].Name }, "duplicate tenant"},
 		{"empty tenant", func(s *Spec) { s.Tenants[0].Campaigns = nil; s.Tenants[0].Stream = nil }, "campaigns or a stream"},
 		{"negative arrive", func(s *Spec) { s.Tenants[0].Campaigns[0].ArriveS = -1 }, "negative arrive_s"},
-		{"negative workers", func(s *Spec) { s.Workers = -1 }, "workers"},
 		{"bad stream rate", func(s *Spec) { s.Tenants[1].Stream.RatePerHour = 0 }, "rate_per_hour"},
 		// Sizes past campaign.MaxSpecSize fail here instead of exhausting
 		// memory in cluster.New or the router's stream expansion.

@@ -71,8 +71,6 @@ func TestInputCacheTracksEveryInput(t *testing.T) {
 	checkInputCache(t, n, "frequency scale")
 	n.SetNetRates(50e6, 20e6)
 	checkInputCache(t, n, "net rates")
-	n.SetIORates(1.2e9, 0.4e9)
-	checkInputCache(t, n, "io rates")
 	if err := n.SetEnclosure(thermal.Enclosure{AmbientC: 28, LidOn: true}); err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +81,6 @@ func TestInputCacheTracksEveryInput(t *testing.T) {
 	// their equilibria must be solved afresh for the new one.
 	n.SetFrequencyScale(1)
 	n.SetNetRates(0, 0)
-	n.SetIORates(0, 0)
 	checkInputCache(t, n, "hpl again after enclosure")
 	n.ClearWorkload()
 	checkInputCache(t, n, "idle again after enclosure")
@@ -136,7 +133,7 @@ func TestEWMAFactorCache(t *testing.T) {
 	if err := n.SetWorkload("stream", power.ActivityStreamDDR, 1e9); err != nil {
 		t.Fatal(err)
 	}
-	runnable := float64(n.machine.Cores) * n.in.act.CoreActivity
+	runnable := float64(machine.Cores) * n.in.act.CoreActivity
 	if runnable < 1 {
 		runnable = 1
 	}

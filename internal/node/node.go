@@ -38,12 +38,13 @@ const (
 // cluster's lock-step ticker.
 const BaseStep = 0.1
 
-// calibration is the rail model every node draws power from, and
-// bootPower its boot power, tabulated once: a booting node's power is a
-// function of its boot progress alone.
+// calibration is the rail model every node draws power from, bootPower
+// its boot power, tabulated once (a booting node's power is a function of
+// its boot progress alone), and machine the SoC every node carries.
 var (
 	calibration = power.Calibration()
 	bootPower   = calibration.BootTable()
+	machine     = soc.FU740()
 )
 
 // State is the node's life-cycle state.
@@ -93,8 +94,6 @@ type Config struct {
 	// blade slot, and with it the thermal environment: (ID-1) mod
 	// thermal.NumSlots.
 	ID int
-	// Machine is the SoC model; defaults to soc.FU740().
-	Machine *soc.Machine
 	// Enclosure is the chassis configuration shared by the cluster.
 	Enclosure thermal.Enclosure
 	// HPMPatch applies the authors' U-Boot patch enabling the
@@ -107,7 +106,6 @@ type Config struct {
 type Node struct {
 	id       int
 	hostname string
-	machine  *soc.Machine
 	tm       *thermal.Model
 	pmu      *perf.PMU
 
@@ -155,22 +153,20 @@ type Node struct {
 	alpha1, alpha5, alpha15 float64
 
 	// OS statistics state.
-	load1, load5, load15      float64
-	memUsedBytes              float64
-	rxTotal, txTotal          float64
-	ioReadTotal, ioWriteTotal float64
-	intsTotal, cswTotal       float64
-	procsNewTotal             float64
+	load1, load5, load15 float64
+	memUsedBytes         float64
+	rxTotal, txTotal     float64
+	intsTotal, cswTotal  float64
+	procsNewTotal        float64
 }
 
 // inputs is one set of model inputs: everything the setters change that
 // the integrator reads. A recorded interval replays under its own copy.
 type inputs struct {
-	workload              string
-	act                   power.Activity
-	freqScale             float64 // DVFS scale in (0,1]; 1 = nominal 1.2 GHz
-	rxBps, txBps          float64
-	ioReadBps, ioWriteBps float64
+	workload     string
+	act          power.Activity
+	freqScale    float64 // DVFS scale in (0,1]; 1 = nominal 1.2 GHz
+	rxBps, txBps float64
 }
 
 // inputSet is one entry of a node's input-set table: the inputs and the
@@ -197,13 +193,6 @@ func New(cfg Config) (*Node, error) {
 	if cfg.ID <= 0 {
 		return nil, fmt.Errorf("node: id must be positive, got %d", cfg.ID)
 	}
-	machine := cfg.Machine
-	if machine == nil {
-		machine = soc.FU740()
-	}
-	if err := machine.Validate(); err != nil {
-		return nil, fmt.Errorf("node %d: %w", cfg.ID, err)
-	}
 	tm, err := thermal.NewModel(cfg.Enclosure, (cfg.ID-1)%thermal.NumSlots)
 	if err != nil {
 		return nil, fmt.Errorf("node %d: %w", cfg.ID, err)
@@ -215,7 +204,6 @@ func New(cfg Config) (*Node, error) {
 	return &Node{
 		id:           cfg.ID,
 		hostname:     fmt.Sprintf("%s%02d", machine.HostPrefix, cfg.ID),
-		machine:      machine,
 		tm:           tm,
 		pmu:          pmu,
 		state:        StateOff,
@@ -258,9 +246,6 @@ func (n *Node) ID() int { return n.id }
 // Hostname returns the node's hostname ("mc01" ... "mc08").
 func (n *Node) Hostname() string { return n.hostname }
 
-// Machine returns the SoC model.
-func (n *Node) Machine() *soc.Machine { return n.machine }
-
 // PMU exposes the performance-counter unit (read by the pmu_pub plugin).
 // Deferred intervals are replayed first, so the counters read as if every
 // input change had integrated on the spot.
@@ -293,7 +278,7 @@ func (n *Node) SetClock(clock func() float64) { n.clock = clock }
 func (n *Node) OnTransition(fn func(kind Transition, at float64)) { n.onTransition = fn }
 
 // OnInputChange registers a callback fired after any model input changes
-// (workload, DVFS point, IO/net rates, power button, enclosure). The
+// (workload, DVFS point, net rates, power button, enclosure). The
 // cluster uses it to re-plan the node's integration watchdog.
 func (n *Node) OnInputChange(fn func()) { n.onInput = fn }
 
@@ -484,7 +469,7 @@ func (n *Node) PowerOff() {
 	n.state = StateOff
 	n.in.workload = ""
 	n.in.act = power.Activity{}
-	n.in.rxBps, n.in.txBps, n.in.ioReadBps, n.in.ioWriteBps = 0, 0, 0, 0
+	n.in.rxBps, n.in.txBps = 0, 0
 	n.tm.ClearTrip()
 	n.inputsChanged()
 }
@@ -539,13 +524,6 @@ func (n *Node) ClearWorkload() {
 func (n *Node) SetNetRates(rxBps, txBps float64) {
 	n.settle()
 	n.in.rxBps, n.in.txBps = rxBps, txBps
-	n.inputsChanged()
-}
-
-// SetIORates sets NVMe read/write rates in bytes/s.
-func (n *Node) SetIORates(readBps, writeBps float64) {
-	n.settle()
-	n.in.ioReadBps, n.in.ioWriteBps = readBps, writeBps
 	n.inputsChanged()
 }
 
@@ -667,16 +645,16 @@ func (n *Node) Temperature(s thermal.Sensor) float64 {
 	return n.tm.Temp(s)
 }
 
-// nvmeWatts models NVMe device power from IO activity.
+// nvmeIdleW is the NVMe device's draw while the node is powered: no
+// workload drives disk IO, so the device idles.
+const nvmeIdleW = 0.8
+
+// nvmeWatts returns the NVMe device's draw in the node's state.
 func (n *Node) nvmeWatts() float64 {
 	if n.state == StateOff || n.state == StateHalted {
 		return 0
 	}
-	util := (n.in.ioReadBps + n.in.ioWriteBps) / 2.0e9 // ~2 GB/s device
-	if util > 1 {
-		util = 1
-	}
-	return 0.8 + 3.2*util
+	return nvmeIdleW
 }
 
 // Step advances the node to virtual time now with a single Euler step of
@@ -825,7 +803,7 @@ func (n *Node) advanceCounters(dt float64) {
 	})
 
 	// OS statistics.
-	runnable := float64(n.machine.Cores) * n.in.act.CoreActivity
+	runnable := float64(machine.Cores) * n.in.act.CoreActivity
 	if n.in.workload != "" && runnable < 1 {
 		runnable = 1 // at least the benchmark process
 	}
@@ -838,11 +816,9 @@ func (n *Node) advanceCounters(dt float64) {
 	n.load15 += (runnable - n.load15) * n.alpha15
 	n.rxTotal += n.in.rxBps * dt
 	n.txTotal += n.in.txBps * dt
-	n.ioReadTotal += n.in.ioReadBps * dt
-	n.ioWriteTotal += n.in.ioWriteBps * dt
 	// Interrupts: timer ticks (250 Hz/core) plus NIC interrupts; context
 	// switches track interrupts plus scheduler activity.
-	n.intsTotal += dt * (250*float64(n.machine.Cores) + n.in.rxBps/8e3)
+	n.intsTotal += dt * (250*float64(machine.Cores) + n.in.rxBps/8e3)
 	n.cswTotal += dt * (400 + 2000*n.in.act.CoreActivity)
 	n.procsNewTotal += dt * 2
 }
@@ -901,20 +877,17 @@ type Stats struct {
 	TempMB, TempCPU, TempNVMe              float64 // degC
 }
 
-// Stats returns the current OS statistics snapshot.
+// Stats returns the current OS statistics snapshot. No workload drives
+// disk IO, so the IO, disk and IO-wait statistics read 0.
 func (n *Node) Stats() Stats {
 	n.observe()
 	usr := 100 * n.in.act.CoreActivity
 	sys := 1.5
-	wai := 0.0
-	if n.in.ioReadBps+n.in.ioWriteBps > 0 {
-		wai = 2.0
-	}
-	idl := 100 - usr - sys - wai
+	idl := 100 - usr - sys
 	if idl < 0 {
 		idl = 0
 	}
-	total := float64(n.machine.DDRBytes)
+	total := float64(machine.DDRBytes)
 	buff := 0.02 * total
 	cach := 0.10 * total
 	free := total - n.memUsedBytes - buff - cach
@@ -923,13 +896,13 @@ func (n *Node) Stats() Stats {
 	}
 	return Stats{
 		Load1: n.load1, Load5: n.load5, Load15: n.load15,
-		IORead: n.ioReadTotal, IOWrite: n.ioWriteTotal,
+		IORead: 0, IOWrite: 0,
 		ProcsRun: math.Round(n.load1), ProcsBlk: 0, ProcsNew: n.procsNewTotal,
 		MemUsed: n.memUsedBytes, MemFree: free, MemBuff: buff, MemCach: cach,
 		PagingIn: 0, PagingOut: 0,
-		DiskRead: n.ioReadTotal, DiskWrite: n.ioWriteTotal,
+		DiskRead: 0, DiskWrite: 0,
 		SystemInt: n.intsTotal, SystemCsw: n.cswTotal,
-		CPUUsr: usr, CPUSys: sys, CPUIdl: idl, CPUWai: wai, CPUStl: 0,
+		CPUUsr: usr, CPUSys: sys, CPUIdl: idl, CPUWai: 0, CPUStl: 0,
 		NetRecv: n.rxTotal, NetSend: n.txTotal,
 		TempMB: n.tm.Temp(thermal.SensorMB), TempCPU: n.tm.Temp(thermal.SensorCPU),
 		TempNVMe: n.tm.Temp(thermal.SensorNVMe),

@@ -215,7 +215,6 @@ func TestStatsReflectWorkload(t *testing.T) {
 		t.Fatal(err)
 	}
 	n.SetNetRates(10e6, 5e6)
-	n.SetIORates(1e6, 1e6)
 	now := 40.0
 	for i := 0; i < 600; i++ {
 		now += 0.5

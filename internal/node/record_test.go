@@ -230,18 +230,12 @@ func replayEquivalence(t *testing.T, id int, enc thermal.Enclosure, seed int64, 
 		case r < 0.72:
 			s := []float64{1, 0.7, MinFreqScale, 0.85, rng.Float64()}[rng.Intn(levels(5))]
 			change("frequency", func(n *Node) error { n.SetFrequencyScale(s); return nil })
-		case r < 0.84:
+		case r < 0.93:
 			rx, tx := []float64{0, 5e7, rng.Float64() * 1e8}[rng.Intn(levels(3))], rng.Float64()*1e8
 			if quiet {
 				tx = rx / 2
 			}
 			change("net rates", func(n *Node) error { n.SetNetRates(rx, tx); return nil })
-		case r < 0.93:
-			if quiet {
-				break // keeps the input sets few enough for the record to fill
-			}
-			rd, wr := rng.Float64()*2e9, rng.Float64()*1e9
-			change("io rates", func(n *Node) error { n.SetIORates(rd, wr); return nil })
 		case rng.Float64() >= rare:
 		default:
 			switch rng.Intn(6) {

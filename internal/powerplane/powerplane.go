@@ -335,8 +335,8 @@ func (g *Governor) BudgetW() float64 { return g.cfg.BudgetW }
 // recomputed eagerly, exactly as a facility-side setpoint change would
 // land between samples of a real governor.
 func (g *Governor) SetBudgetW(w float64) error {
-	if w <= 0 {
-		return fmt.Errorf("powerplane: budget must be positive, got %v W", w)
+	if !(w > 0) || math.IsInf(w, 1) {
+		return fmt.Errorf("powerplane: budget must be positive and finite, got %v W", w)
 	}
 	g.cfg.BudgetW = w
 	return nil

@@ -74,6 +74,19 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(e, c, db, br, Config{BudgetW: 10, Cluster: "a+b"}); err == nil {
 		t.Error("cluster tag a+b accepted")
 	}
+	// A budget step follows New's rule and leaves a refused budget unset.
+	g, err := New(e, c, db, br, Config{BudgetW: 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, w := range []float64{0, math.NaN(), math.Inf(1)} {
+		if err := g.SetBudgetW(w); err == nil {
+			t.Errorf("budget step to %v accepted", w)
+		}
+	}
+	if g.BudgetW() != 10 {
+		t.Errorf("budget %v W after refused steps, want 10", g.BudgetW())
+	}
 }
 
 // TestCapsEnforceBudget: with every node under HPL and a budget below the

@@ -34,7 +34,6 @@ func (q *eventQueue) Pop() *Event {
 		q.down(0)
 	}
 	top.index = -1
-	q.shrink()
 	return top
 }
 
@@ -58,30 +57,6 @@ func (q *eventQueue) Remove(i int) {
 		q.up(i)
 	}
 	ev.index = -1
-	q.shrink()
-}
-
-// minShrinkCap is the backing-array capacity below which the heap never
-// shrinks, so small queues don't thrash the allocator.
-const minShrinkCap = 64
-
-// shrink releases backing capacity once occupancy drops below a quarter:
-// a burst (campaign submission wave, fault storm) would otherwise pin its
-// peak heap array for the rest of the run. The copy preserves slot order,
-// so heap indices stay valid; the new capacity keeps 2x headroom to avoid
-// realloc ping-pong around the threshold.
-func (q *eventQueue) shrink() {
-	n := len(q.items)
-	if cap(q.items) <= minShrinkCap || n >= cap(q.items)/4 {
-		return
-	}
-	c := 2 * n
-	if c < minShrinkCap {
-		c = minShrinkCap
-	}
-	items := make([]*Event, n, c)
-	copy(items, q.items)
-	q.items = items
 }
 
 func (q *eventQueue) less(i, j int) bool {

@@ -145,44 +145,3 @@ func TestQueueMatchesContainerHeap(t *testing.T) {
 		pop()
 	}
 }
-
-// TestQueueShrinksAfterBurst checks the backing-array release: after a
-// submission-wave-sized burst drains, the heap must not pin its peak
-// capacity for the rest of the run, and the shrink must preserve pop order.
-func TestQueueShrinksAfterBurst(t *testing.T) {
-	q := &eventQueue{}
-	const burst = 4096
-	for i := 0; i < burst; i++ {
-		q.Push(&Event{at: float64(i % 97), seq: uint64(i)})
-	}
-	peak := cap(q.items)
-	if peak < burst {
-		t.Fatalf("cap %d below burst size %d", peak, burst)
-	}
-	prevAt, prevSeq := -1.0, uint64(0)
-	for i := 0; i < burst-8; i++ {
-		ev := q.Pop()
-		if ev.at < prevAt || (ev.at == prevAt && ev.seq < prevSeq) {
-			t.Fatalf("pop order broken at %d: (%v, seq %d) after (%v, seq %d)",
-				i, ev.at, ev.seq, prevAt, prevSeq)
-		}
-		prevAt, prevSeq = ev.at, ev.seq
-		checkHeapInvariants(t, q)
-	}
-	if got := cap(q.items); got >= peak/4 {
-		t.Fatalf("backing array never shrank: cap %d after draining to %d items (peak %d)",
-			got, q.Len(), peak)
-	}
-	// Small queues must NOT shrink below the floor — no allocator thrash.
-	small := &eventQueue{}
-	for i := 0; i < 32; i++ {
-		small.Push(&Event{at: float64(i), seq: uint64(i)})
-	}
-	c := cap(small.items)
-	for small.Len() > 1 {
-		small.Pop()
-	}
-	if cap(small.items) != c && cap(small.items) > minShrinkCap {
-		t.Fatalf("small queue reallocated above the shrink floor: cap %d", cap(small.items))
-	}
-}

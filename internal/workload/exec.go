@@ -19,10 +19,6 @@ type NodeOps interface {
 
 // ExecOptions tunes a phased execution.
 type ExecOptions struct {
-	// FixedActivity disables phase interleaving: the job runs at the
-	// model's Steady profile for its whole life (the campaign benchmark's
-	// ablation, and the exact behaviour of the pre-registry code).
-	FixedActivity bool
 	// SlowFactor stretches every phase duration by the given factor
 	// (values <= 1, including the zero value, leave the cadence nominal).
 	// Fault campaigns set it on jobs touching straggler nodes or degraded-
@@ -55,19 +51,20 @@ type Execution struct {
 }
 
 // Start installs the model's first phase on the nodes and schedules the
-// phase transitions. Single-phase models (and FixedActivity runs) install
-// the steady profile once and never transition. The initial installation
-// error surfaces (a halted node cannot take work); transition errors are
-// swallowed exactly like the scheduler's own workload callbacks — a node
-// that halts mid-job is reported through the node-failure path, not here.
+// phase transitions. A single-phase model installs its phase once, and a
+// model without phases its steady profile; neither transitions. The
+// initial installation error surfaces (a halted node cannot take work);
+// transition errors are swallowed exactly like the scheduler's own
+// workload callbacks — a node that halts mid-job is reported through the
+// node-failure path, not here.
 func Start(engine *sim.Engine, ops NodeOps, m *Model, nodes []int, opts ExecOptions) (*Execution, error) {
 	if engine == nil || ops == nil || m == nil {
 		return nil, fmt.Errorf("workload: Start needs an engine, node ops and a model")
 	}
 	ex := &Execution{engine: engine, ops: ops, model: m, nodes: append([]int(nil), nodes...), opts: opts}
-	if opts.FixedActivity || len(m.Phases) <= 1 {
+	if len(m.Phases) <= 1 {
 		act, label := m.Steady, m.Name
-		if !opts.FixedActivity && len(m.Phases) == 1 {
+		if len(m.Phases) == 1 {
 			act, label = m.Phases[0].Activity, m.Name+"/"+m.Phases[0].Name
 		}
 		if err := ops.RunWorkloadOn(ex.nodes, label, act, m.MemBytes); err != nil {
@@ -109,9 +106,9 @@ func (ex *Execution) install(i int, first bool) error {
 }
 
 // Phase returns the name of the currently installed phase ("" for
-// steady/fixed runs).
+// models with at most one phase).
 func (ex *Execution) Phase() string {
-	if ex.opts.FixedActivity || len(ex.model.Phases) <= 1 {
+	if len(ex.model.Phases) <= 1 {
 		return ""
 	}
 	return ex.model.Phases[ex.phase].Name

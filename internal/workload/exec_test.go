@@ -79,31 +79,6 @@ func TestPhasedExecutionCycles(t *testing.T) {
 	ex.Stop() // idempotent
 }
 
-// FixedActivity must pin the steady profile with zero transitions — the
-// campaign benchmark's ablation.
-func TestFixedActivityExecution(t *testing.T) {
-	e := sim.NewEngine()
-	rec := newRecorder(e)
-	m := MustLookup("hpl")
-	ex, err := Start(e, rec, m, []int{0}, ExecOptions{FixedActivity: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Phase() != "" {
-		t.Errorf("fixed run reports phase %q", ex.Phase())
-	}
-	if err := e.RunUntil(1000); err != nil {
-		t.Fatal(err)
-	}
-	if len(rec.log) != 1 {
-		t.Fatalf("fixed-activity run transitioned: %v", rec.log)
-	}
-	if got := rec.active[0]; got != m.Steady {
-		t.Errorf("installed %+v, want steady %+v", got, m.Steady)
-	}
-	ex.Stop()
-}
-
 // Single-phase models install once and never transition.
 func TestSinglePhaseExecution(t *testing.T) {
 	e := sim.NewEngine()

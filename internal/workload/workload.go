@@ -71,8 +71,8 @@ func (m *Model) CycleSeconds() float64 {
 
 // MeanPhaseActivity returns the time-weighted mean activity over one phase
 // cycle; for single-phase models it is Steady. The built-in phased models
-// keep it within a few percent of Steady so phased and fixed-activity runs
-// dissipate the same mean power.
+// keep it within a few percent of Steady, so a phased run dissipates the
+// mean power its steady profile predicts.
 func (m *Model) MeanPhaseActivity() power.Activity {
 	cycle := m.CycleSeconds()
 	if cycle == 0 {

@@ -65,7 +65,7 @@ func TestSteadyMatchesTableVI(t *testing.T) {
 
 // Phased models must reproduce their steady profile in the time-weighted
 // mean (within 2 %), so phase interleaving dissipates the same mean power
-// as the fixed-activity ablation.
+// as the steady profile the powercap admission gate predicts from.
 func TestPhaseMeanReproducesSteady(t *testing.T) {
 	pm := power.Calibration()
 	for _, name := range Names() {
